@@ -41,6 +41,8 @@ import os
 
 import numpy as np
 
+from .errors import ValidationError
+
 ENV_DISABLE_NUMBA = "CONSENSUS_NET_NO_NUMBA"
 
 _STAGE_OFFSETS = np.array([0.0, 0.5, 0.5, 1.0])
@@ -329,12 +331,16 @@ except ImportError:  # pragma: no cover - exercised only without numba installed
 
 
 def active_backend(backend: str | None = None) -> str:
-    """Resolve 'numba' or 'numpy' from the argument and the environment."""
+    """Resolve 'numba' or 'numpy' from the argument and the environment.
+
+    Asking for a backend that is unknown or, for numba, not importable is a
+    ValidationError."""
     if backend is not None:
         if backend not in ("numba", "numpy"):
-            raise ValueError(f"backend: expected 'numba' or 'numpy', got {backend!r}")
+            raise ValidationError(f"backend: expected 'numba' or 'numpy', got {backend!r}")
         if backend == "numba" and not HAVE_NUMBA:
-            raise RuntimeError("numba backend requested but numba is not importable")
+            raise ValidationError("backend: numba was requested but is not installed "
+                                  "(install the 'numba' extra, or use the numpy backend)")
         return backend
     if os.environ.get(ENV_DISABLE_NUMBA, "").strip() not in ("", "0"):
         return "numpy"

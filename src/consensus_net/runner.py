@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis
-from .dynamics import MatchedLoop, SimState, UnmatchedLoop, eval_disturbance
+from .dynamics import MatchedLoop, UnmatchedLoop
 from .errors import IntegrationDivergedError, NoOrbitError, SignalFitError
 from .gains import certify_matched, certify_unmatched, is_S_hurwitz
 from .graph import build_laplacian
@@ -45,6 +45,9 @@ SETTLE_HOLD = 10.0
 #: length of the output-synchronization windows
 SYNC_WINDOW_LEN = 5.0
 
+#: metrics.csv columns, in order
+METRIC_COLUMNS = ("t", "ex_norm", "ey_norm", "ed_norm", "x_m", "y_m", "delta_m", "lyap")
+
 
 @dataclass(frozen=True)
 class RunArtifacts:
@@ -58,16 +61,12 @@ class RunArtifacts:
                 self.certification_json)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: Path, chunks: list) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -75,30 +74,34 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def _json_text(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+def _json_chunks(doc) -> list:
+    return [json.dumps(doc, indent=2, sort_keys=True), "\n"]
 
 
-def trajectory_csv_text(traj: Trajectory) -> str:
+def _csv_chunks(header, columns: list) -> list:
+    """CSV text as a list of chunks: the header line, then one chunk per block
+    of rows.  ``columns`` holds 1-D and 2-D arrays with one row per CSV line;
+    every value is written with 17 significant digits."""
+    n_rows = columns[0].shape[0]
+    chunks = [",".join(header) + "\n"]
+    row_format = ",".join(["%.17g"] * len(header)) + "\n"
+    for rows in analysis.row_blocks(n_rows, len(header)):
+        block = np.column_stack([c[rows] for c in columns])
+        chunks.append((row_format * block.shape[0]) % tuple(block.ravel().tolist()))
+    return chunks
+
+
+def trajectory_csv_text(traj: Trajectory) -> list:
     n = traj.n_agents
     header = ["t"]
     header += [f"x_{i + 1}" for i in range(n)]
     header += [f"y_{i + 1}" for i in range(n)]
     header += [f"dhat_{i + 1}" for i in range(n)]
-    lines = [",".join(header)]
-    for i in range(traj.times.shape[0]):
-        row = [_fmt(traj.times[i])] + [_fmt(v) for v in traj.states[i]]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    return _csv_chunks(header, [traj.times, traj.states])
 
 
-def metrics_csv_text(metrics: dict) -> str:
-    cols = ["t", "ex_norm", "ey_norm", "ed_norm", "x_m", "y_m", "delta_m", "lyap"]
-    lines = [",".join(cols)]
-    n_rows = metrics["t"].shape[0]
-    for i in range(n_rows):
-        lines.append(",".join(_fmt(float(metrics[c][i])) for c in cols))
-    return "\n".join(lines) + "\n"
+def metrics_csv_text(metrics: dict) -> list:
+    return _csv_chunks(METRIC_COLUMNS, [metrics[c] for c in METRIC_COLUMNS])
 
 
 def _orbit_window(sc: Scenario) -> tuple[float, float]:
@@ -121,7 +124,7 @@ def _summary(sc: Scenario, traj: Trajectory, metrics: dict, lap, cert, report) -
                                                SETTLE_THRESHOLD, hold=SETTLE_HOLD)
             for name in ("ex_norm", "ey_norm", "ed_norm")
         },
-        "max_projector_residual": _max_projector_residual(traj, lap.v_left, sc),
+        "max_projector_residual": float(metrics["projector_residual"].max()),
         "mean_field_final": {
             "x_m": float(metrics["x_m"][-1]),
             "y_m": float(metrics["y_m"][-1]),
@@ -170,19 +173,6 @@ def _summary(sc: Scenario, traj: Trajectory, metrics: dict, lap, cert, report) -
         "backend": active_backend(),
         "results": results,
     }
-
-
-def _max_projector_residual(traj: Trajectory, v: np.ndarray, sc: Scenario) -> float:
-    """max |v . e| over all samples and all three error components."""
-    worst = 0.0
-    for i in range(traj.times.shape[0]):
-        t = float(traj.times[i])
-        d = eval_disturbance(sc.disturbance, t)
-        state = SimState(traj.x[i], traj.y[i], traj.delta_hat[i], t)
-        errs = analysis.consensus_errors(state, v, sc.gains, d)
-        for e in (errs.e_x, errs.e_y, errs.e_d):
-            worst = max(worst, abs(float(v @ e)))
-    return worst
 
 
 def _largest_divisor_at_most(n: int, k: int) -> int:
@@ -242,14 +232,14 @@ def run(sc: Scenario, out_dir, backend: str | None = None,
     except IntegrationDivergedError as exc:
         if exc.partial is not None:
             _atomic_write(arts.trajectory_csv, trajectory_csv_text(exc.partial))
-        _atomic_write(arts.certification_json, _json_text(cert_doc))
+        _atomic_write(arts.certification_json, _json_chunks(cert_doc))
         raise
     metrics = analysis.trajectory_metrics(traj, lap.v_left, sc.gains, sc.disturbance, cert.P)
     summary = _summary(sc, traj, metrics, lap, cert, report)
     _atomic_write(arts.trajectory_csv, trajectory_csv_text(traj))
     _atomic_write(arts.metrics_csv, metrics_csv_text(metrics))
-    _atomic_write(arts.summary_json, _json_text(summary))
-    _atomic_write(arts.certification_json, _json_text(cert_doc))
+    _atomic_write(arts.summary_json, _json_chunks(summary))
+    _atomic_write(arts.certification_json, _json_chunks(cert_doc))
     return arts
 
 

@@ -5,12 +5,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from consensus_net import runner
 from consensus_net.analysis import (
     MeanField,
     averaged_model_matched,
     averaged_model_unmatched,
     consensus_errors,
+    disturbance_at,
     estimation_limits,
     first_settling_time,
     fit_exponential_decay,
@@ -18,10 +22,19 @@ from consensus_net.analysis import (
     lyapunov_H,
     lyapunov_W,
     mean_field,
+    row_blocks,
+    sync_deviation_windows,
     trajectory_metrics,
 )
-from consensus_net.dynamics import DisturbanceProfile, MatchedLoop, SimState, UnmatchedLoop
-from consensus_net.errors import NoOrbitError, SignalFitError
+from consensus_net.dynamics import (
+    DisturbanceProfile,
+    MatchedLoop,
+    Segment,
+    SimState,
+    UnmatchedLoop,
+    eval_disturbance,
+)
+from consensus_net.errors import NoOrbitError, SignalFitError, ValidationError
 from consensus_net.gains import (
     MatchedGains,
     UnmatchedGains,
@@ -31,6 +44,7 @@ from consensus_net.gains import (
     unmatched_form_matrices,
 )
 from consensus_net.graph import DirectedGraph, build_laplacian
+from consensus_net.scenario import builtin_scenario
 from consensus_net.sim import SimParams, integrate
 from consensus_net.spectral import solve_P
 
@@ -356,3 +370,135 @@ def test_trajectory_metrics_shapes(default_lap, default_cert):
     for key in ("t", "ex_norm", "ey_norm", "ed_norm", "x_m", "y_m", "delta_m", "lyap"):
         assert metrics[key].shape == traj.times.shape
     assert np.isfinite(metrics["lyap"]).all()
+
+
+# -- the array pass against the per-sample loop it replaced ------------------
+
+#: the array pass sums in another order than the loop; the cases below
+#: deviate by at most 1.5e-15 relative
+ORACLE_RTOL = 1e-12
+ORACLE_ATOL = 1e-14
+
+
+def _reference_metrics(traj, v, gains, profile, P):
+    """One row per sample: t, the three error norms, the mean field, the
+    Lyapunov value and max |v.e|, computed a state at a time with the scalar
+    disturbance and the projection and Lyapunov forms written out."""
+    matched = isinstance(gains, MatchedGains)
+    g = gains
+    rows = []
+    for i in range(traj.times.shape[0]):
+        t = float(traj.times[i])
+        x, y, dh = traj.x[i], traj.y[i], traj.delta_hat[i]
+        d = eval_disturbance(profile, t)
+        if matched:
+            coords = (x, y, dh - d / g.gamma3)
+        else:
+            coords = (x, y - g.k_s * dh, g.k_s * dh + d)
+        means = [float(v @ w) for w in coords]
+        ex, ey, ed = (w - np.ones_like(w) * m for w, m in zip(coords, means))
+        if matched:
+            lyap = 0.5 * (g.rho * ex @ P @ ex + 2.0 * g.epsilon * ex @ P @ ey
+                          + 2.0 * g.mu * ey @ ey) \
+                + 0.5 * g.b * (2.0 * ey @ ey + 2.0 * ey @ ed + ed @ ed)
+        else:
+            lyap = 0.5 * (g.alpha1 * ex @ P @ ex + 2.0 * g.nu * ex @ P @ ey
+                          + g.alpha2 * ey @ ey) + 0.5 * ed @ P @ ed
+        residual = max(abs(float(v @ e)) for e in (ex, ey, ed))
+        rows.append([t, np.linalg.norm(ex), np.linalg.norm(ey), np.linalg.norm(ed),
+                     *means, lyap, residual])
+    return np.array(rows)
+
+
+def _reference_sync_deviations(traj, v, g, profile):
+    devs = np.empty(traj.times.shape[0])
+    for i, t in enumerate(traj.times):
+        d = eval_disturbance(profile, float(t))
+        delta_m = float(v @ (g.k_s * traj.delta_hat[i] + d))
+        devs[i] = np.abs(traj.y[i] + d - delta_m).max()
+    return devs
+
+
+def _check_against_reference(traj, v, gains, profile, P):
+    metrics = trajectory_metrics(traj, v, gains, profile, P)
+    names = ("t", "ex_norm", "ey_norm", "ed_norm", "x_m", "y_m", "delta_m", "lyap",
+             "projector_residual")
+    got = np.column_stack([metrics[name] for name in names])
+    np.testing.assert_allclose(got, _reference_metrics(traj, v, gains, profile, P),
+                               rtol=ORACLE_RTOL, atol=ORACLE_ATOL)
+    if isinstance(gains, UnmatchedGains):
+        devs = _reference_sync_deviations(traj, v, gains, profile)
+        windows = sync_deviation_windows(traj, v, gains, profile, window_len=0.25)
+        assert len(windows) == int(round(traj.times[-1] / 0.25))
+        for w in windows:
+            mask = (traj.times >= w["window"][0]) & (traj.times <= w["window"][1])
+            np.testing.assert_allclose(w["max_deviation"], devs[mask].max(),
+                                       rtol=ORACLE_RTOL, atol=ORACLE_ATOL)
+
+
+@pytest.mark.parametrize("name", ["paper-matched", "paper-unmatched"])
+def test_array_pass_matches_loop_on_builtins(name):
+    """Full builtin horizons, so the switch sits on a sample time."""
+    sc, lap, cert, _, loop = runner.prepare(builtin_scenario(name))
+    params = SimParams(t_final=sc.t_final, dt=sc.dt, sample_every=sc.sample_every)
+    traj = integrate(loop, np.concatenate([sc.x0, sc.y0, sc.delta_hat0]), params)
+    _check_against_reference(traj, lap.v_left, sc.gains, sc.disturbance, cert.P)
+
+
+@pytest.fixture(scope="module")
+def large_network():
+    """600 agents with extra edges, so v has many nonzero weights."""
+    rng = np.random.default_rng(600)
+    lap = build_laplacian(random_tree_graph(rng, 600, extra_edges=300))
+    profile = DisturbanceProfile((
+        Segment(0.0, rng.uniform(-0.3, 0.3, 600), hyperbolic_coeff=1.0),
+        Segment(0.5, rng.uniform(-0.3, 0.3, 600), exp_coeff=1.0, exp_rate=0.2),
+    ))
+    z0 = np.concatenate([rng.uniform(-1.0, 1.0, 600), rng.uniform(-0.5, 0.5, 600),
+                         np.zeros(600)])
+    return lap, solve_P(lap).P, profile, z0
+
+
+@pytest.mark.parametrize("gains", [MATCHED, UNMATCHED], ids=["matched", "unmatched"])
+def test_array_pass_matches_loop_on_600_agents(large_network, gains):
+    """101 samples of 1800 values: several blocks, the last one partial."""
+    lap, P, profile, z0 = large_network
+    loop_cls = MatchedLoop if isinstance(gains, MatchedGains) else UnmatchedLoop
+    traj = integrate(loop_cls(gains, lap, profile), z0,
+                     SimParams(t_final=1.0, dt=1e-3, sample_every=10))
+    assert len(row_blocks(traj.times.shape[0], traj.states.shape[1])) > 2
+    _check_against_reference(traj, lap.v_left, gains, profile, P)
+
+
+@st.composite
+def _profiles(draw):
+    n = draw(st.integers(1, 3))
+    n_segments = draw(st.integers(1, 4))
+    gaps = draw(st.lists(st.floats(1e-3, 50.0), min_size=n_segments - 1,
+                         max_size=n_segments - 1))
+    starts = np.concatenate([[0.0], np.cumsum(gaps)])
+    coeff = st.floats(-2.0, 2.0)
+    segs = tuple(
+        Segment(float(start), np.array(draw(st.lists(coeff, min_size=n, max_size=n))),
+                hyperbolic_coeff=draw(coeff), exp_coeff=draw(coeff),
+                exp_rate=draw(st.floats(0.0, 1.0)))
+        for start in starts)
+    return DisturbanceProfile(segs)
+
+
+@given(profile=_profiles(), extra=st.lists(st.floats(0.0, 300.0), max_size=5))
+@settings(max_examples=100, deadline=None)
+def test_disturbance_at_matches_eval_disturbance(profile, extra):
+    times = [0.0, *extra]
+    for s in profile.switch_times:
+        times += [s, np.nextafter(s, -np.inf), np.nextafter(s, np.inf)]
+    for side in ("right", "left"):
+        got = disturbance_at(profile, times, side=side)
+        for k, t in enumerate(times):
+            assert np.array_equal(got[k], eval_disturbance(profile, t, side=side)), (side, t)
+
+
+def test_disturbance_at_rejects_negative_time():
+    profile = DisturbanceProfile.constant([0.1, 0.2])
+    with pytest.raises(ValidationError, match="t: must be >= 0"):
+        disturbance_at(profile, [0.0, -1e-300])

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from consensus_net import cli, runner
+from consensus_net import cli, kernels, runner
+from consensus_net.analysis import BLOCK_VALUES
 from consensus_net.dynamics import eval_disturbance
 from consensus_net.errors import ValidationError
 from consensus_net.scenario import (
@@ -17,7 +18,7 @@ from consensus_net.scenario import (
     scenario_from_json,
     scenario_to_json,
 )
-from consensus_net.sim import SimParams
+from consensus_net.sim import SimParams, Trajectory
 
 
 def test_builtin_paper_matched_values():
@@ -206,6 +207,16 @@ def test_cli_divergence_exit_code(tmp_path, warm_kernels, capsys):
     assert data.shape[0] >= 1
 
 
+def test_cli_numba_backend_unavailable(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(kernels, "HAVE_NUMBA", False)
+    rc = cli.main(["simulate", "paper-unmatched", "--backend", "numba",
+                   "--out", str(tmp_path / "out"), "--t-final", "1.0"])
+    assert rc == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: backend: numba") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_cli_align_dt(tmp_path, warm_kernels):
     # 0.003 does not divide the 50 s switch; --align-dt shrinks it until it does
     out = tmp_path / "aligned"
@@ -265,3 +276,62 @@ def test_plot_empty_trajectory(tmp_path):
     (tmp_path / "trajectory.csv").write_text("t,x_1,y_1,dhat_1\n")
     rc = cli.main(["plot", str(tmp_path), "--series", "x"])
     assert rc == cli.EXIT_VALIDATION
+
+
+def _reference_csv(header, rows) -> str:
+    """The writer the block writer replaced: one f-string per value."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(f"{x:.17g}" for x in row))
+    return "\n".join(lines) + "\n"
+
+
+def _reference_trajectory_csv(traj) -> str:
+    n = traj.n_agents
+    header = ["t"] + [f"{s}_{i + 1}" for s in ("x", "y", "dhat") for i in range(n)]
+    return _reference_csv(header, ([t, *z] for t, z in zip(traj.times, traj.states)))
+
+
+def _assert_same_text(got: str, want: str):
+    # compare without asking pytest to diff megabytes of text
+    if got != want:
+        a, b = got.split("\n"), want.split("\n")
+        k = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+        pytest.fail(f"texts differ first at line {k}: {a[k:k + 1]!r} != {b[k:k + 1]!r}")
+
+
+def _awkward_values(rng, shape):
+    values = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+    specials = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e300, 0.1]
+    flat = values.reshape(-1)
+    flat[:len(specials)] = specials
+    flat[rng.integers(0, flat.size, size=50)] = rng.choice(specials, size=50)
+    return values
+
+
+def test_csv_blocks_match_per_value_writer():
+    rng = np.random.default_rng(17)
+    # 16 columns: two full blocks and a partial one
+    n_rows = 2 * (BLOCK_VALUES // 16) + 7
+    traj = Trajectory(np.arange(n_rows) * 0.1, _awkward_values(rng, (n_rows, 15)))
+    _assert_same_text("".join(runner.trajectory_csv_text(traj)), _reference_trajectory_csv(traj))
+    # a row wider than a block: one row per block
+    wide = Trajectory([0.0, 0.5, 1.0], _awkward_values(rng, (3, 3 * (BLOCK_VALUES // 3 + 1))))
+    assert wide.states.shape[1] + 1 > BLOCK_VALUES
+    chunks = runner.trajectory_csv_text(wide)
+    assert len(chunks) == 1 + 3
+    _assert_same_text("".join(chunks), _reference_trajectory_csv(wide))
+    n_rows = BLOCK_VALUES // len(runner.METRIC_COLUMNS) + 3
+    table = _awkward_values(rng, (n_rows, len(runner.METRIC_COLUMNS)))
+    metrics = {name: table[:, k] for k, name in enumerate(runner.METRIC_COLUMNS)}
+    _assert_same_text("".join(runner.metrics_csv_text(metrics)),
+                      _reference_csv(runner.METRIC_COLUMNS, table))
+    empty = Trajectory(np.empty(0), np.empty((0, 3)))
+    _assert_same_text("".join(runner.trajectory_csv_text(empty)), _reference_trajectory_csv(empty))
+
+
+def test_run_writes_reference_bytes(tmp_path):
+    sc = builtin_scenario("paper-unmatched").with_overrides(t_final=2.0)
+    arts = runner.run(sc, tmp_path / "out")
+    names, data = runner.read_csv(arts.trajectory_csv)
+    _assert_same_text(arts.trajectory_csv.read_bytes().decode(), _reference_csv(names, data))
