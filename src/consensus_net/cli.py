@@ -10,7 +10,8 @@ Subcommands:
 
 ``<scenario>`` is a JSON file path or a builtin name (``paper-matched``,
 ``paper-unmatched``).  The CONSENSUS_NET_OUT environment variable overrides
-the default output directory.  Exit codes: 0 success, 2 validation error,
+the default output directory.  Exit codes: 0 success, 2 invalid input (bad
+data, a graph whose spectrum cannot be certified, infeasible gains),
 3 numerical divergence, 4 I/O failure.
 """
 
@@ -25,7 +26,12 @@ from pathlib import Path
 import numpy as np
 
 from . import runner, svgchart
-from .errors import IntegrationDivergedError, ValidationError
+from .errors import (
+    DegenerateSpectrumError,
+    InfeasibleGainError,
+    IntegrationDivergedError,
+    ValidationError,
+)
 from .gains import MatchedGains, certify_matched, suggest_matched
 from .graph import build_laplacian, graph_from_json
 from .kernels import active_backend
@@ -244,7 +250,7 @@ def main(argv=None) -> int:
         if args.command == "plot":
             return _cmd_plot(args)
         parser.error(f"unknown command {args.command!r}")
-    except ValidationError as exc:
+    except (ValidationError, DegenerateSpectrumError, InfeasibleGainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

@@ -107,50 +107,65 @@ def build_laplacian(g: DirectedGraph) -> LaplacianData:
     Row i has diagonal entry sum_k w_ik and off-diagonal entries -w_ij, so
     L @ ones == 0 holds by construction.  The spanning-tree flag, the left
     eigenvector of the zero eigenvalue and the spectral-norm bound are
-    computed here once and carried along with the matrix.
+    computed here once and carried along with the matrix: one eigenvalue
+    decomposition serves the simple-zero and right-half-plane checks, and one
+    SVD of L^T gives both the left null vector and the spectral norm.
     """
     w = g.weights
     L = np.diag(w.sum(axis=1)) - w
     tree = has_spanning_tree(g)
-    v = left_eigenvector(L) if tree else None
-    lam_L = float(np.linalg.norm(L, 2))
-    if tree and L.shape[0] > 1:
+    s, vt = np.linalg.svd(L.T)[1:]
+    if tree:
+        eigs = np.linalg.eigvals(L)
+        v = _left_null_vector(L, eigs, vt[-1])
         # all eigenvalues except the (simple) zero one must sit strictly in
         # the right half plane
-        re_parts = np.sort(np.linalg.eigvals(L).real)
-        rhp = bool(re_parts[1] > 0)
+        rhp = L.shape[0] == 1 or bool(np.sort(eigs.real)[1] > 0)
     else:
-        rhp = tree
+        v = None
+        rhp = False
     return LaplacianData(
         L=L,
         has_spanning_tree=tree,
         v_left=v,
-        lambda_L=lam_L,
+        lambda_L=float(s[0]),
         nonzero_eigenvalue_real_parts_positive=rhp,
     )
+
+
+def _reach(succ: list, root: int, seen: np.ndarray) -> None:
+    """Mark in ``seen`` every agent reachable from ``root`` through unseen agents."""
+    seen[root] = True
+    frontier = [root]
+    while frontier:
+        for i in succ[frontier.pop()]:
+            if not seen[i]:
+                seen[i] = True
+                frontier.append(i)
 
 
 def has_spanning_tree(g: DirectedGraph) -> bool:
     """True iff some root agent reaches every agent along transmit direction.
 
-    Transmit direction: j -> i exists when weights[i, j] > 0.  Checked by
-    breadth-first search from each candidate root.
+    Transmit direction: j -> i exists when weights[i, j] > 0.  Checked with
+    two reachability passes (the mother-vertex argument): the first sweeps
+    all agents, starting a new search from each agent not yet reached; if any
+    agent reaches everyone, so does the last start of that sweep, because an
+    earlier search that reached such an agent would have reached every later
+    start too.  The second pass searches from that last start alone.
     """
     n = g.n_agents
-    adj = g.weights > 0  # adj[i, j]: j transmits to i
+    src, dst = np.nonzero(g.weights.T > 0)  # edge src -> dst, sorted by src
+    succ = [a.tolist() for a in np.split(dst, np.searchsorted(src, np.arange(1, n)))]
+    seen = np.zeros(n, dtype=bool)
+    last = 0
     for root in range(n):
-        seen = np.zeros(n, dtype=bool)
-        seen[root] = True
-        frontier = [root]
-        while frontier:
-            j = frontier.pop()
-            for i in np.flatnonzero(adj[:, j]):
-                if not seen[i]:
-                    seen[i] = True
-                    frontier.append(int(i))
-        if seen.all():
-            return True
-    return False
+        if not seen[root]:
+            last = root
+            _reach(succ, root, seen)
+    seen[:] = False
+    _reach(succ, last, seen)
+    return bool(seen.all())
 
 
 def left_eigenvector(L: np.ndarray) -> np.ndarray:
@@ -163,20 +178,24 @@ def left_eigenvector(L: np.ndarray) -> np.ndarray:
     (>= -1e-12) are clamped to zero.
     """
     L = np.asarray(L, dtype=float)
+    return _left_null_vector(L, np.linalg.eigvals(L), np.linalg.svd(L.T)[2][-1])
+
+
+def _left_null_vector(L: np.ndarray, eigs: np.ndarray, null: np.ndarray) -> np.ndarray:
+    """``left_eigenvector`` from the eigenvalues of L and the last right
+    singular vector of L^T, both computed by the caller."""
     n = L.shape[0]
     if n == 1:
         return np.array([1.0])
-    eigs = np.sort(np.abs(np.linalg.eigvals(L)))
-    if eigs[1] < _SIMPLE_ZERO_TOL:
+    second = np.sort(np.abs(eigs))[1]
+    if second < _SIMPLE_ZERO_TOL:
         raise DegenerateSpectrumError(
-            f"zero eigenvalue of L is not simple: second-smallest |eig| = {eigs[1]:.3e}"
+            f"zero eigenvalue of L is not simple: second-smallest |eig| = {second:.3e}"
         )
-    _, _, vt = np.linalg.svd(L.T)
-    v = vt[-1]
-    s = v.sum()
+    s = null.sum()
     if abs(s) < 1e-12:
         raise DegenerateSpectrumError("left null vector has zero sum; cannot normalize")
-    v = v / s
+    v = null / s
     if np.any(v < -1e-12):
         raise DegenerateSpectrumError(
             f"left eigenvector has a significantly negative entry: min = {v.min():.3e}"
@@ -194,11 +213,9 @@ def graph_to_json(g: DirectedGraph) -> dict:
 
     Agent indices are 1-based in the document.
     """
-    edges = []
-    for i in range(g.n_agents):
-        for j in range(g.n_agents):
-            if g.weights[i, j] != 0:
-                edges.append({"from": j + 1, "to": i + 1, "w": float(g.weights[i, j])})
+    rows, cols = np.nonzero(g.weights)
+    edges = [{"from": j + 1, "to": i + 1, "w": wij}
+             for i, j, wij in zip(rows.tolist(), cols.tolist(), g.weights[rows, cols].tolist())]
     return {"n": g.n_agents, "edges": edges}
 
 

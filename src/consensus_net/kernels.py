@@ -10,7 +10,10 @@ Each loop has two numpy paths that compute the same classical RK4 steps:
 
 * the stage body (``_rk4_matched``, ``_rk4_unmatched``) evaluates the field
   four times per step, about 80 numpy calls per step; its cost grows with the
-  step count.  It is also the source body of the numba twins.
+  step count.  On numpy it gets L as a CSR matrix, since graphs that contain
+  a spanning tree are typically sparse (a tree has n - 1 edges), and each
+  ``L @ x`` then costs O(nnz) instead of O(n^2).  It is also the source body
+  of the numba twins, which get the dense L.
 * the recurrence (``_rk4_affine``) uses that one RK4 step of a linear system
   is exactly ``z+ = M z + Cb base + c0 s(t) + ch s(t + h/2) + c1 s(t + h)``.
   ``M``, ``Cb`` and ``c*`` come from applying one RK4 step to identity
@@ -19,8 +22,8 @@ Each loop has two numpy paths that compute the same classical RK4 steps:
   100).  Setting it up costs O((3n)^3) flops.
 
 ``rk4_matched_numpy`` / ``rk4_unmatched_numpy`` choose between the two with
-``prefer_recurrence``, an operation-count estimate from n, the step count and
-``sample_every``: the recurrence for small graphs over long horizons, the
+``prefer_recurrence``, an operation-count estimate from n, the stored entries
+of L, the step count and ``sample_every``: the recurrence for small graphs over long horizons, the
 stage body for large graphs over short ones.  A numba-compiled twin of the
 stage body is built when numba imports successfully.  Backend selection
 order: an explicit ``backend=`` argument wins, then the environment flag
@@ -54,8 +57,10 @@ def _rk4_matched(z0, L, g1, g2, g3, g4,
                  dt, n_steps, sample_every, out):
     """Step the matched loop; write every sample_every-th state into ``out``.
 
-    Returns the number of finite samples written; fewer than out.shape[0]
-    means the state went non-finite at the first missing sample.
+    ``L`` is the dense Laplacian or, on numpy, its CSR form; the body only
+    computes ``L @ x``.  Returns the number of finite samples written; fewer
+    than out.shape[0] means the state went non-finite at the first missing
+    sample.
     """
     n = L.shape[0]
     n_seg = seg_starts.shape[0]
@@ -81,7 +86,7 @@ def _rk4_matched(z0, L, g1, g2, g3, g4,
             x = zs[0:n]
             y = zs[n:2 * n]
             dh = zs[2 * n:3 * n]
-            lx = np.dot(L, x)
+            lx = L @ x
             scal = (ch + ce * np.exp(-rate * ts)) / (12.0 + ts)
             kcur = np.empty(3 * n)
             kcur[0:n] = y
@@ -127,7 +132,7 @@ def _rk4_unmatched(z0, L, kx, kd, ks, a1, nu,
             dh = zs[2 * n:3 * n]
             yt = y - ks * dh
             drive = a1 * x + nu * yt
-            lx = np.dot(L, x)
+            lx = L @ x
             scal = (ch + ce * np.exp(-rate * ts)) / (12.0 + ts)
             kcur = np.empty(3 * n)
             kcur[0:n] = y + base + scal
@@ -190,14 +195,14 @@ def fold_length(sample_every: int) -> int:
     return next(f for f in range(min(sample_every, MAX_FOLD), 0, -1) if sample_every % f == 0)
 
 
-def prefer_recurrence(n: int, n_steps: int, sample_every: int) -> bool:
+def prefer_recurrence(n: int, nnz: int, n_steps: int, sample_every: int) -> bool:
     """Whether the recurrence is estimated to run faster than the stage body.
 
     The estimate counts numpy calls and flops and weighs them with the unit
     costs above.  With N = 3n and f = ``fold_length(sample_every)``:
 
-    * stage body, per step: ``_STAGE_CALLS`` calls and four products with
-      L, 8 n^2 matrix-vector flops;
+    * stage body, per step: ``_STAGE_CALLS`` calls and four sparse products
+      with L, 8 nnz flops (``nnz`` counts the stored entries of L);
     * recurrence set-up, in matrix-product flops: one RK4 step on N + n + 3
       columns (8 N^2 (N + n + 3)), f - 1 products for the block forcing
       (2 N^2 (n + 3) each) and M^f by squaring (4 N^3 log2 f);
@@ -205,14 +210,14 @@ def prefer_recurrence(n: int, n_steps: int, sample_every: int) -> bool:
       matrix-vector product (2 N^2 flops); per step, 6 N + 30 flops for
       the vanishing terms and their block forcing.
 
-    The set-up grows as n^3 and the stage body as n^2 per step, so the
+    The set-up grows as n^3 and the stage body as nnz per step, so the
     recurrence wins for small graphs over long horizons (the builtins: 100x
-    faster) and loses for large graphs over short ones (600 agents over
-    1000 steps: set-up about 2 s against 0.6 s for the stage body).
+    faster) and loses for large graphs over short ones (a 600-agent tree over
+    1000 steps: set-up about 2 s against 0.17 s for the stage body).
     """
     N = 3 * n
     f = fold_length(sample_every)
-    stage = n_steps * (_STAGE_CALLS * _CALL_S + 8 * n * n * _MATVEC_FLOP_S)
+    stage = n_steps * (_STAGE_CALLS * _CALL_S + 8 * nnz * _MATVEC_FLOP_S)
     setup_flops = 8 * N * N * (N + n + 3) + 2 * N * N * (n + 3) * (f - 1) \
         + 4 * N ** 3 * math.log2(f)
     recurrence = setup_flops * _MATMUL_FLOP_S \
@@ -295,16 +300,27 @@ def _rk4_affine(A, E, z0, seg_starts, seg_base, seg_ch, seg_ce, seg_rate,
     return out.shape[0]
 
 
+def _csr(L):
+    """L as a ``scipy.sparse.csr_array`` for the numpy stage body.
+
+    Imported here, not at module level: importing ``scipy.sparse`` adds tens
+    of milliseconds and about 2 MiB to every process, and runs that take the
+    recurrence (the builtins) never need it."""
+    from scipy.sparse import csr_array
+
+    return csr_array(L)
+
+
 def rk4_matched_numpy(z0, L, g1, g2, g3, g4,
                       seg_starts, seg_base, seg_ch, seg_ce, seg_rate,
                       dt, n_steps, sample_every, out):
     """Matched loop on numpy: the recurrence or the stage body, whichever
     ``prefer_recurrence`` estimates cheaper; same contract as ``_rk4_matched``."""
     segs = (seg_starts, seg_base, seg_ch, seg_ce, seg_rate)
-    if prefer_recurrence(L.shape[0], n_steps, sample_every):
+    if prefer_recurrence(L.shape[0], np.count_nonzero(L), n_steps, sample_every):
         A, E = matched_system(L, g1, g2, g3, g4)
         return _rk4_affine(A, E, z0, *segs, dt, n_steps, sample_every, out)
-    return _rk4_matched(z0, L, g1, g2, g3, g4, *segs, dt, n_steps, sample_every, out)
+    return _rk4_matched(z0, _csr(L), g1, g2, g3, g4, *segs, dt, n_steps, sample_every, out)
 
 
 def rk4_unmatched_numpy(z0, L, kx, kd, ks, a1, nu,
@@ -312,10 +328,10 @@ def rk4_unmatched_numpy(z0, L, kx, kd, ks, a1, nu,
                         dt, n_steps, sample_every, out):
     """Unmatched-loop counterpart of ``rk4_matched_numpy``."""
     segs = (seg_starts, seg_base, seg_ch, seg_ce, seg_rate)
-    if prefer_recurrence(L.shape[0], n_steps, sample_every):
+    if prefer_recurrence(L.shape[0], np.count_nonzero(L), n_steps, sample_every):
         A, E = unmatched_system(L, kx, kd, ks, a1, nu)
         return _rk4_affine(A, E, z0, *segs, dt, n_steps, sample_every, out)
-    return _rk4_unmatched(z0, L, kx, kd, ks, a1, nu, *segs, dt, n_steps, sample_every, out)
+    return _rk4_unmatched(z0, _csr(L), kx, kd, ks, a1, nu, *segs, dt, n_steps, sample_every, out)
 
 
 try:

@@ -9,12 +9,14 @@ with
 Moving the rank-one terms to the left shows this is the ordinary continuous
 Lyapunov equation for the shifted matrix Lbar = L + alpha * 1 v^T, whose
 spectrum is the nonzero spectrum of L plus the eigenvalue alpha, i.e. it lies
-entirely in the open right half plane.  We solve that dense equation and
-verify the residual of the original form.
+entirely in the open right half plane.  We solve that dense equation by
+Bartels-Stewart on one real Schur factorisation, which also yields the
+shifted spectrum's real parts, and verify the residual of the original form.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,7 +71,7 @@ class LyapunovCertificate:
     def to_json(self) -> dict:
         return {
             "n": self.n_agents,
-            "P": [[float(x) for x in row] for row in self.P],
+            "P": self.P.tolist(),
             "alpha": self.alpha,
             "residual": self.residual,
             "lambda_P": self.lambda_P,
@@ -106,21 +108,23 @@ def solve_P(lap: LaplacianData, Q: np.ndarray | None = None, alpha: float = 1.0)
 
     v = lap.v_left
     ones = np.ones(n)
-    L_shift = L + alpha * np.outer(ones, v)
-    shift_eigs = np.linalg.eigvals(L_shift)
-    if shift_eigs.real.min() < 1e-9:
+    r, u = _shifted_schur(L, v, alpha)
+    # in the standardised real Schur form a 2x2 block's diagonal holds the
+    # real part of its eigenvalue pair, so diag(r) lists every real part of
+    # -Lbar^T's spectrum
+    shift_min = -float(np.diag(r).max())
+    if shift_min < 1e-9:
         raise DegenerateSpectrumError(
             "shifted Laplacian has an eigenvalue with real part "
-            f"{shift_eigs.real.min():.3e}; alpha too small or upstream invariant violated"
+            f"{shift_min:.3e}; alpha too small or upstream invariant violated"
         )
 
-    # P Lbar + Lbar^T P = Q  <=>  (-Lbar^T) P + P (-Lbar) = -Q
-    P = scipy.linalg.solve_continuous_lyapunov(-L_shift.T, -Q)
+    P = _lyapunov_from_schur(r, u, -Q)
     P = (P + P.T) / 2.0
 
     defect = P @ L + L.T @ P - Q + alpha * (np.outer(P @ ones, v) + np.outer(v, P @ ones))
     residual = float(np.abs(defect).max())
-    q_norm = spectral_norm(Q)
+    q_norm = float(q_eigs[-1])  # Q is symmetric positive definite
     if residual >= _RESIDUAL_TOL * max(1.0, q_norm):
         raise DegenerateSpectrumError(
             f"Lyapunov solve residual {residual:.3e} exceeds tolerance "
@@ -141,3 +145,33 @@ def solve_P(lap: LaplacianData, Q: np.ndarray | None = None, alpha: float = 1.0)
         min_eig_P=float(p_eigs[0]),
         cond_P=float(p_eigs[-1] / p_eigs[0]),
     )
+
+
+def _shifted_schur(L: np.ndarray, v: np.ndarray, alpha: float):
+    """Real Schur form ``(r, u)`` of -Lbar^T, with Lbar = L + alpha 1 v^T.
+
+    P Lbar + Lbar^T P = Q is the Lyapunov equation (-Lbar^T) P + P (-Lbar) = -Q,
+    whose Bartels-Stewart solution starts from this factorisation.
+    """
+    L_shift = L + alpha * np.outer(np.ones(L.shape[0]), v)
+    return scipy.linalg.schur(-L_shift.T, output="real")
+
+
+def _lyapunov_from_schur(r: np.ndarray, u: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Solve a X + X a^T = q given the real Schur form a = u r u^T.
+
+    The same steps as ``scipy.linalg.solve_continuous_lyapunov`` after its
+    own factorisation, including its handling of the LAPACK ``info`` code.
+    """
+    f = u.T.dot(q.dot(u))
+    y, scale, info = scipy.linalg.lapack.dtrsyl(r, r, f, tranb="T")
+    if info < 0:
+        raise ValueError('?TRSYL exited with the internal error '
+                         f'"illegal value in argument number {-info}.". See '
+                         'LAPACK documentation for the ?TRSYL error codes.')
+    if info == 1:
+        warnings.warn("the shifted Laplacian has an eigenvalue pair whose sum is very "
+                      "close to or exactly zero; the solution is obtained by perturbing "
+                      "the coefficients", RuntimeWarning, stacklevel=3)
+    y *= scale
+    return u.dot(y).dot(u.T)

@@ -47,6 +47,53 @@ def random_tree_graph(rng, n, extra_edges=0, w_lo=0.5, w_hi=2.0):
     return DirectedGraph(w)
 
 
+#: the graph families drawn by ``random_family_graph``
+GRAPH_FAMILIES = ("tree", "cyclic-root", "no-tree")
+
+
+def random_family_graph(rng, n, family, w_lo=0.5, w_hi=2.0):
+    """Random weighted digraph on ``n`` >= 2 agents with shuffled labels.
+
+    ``tree``: a spanning tree plus up to n extra edges anywhere.
+    ``cyclic-root``: a directed cycle of 2..n agents (the root component)
+    from which a tree reaches the other agents, plus up to n extra edges.
+    ``no-tree``: two disjoint trees with extra edges inside each, so no agent
+    reaches both.
+    """
+    w = np.zeros((n, n))
+
+    def grow(lo, hi, first_child):
+        # every agent in [first_child, hi) hears one earlier agent of [lo, hi)
+        for i in range(first_child, hi):
+            w[i, int(rng.integers(lo, i))] = rng.uniform(w_lo, w_hi)
+
+    def extra(lo, hi, count):
+        for _ in range(count):
+            i, j = rng.integers(lo, hi, size=2)
+            if i != j:
+                w[i, j] = rng.uniform(w_lo, w_hi)
+
+    if family == "tree":
+        grow(0, n, 1)
+        extra(0, n, int(rng.integers(0, n + 1)))
+    elif family == "cyclic-root":
+        k = int(rng.integers(2, n + 1))
+        for i in range(k):
+            w[(i + 1) % k, i] = rng.uniform(w_lo, w_hi)
+        grow(0, n, k)
+        extra(0, n, int(rng.integers(0, n + 1)))
+    elif family == "no-tree":
+        m = int(rng.integers(1, n))
+        grow(0, m, 1)
+        grow(m, n, m + 1)
+        extra(0, m, int(rng.integers(0, m + 1)))
+        extra(m, n, int(rng.integers(0, n - m + 1)))
+    else:
+        raise ValueError(f"unknown graph family {family!r}")
+    perm = rng.permutation(n)
+    return DirectedGraph(w[np.ix_(perm, perm)])
+
+
 @pytest.fixture(scope="session")
 def paper_matched_run(tmp_path_factory, warm_kernels):
     """The matched benchmark scenario, run twice for the determinism check."""

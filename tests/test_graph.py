@@ -15,7 +15,7 @@ from consensus_net.graph import (
     left_eigenvector,
 )
 
-from conftest import random_tree_graph
+from conftest import GRAPH_FAMILIES, random_family_graph, random_tree_graph
 
 
 def chain_graph(n):
@@ -97,6 +97,31 @@ def test_spanning_tree_matches_bruteforce():
         # transmit direction j -> i when w[i, j] > 0, so reach[j, i] needs w.T
         reach = _reachability_closure(g.weights.T > 0)
         assert has_spanning_tree(g) == bool(reach.all(axis=1).any())
+
+
+@given(st.sampled_from(GRAPH_FAMILIES), st.integers(min_value=2, max_value=60),
+       st.integers(min_value=0, max_value=2 ** 32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_laplacian_facts_property(family, n, seed):
+    """The spanning-tree flag, spectral norm and left null vector that
+    ``build_laplacian`` computes once agree with independent oracles."""
+    g = random_family_graph(np.random.default_rng(seed), n, family)
+    lap = build_laplacian(g)
+    reach = _reachability_closure(g.weights.T > 0)
+    assert lap.has_spanning_tree == bool(reach.all(axis=1).any()) == (family != "no-tree")
+    assert lap.lambda_L == pytest.approx(np.linalg.norm(lap.L, 2), rel=1e-12, abs=0.0)
+    if lap.has_spanning_tree:
+        assert np.abs(lap.v_left @ lap.L).max() <= 1e-10
+        assert lap.nonzero_eigenvalue_real_parts_positive
+    else:
+        assert lap.v_left is None
+
+
+def test_graph_json_edges_in_row_major_order():
+    g = DirectedGraph(np.array([[0.0, 0.5, 2.0], [0.0, 0.0, 0.0], [1.5, 0.25, 0.0]]))
+    assert graph_to_json(g) == {"n": 3, "edges": [
+        {"from": 2, "to": 1, "w": 0.5}, {"from": 3, "to": 1, "w": 2.0},
+        {"from": 1, "to": 3, "w": 1.5}, {"from": 2, "to": 3, "w": 0.25}]}
 
 
 def test_left_eigenvector_two_node_chain():

@@ -267,6 +267,32 @@ def test_cli_gains_suggest(capsys):
     assert "PASSED" in out
 
 
+def _write_uncertifiable_inputs(tmp_path):
+    """paper-unmatched with one edge weight at 1e-300: the graph keeps its
+    spanning tree, but the zero eigenvalue of L is numerically not simple."""
+    doc = scenario_to_json(builtin_scenario("paper-unmatched"))
+    doc["graph"]["edges"][0]["w"] = 1e-300
+    (tmp_path / "scenario.json").write_text(json.dumps(doc))
+    (tmp_path / "graph.json").write_text(json.dumps(doc["graph"]))
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "{tmp}/scenario.json", "--out", "{tmp}/out"],
+    ["gains", "certify", "{tmp}/scenario.json"],
+    ["graph", "analyze", "{tmp}/graph.json"],
+    ["gains", "suggest", "paper-matched", "--b", "0.0001"],
+], ids=["simulate", "gains-certify", "graph-analyze", "gains-suggest"])
+def test_cli_spectral_and_gain_errors_exit_2(tmp_path, capsys, argv):
+    """A degenerate spectrum and infeasible gains are invalid input: exit code
+    2 and one error line, no traceback."""
+    _write_uncertifiable_inputs(tmp_path)
+    rc = cli.main([a.format(tmp=tmp_path) for a in argv])
+    assert rc == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_cli_gains_suggest_rejects_unmatched(capsys):
     rc = cli.main(["gains", "suggest", "paper-unmatched"])
     assert rc == cli.EXIT_VALIDATION

@@ -2,6 +2,7 @@
 and the two numpy paths (stage body and linear recurrence)."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,11 +23,15 @@ from consensus_net.sim import (
     EXACT_ORDER,
     SimParams,
     _profile_arrays,
+    _rk4_generic,
     convergence_order,
     integrate,
 )
 
+from conftest import random_tree_graph
+
 MATCHED = MatchedGains(gamma1=6.0, gamma2=17.0, gamma3=4.0, gamma4=25.8)
+UNMATCHED = UnmatchedGains(k_x=3.4, k_d=7.5, k_s=5.0, alpha1=7.5, nu=3.0)
 
 
 def series_expm(A, t, terms=60):
@@ -275,7 +280,7 @@ def _both_paths(mode, lap, profile, z0, params):
         A, E = kernels.matched_system(lap.L, *gains)
         stage = kernels._rk4_matched
     else:
-        gains = (3.4, 7.5, 5.0, 7.5, 3.0)  # k_x, k_d, k_s, alpha1, nu
+        gains = (UNMATCHED.k_x, UNMATCHED.k_d, UNMATCHED.k_s, UNMATCHED.alpha1, UNMATCHED.nu)
         A, E = kernels.unmatched_system(lap.L, *gains)
         stage = kernels._rk4_unmatched
     steps = (params.dt, params.n_steps, params.sample_every)
@@ -326,10 +331,101 @@ def test_path_choice_estimate():
                                ("paper-unmatched", 1)):
         sc = builtin_scenario(name)
         n_steps = round(sc.t_final / sc.dt)
-        assert kernels.prefer_recurrence(sc.n_agents, n_steps, sample_every or sc.sample_every)
-    # a 600-agent graph over 1000 steps: the O(n^3) set-up outweighs the steps
-    assert not kernels.prefer_recurrence(600, 1000, 10)
+        nnz = np.count_nonzero(build_laplacian(sc.graph).L)
+        assert kernels.prefer_recurrence(sc.n_agents, nnz, n_steps,
+                                         sample_every or sc.sample_every)
+    # a 600-agent tree (599 edges, 599 nonzero diagonal entries) over 1000
+    # steps: the O(n^3) set-up outweighs the steps
+    assert not kernels.prefer_recurrence(600, 1198, 1000, 10)
     assert kernels.fold_length(10) == 10
     assert kernels.fold_length(200) == 100
     assert kernels.fold_length(97) == 97
     assert kernels.fold_length(101) == 1
+
+
+def _frozen_segment_field(loop_cls, gains, lap, profile, dt):
+    """``f(t, z)`` of a closed loop that keeps, for all four stages of a step,
+    the segment active at the step's left endpoint (the kernels' rule).
+
+    ``_rk4_generic`` calls the field four times per step, first at the left
+    endpoint, which is how a step start is recognised."""
+    # a segment's value does not depend on its start, so each one becomes a
+    # single-segment profile active from t = 0
+    loops = [loop_cls(gains, lap, DisturbanceProfile((replace(seg, t_start=0.0),)))
+             for seg in profile.segments]
+    thresholds = [seg.t_start - 0.25 * dt for seg in profile.segments[1:]]
+    state = {"calls": 0, "loop": loops[0]}
+
+    def field(t, z):
+        if state["calls"] % 4 == 0:
+            state["loop"] = loops[sum(t >= s for s in thresholds)]
+        state["calls"] += 1
+        return state["loop"].field(t, z)
+    return field
+
+
+def _sparse_and_dense(mode, lap, profile, z0, params):
+    """The numpy stage body run by ``rk4_*_numpy`` (CSR L) and the same body
+    on the dense L; (written, out) each."""
+    segs = _profile_arrays(profile)
+    if mode == "matched":
+        gains = (MATCHED.gamma1, MATCHED.gamma2, MATCHED.gamma3, MATCHED.gamma4)
+        numpy_path, stage = kernels.rk4_matched_numpy, kernels._rk4_matched
+    else:
+        gains = (UNMATCHED.k_x, UNMATCHED.k_d, UNMATCHED.k_s, UNMATCHED.alpha1, UNMATCHED.nu)
+        numpy_path, stage = kernels.rk4_unmatched_numpy, kernels._rk4_unmatched
+    steps = (params.dt, params.n_steps, params.sample_every)
+    # the estimate must pick the stage body, or the sparse body is not tested
+    assert not kernels.prefer_recurrence(lap.n_agents, np.count_nonzero(lap.L),
+                                         params.n_steps, params.sample_every)
+    sparse = np.empty((params.n_samples, z0.shape[0]))
+    dense = np.empty_like(sparse)
+    w_sparse = numpy_path(z0, lap.L, *gains, *segs, *steps, sparse)
+    w_dense = stage(z0, lap.L, *gains, *segs, *steps, dense)
+    return (w_sparse, sparse), (w_dense, dense)
+
+
+def _large_shuffled_lap(seed, n=200):
+    rng = np.random.default_rng(seed)
+    w = random_tree_graph(rng, n, extra_edges=n // 2).weights
+    perm = rng.permutation(n)
+    return build_laplacian(DirectedGraph(w[np.ix_(perm, perm)])), rng
+
+
+@pytest.mark.parametrize("mode", ["matched", "unmatched"])
+def test_sparse_stage_body_oracle(mode):
+    """200 agents, a tree with extra edges and shuffled labels, and a switch
+    at step 255, strictly inside the sample block of steps 250-260."""
+    lap, rng = _large_shuffled_lap(5)
+    n = lap.n_agents
+    profile = DisturbanceProfile((
+        Segment(0.0, rng.uniform(-0.3, 0.3, n), hyperbolic_coeff=1.0),
+        Segment(0.255, rng.uniform(-0.3, 0.3, n), exp_coeff=1.0, exp_rate=0.2),
+    ))
+    params = SimParams(t_final=0.5, dt=1e-3, sample_every=10)
+    z0 = np.concatenate([rng.uniform(-1.0, 1.0, n), rng.uniform(-0.5, 0.5, n), np.zeros(n)])
+    (w_sparse, sparse), (w_dense, dense) = _sparse_and_dense(mode, lap, profile, z0, params)
+    assert w_sparse == w_dense == params.n_samples
+    assert np.abs(sparse - dense).max() <= 1e-12 * np.abs(dense).max()
+
+    loop_cls, gains = (MatchedLoop, MATCHED) if mode == "matched" else (UnmatchedLoop, UNMATCHED)
+    oracle = np.empty_like(dense)
+    field = _frozen_segment_field(loop_cls, gains, lap, profile, params.dt)
+    assert _rk4_generic(field, z0, params, oracle) == params.n_samples
+    assert np.abs(sparse - oracle).max() < 1e-10
+    assert np.abs(dense - oracle).max() < 1e-10
+
+
+@pytest.mark.parametrize("mode", ["matched", "unmatched"])
+def test_sparse_stage_body_divergence(mode):
+    lap, rng = _large_shuffled_lap(6)
+    n = lap.n_agents
+    profile = DisturbanceProfile.constant(rng.uniform(-0.3, 0.3, n))
+    # dt far outside the stability region: the state overflows long before t_final
+    params = SimParams(t_final=400.0, dt=0.5, sample_every=2)
+    z0 = np.concatenate([rng.uniform(-1.0, 1.0, n), np.zeros(2 * n)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        (w_sparse, sparse), (w_dense, dense) = _sparse_and_dense(mode, lap, profile, z0, params)
+    assert 1 < w_sparse < params.n_samples
+    assert w_sparse == w_dense
+    assert np.isfinite(sparse[:w_sparse]).all()

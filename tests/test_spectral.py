@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from consensus_net.errors import ValidationError
+from consensus_net.errors import DegenerateSpectrumError, ValidationError
 from consensus_net.graph import DirectedGraph, build_laplacian
-from consensus_net.spectral import solve_P, spectral_norm
+from consensus_net.spectral import _shifted_schur, solve_P, spectral_norm
 
-from conftest import random_tree_graph
+from conftest import GRAPH_FAMILIES, random_family_graph, random_tree_graph
 
 
 def kron_solve_P(L, v, Q, alpha):
@@ -94,6 +96,9 @@ def test_rejects_bad_inputs(default_lap):
     no_tree = build_laplacian(DirectedGraph(np.zeros((2, 2))))
     with pytest.raises(ValidationError, match="spanning tree"):
         solve_P(no_tree)
+    # the shifted spectrum is the nonzero spectrum of L plus alpha
+    with pytest.raises(DegenerateSpectrumError, match="real part 1.0+e-10"):
+        solve_P(default_lap, alpha=1e-10)
 
 
 def test_spectral_norm_examples():
@@ -102,3 +107,25 @@ def test_spectral_norm_examples():
     assert spectral_norm(np.array([[0.0, 0.0], [-1.0, 1.0]])) == pytest.approx(
         np.sqrt(2.0), abs=1e-10)
     assert spectral_norm(np.diag([3.0, -5.0])) == pytest.approx(5.0, abs=1e-12)
+
+
+@given(st.sampled_from(GRAPH_FAMILIES), st.integers(min_value=2, max_value=60),
+       st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.sampled_from((0.1, 1.0, 10.0)))
+@settings(max_examples=80, deadline=None)
+def test_certificate_property(family, n, seed, alpha):
+    """The Schur factorisation that solve_P shares between the shifted-spectrum
+    check and the solve reports the spectrum eigvals reports, and the
+    certificate it yields meets the residual bound and is positive definite."""
+    lap = build_laplacian(random_family_graph(np.random.default_rng(seed), n, family))
+    if not lap.has_spanning_tree:
+        with pytest.raises(ValidationError, match="spanning tree"):
+            solve_P(lap, alpha=alpha)
+        return
+    r, _ = _shifted_schur(lap.L, lap.v_left, alpha)
+    L_shift = lap.L + alpha * np.outer(np.ones(n), lap.v_left)
+    assert abs(-np.diag(r).max() - np.linalg.eigvals(L_shift).real.min()) <= 1e-10
+    cert = solve_P(lap, alpha=alpha)
+    assert cert.residual < 1e-8
+    assert np.linalg.eigvalsh(cert.P)[0] > 0
+    assert cert.lambda_P == pytest.approx(spectral_norm(cert.P), rel=1e-12)
