@@ -96,8 +96,8 @@ def disturbance_at(profile: DisturbanceProfile, times, side: str = "right") -> n
     times = np.asarray(times, dtype=float)
     if np.any(times < 0):
         raise ValidationError(f"t: must be >= 0, got {times[times < 0][0]}")
-    starts, base, c_h, c_e, rate = _profile_arrays(profile)
-    k = np.maximum(np.searchsorted(starts, times, side=side) - 1, 0)
+    _, base, c_h, c_e, rate = _profile_arrays(profile)
+    k = profile.segment_index(times, side)
     scalar = (c_h[k] + c_e[k] * np.exp(-rate[k] * times)) / (HYPERBOLIC_OFFSET + times)
     return base[k] + scalar[:, None]
 

@@ -34,7 +34,6 @@ from .errors import (
 )
 from .gains import MatchedGains, certify_matched, suggest_matched
 from .graph import build_laplacian, graph_from_json
-from .kernels import active_backend
 from .scenario import BUILTIN_NAMES, load_scenario
 from .spectral import solve_P
 
@@ -79,7 +78,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--dt", type=float, help="override the step size")
     p_sim.add_argument("--align-dt", action="store_true", dest="align_dt",
                        help="shrink dt to the largest value that divides all switch times")
-    p_sim.add_argument("--backend", choices=("numba", "numpy"), help="force a kernel backend")
 
     p_plot = sub.add_parser("plot", help="render an SVG chart from run artifacts")
     p_plot.add_argument("run_dir", help="directory written by 'simulate'")
@@ -171,7 +169,7 @@ def _cmd_simulate(args) -> int:
     out_dir = Path(args.out) if args.out else _default_out_dir(sc.name)
     align = sc.dt if args.align_dt else None
     try:
-        arts = runner.run(sc, out_dir, backend=args.backend, align_dt_to=align)
+        arts = runner.run(sc, out_dir, align_dt_to=align)
     except IntegrationDivergedError as exc:
         print(f"integration diverged: state non-finite after t = {exc.last_time}",
               file=sys.stderr)
@@ -179,7 +177,7 @@ def _cmd_simulate(args) -> int:
         return EXIT_DIVERGED
     summary = json.loads(arts.summary_json.read_text())
     results = summary["results"]
-    print(f"scenario: {sc.name} ({sc.mode}), backend: {active_backend(args.backend)}")
+    print(f"scenario: {sc.name} ({sc.mode})")
     print(f"certification passed: {results['certification_passed']}")
     fe = results["final_errors"]
     print(f"final error norms: ex = {fe['ex_norm']:.3e}, ey = {fe['ey_norm']:.3e}, "

@@ -18,6 +18,11 @@ Unmatched loop (disturbance enters the position equation):
     y'  = u,          u = -k_x*L x - k_d*yt - (alpha1*x + nu*yt)
     dh' = -(alpha1*x + nu*yt) / k_s,   yt = y - k_s*delta_hat
 
+Both loops are linear, z' = A z + E d(t); each loop's ``blocks()`` gives the
+3x3 coefficient blocks from which ``kernels`` builds A and E.  The field
+functions below stay written out as the equations above: they are the
+independent reference the integrator is tested against.
+
 In the unmatched loop the integral feedthrough in u equals k_s * dh', so the
 scaled state k_s*delta_hat carries the integral action and the closed loop is
 invariant to k_s up to that relabeling; the velocity offset yt then obeys
@@ -100,18 +105,13 @@ class DisturbanceProfile:
     def constant(cls, d) -> "DisturbanceProfile":
         return cls((Segment(0.0, np.asarray(d, dtype=float)),))
 
-    def segment_index(self, t: float, side: str = "right") -> int:
-        """Index of the segment active at t; ``side='left'`` gives the
-        segment just before a switch time instead."""
-        idx = 0
-        for k, seg in enumerate(self.segments):
-            if side == "right":
-                if t >= seg.t_start:
-                    idx = k
-            else:
-                if t > seg.t_start:
-                    idx = k
-        return idx
+    def segment_index(self, t, side: str = "right"):
+        """Index of the segment active at t, or an array of indices for an
+        array of times; ``side='left'`` gives the segment just before a switch
+        time instead."""
+        starts = [seg.t_start for seg in self.segments]
+        k = np.maximum(np.searchsorted(starts, t, side=side) - 1, 0)
+        return int(k) if np.ndim(k) == 0 else k
 
 
 def eval_disturbance(profile: DisturbanceProfile, t: float, side: str = "right") -> np.ndarray:
@@ -257,6 +257,18 @@ class MatchedLoop:
         state = SimState.unpack(z, t)
         return matched_field(state, self.gains, self.lap, self.profile).pack()
 
+    def blocks(self) -> tuple:
+        """``(C_L, C_I, c_E)`` with ``A = kron(C_L, L) + kron(C_I, I_n)`` and
+        ``E = kron(c_E, I_n)``, so that z' = A z + E d(t): d enters y'."""
+        g = self.gains
+        C_L = np.array([[0.0, 0.0, 0.0],
+                        [-g.gamma1, 0.0, 0.0],
+                        [g.gamma1, 0.0, 0.0]])
+        C_I = np.array([[0.0, 1.0, 0.0],
+                        [0.0, -g.gamma2, -g.gamma3],
+                        [0.0, g.gamma4, 0.0]])
+        return C_L, C_I, np.array([0.0, 1.0, 0.0])
+
 
 @dataclass(frozen=True)
 class UnmatchedLoop:
@@ -280,3 +292,15 @@ class UnmatchedLoop:
     def field(self, t: float, z: np.ndarray) -> np.ndarray:
         state = SimState.unpack(z, t)
         return unmatched_field(state, self.gains, self.lap, self.profile).pack()
+
+    def blocks(self) -> tuple:
+        """``(C_L, C_I, c_E)`` with ``A = kron(C_L, L) + kron(C_I, I_n)`` and
+        ``E = kron(c_E, I_n)``, so that z' = A z + E d(t): d enters x'."""
+        g = self.gains
+        C_L = np.array([[0.0, 0.0, 0.0],
+                        [-g.k_x, 0.0, 0.0],
+                        [0.0, 0.0, 0.0]])
+        C_I = np.array([[0.0, 1.0, 0.0],
+                        [-g.alpha1, -(g.k_d + g.nu), (g.k_d + g.nu) * g.k_s],
+                        [-(g.alpha1 / g.k_s), -(g.nu / g.k_s), g.nu]])
+        return C_L, C_I, np.array([1.0, 0.0, 0.0])

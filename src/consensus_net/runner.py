@@ -30,7 +30,6 @@ from .dynamics import MatchedLoop, UnmatchedLoop
 from .errors import IntegrationDivergedError, NoOrbitError, SignalFitError
 from .gains import certify_matched, certify_unmatched, is_S_hurwitz
 from .graph import build_laplacian
-from .kernels import active_backend
 from .scenario import Scenario, aligned_dt, scenario_to_json
 from .sim import SimParams, Trajectory, integrate
 from .spectral import solve_P
@@ -170,7 +169,6 @@ def _summary(sc: Scenario, traj: Trajectory, metrics: dict, lap, cert, report) -
         results["estimation"] = None
     return {
         "scenario": scenario_to_json(sc),
-        "backend": active_backend(),
         "results": results,
     }
 
@@ -202,8 +200,7 @@ def prepare(sc: Scenario, align_dt_to: float | None = None):
     return sc, lap, cert, report, loop
 
 
-def run(sc: Scenario, out_dir, backend: str | None = None,
-        align_dt_to: float | None = None) -> RunArtifacts:
+def run(sc: Scenario, out_dir, align_dt_to: float | None = None) -> RunArtifacts:
     """Execute a scenario and write all four artifacts into ``out_dir``.
 
     Certification failures do not stop the run (the report records them).
@@ -227,8 +224,7 @@ def run(sc: Scenario, out_dir, backend: str | None = None,
     params = SimParams(t_final=sc.t_final, dt=sc.dt, sample_every=sc.sample_every)
     z0 = np.concatenate([sc.x0, sc.y0, sc.delta_hat0])
     try:
-        traj = integrate(loop, z0, params, scenario_id=sc.name,
-                         gain_report=report, backend=backend)
+        traj = integrate(loop, z0, params, scenario_id=sc.name, gain_report=report)
     except IntegrationDivergedError as exc:
         if exc.partial is not None:
             _atomic_write(arts.trajectory_csv, trajectory_csv_text(exc.partial))

@@ -2,16 +2,17 @@
 
 The integrator is deliberately fixed-step: the loops are non-stiff for
 sensible gains, disturbance switches can be aligned exactly to the step grid,
-and repeated runs are bitwise identical on a given backend.  Switch times
-that do not sit on the grid are rejected up front rather than rounded;
-scenario loading can adjust dt on request instead.
+and repeated runs are bitwise identical.  Switch times that do not sit on
+the grid are rejected up front rather than rounded; scenario loading can
+adjust dt on request instead.
 
-``integrate`` accepts either a bundled closed loop (fast kernel path, with
-the frozen-segment switching rule) or an arbitrary ``f(t, z) -> dz`` callable
-(plain Python path, for oracles and smooth test systems).  On numpy the
-closed loops run either as a linear recurrence folded per sample or as the
-stage-by-stage RK4 body, chosen from n, the step count and ``sample_every``
-(see ``kernels``); the two agree to rounding.
+``integrate`` accepts either a bundled closed loop (fast path, with the
+frozen-segment switching rule) or an arbitrary ``f(t, z) -> dz`` callable
+(plain Python path, for oracles and smooth test systems).  A closed loop is
+stepped from its coefficient blocks either as a linear recurrence folded per
+sample or one RK4 step at a time on a sparse system matrix, chosen from n,
+the step count and ``sample_every`` (see ``kernels``); the two agree to
+rounding.
 """
 
 from __future__ import annotations
@@ -161,23 +162,22 @@ def _as_initial_vector(x0) -> np.ndarray:
 
 
 def integrate(loop_or_field, x0, params: SimParams, scenario_id: str = "",
-              gain_report: CertificationReport | None = None,
-              backend: str | None = None) -> Trajectory:
+              gain_report: CertificationReport | None = None) -> Trajectory:
     """Run classical RK4 over the horizon and return the sampled trajectory.
 
-    ``loop_or_field`` is either a MatchedLoop/UnmatchedLoop (kernel-backed,
+    ``loop_or_field`` is either a MatchedLoop/UnmatchedLoop (fast path,
     disturbance switches validated against the grid) or a callable
     ``f(t, z) -> dz`` (plain path; the field must be smooth over the horizon).
 
-    A closed loop is linear, z' = A z + E d(t), so on the numpy backend one
-    RK4 step is exactly z+ = M z + Cb base + c0 s(t) + ch s(t+h/2) + c1 s(t+h)
-    with s the segment's scalar vanishing term.  ``kernels`` folds the steps
-    between two samples into one block operator and loops once per sample
-    when ``kernels.prefer_recurrence`` estimates that cheaper (small graphs,
-    long horizons), and otherwise runs the stage-by-stage body.  Both paths
-    freeze the disturbance segment at each step's left endpoint: step k uses
-    the last segment with ``k*dt >= start - dt/4``, also when a switch falls
-    strictly between two samples.
+    A closed loop is linear, z' = A z + E d(t) with A and E built from its
+    ``blocks()``, so one RK4 step is exactly
+    z+ = M z + Cb base + c0 s(t) + ch s(t+h/2) + c1 s(t+h) with s the
+    segment's scalar vanishing term.  ``kernels`` folds the steps between two
+    samples into one block operator and loops once per sample when
+    ``kernels.prefer_recurrence`` estimates that cheaper (small graphs, long
+    horizons), and otherwise takes one RK4 step at a time.  Both paths freeze
+    the disturbance segment at each step's left endpoint (the switching rule
+    in ``kernels``), also when a switch falls strictly between two samples.
 
     A non-finite state aborts with IntegrationDivergedError carrying the
     partial trajectory up to the last finite sample, and that sample's time.
@@ -192,16 +192,9 @@ def integrate(loop_or_field, x0, params: SimParams, scenario_id: str = "",
             raise ValidationError(
                 f"initial state: expected {3 * loop.n_agents} entries, got {z0.shape[0]}")
         _check_switches_on_grid(loop.profile, params)
-        seg_arrays = _profile_arrays(loop.profile)
-        g = loop.gains
-        if isinstance(loop, MatchedLoop):
-            kern = kernels.matched_kernel(backend)
-            written = kern(z0, loop.lap.L, g.gamma1, g.gamma2, g.gamma3, g.gamma4,
-                           *seg_arrays, params.dt, params.n_steps, params.sample_every, out)
-        else:
-            kern = kernels.unmatched_kernel(backend)
-            written = kern(z0, loop.lap.L, g.k_x, g.k_d, g.k_s, g.alpha1, g.nu,
-                           *seg_arrays, params.dt, params.n_steps, params.sample_every, out)
+        written = kernels.rk4_closed_loop(*loop.blocks(), loop.lap.L, z0,
+                                          *_profile_arrays(loop.profile),
+                                          params.dt, params.n_steps, params.sample_every, out)
     else:
         field_fn = loop_or_field
         written = _rk4_generic(field_fn, z0, params, out)
@@ -234,8 +227,7 @@ def _rk4_generic(f, z0, params: SimParams, out) -> int:
     return params.n_samples
 
 
-def convergence_order(loop_or_field, x0, params: SimParams,
-                      backend: str | None = None) -> float:
+def convergence_order(loop_or_field, x0, params: SimParams) -> float:
     """Observed order from runs at dt and dt/2 against a dt/100 reference.
 
     Returns EXACT_ORDER (inf) when both refinement errors are at rounding
@@ -244,7 +236,7 @@ def convergence_order(loop_or_field, x0, params: SimParams,
     def final_state(dt_scale: int):
         p = SimParams(t_final=params.t_final, dt=params.dt / dt_scale, sample_every=1,
                       method=params.method)
-        traj = integrate(loop_or_field, x0, p, backend=backend)
+        traj = integrate(loop_or_field, x0, p)
         return traj.states[-1]
 
     z_ref = final_state(100)

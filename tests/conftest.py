@@ -7,7 +7,6 @@ import pytest
 
 from consensus_net import runner
 from consensus_net.graph import DirectedGraph, build_laplacian
-from consensus_net.kernels import warm_up
 from consensus_net.scenario import builtin_scenario
 from consensus_net.spectral import solve_P
 
@@ -25,12 +24,6 @@ def default_lap(default_graph):
 @pytest.fixture(scope="session")
 def default_cert(default_lap):
     return solve_P(default_lap)
-
-
-@pytest.fixture(scope="session")
-def warm_kernels():
-    """JIT-compile the kernels so timed tests measure only the run."""
-    warm_up()
 
 
 def random_tree_graph(rng, n, extra_edges=0, w_lo=0.5, w_hi=2.0):
@@ -95,7 +88,7 @@ def random_family_graph(rng, n, family, w_lo=0.5, w_hi=2.0):
 
 
 @pytest.fixture(scope="session")
-def paper_matched_run(tmp_path_factory, warm_kernels):
+def paper_matched_run(tmp_path_factory):
     """The matched benchmark scenario, run twice for the determinism check."""
     sc = builtin_scenario("paper-matched")
     out1 = tmp_path_factory.mktemp("paper_matched_1")
@@ -106,7 +99,7 @@ def paper_matched_run(tmp_path_factory, warm_kernels):
 
 
 @pytest.fixture(scope="session")
-def paper_unmatched_run(tmp_path_factory, warm_kernels):
+def paper_unmatched_run(tmp_path_factory):
     """The unmatched benchmark scenario at its default 40 s horizon."""
     sc = builtin_scenario("paper-unmatched")
     out = tmp_path_factory.mktemp("paper_unmatched")

@@ -96,7 +96,7 @@ def _predicted_error_norms(lap, gains, z0, d, times):
             for k, name in enumerate(("ex_norm", "ey_norm", "ed_norm"))}
 
 
-def test_criterion_02_matched_consensus_constant_disturbance(warm_kernels, default_cert):
+def test_criterion_02_matched_consensus_constant_disturbance(default_cert):
     sc = builtin_scenario("paper-matched")
     sc = replace(sc, disturbance=DisturbanceProfile.constant(CONSTANT_D))
     lap = build_laplacian(sc.graph)
@@ -171,7 +171,7 @@ def test_criterion_03_benchmark_estimates(paper_matched_run):
                    f"|dhat(50) - quoted| = {err50:.2e}, |dhat(100) - quoted| = {err100:.2e}")
 
 
-def test_criterion_04_lyapunov_monotonicity(warm_kernels):
+def test_criterion_04_lyapunov_monotonicity():
     rng = np.random.default_rng(2718)
     slack_per_sample = 1e-9 * 10  # sample spacing is 10 steps
     worst_increase = -math.inf
@@ -213,7 +213,7 @@ def test_criterion_04_lyapunov_monotonicity(warm_kernels):
                    f"worst per-sample increase {worst_increase:.2e}")
 
 
-def test_criterion_05_mean_field_oracle(warm_kernels):
+def test_criterion_05_mean_field_oracle():
     rng = np.random.default_rng(5050)
     worst = 0.0
     for n in (2, 3, 5):
@@ -255,7 +255,7 @@ def test_criterion_05_mean_field_oracle(warm_kernels):
     assert _report("5 mean-field oracle equivalence", ok, f"max deviation {worst:.2e}")
 
 
-def test_criterion_06_unmatched_decay_and_orbit(warm_kernels):
+def test_criterion_06_unmatched_decay_and_orbit():
     sc = builtin_scenario("paper-unmatched")
     lap = build_laplacian(sc.graph)
     loop = UnmatchedLoop(sc.gains, lap, sc.disturbance)
@@ -298,7 +298,7 @@ def test_criterion_06_unmatched_decay_and_orbit(warm_kernels):
     assert rate_ok and orbit_ok and sync_ok and runtime_ok
 
 
-def test_criterion_07_integrator_order(warm_kernels):
+def test_criterion_07_integrator_order():
     graph = random_tree_graph(np.random.default_rng(6), 2)
     lap = build_laplacian(graph)
     gains = builtin_scenario("paper-matched").gains

@@ -343,7 +343,7 @@ def test_first_settling_time():
     assert first_settling_time(t[:100], sig[:100], 1e-10, hold=10.0) is None
 
 
-def test_matched_errors_settle_eventually(default_lap, default_cert, warm_kernels):
+def test_matched_errors_settle_eventually(default_lap, default_cert):
     """The consensus goal with the benchmark gains: every error norm falls
     below 1e-3 and stays there.  The slow -0.23/s error mode puts the
     settling time near 50 s from the benchmark initial conditions."""

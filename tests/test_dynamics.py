@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from consensus_net import kernels
 from consensus_net.dynamics import (
     DisturbanceProfile,
+    MatchedLoop,
     Segment,
     SimState,
     eval_disturbance,
@@ -16,13 +18,14 @@ from consensus_net.dynamics import (
     profile_to_json,
     unmatched_control,
     unmatched_field,
+    UnmatchedLoop,
 )
 from consensus_net.errors import ValidationError
 from consensus_net.gains import MatchedGains, UnmatchedGains
 from consensus_net.graph import DirectedGraph, build_laplacian
 from consensus_net.scenario import builtin_scenario
 
-from conftest import random_tree_graph
+from conftest import GRAPH_FAMILIES, random_family_graph, random_tree_graph
 
 MATCHED = MatchedGains(gamma1=6.0, gamma2=17.0, gamma3=4.0, gamma4=25.8)
 
@@ -240,3 +243,33 @@ def test_dimension_mismatch():
     state = SimState(x=[1.0, 2.0], y=[0.0, 0.0], delta_hat=[0.0, 0.0])
     with pytest.raises(ValidationError):
         matched_control(state, MATCHED, scalar_lap())
+
+
+_GAIN = st.floats(min_value=0.05, max_value=40.0)
+
+
+@given(st.sampled_from(GRAPH_FAMILIES), st.integers(min_value=2, max_value=40),
+       st.integers(min_value=0, max_value=2 ** 32 - 1), st.lists(_GAIN, min_size=5, max_size=5),
+       st.floats(min_value=0.0, max_value=100.0))
+@settings(max_examples=60, deadline=None)
+def test_blocks_reproduce_fields(family, n, seed, gains, t):
+    """``A z + E d(t)`` from each loop's ``blocks()`` is the loop's field, and
+    the CSR A the stage body steps equals the dense A entry for entry."""
+    rng = np.random.default_rng(seed)
+    lap = build_laplacian(random_family_graph(rng, n, family))
+    profile = DisturbanceProfile((
+        Segment(0.0, rng.normal(size=n), hyperbolic_coeff=rng.normal()),
+        Segment(float(rng.uniform(0.0, 100.0)), rng.normal(size=n), exp_coeff=rng.normal(),
+                exp_rate=float(rng.uniform(0.0, 1.0))),
+    ))
+    z = rng.normal(size=3 * n)
+    d = eval_disturbance(profile, t)
+    for loop in (MatchedLoop(MatchedGains(*gains[:4]), lap, profile),
+                 UnmatchedLoop(UnmatchedGains(*gains), lap, profile)):
+        C_L, C_I, c_E = loop.blocks()
+        A = kernels._dense_system(C_L, C_I, lap.L)
+        Ed = np.kron(c_E, d)
+        # relative to the size of the terms the field sums
+        scale = (np.abs(A) @ np.abs(z) + np.abs(Ed)).max()
+        assert np.abs(A @ z + Ed - loop.field(t, z)).max() <= 1e-12 * scale
+        assert np.array_equal(kernels._csr_system(C_L, C_I, lap.L).toarray(), A)

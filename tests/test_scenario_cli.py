@@ -2,11 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from consensus_net import cli, kernels, runner
+from consensus_net import cli, runner
 from consensus_net.analysis import BLOCK_VALUES
 from consensus_net.dynamics import eval_disturbance
 from consensus_net.errors import ValidationError
@@ -115,7 +119,7 @@ def test_aligned_dt():
     assert aligned_dt(sc2, 0.25) == pytest.approx(0.25)
 
 
-def test_run_writes_artifacts(tmp_path, warm_kernels):
+def test_run_writes_artifacts(tmp_path):
     sc = builtin_scenario("paper-matched").with_overrides(t_final=1.0)
     arts = runner.run(sc, tmp_path / "out")
     for p in arts.paths():
@@ -131,7 +135,7 @@ def test_run_writes_artifacts(tmp_path, warm_kernels):
     assert "report" in cert_doc and "certificate" in cert_doc
 
 
-def test_run_byte_reproducible(tmp_path, warm_kernels):
+def test_run_byte_reproducible(tmp_path):
     sc = builtin_scenario("paper-unmatched").with_overrides(t_final=2.0)
     a = runner.run(sc, tmp_path / "a")
     b = runner.run(sc, tmp_path / "b")
@@ -139,12 +143,44 @@ def test_run_byte_reproducible(tmp_path, warm_kernels):
         assert pa.read_bytes() == pb.read_bytes()
 
 
-def test_run_single_step(tmp_path, warm_kernels):
+def test_run_single_step(tmp_path):
     sc = builtin_scenario("paper-matched").with_overrides(t_final=0.001, dt=0.001,
                                                           sample_every=1)
     arts = runner.run(sc, tmp_path / "tiny")
     _, data = runner.read_csv(arts.trajectory_csv)
     assert data.shape[0] == 2
+
+
+_SPARSE_IMPORT_PROBE = """
+import sys
+import numpy as np
+from consensus_net import kernels, runner
+from consensus_net.scenario import builtin_scenario
+for name in ("paper-matched", "paper-unmatched"):
+    runner.run(builtin_scenario(name).with_overrides(t_final=2.0), sys.argv[1] + "/" + name)
+print("scipy.sparse" in sys.modules)
+# the stage body (many agents, few steps) does import it
+L = np.diag(np.ones(300)) - np.diag(np.ones(299), -1)
+L[0, 0] = 0.0
+out = np.empty((2, 900))
+kernels.rk4_closed_loop(np.zeros((3, 3)), np.eye(3), np.ones(3), L, np.zeros(900),
+                        np.zeros(1), np.zeros((1, 300)), np.zeros(1), np.zeros(1), np.zeros(1),
+                        0.01, 1, 1, out)
+print("scipy.sparse" in sys.modules)
+"""
+
+
+def test_builtin_runs_do_not_import_scipy_sparse(tmp_path):
+    """The recurrence, which the builtins take, never needs scipy.sparse;
+    importing it would add tens of milliseconds and about 2 MiB to each
+    process.  A fresh interpreter, since the test process has it loaded."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", _SPARSE_IMPORT_PROBE, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
 
 
 def _diverging_scenario_doc():
@@ -159,7 +195,7 @@ def _diverging_scenario_doc():
     }
 
 
-def test_cli_simulate_and_plot(tmp_path, warm_kernels, capsys):
+def test_cli_simulate_and_plot(tmp_path, capsys):
     out = tmp_path / "run"
     rc = cli.main(["simulate", "paper-matched", "--out", str(out), "--t-final", "1.0"])
     assert rc == 0
@@ -173,7 +209,7 @@ def test_cli_simulate_and_plot(tmp_path, warm_kernels, capsys):
         assert svg.count("<polyline") == n_lines
 
 
-def test_cli_plot_unknown_series(tmp_path, warm_kernels, capsys):
+def test_cli_plot_unknown_series(tmp_path, capsys):
     out = tmp_path / "run"
     assert cli.main(["simulate", "paper-matched", "--out", str(out),
                      "--t-final", "0.5"]) == 0
@@ -192,7 +228,7 @@ def test_cli_validation_exit_code(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_cli_divergence_exit_code(tmp_path, warm_kernels, capsys):
+def test_cli_divergence_exit_code(tmp_path, capsys):
     path = tmp_path / "blowup.json"
     path.write_text(json.dumps(_diverging_scenario_doc()))
     out = tmp_path / "out"
@@ -207,17 +243,7 @@ def test_cli_divergence_exit_code(tmp_path, warm_kernels, capsys):
     assert data.shape[0] >= 1
 
 
-def test_cli_numba_backend_unavailable(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(kernels, "HAVE_NUMBA", False)
-    rc = cli.main(["simulate", "paper-unmatched", "--backend", "numba",
-                   "--out", str(tmp_path / "out"), "--t-final", "1.0"])
-    assert rc == cli.EXIT_VALIDATION
-    err = capsys.readouterr().err
-    assert err.startswith("error: backend: numba") and err.count("\n") == 1
-    assert "Traceback" not in err
-
-
-def test_cli_align_dt(tmp_path, warm_kernels):
+def test_cli_align_dt(tmp_path):
     # 0.003 does not divide the 50 s switch; --align-dt shrinks it until it does
     out = tmp_path / "aligned"
     rc = cli.main(["simulate", "paper-matched", "--out", str(out),
@@ -228,7 +254,7 @@ def test_cli_align_dt(tmp_path, warm_kernels):
     assert rc_bad == cli.EXIT_VALIDATION
 
 
-def test_cli_env_output_dir(tmp_path, warm_kernels, monkeypatch):
+def test_cli_env_output_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("CONSENSUS_NET_OUT", str(tmp_path / "envout"))
     monkeypatch.chdir(tmp_path)
     rc = cli.main(["simulate", "paper-matched", "--t-final", "0.5"])

@@ -1,5 +1,6 @@
-"""Fixed-step integrator: accuracy, order, determinism, divergence, backends,
-and the two numpy paths (stage body and linear recurrence)."""
+"""Fixed-step integrator: accuracy, order, determinism, divergence, the
+loops' coefficient blocks, and the two closed-loop paths (stage body and
+linear recurrence)."""
 
 import math
 from dataclasses import replace
@@ -17,7 +18,6 @@ from consensus_net.errors import IntegrationDivergedError, ValidationError
 from consensus_net.gains import MatchedGains, UnmatchedGains
 from consensus_net.graph import DirectedGraph, build_laplacian
 from consensus_net import kernels
-from consensus_net.kernels import HAVE_NUMBA
 from consensus_net.scenario import builtin_scenario
 from consensus_net.sim import (
     EXACT_ORDER,
@@ -147,27 +147,6 @@ def test_kernel_agrees_with_generic_path():
     assert np.abs(fast.states - slow.states).max() < 1e-10
 
 
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba not available")
-def test_backends_agree():
-    loop = chain2_loop(d=(0.3, -0.2))
-    z0 = np.array([1.0, -0.5, 0.2, 0.1, 0.0, 0.0])
-    params = SimParams(t_final=2.0, dt=1e-3, sample_every=10)
-    a = integrate(loop, z0, params, backend="numba")
-    b = integrate(loop, z0, params, backend="numpy")
-    assert np.abs(a.states - b.states).max() < 1e-9
-
-
-def test_env_flag_selects_numpy(monkeypatch):
-    from consensus_net import kernels
-
-    monkeypatch.setenv(kernels.ENV_DISABLE_NUMBA, "1")
-    assert kernels.active_backend() == "numpy"
-    assert kernels.matched_kernel() is kernels.rk4_matched_numpy
-    monkeypatch.delenv(kernels.ENV_DISABLE_NUMBA)
-    if HAVE_NUMBA:
-        assert kernels.active_backend() == "numba"
-
-
 def test_determinism_bitwise():
     loop = chain2_loop(d=(0.1, 0.7))
     z0 = np.array([0.3, -0.5, 0.2, 0.1, 0.0, 0.0])
@@ -272,23 +251,26 @@ def test_no_nan_in_valid_trajectories():
     assert np.isfinite(traj.states).all()
 
 
-def _both_paths(mode, lap, profile, z0, params):
-    """Run the recurrence and the stage body directly; (written, out) each."""
-    segs = _profile_arrays(profile)
+def _loop(mode, lap, profile):
     if mode == "matched":
-        gains = (MATCHED.gamma1, MATCHED.gamma2, MATCHED.gamma3, MATCHED.gamma4)
-        A, E = kernels.matched_system(lap.L, *gains)
-        stage = kernels._rk4_matched
-    else:
-        gains = (UNMATCHED.k_x, UNMATCHED.k_d, UNMATCHED.k_s, UNMATCHED.alpha1, UNMATCHED.nu)
-        A, E = kernels.unmatched_system(lap.L, *gains)
-        stage = kernels._rk4_unmatched
-    steps = (params.dt, params.n_steps, params.sample_every)
-    fast = np.empty((params.n_samples, z0.shape[0]))
-    slow = np.empty_like(fast)
-    w_fast = kernels._rk4_affine(A, E, z0, *segs, *steps, fast)
-    w_slow = stage(z0, lap.L, *gains, *segs, *steps, slow)
-    return (w_fast, fast), (w_slow, slow)
+        return MatchedLoop(MATCHED, lap, profile)
+    return UnmatchedLoop(UNMATCHED, lap, profile)
+
+
+def _run(path, A, c_E, profile, z0, params):
+    """One closed-loop path run directly; (written, out)."""
+    out = np.empty((params.n_samples, z0.shape[0]))
+    written = path(A, c_E, z0, *_profile_arrays(profile),
+                   params.dt, params.n_steps, params.sample_every, out)
+    return written, out
+
+
+def _both_paths(mode, lap, profile, z0, params):
+    """Run the recurrence and the stage body on the dense A; (written, out) each."""
+    C_L, C_I, c_E = _loop(mode, lap, profile).blocks()
+    A = kernels._dense_system(C_L, C_I, lap.L)
+    return (_run(kernels._rk4_affine, A, c_E, profile, z0, params),
+            _run(kernels._rk4_stage, A, c_E, profile, z0, params))
 
 
 @pytest.mark.parametrize("mode", ["matched", "unmatched"])
@@ -365,24 +347,18 @@ def _frozen_segment_field(loop_cls, gains, lap, profile, dt):
 
 
 def _sparse_and_dense(mode, lap, profile, z0, params):
-    """The numpy stage body run by ``rk4_*_numpy`` (CSR L) and the same body
-    on the dense L; (written, out) each."""
-    segs = _profile_arrays(profile)
-    if mode == "matched":
-        gains = (MATCHED.gamma1, MATCHED.gamma2, MATCHED.gamma3, MATCHED.gamma4)
-        numpy_path, stage = kernels.rk4_matched_numpy, kernels._rk4_matched
-    else:
-        gains = (UNMATCHED.k_x, UNMATCHED.k_d, UNMATCHED.k_s, UNMATCHED.alpha1, UNMATCHED.nu)
-        numpy_path, stage = kernels.rk4_unmatched_numpy, kernels._rk4_unmatched
-    steps = (params.dt, params.n_steps, params.sample_every)
+    """The stage body on the CSR A, as ``rk4_closed_loop`` runs it, and the
+    same body on the dense A; (written, out) each."""
+    C_L, C_I, c_E = _loop(mode, lap, profile).blocks()
     # the estimate must pick the stage body, or the sparse body is not tested
     assert not kernels.prefer_recurrence(lap.n_agents, np.count_nonzero(lap.L),
                                          params.n_steps, params.sample_every)
     sparse = np.empty((params.n_samples, z0.shape[0]))
-    dense = np.empty_like(sparse)
-    w_sparse = numpy_path(z0, lap.L, *gains, *segs, *steps, sparse)
-    w_dense = stage(z0, lap.L, *gains, *segs, *steps, dense)
-    return (w_sparse, sparse), (w_dense, dense)
+    w_sparse = kernels.rk4_closed_loop(C_L, C_I, c_E, lap.L, z0, *_profile_arrays(profile),
+                                       params.dt, params.n_steps, params.sample_every, sparse)
+    dense = _run(kernels._rk4_stage, kernels._dense_system(C_L, C_I, lap.L), c_E,
+                 profile, z0, params)
+    return (w_sparse, sparse), dense
 
 
 def _large_shuffled_lap(seed, n=200):
@@ -416,16 +392,53 @@ def test_sparse_stage_body_oracle(mode):
     assert np.abs(dense - oracle).max() < 1e-10
 
 
-@pytest.mark.parametrize("mode", ["matched", "unmatched"])
-def test_sparse_stage_body_divergence(mode):
+def _diverging_case(y_dhat0):
+    """200 agents, constant disturbance and dt = 0.5, far outside the
+    stability region: the state overflows long before t_final.  Every y and
+    delta_hat starts at ``y_dhat0``."""
     lap, rng = _large_shuffled_lap(6)
     n = lap.n_agents
     profile = DisturbanceProfile.constant(rng.uniform(-0.3, 0.3, n))
-    # dt far outside the stability region: the state overflows long before t_final
     params = SimParams(t_final=400.0, dt=0.5, sample_every=2)
-    z0 = np.concatenate([rng.uniform(-1.0, 1.0, n), np.zeros(2 * n)])
+    x0 = rng.uniform(-1.0, 1.0, n)
+    return lap, profile, params, np.concatenate([x0, np.full(2 * n, y_dhat0)])
+
+
+@pytest.mark.parametrize("mode", ["matched", "unmatched"])
+def test_sparse_stage_body_divergence(mode):
+    """With y0 = delta_hat0 = 0 the fastest mode of the unmatched loop (the
+    root agent's y - k_s*delta_hat at -k_d) has no share of z0, so rounding
+    noise seeds it, and two summation orders (CSR and dense A) reach
+    overflow a sample apart.  The run must still stop at its own first
+    non-finite sample and keep the finite prefix."""
+    lap, profile, params, z0 = _diverging_case(0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        (written, out), _ = _sparse_and_dense(mode, lap, profile, z0, params)
+        assert 1 < written < params.n_samples
+        assert np.isfinite(out[:written]).all()
+        # one more sample from the last finite state overflows; the constant
+        # disturbance makes the continuation independent of the start time
+        one = replace(params, t_final=params.sample_dt)
+        assert not kernels.prefer_recurrence(lap.n_agents, np.count_nonzero(lap.L),
+                                             one.n_steps, one.sample_every)
+        nxt = np.empty((2, z0.shape[0]))
+        assert kernels.rk4_closed_loop(*_loop(mode, lap, profile).blocks(), lap.L,
+                                       out[written - 1], *_profile_arrays(profile),
+                                       one.dt, one.n_steps, one.sample_every, nxt) == 1
+
+
+@pytest.mark.parametrize("mode", ["matched", "unmatched"])
+def test_divergence_well_conditioned_paths_agree(mode):
+    """With y0 = delta_hat0 = 1 the fastest modes start at order one, so the
+    CSR A, the dense A and the generic path overflow at the same sample."""
+    lap, profile, params, z0 = _diverging_case(1.0)
     with np.errstate(over="ignore", invalid="ignore"):
         (w_sparse, sparse), (w_dense, dense) = _sparse_and_dense(mode, lap, profile, z0, params)
+        oracle = np.empty_like(dense)
+        w_oracle = _rk4_generic(_loop(mode, lap, profile).field, z0, params, oracle)
     assert 1 < w_sparse < params.n_samples
-    assert w_sparse == w_dense
-    assert np.isfinite(sparse[:w_sparse]).all()
+    assert w_sparse == w_dense == w_oracle
+    scale = np.abs(oracle[:w_oracle]).max(axis=1)
+    for path in (sparse, dense):
+        assert np.isfinite(path[:w_sparse]).all()
+        assert (np.abs(path[:w_sparse] - oracle[:w_oracle]).max(axis=1) <= 1e-10 * scale).all()
