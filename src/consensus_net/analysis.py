@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .dynamics import HYPERBOLIC_OFFSET, DisturbanceProfile, SimState, eval_disturbance
 from .errors import NoOrbitError, SignalFitError, ValidationError
@@ -274,6 +273,8 @@ def averaged_model_matched(mf0: MeanField, g: MatchedGains, t: float) -> MeanFie
     [gamma4, 0]]; x_m integrates y_m, done in closed form through the matrix
     inverse (the matrix is invertible since gamma3*gamma4 > 0).
     """
+    import scipy.linalg  # not at module level: runs never need it (see spectral)
+
     S = np.array([[-g.gamma2, -g.gamma3], [g.gamma4, 0.0]])
     yd0 = np.array([mf0.y_m, mf0.delta_m])
     expSt = scipy.linalg.expm(S * t)
@@ -290,6 +291,8 @@ def averaged_model_unmatched(mf0: MeanField, g: UnmatchedGains, t: float) -> Mea
     three states together are linear, so the flow is a single 3x3 matrix
     exponential.
     """
+    import scipy.linalg  # not at module level: runs never need it (see spectral)
+
     A = np.array([
         [0.0, 1.0, 1.0],
         [-g.alpha1, 0.0, -g.nu],

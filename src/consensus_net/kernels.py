@@ -62,10 +62,15 @@ _STAGE_STEP_S = 33e-6
 _SPARSE_FLOP_S = 1.0 / 1e9
 
 
+def largest_divisor_at_most(n: int, k: int) -> int:
+    """Largest divisor of ``n`` not above ``max(k, 1)``; 1 when ``n`` < 1."""
+    return next((f for f in range(min(n, max(k, 1)), 0, -1) if n % f == 0), 1)
+
+
 def fold_length(sample_every: int) -> int:
     """Steps per recurrence block: the largest divisor of ``sample_every``
     not above ``MAX_FOLD``, so samples fall on block boundaries."""
-    return next(f for f in range(min(sample_every, MAX_FOLD), 0, -1) if sample_every % f == 0)
+    return largest_divisor_at_most(sample_every, MAX_FOLD)
 
 
 def prefer_recurrence(n: int, nnz: int, n_steps: int, sample_every: int) -> bool:

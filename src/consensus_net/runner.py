@@ -30,6 +30,7 @@ from .dynamics import MatchedLoop, UnmatchedLoop
 from .errors import IntegrationDivergedError, NoOrbitError, SignalFitError
 from .gains import certify_matched, certify_unmatched, is_S_hurwitz
 from .graph import build_laplacian
+from .kernels import largest_divisor_at_most
 from .scenario import Scenario, aligned_dt, scenario_to_json
 from .sim import SimParams, Trajectory, integrate
 from .spectral import solve_P
@@ -173,13 +174,6 @@ def _summary(sc: Scenario, traj: Trajectory, metrics: dict, lap, cert, report) -
     }
 
 
-def _largest_divisor_at_most(n: int, k: int) -> int:
-    for cand in range(min(n, max(k, 1)), 0, -1):
-        if n % cand == 0:
-            return cand
-    return 1
-
-
 def prepare(sc: Scenario, align_dt_to: float | None = None):
     """Build the Laplacian, certificate, report and loop for a scenario."""
     if align_dt_to is not None:
@@ -187,7 +181,7 @@ def prepare(sc: Scenario, align_dt_to: float | None = None):
         # keep samples uniform and ending on t_final under the new grid
         n_steps = round(sc.t_final / dt)
         sc = sc.with_overrides(dt=dt,
-                               sample_every=_largest_divisor_at_most(n_steps, sc.sample_every))
+                               sample_every=largest_divisor_at_most(n_steps, sc.sample_every))
     lap = build_laplacian(sc.graph)
     n = sc.n_agents
     cert = solve_P(lap, Q=sc.q_scale * np.eye(n), alpha=sc.alpha)
@@ -224,7 +218,7 @@ def run(sc: Scenario, out_dir, align_dt_to: float | None = None) -> RunArtifacts
     params = SimParams(t_final=sc.t_final, dt=sc.dt, sample_every=sc.sample_every)
     z0 = np.concatenate([sc.x0, sc.y0, sc.delta_hat0])
     try:
-        traj = integrate(loop, z0, params, scenario_id=sc.name, gain_report=report)
+        traj = integrate(loop, z0, params)
     except IntegrationDivergedError as exc:
         if exc.partial is not None:
             _atomic_write(arts.trajectory_csv, trajectory_csv_text(exc.partial))

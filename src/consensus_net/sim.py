@@ -25,7 +25,6 @@ import numpy as np
 from . import kernels
 from .dynamics import DisturbanceProfile, MatchedLoop, SimState, UnmatchedLoop
 from .errors import IntegrationDivergedError, ValidationError
-from .gains import CertificationReport
 
 #: returned by convergence_order when both refinement errors vanish
 EXACT_ORDER = math.inf
@@ -89,8 +88,6 @@ class Trajectory:
 
     times: np.ndarray
     states: np.ndarray
-    scenario_id: str = ""
-    gain_report: CertificationReport | None = None
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -161,8 +158,7 @@ def _as_initial_vector(x0) -> np.ndarray:
     return z0
 
 
-def integrate(loop_or_field, x0, params: SimParams, scenario_id: str = "",
-              gain_report: CertificationReport | None = None) -> Trajectory:
+def integrate(loop_or_field, x0, params: SimParams) -> Trajectory:
     """Run classical RK4 over the horizon and return the sampled trajectory.
 
     ``loop_or_field`` is either a MatchedLoop/UnmatchedLoop (fast path,
@@ -200,12 +196,11 @@ def integrate(loop_or_field, x0, params: SimParams, scenario_id: str = "",
         written = _rk4_generic(field_fn, z0, params, out)
 
     if written < params.n_samples:
-        partial = Trajectory(times[:written], out[:written].copy(),
-                             scenario_id=scenario_id, gain_report=gain_report)
+        partial = Trajectory(times[:written], out[:written].copy())
         last_t = float(times[written - 1]) if written > 0 else 0.0
         raise IntegrationDivergedError(
             f"state became non-finite after t = {last_t}", last_time=last_t, partial=partial)
-    return Trajectory(times, out, scenario_id=scenario_id, gain_report=gain_report)
+    return Trajectory(times, out)
 
 
 def _rk4_generic(f, z0, params: SimParams, out) -> int:

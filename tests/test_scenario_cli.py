@@ -10,10 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from consensus_net import cli, runner
+from consensus_net import cli, runner, spectral
 from consensus_net.analysis import BLOCK_VALUES
 from consensus_net.dynamics import eval_disturbance
-from consensus_net.errors import ValidationError
+from consensus_net.errors import DegenerateSpectrumError, ValidationError
+from consensus_net.graph import build_laplacian
 from consensus_net.scenario import (
     aligned_dt,
     builtin_scenario,
@@ -170,17 +171,79 @@ print("scipy.sparse" in sys.modules)
 """
 
 
+def _fresh_interpreter(script, *args):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", script, *map(str, args)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
 def test_builtin_runs_do_not_import_scipy_sparse(tmp_path):
     """The recurrence, which the builtins take, never needs scipy.sparse;
     importing it would add tens of milliseconds and about 2 MiB to each
     process.  A fresh interpreter, since the test process has it loaded."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    proc = subprocess.run([sys.executable, "-c", _SPARSE_IMPORT_PROBE, str(tmp_path)],
-                          env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "True"]
+    assert _fresh_interpreter(_SPARSE_IMPORT_PROBE, tmp_path) == ["False", "True"]
+
+
+_LINALG_IMPORT_PROBE = """
+import contextlib
+import io
+import sys
+import numpy as np
+from consensus_net import cli, runner
+from consensus_net.graph import DirectedGraph, build_laplacian
+from consensus_net.scenario import builtin_scenario
+from consensus_net.spectral import _KRON_MAX_N, solve_P
+for name in ("paper-matched", "paper-unmatched"):
+    runner.run(builtin_scenario(name).with_overrides(t_final=2.0), sys.argv[1] + "/" + name)
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = cli.main(["simulate", "paper-matched", "--out", sys.argv[1] + "/cli", "--t-final", "1.0"])
+print(rc, "scipy" in sys.modules, "scipy.linalg" in sys.modules)
+# a chain one agent above the threshold takes the Schur path, which does import it
+n = _KRON_MAX_N + 1
+solve_P(build_laplacian(DirectedGraph(np.diag(np.ones(n - 1), -1))))
+print("scipy.linalg" in sys.modules)
+"""
+
+_AVERAGED_MODEL_PROBE = """
+import sys
+import numpy as np
+from consensus_net import analysis
+from consensus_net.scenario import builtin_scenario
+mf0 = analysis.MeanField(x_m=1.0, y_m=0.5, delta_m=-0.25)
+mf = getattr(analysis, sys.argv[1])(mf0, builtin_scenario(sys.argv[2]).gains, 1.0)
+print(np.isfinite(mf.as_array()).all(), "scipy.linalg" in sys.modules)
+"""
+
+
+def test_builtin_runs_do_not_import_scipy_linalg(tmp_path):
+    """Graphs of at most spectral._KRON_MAX_N agents solve the certificate in
+    numpy, so a builtin run, through runner.run or the CLI, never loads scipy;
+    importing scipy.linalg would add about 0.2 s and 25 MiB to the process.
+    Larger graphs load it inside their first solve_P, and the averaged models,
+    which import it inside the call, still run in a fresh process."""
+    assert _fresh_interpreter(_LINALG_IMPORT_PROBE, tmp_path) == ["0", "False", "False", "True"]
+    for fn, name in (("averaged_model_matched", "paper-matched"),
+                     ("averaged_model_unmatched", "paper-unmatched")):
+        assert _fresh_interpreter(_AVERAGED_MODEL_PROBE, fn, name) == ["True", "True"]
+
+
+def test_kronecker_solve_failure_exit_code(tmp_path, monkeypatch, capsys):
+    """A pivot breakdown in the small-graph Lyapunov solve is a degenerate
+    spectrum (exit code 2), not a traceback."""
+    def singular(*_args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(spectral.np.linalg, "solve", singular)
+    lap = build_laplacian(builtin_scenario("paper-matched").graph)
+    with pytest.raises(DegenerateSpectrumError, match="Kronecker system is singular"):
+        spectral.solve_P(lap)
+    rc = cli.main(["simulate", "paper-matched", "--out", str(tmp_path / "o"), "--t-final", "1.0"])
+    assert rc == cli.EXIT_VALIDATION == 2
+    assert "Kronecker system is singular" in capsys.readouterr().err
 
 
 def _diverging_scenario_doc():

@@ -1,20 +1,26 @@
 """Lyapunov certificate solver against an independent vectorized oracle."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from consensus_net.errors import DegenerateSpectrumError, ValidationError
+from consensus_net import spectral
+from consensus_net.errors import ConsensusNetError, DegenerateSpectrumError, ValidationError
 from consensus_net.graph import DirectedGraph, build_laplacian
-from consensus_net.spectral import _shifted_schur, solve_P, spectral_norm
+from consensus_net.scenario import builtin_scenario
+from consensus_net.spectral import _KRON_MAX_N, _shifted_schur, solve_P, spectral_norm
 
 from conftest import GRAPH_FAMILIES, random_family_graph, random_tree_graph
 
 
 def kron_solve_P(L, v, Q, alpha):
     """Oracle: solve the certificate equation as one dense linear system in
-    vec(P), independent of the shifted-Lyapunov route."""
+    vec(P).  Independent of the Schur route that solve_P takes above
+    _KRON_MAX_N agents; at or below it solve_P runs this same algorithm, so
+    there the Schur route is its oracle (test_small_path_matches_schur_path)."""
     n = L.shape[0]
     L_shift = L + alpha * np.outer(np.ones(n), v)
     A = np.kron(L_shift.T, np.eye(n)) + np.kron(np.eye(n), L_shift.T)
@@ -63,6 +69,15 @@ def test_random_graphs_residual_and_oracle():
         assert cert.residual < 1e-8 * max(1.0, spectral_norm(Q))
         assert cert.min_eig_P > 0
         P_oracle = kron_solve_P(lap.L, lap.v_left, Q, 1.0)
+        assert np.abs(cert.P - P_oracle).max() < 1e-8
+    # graphs that take the Schur route, where the oracle is independent
+    for _ in range(10):
+        n = int(rng.integers(_KRON_MAX_N + 1, _KRON_MAX_N + 9))
+        lap = build_laplacian(random_tree_graph(rng, n, extra_edges=int(rng.integers(0, n))))
+        cert = solve_P(lap, alpha=1.0)
+        assert cert.residual < 1e-8
+        assert cert.min_eig_P > 0
+        P_oracle = kron_solve_P(lap.L, lap.v_left, np.eye(n), 1.0)
         assert np.abs(cert.P - P_oracle).max() < 1e-8
 
 
@@ -114,9 +129,10 @@ def test_spectral_norm_examples():
        st.sampled_from((0.1, 1.0, 10.0)))
 @settings(max_examples=80, deadline=None)
 def test_certificate_property(family, n, seed, alpha):
-    """The Schur factorisation that solve_P shares between the shifted-spectrum
-    check and the solve reports the spectrum eigvals reports, and the
-    certificate it yields meets the residual bound and is positive definite."""
+    """The Schur factorisation that solve_P shares, above _KRON_MAX_N agents,
+    between the shifted-spectrum check and the solve reports the spectrum
+    eigvals reports, and the certificate solve_P yields meets the residual
+    bound and is positive definite."""
     lap = build_laplacian(random_family_graph(np.random.default_rng(seed), n, family))
     if not lap.has_spanning_tree:
         with pytest.raises(ValidationError, match="spanning tree"):
@@ -129,3 +145,49 @@ def test_certificate_property(family, n, seed, alpha):
     assert cert.residual < 1e-8
     assert np.linalg.eigvalsh(cert.P)[0] > 0
     assert cert.lambda_P == pytest.approx(spectral_norm(cert.P), rel=1e-12)
+
+
+def _solve_on_path(lap, alpha, schur, Q=None):
+    """solve_P on the Kronecker path, or with the threshold at 0 on the Schur
+    path; a rejected input yields its error."""
+    with pytest.MonkeyPatch.context() as mp:
+        if schur:
+            mp.setattr(spectral, "_KRON_MAX_N", 0)
+        try:
+            return solve_P(lap, Q=Q, alpha=alpha)
+        except ConsensusNetError as exc:
+            return exc
+
+
+@given(st.sampled_from(GRAPH_FAMILIES), st.integers(min_value=2, max_value=_KRON_MAX_N),
+       st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.sampled_from((0.1, 1.0, 10.0)))
+@settings(max_examples=80, deadline=None)
+def test_small_path_matches_schur_path(family, n, seed, alpha):
+    """Up to the threshold solve_P solves the Kronecker system; the Schur route
+    that larger graphs take must give the same certificate, shifted spectrum
+    and errors."""
+    lap = build_laplacian(random_family_graph(np.random.default_rng(seed), n, family))
+    kron = _solve_on_path(lap, alpha, schur=False)
+    schur = _solve_on_path(lap, alpha, schur=True)
+    if not lap.has_spanning_tree:
+        assert type(kron) is type(schur) is ValidationError
+        return
+    assert np.abs(kron.P - schur.P).max() <= 1e-12 * np.abs(schur.P).max()
+    # the shifted minimum each path read, as its error reports it (the Schur
+    # diagonal against eigvals at any alpha is test_certificate_property's)
+    tiny = [_solve_on_path(lap, 1e-10, schur) for schur in (False, True)]
+    assert [type(exc) for exc in tiny] == [DegenerateSpectrumError] * 2
+    shift_kron, shift_schur = (float(re.search(r"real part (\S+);", str(exc)).group(1))
+                               for exc in tiny)
+    assert abs(shift_kron - shift_schur) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["paper-matched", "paper-unmatched"])
+def test_builtin_certificate_identical_on_both_paths(name):
+    sc = builtin_scenario(name)
+    lap = build_laplacian(sc.graph)
+    Q = sc.q_scale * np.eye(sc.n_agents)
+    assert sc.n_agents <= _KRON_MAX_N
+    kron, schur = (_solve_on_path(lap, sc.alpha, schur, Q) for schur in (False, True))
+    assert np.array_equal(kron.P, schur.P)
