@@ -1,7 +1,8 @@
 """Derived quantities computed from trajectories.
 
-This is the only layer that sees the true disturbance: it forms the estimate
-errors (delta_hat - d/gamma3 in the matched case, k_s*delta_hat + d in the
+This is the only layer that sees the true disturbance, evaluated at the
+sample times by ``DisturbanceProfile.at``: it forms the estimate errors
+(delta_hat - d/gamma3 in the matched case, k_s*delta_hat + d in the
 unmatched case), projects states through I - 1 v^T to get consensus errors,
 evaluates the Lyapunov functions, fits decay rates and periodic orbits, and
 evolves the closed-form weighted-average models used as oracles for the full
@@ -15,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import HYPERBOLIC_OFFSET, DisturbanceProfile, SimState, eval_disturbance
+from .dynamics import DisturbanceProfile, SimState, eval_disturbance
 from .errors import NoOrbitError, SignalFitError, ValidationError
 from .gains import MatchedGains, UnmatchedGains
-from .sim import Trajectory, _profile_arrays
+from .sim import Trajectory
 
 
 @dataclass(frozen=True)
@@ -82,23 +83,6 @@ def row_blocks(n_rows: int, n_columns: int) -> list:
     that is a block of its own."""
     step = max(1, BLOCK_VALUES // max(1, n_columns))
     return [slice(start, start + step) for start in range(0, n_rows, step)]
-
-
-def disturbance_at(profile: DisturbanceProfile, times, side: str = "right") -> np.ndarray:
-    """Disturbance rows at each of ``times``: the array form of
-    ``eval_disturbance``.
-
-    Row k is the value of the segment active at ``times[k]``, with the sides
-    of ``DisturbanceProfile.segment_index``: right-continuous at a switch,
-    or the segment just before it for ``side='left'``.
-    """
-    times = np.asarray(times, dtype=float)
-    if np.any(times < 0):
-        raise ValidationError(f"t: must be >= 0, got {times[times < 0][0]}")
-    _, base, c_h, c_e, rate = _profile_arrays(profile)
-    k = profile.segment_index(times, side)
-    scalar = (c_h[k] + c_e[k] * np.exp(-rate[k] * times)) / (HYPERBOLIC_OFFSET + times)
-    return base[k] + scalar[:, None]
 
 
 def _coordinates(gains, x, y, delta_hat, d):
@@ -362,7 +346,7 @@ def trajectory_metrics(traj: Trajectory, v: np.ndarray, gains, profile: Disturba
                  "projector_residual"):
         out[name] = np.empty(n_samples)
     for rows in row_blocks(n_samples, traj.states.shape[1]):
-        d = disturbance_at(profile, traj.times[rows])
+        d = profile.at(traj.times[rows])
         errs, means = _errors_and_means(v, gains, traj.x[rows], traj.y[rows],
                                         traj.delta_hat[rows], d)
         for name, e in zip(("ex_norm", "ey_norm", "ed_norm"), errs):
@@ -406,7 +390,7 @@ def sync_deviation_windows(traj: Trajectory, v: np.ndarray, g: UnmatchedGains,
     times = traj.times
     devs = np.empty(times.shape[0])
     for rows in row_blocks(times.shape[0], traj.states.shape[1]):
-        d = disturbance_at(profile, times[rows])
+        d = profile.at(times[rows])
         y, delta_hat = traj.y[rows], traj.delta_hat[rows]
         delta_m = _coordinates(g, traj.x[rows], y, delta_hat, d)[2] @ v
         devs[rows] = np.abs(y + d - delta_m[:, None]).max(axis=1)

@@ -11,8 +11,8 @@ Subcommands:
 ``<scenario>`` is a JSON file path or a builtin name (``paper-matched``,
 ``paper-unmatched``).  The CONSENSUS_NET_OUT environment variable overrides
 the default output directory.  Exit codes: 0 success, 2 invalid input (bad
-data, a graph whose spectrum cannot be certified, infeasible gains),
-3 numerical divergence, 4 I/O failure.
+data, a graph whose spectrum cannot be certified, infeasible gains, values so
+extreme that a matrix routine fails), 3 numerical divergence, 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -233,6 +233,9 @@ def _cmd_plot(args) -> int:
     return EXIT_OK
 
 
+# extreme inputs overflow on their way to an error or divergence exit code;
+# numpy's warnings would only add source lines to stderr
+@np.errstate(all="ignore")
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -250,6 +253,10 @@ def main(argv=None) -> int:
         parser.error(f"unknown command {args.command!r}")
     except (ValidationError, DegenerateSpectrumError, InfeasibleGainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except np.linalg.LinAlgError as exc:
+        # input so extreme (a gain of 1e308, say) that a matrix routine fails
+        print(f"error: linear algebra failed on this input: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -1,5 +1,10 @@
 """Disturbance signals and the two closed-loop vector fields.
 
+A disturbance is a ``DisturbanceProfile``: piecewise base vectors plus a
+scalar vanishing term, written once in ``DisturbanceProfile.vanishing``;
+``eval_disturbance``, the integrator and the analysis layer all evaluate it
+through the profile.
+
 The simulator always integrates physical per-agent coordinates
 ``(x, y, delta_hat)``: positions, velocities and the controller's internal
 integral states.  Transformed coordinates (velocity offsets, estimate
@@ -36,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, finite_number
 from .gains import MatchedGains, UnmatchedGains
 from .graph import LaplacianData
 
@@ -49,8 +54,8 @@ class Segment:
     """One piece of a piecewise disturbance: active from ``t_start`` until the
     next segment starts.
 
-    Value at time t:  base + (c_h + c_e * exp(-r*t)) / (12 + t)  per agent,
-    where the scalar vanishing terms are broadcast to every agent.
+    Value at time t:  base + (c_h + c_e * exp(-r*t)) / (HYPERBOLIC_OFFSET + t)
+    per agent, where the scalar vanishing term is broadcast to every agent.
     """
 
     t_start: float
@@ -66,16 +71,16 @@ class Segment:
         base.setflags(write=False)
         object.__setattr__(self, "base", base)
 
-    def value(self, t: float) -> np.ndarray:
-        scalar = (self.hyperbolic_coeff + self.exp_coeff * np.exp(-self.exp_rate * t)) \
-            / (HYPERBOLIC_OFFSET + t)
-        return self.base + scalar
-
 
 @dataclass(frozen=True)
 class DisturbanceProfile:
     """Ordered disturbance segments; evaluation is right-continuous at the
-    switch times."""
+    switch times.
+
+    The segments are also held as read-only arrays with one entry per
+    segment: ``starts``, ``bases`` (segments x agents), ``c_h``, ``c_e`` and
+    ``rates``.  The integrator and the analysis layer read these.
+    """
 
     segments: tuple
 
@@ -92,10 +97,18 @@ class DisturbanceProfile:
             if k > 0 and not seg.t_start > segs[k - 1].t_start:
                 raise ValidationError(f"segments[{k}].t_start: start times must strictly increase")
         object.__setattr__(self, "segments", segs)
+        for name, values in (("starts", [s.t_start for s in segs]),
+                             ("bases", [s.base for s in segs]),
+                             ("c_h", [s.hyperbolic_coeff for s in segs]),
+                             ("c_e", [s.exp_coeff for s in segs]),
+                             ("rates", [s.exp_rate for s in segs])):
+            arr = np.array(values, dtype=float)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def n_agents(self) -> int:
-        return self.segments[0].base.shape[0]
+        return self.bases.shape[1]
 
     @property
     def switch_times(self) -> tuple:
@@ -109,16 +122,30 @@ class DisturbanceProfile:
         """Index of the segment active at t, or an array of indices for an
         array of times; ``side='left'`` gives the segment just before a switch
         time instead."""
-        starts = [seg.t_start for seg in self.segments]
-        k = np.maximum(np.searchsorted(starts, t, side=side) - 1, 0)
+        k = np.maximum(np.searchsorted(self.starts, t, side=side) - 1, 0)
         return int(k) if np.ndim(k) == 0 else k
+
+    def vanishing(self, t, k):
+        """The scalar vanishing term of segment ``k`` at time ``t``,
+        elementwise over arrays of ``t`` and ``k``."""
+        return (self.c_h[k] + self.c_e[k] * np.exp(-self.rates[k] * t)) / (HYPERBOLIC_OFFSET + t)
+
+    def at(self, times, side: str = "right") -> np.ndarray:
+        """Disturbance rows at each of ``times``: the array form of
+        ``eval_disturbance``, with the sides of ``segment_index``."""
+        times = np.asarray(times, dtype=float)
+        if np.any(times < 0):
+            raise ValidationError(f"t: must be >= 0, got {times[times < 0][0]}")
+        k = self.segment_index(times, side)
+        return self.bases[k] + self.vanishing(times, k)[:, None]
 
 
 def eval_disturbance(profile: DisturbanceProfile, t: float, side: str = "right") -> np.ndarray:
     """Disturbance vector at time t (right-continuous at switches)."""
     if t < 0:
         raise ValidationError(f"t: must be >= 0, got {t}")
-    return profile.segments[profile.segment_index(t, side)].value(t)
+    k = profile.segment_index(t, side)
+    return profile.bases[k] + profile.vanishing(t, k)
 
 
 def profile_to_json(profile: DisturbanceProfile) -> dict:
@@ -137,20 +164,20 @@ def profile_to_json(profile: DisturbanceProfile) -> dict:
 
 
 def profile_from_json(doc: dict) -> DisturbanceProfile:
-    if not isinstance(doc, dict) or "segments" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("segments"), list):
         raise ValidationError("disturbance: expected an object with a 'segments' list")
     segs = []
     for k, s in enumerate(doc["segments"]):
         try:
-            segs.append(Segment(
-                t_start=float(s["t_start"]),
-                base=np.asarray(s["base"], dtype=float),
-                hyperbolic_coeff=float(s.get("hyperbolic_coeff", 0.0)),
-                exp_coeff=float(s.get("exp_coeff", 0.0)),
-                exp_rate=float(s.get("exp_rate", 0.0)),
-            ))
+            base = [finite_number(x) for x in s["base"]]
+            t_start = finite_number(s["t_start"])
+            coeffs = [finite_number(s.get(key, 0.0))
+                      for key in ("hyperbolic_coeff", "exp_coeff", "exp_rate")]
         except (KeyError, TypeError, ValueError):
-            raise ValidationError(f"disturbance.segments[{k}]: needs 't_start' and a numeric 'base' vector") from None
+            raise ValidationError(
+                f"disturbance.segments[{k}]: needs 't_start' and a numeric 'base' vector, "
+                "all values finite") from None
+        segs.append(Segment(t_start, base, *coeffs))
     return DisturbanceProfile(tuple(segs))
 
 
@@ -235,14 +262,14 @@ def unmatched_field(state: SimState, g: UnmatchedGains, lap: LaplacianData,
 
 
 @dataclass(frozen=True)
-class MatchedLoop:
-    """Matched closed loop bundled for the integrator."""
+class ClosedLoop:
+    """A closed loop bundled for the integrator: gains, graph and
+    disturbance.  Subclasses name their ``mode``, their written-out
+    ``vector_field`` and their coefficient ``blocks()``."""
 
-    gains: MatchedGains
+    gains: MatchedGains | UnmatchedGains
     lap: LaplacianData
     profile: DisturbanceProfile
-
-    mode = "matched"
 
     def __post_init__(self):
         if self.profile.n_agents != self.lap.n_agents:
@@ -255,7 +282,14 @@ class MatchedLoop:
 
     def field(self, t: float, z: np.ndarray) -> np.ndarray:
         state = SimState.unpack(z, t)
-        return matched_field(state, self.gains, self.lap, self.profile).pack()
+        return self.vector_field(state, self.gains, self.lap, self.profile).pack()
+
+
+class MatchedLoop(ClosedLoop):
+    """Matched closed loop: d enters y'."""
+
+    mode = "matched"
+    vector_field = staticmethod(matched_field)
 
     def blocks(self) -> tuple:
         """``(C_L, C_I, c_E)`` with ``A = kron(C_L, L) + kron(C_I, I_n)`` and
@@ -270,28 +304,11 @@ class MatchedLoop:
         return C_L, C_I, np.array([0.0, 1.0, 0.0])
 
 
-@dataclass(frozen=True)
-class UnmatchedLoop:
-    """Unmatched closed loop bundled for the integrator."""
-
-    gains: UnmatchedGains
-    lap: LaplacianData
-    profile: DisturbanceProfile
+class UnmatchedLoop(ClosedLoop):
+    """Unmatched closed loop: d enters x'."""
 
     mode = "unmatched"
-
-    def __post_init__(self):
-        if self.profile.n_agents != self.lap.n_agents:
-            raise ValidationError(
-                f"disturbance has {self.profile.n_agents} agents but graph has {self.lap.n_agents}")
-
-    @property
-    def n_agents(self) -> int:
-        return self.lap.n_agents
-
-    def field(self, t: float, z: np.ndarray) -> np.ndarray:
-        state = SimState.unpack(z, t)
-        return unmatched_field(state, self.gains, self.lap, self.profile).pack()
+    vector_field = staticmethod(unmatched_field)
 
     def blocks(self) -> tuple:
         """``(C_L, C_I, c_E)`` with ``A = kron(C_L, L) + kron(C_I, I_n)`` and

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types, and the number check of the document parsers, shared
+across the package."""
+
+import math
 
 
 class ConsensusNetError(Exception):
@@ -51,3 +54,16 @@ class SignalFitError(ConsensusNetError, ValueError):
 class NoOrbitError(SignalFitError):
     """A sinusoid fit failed to explain the signal: the residual exceeds half
     the signal RMS, or no oscillation is present at all."""
+
+
+def finite_number(value, kind=float):
+    """``value`` as a finite float, or as an int when ``kind`` is int, which
+    must equal ``value`` (5 and 5.0 pass, 5.7 does not).  Raises ValueError
+    otherwise, or TypeError for a value that is not a number at all."""
+    try:
+        number = kind(value)
+    except OverflowError:
+        raise ValueError(f"{value!r} is out of range") from None
+    if number != value if kind is int else not math.isfinite(number):
+        raise ValueError(f"not a finite {kind.__name__}: {value!r}")
+    return number

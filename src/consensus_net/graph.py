@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSpectrumError, ValidationError
+from .errors import DegenerateSpectrumError, ValidationError, finite_number
 
 #: second-smallest |eigenvalue| below this means the zero eigenvalue is
 #: numerically non-simple
@@ -224,7 +224,7 @@ def graph_from_json(doc: dict) -> DirectedGraph:
     if not isinstance(doc, dict):
         raise ValidationError("graph: expected a JSON object")
     try:
-        n = int(doc["n"])
+        n = finite_number(doc["n"], int)
     except (KeyError, TypeError, ValueError):
         raise ValidationError("n: missing or not an integer") from None
     if n < 1:
@@ -237,11 +237,11 @@ def graph_from_json(doc: dict) -> DirectedGraph:
         if not isinstance(e, dict):
             raise ValidationError(f"edges[{k}]: expected an object")
         try:
-            j = int(e["from"])
-            i = int(e["to"])
-            wij = float(e["w"])
+            j = finite_number(e["from"], int)
+            i = finite_number(e["to"], int)
+            wij = finite_number(e["w"])
         except (KeyError, TypeError, ValueError):
-            raise ValidationError(f"edges[{k}]: needs integer 'from', 'to' and numeric 'w'") from None
+            raise ValidationError(f"edges[{k}]: needs integer 'from', 'to' and a finite 'w'") from None
         if not (1 <= i <= n):
             raise ValidationError(f"edges[{k}].to: agent index {i} out of range 1..{n}")
         if not (1 <= j <= n):

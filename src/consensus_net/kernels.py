@@ -2,13 +2,15 @@
 
 Both closed loops are linear in the stacked state z = (x, y, delta_hat):
 
-    z' = A z + E (base + s(t) 1),   s(t) = (c_h + c_e exp(-r t)) / (12 + t)
+    z' = A z + E (base + s(t) 1)
 
 with ``A = kron(C_L, L) + kron(C_I, I_n)`` and ``E = kron(c_E, I_n)`` built
 from the loop's coefficient blocks (``MatchedLoop.blocks`` /
-``UnmatchedLoop.blocks``), and ``base``, ``c_h``, ``c_e``, ``r`` taken from
-the active disturbance segment.  ``rk4_closed_loop`` steps either loop one of
-two ways, both built on the same RK4 step (``_linear_rk4_step``):
+``UnmatchedLoop.blocks``), and ``base`` and the scalar vanishing term s(t)
+those of the active segment of the loop's ``DisturbanceProfile``
+(``profile.bases`` and ``profile.vanishing``).  ``rk4_closed_loop`` steps
+either loop one of two ways, both built on the same RK4 step
+(``_linear_rk4_step``):
 
 * the stage body (``_rk4_stage``) takes that step once per time step on a
   CSR ``A``; graphs that contain a spanning tree are typically sparse (a
@@ -16,10 +18,11 @@ two ways, both built on the same RK4 step (``_linear_rk4_step``):
   Its cost grows with the step count.
 * the recurrence (``_rk4_affine``) uses that one RK4 step of a linear system
   is exactly ``z+ = M z + Cb base + c0 s(t) + ch s(t + h/2) + c1 s(t + h)``.
-  ``M``, ``Cb`` and ``c*`` come from applying the step to identity columns of
-  a dense ``A``; ``fold_length`` steps are folded into one block operator,
-  so Python loops once per block (once per sample for ``sample_every`` up to
-  100).  Setting it up costs O((3n)^3) flops.
+  ``M`` comes from applying the step to the identity columns of a dense
+  ``A``, and ``Cb`` and ``c*`` from applying it to zero columns under the
+  forcing ``E`` and ``E 1``; ``fold_length`` steps are folded into one block
+  operator, so Python loops once per block (once per sample for
+  ``sample_every`` up to 100).  Setting it up costs O((3n)^3) flops.
 
 ``prefer_recurrence`` chooses between the two with an operation-count
 estimate from n, the stored entries of L, the step count and
@@ -82,9 +85,9 @@ def prefer_recurrence(n: int, nnz: int, n_steps: int, sample_every: int) -> bool
     * stage body, per step: ``_STAGE_STEP_S`` and four sparse products with
       ``A``, 8 (2 nnz + 7 n) flops (``nnz`` counts the stored entries of L;
       ``A`` stores at most two copies of L and seven diagonals of I_n);
-    * recurrence set-up, in matrix-product flops: one RK4 step on N + n + 3
-      columns (8 N^2 (N + n + 3)), f - 1 products for the block forcing
-      (2 N^2 (n + 3) each) and M^f by squaring (4 N^3 log2 f);
+    * recurrence set-up, in matrix-product flops: one RK4 step on N identity
+      and n + 3 forcing columns (8 N^2 (N + n + 3)), f - 1 products for the
+      block forcing (2 N^2 (n + 3) each) and M^f by squaring (4 N^3 log2 f);
     * recurrence, per block: ``_BLOCK_CALLS`` calls and one N x N
       matrix-vector product (2 N^2 flops); per step, 6 N + 30 flops for
       the vanishing terms and their block forcing.
@@ -105,15 +108,13 @@ def prefer_recurrence(n: int, nnz: int, n_steps: int, sample_every: int) -> bool
     return recurrence < stage
 
 
-def _step_terms(seg_starts, seg_ch, seg_ce, seg_rate, dt, k0, k1):
+def _step_terms(profile, dt, k0, k1):
     """Segment index of steps k0 .. k1-1 (the switching rule) and the scalar
     vanishing term at each step's start, midpoint and end, one row per step."""
     t = np.arange(k0, k1) * dt
-    seg = np.searchsorted(seg_starts[1:] - 0.25 * dt, t, side="right")
+    seg = np.searchsorted(profile.starts[1:] - 0.25 * dt, t, side="right")
     ts = t[:, None] + np.array([0.0, 0.5, 1.0]) * dt
-    s = (seg_ch[seg, None] + seg_ce[seg, None] * np.exp(-seg_rate[seg, None] * ts)) \
-        / (12.0 + ts)
-    return seg, s
+    return seg, profile.vanishing(ts, seg[:, None])
 
 
 def _linear_rk4_step(A, Z, F0, Fh, F1, h):
@@ -126,8 +127,7 @@ def _linear_rk4_step(A, Z, F0, Fh, F1, h):
     return Z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _rk4_stage(A, c_E, z0, seg_starts, seg_base, seg_ch, seg_ce, seg_rate,
-               dt, n_steps, sample_every, out):
+def _rk4_stage(A, c_E, z0, profile, dt, n_steps, sample_every, out):
     """The stage body: one ``_linear_rk4_step`` per time step.
 
     ``A`` is the 3n x 3n system matrix, dense or sparse.  Writes every
@@ -135,16 +135,16 @@ def _rk4_stage(A, c_E, z0, seg_starts, seg_base, seg_ch, seg_ce, seg_rate,
     samples written; fewer than out.shape[0] means the state went non-finite
     at the first missing sample.
     """
-    n = seg_base.shape[1]
+    n = profile.n_agents
     # E base per segment, and E 1 for the scalar term that reaches every agent
-    forcing = (c_E[None, :, None] * seg_base[:, None, :]).reshape(-1, 3 * n)
+    forcing = (c_E[None, :, None] * profile.bases[:, None, :]).reshape(-1, 3 * n)
     e = np.repeat(c_E, n)
     z = z0.copy()
     out[0] = z
     with np.errstate(over="ignore", invalid="ignore"):
         for k0 in range(0, n_steps, _CHUNK_STEPS):
             k1 = min(k0 + _CHUNK_STEPS, n_steps)
-            seg, s = _step_terms(seg_starts, seg_ch, seg_ce, seg_rate, dt, k0, k1)
+            seg, s = _step_terms(profile, dt, k0, k1)
             for k in range(k0, k1):
                 base = forcing[seg[k - k0]]
                 s0, sh, s1 = s[k - k0]
@@ -157,8 +157,7 @@ def _rk4_stage(A, c_E, z0, seg_starts, seg_base, seg_ch, seg_ce, seg_rate,
     return out.shape[0]
 
 
-def _rk4_affine(A, c_E, z0, seg_starts, seg_base, seg_ch, seg_ce, seg_rate,
-                dt, n_steps, sample_every, out):
+def _rk4_affine(A, c_E, z0, profile, dt, n_steps, sample_every, out):
     """The recurrence: same contract and switching rule as ``_rk4_stage``;
     ``A`` is dense."""
     N = A.shape[0]
@@ -168,19 +167,14 @@ def _rk4_affine(A, c_E, z0, seg_starts, seg_base, seg_ch, seg_ce, seg_rate,
     blocks_per_sample = sample_every // f
     n_blocks = n_steps // f
 
-    # one step from identity columns: [M | Cb | c0 ch c1]
-    e = E.sum(axis=1)  # the scalar vanishing term reaches every agent
-    cols = N + n + 3
-    Z = np.zeros((N, cols))
-    Z[:, :N] = np.eye(N)
-    forcing = []
-    for stage in range(3):
-        F = np.zeros((N, cols))
-        F[:, N:N + n] = E
-        F[:, N + n + stage] = e
-        forcing.append(F)
-    step = _linear_rk4_step(A, Z, *forcing, dt)
-    M, D = step[:, :N], step[:, N:]
+    # M: one step from identity columns, unforced; D = [Cb | c0 ch c1]: one
+    # step from zero columns forced by E and, at one stage each, by E 1 (the
+    # scalar vanishing term reaches every agent)
+    M = _linear_rk4_step(A, np.eye(N), 0.0, 0.0, 0.0, dt)
+    forcing = np.zeros((3, N, n + 3))
+    forcing[:, :, :n] = E
+    forcing[range(3), :, range(n, n + 3)] = E.sum(axis=1)
+    D = _linear_rk4_step(A, np.zeros((N, n + 3)), *forcing, dt)
 
     # block of f steps: z_f = M^f z_0 + sum_j M^(f-1-j) D [base_j; s_j]
     W = np.empty((f, N, n + 3))
@@ -189,7 +183,7 @@ def _rk4_affine(A, c_E, z0, seg_starts, seg_base, seg_ch, seg_ce, seg_rate,
         W[j] = M @ W[j + 1]
     M_block = np.linalg.matrix_power(M, f)
     G = W[:, :, n:].transpose(1, 0, 2).reshape(N, 3 * f)
-    base_forcing = seg_base @ W[:, :, :n].sum(axis=0).T
+    base_forcing = profile.bases @ W[:, :, :n].sum(axis=0).T
 
     z = z0.copy()
     out[0] = z
@@ -197,14 +191,14 @@ def _rk4_affine(A, c_E, z0, seg_starts, seg_base, seg_ch, seg_ce, seg_rate,
     with np.errstate(over="ignore", invalid="ignore"):
         for b0 in range(0, n_blocks, chunk):
             b1 = min(b0 + chunk, n_blocks)
-            seg, s = _step_terms(seg_starts, seg_ch, seg_ce, seg_rate, dt, b0 * f, b1 * f)
+            seg, s = _step_terms(profile, dt, b0 * f, b1 * f)
             seg = seg.reshape(-1, f)
             F = s.reshape(-1, 3 * f) @ G.T + base_forcing[seg[:, 0]]
             for i in np.flatnonzero(seg[:, 0] != seg[:, -1]):
                 # a switch strictly inside the block: build its forcing step by step
                 w = np.zeros(N)
                 for j in range(f):
-                    w = M @ w + D @ np.concatenate([seg_base[seg[i, j]], s[i * f + j]])
+                    w = M @ w + D @ np.concatenate([profile.bases[seg[i, j]], s[i * f + j]])
                 F[i] = w
             for i in range(b1 - b0):
                 z = M_block @ z + F[i]
@@ -235,19 +229,17 @@ def _csr_system(C_L, C_I, L):
             + sparse.kron(C_I, sparse.eye_array(L.shape[0]))).tocsr()
 
 
-def rk4_closed_loop(C_L, C_I, c_E, L, z0, seg_starts, seg_base, seg_ch, seg_ce, seg_rate,
-                    dt, n_steps, sample_every, out):
-    """Step z' = A z + E d(t) with ``A = kron(C_L, L) + kron(C_I, I_n)`` and
-    ``E = kron(c_E, I_n)`` over ``n_steps`` steps of ``dt``: the recurrence
-    on a dense ``A`` or the stage body on a CSR ``A``, whichever
-    ``prefer_recurrence`` estimates cheaper.
+def rk4_closed_loop(C_L, C_I, c_E, L, z0, profile, dt, n_steps, sample_every, out):
+    """Step z' = A z + E d(t) with ``A = kron(C_L, L) + kron(C_I, I_n)``,
+    ``E = kron(c_E, I_n)`` and d the ``DisturbanceProfile`` ``profile`` over
+    ``n_steps`` steps of ``dt``: the recurrence on a dense ``A`` or the stage
+    body on a CSR ``A``, whichever ``prefer_recurrence`` estimates cheaper.
 
     Writes every sample_every-th state into ``out`` and returns the number of
     finite samples written; fewer than out.shape[0] means the state went
     non-finite at the first missing sample.
     """
-    segs = (seg_starts, seg_base, seg_ch, seg_ce, seg_rate)
+    args = (z0, profile, dt, n_steps, sample_every, out)
     if prefer_recurrence(L.shape[0], np.count_nonzero(L), n_steps, sample_every):
-        return _rk4_affine(_dense_system(C_L, C_I, L), c_E, z0, *segs,
-                           dt, n_steps, sample_every, out)
-    return _rk4_stage(_csr_system(C_L, C_I, L), c_E, z0, *segs, dt, n_steps, sample_every, out)
+        return _rk4_affine(_dense_system(C_L, C_I, L), c_E, *args)
+    return _rk4_stage(_csr_system(C_L, C_I, L), c_E, *args)

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import DisturbanceProfile, profile_from_json, profile_to_json
-from .errors import ValidationError
+from .errors import ValidationError, finite_number
 from .gains import MatchedGains, UnmatchedGains
 from .graph import DirectedGraph, graph_from_json, graph_to_json
 
@@ -122,6 +122,7 @@ class Scenario:
 
 
 def _get(doc: dict, path: str, key: str, kind, required=True, default=None):
+    """``doc[key]`` converted by ``kind``; a float must be finite, an int integral."""
     loc = f"{path}.{key}" if path else key
     if key not in doc:
         if required:
@@ -129,9 +130,17 @@ def _get(doc: dict, path: str, key: str, kind, required=True, default=None):
         return default
     value = doc[key]
     try:
-        return kind(value)
+        return kind(value) if kind is str else finite_number(value, kind)
     except (TypeError, ValueError):
-        raise ValidationError(f"{loc}: expected {kind.__name__}, got {value!r}") from None
+        raise ValidationError(f"{loc}: expected a finite {kind.__name__}, got {value!r}") from None
+
+
+def _section(doc: dict, key: str, required: bool = False) -> dict:
+    """The object ``doc[key]``; an optional section that is absent is empty."""
+    section = doc.get(key, None if required else {})
+    if not isinstance(section, dict):
+        raise ValidationError(f"{key}: missing or not an object")
+    return section
 
 
 def _vector(doc: dict, path: str, key: str, n: int) -> np.ndarray:
@@ -163,9 +172,7 @@ def scenario_from_json(doc: dict) -> Scenario:
     fig1 = bool(doc["graph"].get("fig1_substitute", False))
     n = graph.n_agents
 
-    gdoc = doc.get("gains")
-    if not isinstance(gdoc, dict):
-        raise ValidationError("gains: missing or not an object")
+    gdoc = _section(doc, "gains", required=True)
     try:
         if mode == "matched":
             gains = MatchedGains(
@@ -191,7 +198,7 @@ def scenario_from_json(doc: dict) -> Scenario:
         # gain positivity failures surface with the gains. prefix
         raise ValidationError(f"gains: {exc}") from None
 
-    lyap = doc.get("lyapunov", {})
+    lyap = _section(doc, "lyapunov")
     q_scale = _get(lyap, "lyapunov", "q_scale", float, required=False, default=1.0)
     alpha = _get(lyap, "lyapunov", "alpha", float, required=False, default=1.0)
     if q_scale <= 0:
@@ -206,11 +213,11 @@ def scenario_from_json(doc: dict) -> Scenario:
         raise ValidationError(
             f"disturbance.segments[0].base: expected length {n}, got {disturbance.n_agents}")
 
-    init = doc.get("initial")
-    if not isinstance(init, dict):
-        raise ValidationError("initial: missing or not an object")
+    init = _section(doc, "initial", required=True)
     if "seed" in init:
         seed = _get(init, "initial", "seed", int)
+        if seed < 0:
+            raise ValidationError(f"initial.seed: must be >= 0, got {seed}")
         lo = _get(init, "initial", "x_low", float, required=False, default=-1.0)
         hi = _get(init, "initial", "x_high", float, required=False, default=1.0)
         rng = np.random.default_rng(seed)
@@ -222,7 +229,7 @@ def scenario_from_json(doc: dict) -> Scenario:
         y0 = _vector(init, "initial", "y", n)
         dh0 = _vector(init, "initial", "delta_hat", n)
 
-    sdoc = doc.get("sim", {})
+    sdoc = _section(doc, "sim")
     t_final = _get(sdoc, "sim", "t_final", float, required=False, default=100.0)
     dt = _get(sdoc, "sim", "dt", float, required=False, default=1e-3)
     sample_every = _get(sdoc, "sim", "sample_every", int, required=False, default=10)

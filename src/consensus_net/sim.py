@@ -6,13 +6,11 @@ and repeated runs are bitwise identical.  Switch times that do not sit on
 the grid are rejected up front rather than rounded; scenario loading can
 adjust dt on request instead.
 
-``integrate`` accepts either a bundled closed loop (fast path, with the
-frozen-segment switching rule) or an arbitrary ``f(t, z) -> dz`` callable
-(plain Python path, for oracles and smooth test systems).  A closed loop is
-stepped from its coefficient blocks either as a linear recurrence folded per
-sample or one RK4 step at a time on a sparse system matrix, chosen from n,
-the step count and ``sample_every`` (see ``kernels``); the two agree to
-rounding.
+``integrate`` accepts either a ``dynamics.ClosedLoop``, which
+``kernels.rk4_closed_loop`` steps from its coefficient blocks and its
+``DisturbanceProfile`` (fast path, with the frozen-segment switching rule),
+or an arbitrary ``f(t, z) -> dz`` callable (plain Python path, for oracles
+and smooth test systems).
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .dynamics import DisturbanceProfile, MatchedLoop, SimState, UnmatchedLoop
+from .dynamics import ClosedLoop, DisturbanceProfile, SimState
 from .errors import IntegrationDivergedError, ValidationError
 
 #: returned by convergence_order when both refinement errors vanish
@@ -37,18 +35,14 @@ class SimParams:
     """Integration horizon and step control.
 
     ``sample_every`` records every k-th step (the first sample is always the
-    initial state).  The only supported method is classical fourth-order
-    Runge-Kutta.
+    initial state).
     """
 
     t_final: float
     dt: float = 1e-3
     sample_every: int = 1
-    method: str = "rk4"
 
     def __post_init__(self):
-        if self.method != "rk4":
-            raise ValidationError(f"method: only 'rk4' is supported, got {self.method!r}")
         if not (self.dt > 0 and math.isfinite(self.dt)):
             raise ValidationError(f"dt: must be positive, got {self.dt}")
         if not (self.t_final > 0 and math.isfinite(self.t_final)):
@@ -130,22 +124,15 @@ class Trajectory:
 
 def _check_switches_on_grid(profile: DisturbanceProfile, params: SimParams):
     for s in profile.switch_times:
-        k = round(s / params.dt)
+        steps = s / params.dt
+        if not math.isfinite(steps):
+            raise ValidationError(
+                f"disturbance switch at t = {s} is out of range for dt = {params.dt}")
+        k = round(steps)
         if abs(k * params.dt - s) > _GRID_TOL * max(1.0, abs(s)):
             raise ValidationError(
                 f"disturbance switch at t = {s} is not an integer multiple of dt = {params.dt}; "
                 "choose a compatible dt or use the align-dt option")
-
-
-def _profile_arrays(profile: DisturbanceProfile):
-    segs = profile.segments
-    return (
-        np.array([s.t_start for s in segs]),
-        np.array([s.base for s in segs]),
-        np.array([s.hyperbolic_coeff for s in segs]),
-        np.array([s.exp_coeff for s in segs]),
-        np.array([s.exp_rate for s in segs]),
-    )
 
 
 def _as_initial_vector(x0) -> np.ndarray:
@@ -161,19 +148,10 @@ def _as_initial_vector(x0) -> np.ndarray:
 def integrate(loop_or_field, x0, params: SimParams) -> Trajectory:
     """Run classical RK4 over the horizon and return the sampled trajectory.
 
-    ``loop_or_field`` is either a MatchedLoop/UnmatchedLoop (fast path,
-    disturbance switches validated against the grid) or a callable
-    ``f(t, z) -> dz`` (plain path; the field must be smooth over the horizon).
-
-    A closed loop is linear, z' = A z + E d(t) with A and E built from its
-    ``blocks()``, so one RK4 step is exactly
-    z+ = M z + Cb base + c0 s(t) + ch s(t+h/2) + c1 s(t+h) with s the
-    segment's scalar vanishing term.  ``kernels`` folds the steps between two
-    samples into one block operator and loops once per sample when
-    ``kernels.prefer_recurrence`` estimates that cheaper (small graphs, long
-    horizons), and otherwise takes one RK4 step at a time.  Both paths freeze
-    the disturbance segment at each step's left endpoint (the switching rule
-    in ``kernels``), also when a switch falls strictly between two samples.
+    ``loop_or_field`` is either a ``ClosedLoop`` (fast path, disturbance
+    switches validated against the grid; ``kernels`` describes its two paths
+    and the switching rule) or a callable ``f(t, z) -> dz`` (plain path; the
+    field must be smooth over the horizon).
 
     A non-finite state aborts with IntegrationDivergedError carrying the
     partial trajectory up to the last finite sample, and that sample's time.
@@ -182,14 +160,13 @@ def integrate(loop_or_field, x0, params: SimParams) -> Trajectory:
     times = np.arange(params.n_samples) * params.sample_dt
     out = np.empty((params.n_samples, z0.shape[0]))
 
-    if isinstance(loop_or_field, (MatchedLoop, UnmatchedLoop)):
+    if isinstance(loop_or_field, ClosedLoop):
         loop = loop_or_field
         if z0.shape[0] != 3 * loop.n_agents:
             raise ValidationError(
                 f"initial state: expected {3 * loop.n_agents} entries, got {z0.shape[0]}")
         _check_switches_on_grid(loop.profile, params)
-        written = kernels.rk4_closed_loop(*loop.blocks(), loop.lap.L, z0,
-                                          *_profile_arrays(loop.profile),
+        written = kernels.rk4_closed_loop(*loop.blocks(), loop.lap.L, z0, loop.profile,
                                           params.dt, params.n_steps, params.sample_every, out)
     else:
         field_fn = loop_or_field
@@ -229,8 +206,7 @@ def convergence_order(loop_or_field, x0, params: SimParams) -> float:
     level, e.g. for constant fields.
     """
     def final_state(dt_scale: int):
-        p = SimParams(t_final=params.t_final, dt=params.dt / dt_scale, sample_every=1,
-                      method=params.method)
+        p = SimParams(t_final=params.t_final, dt=params.dt / dt_scale, sample_every=1)
         traj = integrate(loop_or_field, x0, p)
         return traj.states[-1]
 

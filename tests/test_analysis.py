@@ -14,7 +14,6 @@ from consensus_net.analysis import (
     averaged_model_matched,
     averaged_model_unmatched,
     consensus_errors,
-    disturbance_at,
     estimation_limits,
     first_settling_time,
     fit_exponential_decay,
@@ -488,17 +487,17 @@ def _profiles(draw):
 
 @given(profile=_profiles(), extra=st.lists(st.floats(0.0, 300.0), max_size=5))
 @settings(max_examples=100, deadline=None)
-def test_disturbance_at_matches_eval_disturbance(profile, extra):
+def test_profile_at_matches_eval_disturbance(profile, extra):
     times = [0.0, *extra]
     for s in profile.switch_times:
         times += [s, np.nextafter(s, -np.inf), np.nextafter(s, np.inf)]
     for side in ("right", "left"):
-        got = disturbance_at(profile, times, side=side)
+        got = profile.at(times, side=side)
         for k, t in enumerate(times):
             assert np.array_equal(got[k], eval_disturbance(profile, t, side=side)), (side, t)
 
 
-def test_disturbance_at_rejects_negative_time():
+def test_profile_at_rejects_negative_time():
     profile = DisturbanceProfile.constant([0.1, 0.2])
     with pytest.raises(ValidationError, match="t: must be >= 0"):
-        disturbance_at(profile, [0.0, -1e-300])
+        profile.at([0.0, -1e-300])

@@ -156,6 +156,7 @@ _SPARSE_IMPORT_PROBE = """
 import sys
 import numpy as np
 from consensus_net import kernels, runner
+from consensus_net.dynamics import DisturbanceProfile
 from consensus_net.scenario import builtin_scenario
 for name in ("paper-matched", "paper-unmatched"):
     runner.run(builtin_scenario(name).with_overrides(t_final=2.0), sys.argv[1] + "/" + name)
@@ -165,8 +166,7 @@ L = np.diag(np.ones(300)) - np.diag(np.ones(299), -1)
 L[0, 0] = 0.0
 out = np.empty((2, 900))
 kernels.rk4_closed_loop(np.zeros((3, 3)), np.eye(3), np.ones(3), L, np.zeros(900),
-                        np.zeros(1), np.zeros((1, 300)), np.zeros(1), np.zeros(1), np.zeros(1),
-                        0.01, 1, 1, out)
+                        DisturbanceProfile.constant(np.zeros(300)), 0.01, 1, 1, out)
 print("scipy.sparse" in sys.modules)
 """
 
@@ -376,6 +376,48 @@ def test_cli_spectral_and_gain_errors_exit_2(tmp_path, capsys, argv):
     2 and one error line, no traceback."""
     _write_uncertifiable_inputs(tmp_path)
     rc = cli.main([a.format(tmp=tmp_path) for a in argv])
+    assert rc == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def _set(path, value):
+    """A change to a scenario document: ``value`` at the key ``path``."""
+    def apply(doc):
+        *parents, key = path
+        for k in parents:
+            doc = doc[k]
+        doc[key] = value
+    return apply
+
+
+@pytest.mark.parametrize("change", [
+    _set(["lyapunov"], 3),
+    _set(["disturbance"], {"segments": 5}),
+    _set(["initial"], {"seed": -1}),
+    _set(["initial"], {"seed": 1, "x_high": math.inf}),
+    _set(["disturbance", "segments", 1, "t_start"], 1e308),
+    _set(["disturbance", "segments", 1, "t_start"], math.inf),
+    _set(["lyapunov", "alpha"], math.inf),
+    _set(["lyapunov", "q_scale"], math.inf),
+    _set(["gains", "gamma1"], 1e308),
+    _set(["sim"], "fast"),
+    _set(["sim", "sample_every"], 2.5),
+    _set(["graph", "n"], 5.7),
+], ids=["lyapunov-not-object", "segments-not-list", "negative-seed", "infinite-x-high",
+        "huge-switch", "infinite-switch", "infinite-alpha", "infinite-q-scale", "huge-gain",
+        "sim-not-object", "fractional-sample-every", "fractional-n"])
+@pytest.mark.filterwarnings("error")
+def test_cli_malformed_scenario_exit_2(tmp_path, capsys, change):
+    """Every malformed field of a scenario is invalid input: exit code 2 and
+    one error line, never a traceback, a warning or a silently altered value."""
+    doc = scenario_to_json(builtin_scenario("paper-matched"))
+    doc["sim"]["t_final"] = 1.0
+    change(doc)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    rc = cli.main(["simulate", str(path), "--out", str(tmp_path / "out")])
     assert rc == cli.EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -22,7 +22,6 @@ from consensus_net.scenario import builtin_scenario
 from consensus_net.sim import (
     EXACT_ORDER,
     SimParams,
-    _profile_arrays,
     _rk4_generic,
     convergence_order,
     integrate,
@@ -199,8 +198,6 @@ def test_params_validation():
         SimParams(t_final=0.5, dt=1.0)
     with pytest.raises(ValidationError, match="sample_every"):
         SimParams(t_final=1.0, dt=0.1, sample_every=3)
-    with pytest.raises(ValidationError, match="method"):
-        SimParams(t_final=1.0, dt=0.1, method="euler")
 
 
 def test_single_step_horizon():
@@ -260,8 +257,7 @@ def _loop(mode, lap, profile):
 def _run(path, A, c_E, profile, z0, params):
     """One closed-loop path run directly; (written, out)."""
     out = np.empty((params.n_samples, z0.shape[0]))
-    written = path(A, c_E, z0, *_profile_arrays(profile),
-                   params.dt, params.n_steps, params.sample_every, out)
+    written = path(A, c_E, z0, profile, params.dt, params.n_steps, params.sample_every, out)
     return written, out
 
 
@@ -354,7 +350,7 @@ def _sparse_and_dense(mode, lap, profile, z0, params):
     assert not kernels.prefer_recurrence(lap.n_agents, np.count_nonzero(lap.L),
                                          params.n_steps, params.sample_every)
     sparse = np.empty((params.n_samples, z0.shape[0]))
-    w_sparse = kernels.rk4_closed_loop(C_L, C_I, c_E, lap.L, z0, *_profile_arrays(profile),
+    w_sparse = kernels.rk4_closed_loop(C_L, C_I, c_E, lap.L, z0, profile,
                                        params.dt, params.n_steps, params.sample_every, sparse)
     dense = _run(kernels._rk4_stage, kernels._dense_system(C_L, C_I, lap.L), c_E,
                  profile, z0, params)
@@ -423,7 +419,7 @@ def test_sparse_stage_body_divergence(mode):
                                              one.n_steps, one.sample_every)
         nxt = np.empty((2, z0.shape[0]))
         assert kernels.rk4_closed_loop(*_loop(mode, lap, profile).blocks(), lap.L,
-                                       out[written - 1], *_profile_arrays(profile),
+                                       out[written - 1], profile,
                                        one.dt, one.n_steps, one.sample_every, nxt) == 1
 
 
