@@ -12,7 +12,10 @@ the output directory:
 
 All files are written atomically (temp file + rename) with fixed formatting
 (17 significant digits, '.' decimal separator, '\\n' line endings) so a rerun
-of the same scenario produces identical bytes.
+of the same scenario produces identical bytes.  The JSON files are
+``json.dumps(doc, indent=2, sort_keys=True)``; ``certification_json_text``
+splices P's rows into that text instead of encoding them, with the same
+bytes.
 """
 
 from __future__ import annotations
@@ -76,6 +79,34 @@ def _atomic_write(path: Path, chunks: list) -> None:
 
 def _json_chunks(doc) -> list:
     return [json.dumps(doc, indent=2, sort_keys=True), "\n"]
+
+
+#: stands in for ``certificate.P`` while the rest of the document is dumped
+_P_SLOT = "P rows"
+
+
+def certification_json_text(doc: dict) -> list:
+    """``_json_chunks(doc)`` for the certification document, without running
+    the n^2 entries of ``doc["certificate"]["P"]`` (a list of rows of floats)
+    through the pure-Python encoder that ``indent`` selects.
+
+    The rest of the document is dumped with ``P`` replaced by a placeholder,
+    and ``P``'s text is built from ``repr`` of the rows, which spells every
+    finite float as ``json`` does, in ``json``'s 2-space layout.  The keys
+    are sorted, and ``certificate`` is the first key of the document and
+    ``P`` the first of the certificate, so the placeholder's first occurrence
+    is the one to replace.  JSON has no spelling for a non-finite float.
+    """
+    rows = doc["certificate"]["P"]
+    head, tail = json.dumps(
+        {**doc, "certificate": {**doc["certificate"], "P": _P_SLOT}},
+        indent=2, sort_keys=True).split(json.dumps(_P_SLOT), 1)
+    body = repr(rows)[2:-2].replace("], [", "\n      ],\n      [\n        ")
+    body = body.replace(", ", ",\n        ")
+    # "nan", "inf" and "-inf" are the only float reprs with an "n"
+    if "n" in body:
+        raise ValueError("certificate P has non-finite entries, which JSON cannot hold")
+    return [head, "[\n      [\n        ", body, "\n      ]\n    ]", tail, "\n"]
 
 
 def _csv_chunks(header, columns: list) -> list:
@@ -222,14 +253,14 @@ def run(sc: Scenario, out_dir, align_dt_to: float | None = None) -> RunArtifacts
     except IntegrationDivergedError as exc:
         if exc.partial is not None:
             _atomic_write(arts.trajectory_csv, trajectory_csv_text(exc.partial))
-        _atomic_write(arts.certification_json, _json_chunks(cert_doc))
+        _atomic_write(arts.certification_json, certification_json_text(cert_doc))
         raise
     metrics = analysis.trajectory_metrics(traj, lap.v_left, sc.gains, sc.disturbance, cert.P)
     summary = _summary(sc, traj, metrics, lap, cert, report)
     _atomic_write(arts.trajectory_csv, trajectory_csv_text(traj))
     _atomic_write(arts.metrics_csv, metrics_csv_text(metrics))
     _atomic_write(arts.summary_json, _json_chunks(summary))
-    _atomic_write(arts.certification_json, _json_chunks(cert_doc))
+    _atomic_write(arts.certification_json, certification_json_text(cert_doc))
     return arts
 
 

@@ -149,9 +149,10 @@ def integrate(loop_or_field, x0, params: SimParams) -> Trajectory:
     """Run classical RK4 over the horizon and return the sampled trajectory.
 
     ``loop_or_field`` is either a ``ClosedLoop`` (fast path, disturbance
-    switches validated against the grid; ``kernels`` describes its two paths
-    and the switching rule) or a callable ``f(t, z) -> dz`` (plain path; the
-    field must be smooth over the horizon).
+    switches validated against the grid and its coefficient blocks checked
+    finite; ``kernels`` describes its two paths and the switching rule) or a
+    callable ``f(t, z) -> dz`` (plain path; the field must be smooth over the
+    horizon).
 
     A non-finite state aborts with IntegrationDivergedError carrying the
     partial trajectory up to the last finite sample, and that sample's time.
@@ -166,7 +167,11 @@ def integrate(loop_or_field, x0, params: SimParams) -> Trajectory:
             raise ValidationError(
                 f"initial state: expected {3 * loop.n_agents} entries, got {z0.shape[0]}")
         _check_switches_on_grid(loop.profile, params)
-        written = kernels.rk4_closed_loop(*loop.blocks(), loop.lap.L, z0, loop.profile,
+        blocks = loop.blocks()
+        if not all(np.isfinite(block).all() for block in blocks):
+            raise ValidationError(
+                f"{loop.mode} loop: the gains give non-finite system coefficients")
+        written = kernels.rk4_closed_loop(*blocks, loop.lap.L, z0, loop.profile,
                                           params.dt, params.n_steps, params.sample_every, out)
     else:
         field_fn = loop_or_field

@@ -14,7 +14,8 @@ from consensus_net import cli, runner, spectral
 from consensus_net.analysis import BLOCK_VALUES
 from consensus_net.dynamics import eval_disturbance
 from consensus_net.errors import DegenerateSpectrumError, ValidationError
-from consensus_net.graph import build_laplacian
+from consensus_net.gains import certify_matched
+from consensus_net.graph import DirectedGraph, build_laplacian
 from consensus_net.scenario import (
     aligned_dt,
     builtin_scenario,
@@ -24,6 +25,8 @@ from consensus_net.scenario import (
     scenario_to_json,
 )
 from consensus_net.sim import SimParams, Trajectory
+
+from conftest import random_tree_graph
 
 
 def test_builtin_paper_matched_values():
@@ -392,6 +395,18 @@ def _set(path, value):
     return apply
 
 
+def _unmatched(change):
+    """``change`` made to the paper-unmatched document, with the horizon of the
+    document it replaces."""
+    def apply(doc):
+        t_final = doc["sim"]["t_final"]
+        doc.clear()
+        doc.update(scenario_to_json(builtin_scenario("paper-unmatched")))
+        doc["sim"]["t_final"] = t_final
+        change(doc)
+    return apply
+
+
 @pytest.mark.parametrize("change", [
     _set(["lyapunov"], 3),
     _set(["disturbance"], {"segments": 5}),
@@ -405,9 +420,12 @@ def _set(path, value):
     _set(["sim"], "fast"),
     _set(["sim", "sample_every"], 2.5),
     _set(["graph", "n"], 5.7),
+    # finite gains whose unmatched coefficient blocks overflow
+    _unmatched(_set(["gains", "nu"], 1e308)),
+    _unmatched(_set(["gains", "k_s"], 1e308)),
 ], ids=["lyapunov-not-object", "segments-not-list", "negative-seed", "infinite-x-high",
         "huge-switch", "infinite-switch", "infinite-alpha", "infinite-q-scale", "huge-gain",
-        "sim-not-object", "fractional-sample-every", "fractional-n"])
+        "sim-not-object", "fractional-sample-every", "fractional-n", "huge-nu", "huge-k-s"])
 @pytest.mark.filterwarnings("error")
 def test_cli_malformed_scenario_exit_2(tmp_path, capsys, change):
     """Every malformed field of a scenario is invalid input: exit code 2 and
@@ -492,3 +510,49 @@ def test_run_writes_reference_bytes(tmp_path):
     arts = runner.run(sc, tmp_path / "out")
     names, data = runner.read_csv(arts.trajectory_csv)
     _assert_same_text(arts.trajectory_csv.read_bytes().decode(), _reference_csv(names, data))
+
+
+def _certification_doc(P, name="writer"):
+    """A certification document as runner.run builds it, around ``P``."""
+    sc = builtin_scenario("paper-matched")
+    report = certify_matched(sc.gains, spectral.solve_P(build_laplacian(sc.graph)))
+    certificate = {"n": len(P), "P": P, "alpha": 1.0, "residual": 5e-17, "lambda_P": 1.5,
+                   "lambda_L": 2.0, "min_eig_P": 0.25, "cond_P": 6.0}
+    return {"report": report.to_json(), "certificate": certificate, "scenario": name,
+            "mode": "matched"}
+
+
+def _writer_P(case):
+    """P of a solved certificate of 1, 2 or 600 agents, or awkward floats."""
+    if case == "awkward-values":
+        return [[-0.0, 5e-324, 1e-300], [1e300, 1.0, -2.0], [1e16, 0.1, -5e-324]]
+    graph = {"n1": lambda: DirectedGraph(np.zeros((1, 1))),
+             "n2": lambda: DirectedGraph(np.array([[0.0, 0.0], [1.0, 0.0]])),
+             "n600": lambda: random_tree_graph(np.random.default_rng(3), 600)}[case]()
+    return spectral.solve_P(build_laplacian(graph)).P.tolist()
+
+
+@pytest.mark.parametrize("case", ["n1", "n2", "n600", "awkward-values"])
+def test_certification_json_is_the_indented_dump(case):
+    """The spliced certification text is the indented, key-sorted dump,
+    character for character, also when the scenario is named like the
+    placeholder that stands in for P."""
+    P = _writer_P(case)
+    for name in ("writer", runner._P_SLOT):
+        doc = _certification_doc(P, name)
+        _assert_same_text("".join(runner.certification_json_text(doc)),
+                          json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+@pytest.mark.parametrize("name", ["paper-matched", "paper-unmatched"])
+def test_run_writes_indented_certification_json(tmp_path, name):
+    arts = runner.run(builtin_scenario(name).with_overrides(t_final=2.0), tmp_path / "out")
+    text = arts.certification_json.read_text()
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_certification_json_rejects_non_finite_P(bad):
+    """JSON cannot spell a non-finite float; the writer raises instead."""
+    with pytest.raises(ValueError, match="non-finite"):
+        runner.certification_json_text(_certification_doc([[1.0, bad], [bad, 1.0]]))

@@ -12,7 +12,14 @@ from consensus_net import spectral
 from consensus_net.errors import ConsensusNetError, DegenerateSpectrumError, ValidationError
 from consensus_net.graph import DirectedGraph, build_laplacian
 from consensus_net.scenario import builtin_scenario
-from consensus_net.spectral import _KRON_MAX_N, _shifted_schur, solve_P, spectral_norm
+from consensus_net.spectral import (
+    _KRON_MAX_N,
+    _TRSYL_BLOCK,
+    _lyapunov_blocked,
+    _shifted_schur,
+    solve_P,
+    spectral_norm,
+)
 
 from conftest import GRAPH_FAMILIES, random_family_graph, random_tree_graph
 
@@ -204,3 +211,112 @@ def test_builtin_certificate_identical_on_both_paths(name):
     assert sc.n_agents <= _KRON_MAX_N
     kron, schur = (_solve_on_path(lap, sc.alpha, schur, Q) for schur in (False, True))
     assert np.array_equal(kron.P, schur.P)
+
+
+def _schur_form(rng, n, on_midpoints):
+    """A random real Schur form of order ``n`` with eigenvalues of real part
+    in [-3, -0.5]: about 40 % of its rows in standardised 2x2 blocks (equal
+    diagonal entries, off-diagonal entries of opposite signs).  With
+    ``on_midpoints`` a 2x2 block straddles the middle row of every diagonal
+    block of more than _TRSYL_BLOCK rows that halving at the middle, moved
+    one row down past such a block, produces; ``moved`` holds the order and
+    split row of each such diagonal block."""
+    starts, moved = set(), set()
+
+    def straddle(lo, hi):
+        if hi - lo > _TRSYL_BLOCK:
+            mid = lo + (hi - lo) // 2
+            starts.add(mid - 1)
+            moved.add((hi - lo, mid + 1 - lo))
+            straddle(lo, mid + 1)
+            straddle(mid + 1, hi)
+
+    if on_midpoints:
+        straddle(0, n)
+    r = np.triu(rng.normal(size=(n, n)) / np.sqrt(n), 1)
+    i = 0
+    while i < n:
+        if i in starts or (i + 1 < n and i + 1 not in starts and rng.random() < 0.25):
+            r[i, i] = r[i + 1, i + 1] = -rng.uniform(0.5, 3.0)
+            r[i, i + 1] = rng.uniform(0.2, 2.0)
+            r[i + 1, i] = -rng.uniform(0.2, 2.0)
+            i += 2
+        else:
+            r[i, i] = -rng.uniform(0.5, 3.0)
+            i += 1
+    return r, moved
+
+
+@given(st.integers(min_value=_TRSYL_BLOCK + 1, max_value=300),
+       st.integers(min_value=0, max_value=2 ** 32 - 1), st.booleans())
+@settings(max_examples=40, deadline=None)
+@example(n=300, seed=5, on_midpoints=True)
+def test_blocked_lyapunov_matches_one_dtrsyl(n, seed, on_midpoints):
+    """The recursive blocked solve of r Y + Y r^T = f agrees with one dtrsyl
+    call on the whole matrix, and never splits a 2x2 block."""
+    rng = np.random.default_rng(seed)
+    r, moved = _schur_form(rng, n, on_midpoints)
+    assert np.any(np.diag(r, -1) != 0.0)
+    g = rng.normal(size=(n, n))
+    f = -(g @ g.T + np.eye(n))
+    y_whole, scale, info = scipy.linalg.lapack.dtrsyl(r, r, f, tranb="T")
+    assert (scale, info) == (1.0, 0)
+    split, splits = spectral._split, set()
+
+    def recording_split(t):
+        k = split(t)
+        assert t[k, k - 1] == 0.0, "split inside a 2x2 block"
+        splits.add((t.shape[0], k))
+        return k
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_split", recording_split)
+        y = _lyapunov_blocked(r, f)
+    assert np.abs(y - y_whole).max() <= 1e-12 * np.abs(y_whole).max()
+    assert splits
+    if on_midpoints:
+        # every split was moved one row down, past the block on the middle
+        assert splits == moved
+
+
+def _whole_dtrsyl_P(lap, alpha=1.0):
+    """solve_P with one dtrsyl call for the whole Schur factor."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_TRSYL_BLOCK", lap.n_agents)
+        return solve_P(lap, alpha=alpha).P
+
+
+def test_blocked_solve_on_600_agent_tree():
+    """A 600-agent tree, the order of the large-graph benchmark: the blocked
+    solve's certificate agrees with the one-call certificate and passes the
+    residual gate."""
+    lap = build_laplacian(random_tree_graph(np.random.default_rng(600), 600))
+    cert = solve_P(lap)
+    P_whole = _whole_dtrsyl_P(lap)
+    assert np.abs(cert.P - P_whole).max() <= 1e-13 * np.abs(P_whole).max()
+    assert cert.residual < spectral._RESIDUAL_TOL
+    assert cert.min_eig_P > 0
+
+
+@pytest.mark.parametrize("scale, info", [(0.5, 0), (1.0, 1)], ids=["rescaled", "perturbed"])
+def test_blocked_solve_falls_back_to_one_dtrsyl(scale, info):
+    """When a dtrsyl call of the blocked solve rescales its solution or
+    reports an info code, the whole factor is solved by one dtrsyl call, which
+    gives today's single-call certificate bit for bit."""
+    n = 100
+    lap = build_laplacian(random_tree_graph(np.random.default_rng(7), n, extra_edges=n))
+    real = scipy.linalg.lapack.dtrsyl
+    orders = []
+
+    def flagging_dtrsyl(a, b, c, **kwargs):
+        orders.append(a.shape[0])
+        x, one, zero = real(a, b, c, **kwargs)
+        if a.shape[0] < n:
+            return x * scale, scale, info
+        return x, one, zero
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scipy.linalg.lapack, "dtrsyl", flagging_dtrsyl)
+        P = solve_P(lap).P
+    assert orders[0] < n and orders[-1] == n and orders.count(n) == 1
+    assert np.array_equal(P, _whole_dtrsyl_P(lap))

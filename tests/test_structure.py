@@ -51,3 +51,30 @@ def test_disturbance_offset_only_in_dynamics():
             or (isinstance(node, ast.Constant) and type(node.value) is float
                 and node.value == HYPERBOLIC_OFFSET)]
     assert uses == []
+
+
+def _imports_run_at_import(tree):
+    """(line, module) of every import that runs when the module is imported:
+    everything outside a function body."""
+    found, pending = [], list(tree.body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append((node.lineno, node.module))
+        pending.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_no_module_level_scipy_import():
+    """scipy is imported inside the functions that need it: importing
+    ``scipy.linalg`` costs about 0.2 s and 25 MiB per process, and the
+    builtin runs never need it.  A static companion to the fresh-interpreter
+    tests in test_scenario_cli."""
+    found = [(module, line, name) for module, tree in TREES.items()
+             for line, name in _imports_run_at_import(tree)
+             if name == "scipy" or name.startswith("scipy.")]
+    assert found == []
