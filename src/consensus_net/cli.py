@@ -12,7 +12,8 @@ Subcommands:
 ``paper-unmatched``).  The CONSENSUS_NET_OUT environment variable overrides
 the default output directory.  Exit codes: 0 success, 2 invalid input (bad
 data, a graph whose spectrum cannot be certified, infeasible gains, values so
-extreme that a matrix routine fails), 3 numerical divergence, 4 I/O failure.
+extreme that a matrix routine fails, a horizon whose arrays cannot be
+allocated), 3 numerical divergence, 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -218,15 +219,19 @@ def _cmd_plot(args) -> int:
         cols = [(name, data[:, k]) for k, name in enumerate(names) if name.startswith(series + "_")]
         title = {"x": "positions", "y": "velocities", "dhat": "integral actions"}[series]
         y_label = series
-    elif series == "errors":
-        wanted = ("ex_norm", "ey_norm", "ed_norm")
-        cols = [(name, data[:, names.index(name)]) for name in wanted]
-        title = "consensus error norms"
-        y_label = "norm"
     else:
-        cols = [("lyap", data[:, names.index("lyap")])]
-        title = "Lyapunov value"
-        y_label = "value"
+        if series == "errors":
+            wanted = ("ex_norm", "ey_norm", "ed_norm")
+            title = "consensus error norms"
+            y_label = "norm"
+        else:
+            wanted = ("lyap",)
+            title = "Lyapunov value"
+            y_label = "value"
+        missing = [name for name in wanted if name not in names]
+        if missing:
+            raise ValidationError(f"{csv_path}: missing column(s) {', '.join(missing)}")
+        cols = [(name, data[:, names.index(name)]) for name in wanted]
     out_path = Path(args.out) if args.out else run_dir / f"{series}.svg"
     svgchart.write_line_chart(out_path, title, "time [s]", y_label, t, cols)
     print(f"wrote {out_path}")
@@ -257,6 +262,10 @@ def main(argv=None) -> int:
     except np.linalg.LinAlgError as exc:
         # input so extreme (a gain of 1e308, say) that a matrix routine fails
         print(f"error: linear algebra failed on this input: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError as exc:
+        # a horizon so long, or a dt so small, that its arrays cannot exist
+        print(f"error: not enough memory for this input: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

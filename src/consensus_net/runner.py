@@ -15,7 +15,8 @@ All files are written atomically (temp file + rename) with fixed formatting
 of the same scenario produces identical bytes.  The JSON files are
 ``json.dumps(doc, indent=2, sort_keys=True)``; ``certification_json_text``
 splices P's rows into that text instead of encoding them, with the same
-bytes.
+bytes, and formats each distinct bit pattern of P once (P is symmetric, so
+about half of its n^2 entries repeat).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import analysis
 from .dynamics import MatchedLoop, UnmatchedLoop
-from .errors import IntegrationDivergedError, NoOrbitError, SignalFitError
+from .errors import IntegrationDivergedError, NoOrbitError, SignalFitError, ValidationError
 from .gains import certify_matched, certify_unmatched, is_S_hurwitz
 from .graph import build_laplacian
 from .kernels import largest_divisor_at_most
@@ -64,7 +65,7 @@ class RunArtifacts:
                 self.certification_json)
 
 
-def _atomic_write(path: Path, chunks: list) -> None:
+def _atomic_write(path: Path, chunks) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
@@ -85,28 +86,47 @@ def _json_chunks(doc) -> list:
 _P_SLOT = "P rows"
 
 
-def certification_json_text(doc: dict) -> list:
+def certification_json_text(doc: dict):
     """``_json_chunks(doc)`` for the certification document, without running
-    the n^2 entries of ``doc["certificate"]["P"]`` (a list of rows of floats)
-    through the pure-Python encoder that ``indent`` selects.
+    the n^2 entries of ``doc["certificate"]["P"]`` (rows of floats) through
+    the pure-Python encoder that ``indent`` selects.
 
     The rest of the document is dumped with ``P`` replaced by a placeholder,
-    and ``P``'s text is built from ``repr`` of the rows, which spells every
-    finite float as ``json`` does, in ``json``'s 2-space layout.  The keys
-    are sorted, and ``certificate`` is the first key of the document and
-    ``P`` the first of the certificate, so the placeholder's first occurrence
-    is the one to replace.  JSON has no spelling for a non-finite float.
+    and ``P``'s text is built from ``repr``, which spells every finite float
+    as ``json`` does, in ``json``'s 2-space layout.  Each distinct bit
+    pattern of ``P`` is formatted once and gathered back into place; bit
+    patterns, not values, so that ``0.0`` and ``-0.0`` keep their spellings.
+    The keys are sorted, and ``certificate`` is the first key of the document
+    and ``P`` the first of the certificate, so the placeholder's first
+    occurrence is the one to replace.  JSON has no spelling for a non-finite
+    float, so such a ``P`` raises ``ValueError`` here, before any text.  The
+    chunks come one row of ``P`` at a time, not as one string.
     """
     rows = doc["certificate"]["P"]
+    bits, index = np.unique(np.asarray(rows, dtype=np.float64).view(np.int64),
+                            return_inverse=True)
+    values = bits.view(np.float64)
+    if not np.isfinite(values).all():
+        raise ValueError("certificate P has non-finite entries, which JSON cannot hold")
     head, tail = json.dumps(
         {**doc, "certificate": {**doc["certificate"], "P": _P_SLOT}},
         indent=2, sort_keys=True).split(json.dumps(_P_SLOT), 1)
-    body = repr(rows)[2:-2].replace("], [", "\n      ],\n      [\n        ")
-    body = body.replace(", ", ",\n        ")
-    # "nan", "inf" and "-inf" are the only float reprs with an "n"
-    if "n" in body:
-        raise ValueError("certificate P has non-finite entries, which JSON cannot hold")
-    return [head, "[\n      [\n        ", body, "\n      ]\n    ]", tail, "\n"]
+    spelled = np.array([repr(v) for v in values.tolist()], dtype=object)
+    return _p_chunks(head, spelled, index.reshape(len(rows), -1), tail)
+
+
+def _p_chunks(head: str, spelled: np.ndarray, index: np.ndarray, tail: str):
+    """The certification text around ``P``, one chunk per row of ``P``:
+    ``spelled[index[i, j]]`` is the text of ``P[i, j]``."""
+    yield head
+    yield "[\n      [\n        "
+    for i, row in enumerate(index):
+        if i:
+            yield "\n      ],\n      [\n        "
+        yield ",\n        ".join(spelled[row].tolist())
+    yield "\n      ]\n    ]"
+    yield tail
+    yield "\n"
 
 
 def _csv_chunks(header, columns: list) -> list:
@@ -265,14 +285,29 @@ def run(sc: Scenario, out_dir, align_dt_to: float | None = None) -> RunArtifacts
 
 
 def read_csv(path) -> tuple[list, np.ndarray]:
-    """Read one of the artifact CSVs back: (column names, data matrix)."""
+    """Read one of the artifact CSVs back: (column names, data matrix).
+
+    Raises ValidationError naming the file, and the line of a row whose
+    field count differs from the header's or that holds a non-number."""
     with open(path) as fh:
         header = fh.readline().strip()
         if not header:
-            raise ValueError(f"{path}: empty file")
+            raise ValidationError(f"{path}: empty file")
         names = header.split(",")
         body = fh.read().strip()
     if not body:
         return names, np.empty((0, len(names)))
     rows = [line.split(",") for line in body.split("\n")]
-    return names, np.array(rows, dtype=float)
+    for line, row in enumerate(rows, start=2):
+        if len(row) != len(names):
+            raise ValidationError(f"{path}, line {line}: {len(row)} fields, "
+                                  f"but the header has {len(names)}")
+    try:
+        return names, np.array(rows, dtype=float)
+    except ValueError:
+        for line, row in enumerate(rows, start=2):
+            try:
+                np.array(row, dtype=float)
+            except ValueError as exc:
+                raise ValidationError(f"{path}, line {line}: {exc}") from None
+        raise

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from consensus_net import cli, runner, spectral
 from consensus_net.analysis import BLOCK_VALUES
@@ -453,6 +455,35 @@ def test_plot_empty_trajectory(tmp_path):
     assert rc == cli.EXIT_VALIDATION
 
 
+def test_cli_horizon_too_long_for_memory_exit_2(tmp_path, capsys):
+    """A 1 s horizon at dt = 1e-15 has 1e14 samples, a 728 TiB time grid: more
+    than the x86-64 user address space, so the allocation fails at once under
+    any overcommit setting.  Exit 2, not a MemoryError traceback."""
+    rc = cli.main(["simulate", "paper-matched", "--dt", "1e-15", "--t-final", "1",
+                   "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "memory" in err
+
+
+@pytest.mark.parametrize("artifact, text, series, says", [
+    ("metrics.csv", "t,ey_norm,ed_norm\n0,1,2\n", "errors", "missing column(s) ex_norm"),
+    ("metrics.csv", "t,ex_norm,ey_norm,ed_norm\n0,1,2,3\n", "lyapunov", "missing column(s) lyap"),
+    ("trajectory.csv", "t,x_1\n0,1\n0.5,abc\n", "x", "line 3"),
+    ("trajectory.csv", "t,x_1\n0,1\n0.5\n", "x", "line 3"),
+], ids=["no-ex-norm", "no-lyap", "non-numeric-cell", "ragged-row"])
+def test_cli_plot_malformed_artifact_exit_2(tmp_path, capsys, artifact, text, series, says):
+    """A malformed artifact is invalid input: exit 2 and one error line that
+    names the file, never a traceback."""
+    (tmp_path / artifact).write_text(text)
+    rc = cli.main(["plot", str(tmp_path), "--series", series])
+    assert rc == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert artifact in err and says in err
+
+
 def _reference_csv(header, rows) -> str:
     """The writer the block writer replaced: one f-string per value."""
     lines = [",".join(header)]
@@ -525,7 +556,7 @@ def _certification_doc(P, name="writer"):
 def _writer_P(case):
     """P of a solved certificate of 1, 2 or 600 agents, or awkward floats."""
     if case == "awkward-values":
-        return [[-0.0, 5e-324, 1e-300], [1e300, 1.0, -2.0], [1e16, 0.1, -5e-324]]
+        return [[-0.0, 5e-324, 1e-300], [1e300, 1.0, 0.0], [1e16, 0.1, -5e-324]]
     graph = {"n1": lambda: DirectedGraph(np.zeros((1, 1))),
              "n2": lambda: DirectedGraph(np.array([[0.0, 0.0], [1.0, 0.0]])),
              "n600": lambda: random_tree_graph(np.random.default_rng(3), 600)}[case]()
@@ -542,6 +573,22 @@ def test_certification_json_is_the_indented_dump(case):
         doc = _certification_doc(P, name)
         _assert_same_text("".join(runner.certification_json_text(doc)),
                           json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+#: few values, so that draws repeat them; both zeros, so that a writer that
+#: merges equal values instead of equal bit patterns misspells one of them
+_P_POOL = (0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e300, 1e16, 0.1, 1.0, -2.0, 3.0, 1e5)
+
+
+@given(st.integers(1, 8).flatmap(lambda n: st.lists(
+    st.lists(st.sampled_from(_P_POOL), min_size=n, max_size=n), min_size=n, max_size=n)))
+@settings(max_examples=100, deadline=None)
+def test_certification_json_of_any_square_P(P):
+    """Any square P, symmetric or not, with repeated values: the spliced
+    text is the indented, key-sorted dump."""
+    doc = _certification_doc(P)
+    _assert_same_text("".join(runner.certification_json_text(doc)),
+                      json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 @pytest.mark.parametrize("name", ["paper-matched", "paper-unmatched"])
