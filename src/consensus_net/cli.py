@@ -35,7 +35,7 @@ from .errors import (
 )
 from .gains import MatchedGains, certify_matched, suggest_matched
 from .graph import build_laplacian, graph_from_json
-from .scenario import BUILTIN_NAMES, load_scenario
+from .scenario import BUILTIN_NAMES, load_scenario, read_json_file
 from .spectral import solve_P
 
 EXIT_OK = 0
@@ -89,14 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_graph_analyze(args) -> int:
-    path = Path(args.file)
-    if not path.exists():
-        raise ValidationError(f"graph file not found: {path}")
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: invalid JSON ({exc})") from None
-    g = graph_from_json(doc)
+    g = graph_from_json(read_json_file(args.file, "graph"))
     lap = build_laplacian(g)
     print(f"agents: {g.n_agents}")
     print(f"spanning tree: {'yes' if lap.has_spanning_tree else 'no'}")

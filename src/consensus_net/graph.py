@@ -108,16 +108,17 @@ def build_laplacian(g: DirectedGraph) -> LaplacianData:
     L @ ones == 0 holds by construction.  The spanning-tree flag, the left
     eigenvector of the zero eigenvalue and the spectral-norm bound are
     computed here once and carried along with the matrix: one eigenvalue
-    decomposition serves the simple-zero and right-half-plane checks, and one
-    SVD of L^T gives both the left null vector and the spectral norm.
+    decomposition serves the simple-zero and right-half-plane checks, the
+    singular values of L^T give the spectral norm, and the left null vector
+    comes from the SVD of the root component's block alone
+    (``_left_null_vector``), with exact zeros everywhere else.
     """
     w = g.weights
     L = np.diag(w.sum(axis=1)) - w
-    tree = has_spanning_tree(g)
-    s, vt = np.linalg.svd(L.T)[1:]
-    if tree:
+    root = _root_component(L != 0)
+    if root is not None:
         eigs = np.linalg.eigvals(L)
-        v = _left_null_vector(L, eigs, vt[-1])
+        v = _left_null_vector(L, eigs, root)
         # all eigenvalues except the (simple) zero one must sit strictly in
         # the right half plane
         rhp = L.shape[0] == 1 or bool(np.sort(eigs.real)[1] > 0)
@@ -126,9 +127,9 @@ def build_laplacian(g: DirectedGraph) -> LaplacianData:
         rhp = False
     return LaplacianData(
         L=L,
-        has_spanning_tree=tree,
+        has_spanning_tree=root is not None,
         v_left=v,
-        lambda_L=float(s[0]),
+        lambda_L=float(np.linalg.svd(L.T, compute_uv=False)[0]),
         nonzero_eigenvalue_real_parts_positive=rhp,
     )
 
@@ -147,16 +148,34 @@ def _reach(succ: list, root: int, seen: np.ndarray) -> None:
 def has_spanning_tree(g: DirectedGraph) -> bool:
     """True iff some root agent reaches every agent along transmit direction.
 
-    Transmit direction: j -> i exists when weights[i, j] > 0.  Checked with
-    two reachability passes (the mother-vertex argument): the first sweeps
-    all agents, starting a new search from each agent not yet reached; if any
-    agent reaches everyone, so does the last start of that sweep, because an
-    earlier search that reached such an agent would have reached every later
-    start too.  The second pass searches from that last start alone.
+    Transmit direction: j -> i exists when weights[i, j] > 0.
     """
-    n = g.n_agents
-    src, dst = np.nonzero(g.weights.T > 0)  # edge src -> dst, sorted by src
-    succ = [a.tolist() for a in np.split(dst, np.searchsorted(src, np.arange(1, n)))]
+    return _root_component(g.weights > 0) is not None
+
+
+def _neighbours(m: np.ndarray) -> list:
+    """Column indices of the true entries of each row of the boolean ``m``."""
+    rows, cols = np.nonzero(m)
+    return [a.tolist() for a in np.split(cols, np.searchsorted(rows, np.arange(1, m.shape[0])))]
+
+
+def _root_component(listens: np.ndarray) -> np.ndarray | None:
+    """Mask of the agents that reach every agent, or None when none does.
+
+    ``listens[i, j]`` means the edge j -> i (a true diagonal is a self loop,
+    which changes no reachability).  Found with three reachability passes
+    (the mother-vertex argument).  The first sweeps all agents, starting a
+    new search from each agent not yet reached; if any agent reaches
+    everyone, so does the last start of that sweep, because an earlier
+    search that reached such an agent would have reached every later start
+    too.  The second pass searches from that last start alone.  The third,
+    against the edges, finds the agents that reach it: exactly those that
+    reach everyone.  They form the root component, a strongly connected set
+    that listens to no agent outside it, so the left null vector of the
+    Laplacian is zero off it.
+    """
+    n = listens.shape[0]
+    succ, pred = _neighbours(listens.T), _neighbours(listens)
     seen = np.zeros(n, dtype=bool)
     last = 0
     for root in range(n):
@@ -165,25 +184,36 @@ def has_spanning_tree(g: DirectedGraph) -> bool:
             _reach(succ, root, seen)
     seen[:] = False
     _reach(succ, last, seen)
-    return bool(seen.all())
+    if not seen.all():
+        return None
+    seen[:] = False
+    _reach(pred, last, seen)
+    return seen
 
 
 def left_eigenvector(L: np.ndarray) -> np.ndarray:
     """Nonnegative left null vector of L, normalized so its entries sum to 1.
 
-    Computed from the null space of L^T via SVD (rank-revealing, robust for
-    the exactly known zero eigenvalue).  Raises DegenerateSpectrumError when
-    the zero eigenvalue is numerically non-simple.  Entries may be exactly
-    zero when the graph is not strongly connected; tiny negative entries
-    (>= -1e-12) are clamped to zero.
+    Computed from the null space of the root component's block of L^T via SVD
+    (rank-revealing, robust for the exactly known zero eigenvalue), and
+    exactly zero off that component; agent i listens to agent j where
+    L[i, j] != 0.  Raises DegenerateSpectrumError when the zero eigenvalue
+    is numerically non-simple or no agent reaches every agent.  Tiny
+    negative entries (>= -1e-12) are clamped to zero.
     """
     L = np.asarray(L, dtype=float)
-    return _left_null_vector(L, np.linalg.eigvals(L), np.linalg.svd(L.T)[2][-1])
+    return _left_null_vector(L, np.linalg.eigvals(L), _root_component(L != 0))
 
 
-def _left_null_vector(L: np.ndarray, eigs: np.ndarray, null: np.ndarray) -> np.ndarray:
-    """``left_eigenvector`` from the eigenvalues of L and the last right
-    singular vector of L^T, both computed by the caller."""
+def _left_null_vector(L: np.ndarray, eigs: np.ndarray, root: np.ndarray | None) -> np.ndarray:
+    """``left_eigenvector`` from the eigenvalues of L and the mask of its root
+    component, both computed by the caller.
+
+    The agents of the root component listen to no one outside it, so its
+    block of L has zero row sums, and the block's left null vector, padded
+    with zeros, is L's.  An SVD of the block alone finds it without the
+    rounding noise a full SVD leaves on the other agents.
+    """
     n = L.shape[0]
     if n == 1:
         return np.array([1.0])
@@ -192,10 +222,16 @@ def _left_null_vector(L: np.ndarray, eigs: np.ndarray, null: np.ndarray) -> np.n
         raise DegenerateSpectrumError(
             f"zero eigenvalue of L is not simple: second-smallest |eig| = {second:.3e}"
         )
-    s = null.sum()
+    if root is None:
+        raise DegenerateSpectrumError("no agent reaches every agent; the left null "
+                                      "space of L is not one-dimensional")
+    idx = np.flatnonzero(root)
+    v = np.zeros(n)
+    v[idx] = np.linalg.svd(L[np.ix_(idx, idx)].T)[2][-1]
+    s = v.sum()
     if abs(s) < 1e-12:
         raise DegenerateSpectrumError("left null vector has zero sum; cannot normalize")
-    v = null / s
+    v = v / s
     if np.any(v < -1e-12):
         raise DegenerateSpectrumError(
             f"left eigenvector has a significantly negative entry: min = {v.min():.3e}"

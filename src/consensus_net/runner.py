@@ -287,14 +287,18 @@ def run(sc: Scenario, out_dir, align_dt_to: float | None = None) -> RunArtifacts
 def read_csv(path) -> tuple[list, np.ndarray]:
     """Read one of the artifact CSVs back: (column names, data matrix).
 
-    Raises ValidationError naming the file, and the line of a row whose
-    field count differs from the header's or that holds a non-number."""
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if not header:
-            raise ValidationError(f"{path}: empty file")
-        names = header.split(",")
-        body = fh.read().strip()
+    Raises ValidationError naming the file, for bytes that are not UTF-8,
+    and the line of a row whose field count differs from the header's or
+    that holds a non-number."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            header = fh.readline().strip()
+            body = fh.read().strip()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc})") from None
+    if not header:
+        raise ValidationError(f"{path}: empty file")
+    names = header.split(",")
     if not body:
         return names, np.empty((0, len(names)))
     rows = [line.split(",") for line in body.split("\n")]

@@ -281,14 +281,22 @@ def load_scenario(path_or_name) -> Scenario:
     text = str(path_or_name)
     if text in _BUILTINS:
         return builtin_scenario(text)
-    path = Path(path_or_name)
+    return scenario_from_json(read_json_file(path_or_name, "scenario"))
+
+
+def read_json_file(path, kind: str):
+    """The JSON document in the UTF-8 file ``path``; a missing file, bytes
+    that are not UTF-8 and malformed JSON raise ValidationError naming the
+    ``kind`` of file and its path."""
+    path = Path(path)
     if not path.exists():
-        raise ValidationError(f"scenario file not found: {path}")
+        raise ValidationError(f"{kind} file not found: {path}")
     try:
-        doc = json.loads(path.read_text())
+        return json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{kind} file {path}: not UTF-8 text ({exc})") from None
     except json.JSONDecodeError as exc:
-        raise ValidationError(f"scenario file {path}: invalid JSON ({exc})") from None
-    return scenario_from_json(doc)
+        raise ValidationError(f"{kind} file {path}: invalid JSON ({exc})") from None
 
 
 def save_scenario(sc: Scenario, path) -> None:

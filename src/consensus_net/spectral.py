@@ -17,10 +17,16 @@ of three regimes, picked from the agent count n alone:
   with the shifted spectrum's real parts from ``np.linalg.eigvals(Lbar)``.
   This keeps scipy out of the process for the small graphs of the builtin
   scenarios: importing ``scipy.linalg`` costs more than the whole solve.
-* larger n: Bartels-Stewart on one real Schur factorisation of -Lbar^T
-  (``scipy.linalg.schur``), which also yields the shifted spectrum's real
-  parts.  The Kronecker system grows as n^4 in memory and n^6 in time, so it
-  cannot serve here.  The triangular equation left by the factorisation is
+* larger n: Bartels-Stewart on a real Schur form of -Lbar^T, which also
+  yields the shifted spectrum's real parts.  The Kronecker system grows as
+  n^4 in memory and n^6 in time, so it cannot serve here.  The form comes
+  from the graph's structure (``_shifted_schur``): v is exactly zero off the
+  root component, so LAPACK's permutation balancing ``dgebal`` orders -Lbar^T
+  block triangular, and ``scipy.linalg.schur`` factorises only the core that
+  balancing leaves: the agents on cycles (the root component among them)
+  and those ordered between them.  A tree's core is one row and needs no
+  factorisation; a strongly connected graph's is the whole matrix.  The
+  triangular equation left by the factorisation is
   - up to ``_TRSYL_BLOCK`` (64) rows, one call of LAPACK's unblocked ``dtrsyl``;
   - above it, split recursively at the middle of the Schur factor, never
     inside a 2x2 block, into Lyapunov and Sylvester equations on blocks of at
@@ -208,14 +214,46 @@ def _shifted_schur(L: np.ndarray, v: np.ndarray, alpha: float):
 
     P Lbar + Lbar^T P = Q is the Lyapunov equation (-Lbar^T) P + P (-Lbar) = -Q,
     whose Bartels-Stewart solution starts from this factorisation.
+
+    v is exactly zero off the graph's root component, so -Lbar^T keeps the
+    structure of L^T there: block triangular in a topological order of the
+    strongly connected components.  LAPACK's permutation balancing
+    (``dgebal``, Parlett and Reinsch 1969) finds such an order, leaving
+    a = p^T (-Lbar^T) p = [[t1, x, y], [0, c, z], [0, 0, t2]] with t1, t2
+    upper triangular and the core c, which no permutation reduces further, in
+    rows ``lo:hi+1``.  Only c is factorised, c = u_c r_c u_c^T, and then
+    r = [[t1, x u_c, y], [0, r_c, u_c^T z], [0, 0, t2]] and u = p diag(I, u_c, I).
+    For a tree the core is one row and u a permutation; for a strongly
+    connected graph nothing is permuted and this is the full factorisation.
+
     ``scipy.linalg`` is imported here and in ``_lyapunov_from_schur``, not at
     module level: the import costs about 0.2 s and 25 MiB per process, and
     only graphs above ``_KRON_MAX_N`` agents take this path.
     """
     import scipy.linalg
 
-    L_shift = L + alpha * np.outer(np.ones(L.shape[0]), v)
-    return scipy.linalg.schur(-L_shift.T, output="real")
+    n = L.shape[0]
+    r, lo, hi, pivscale, info = scipy.linalg.lapack.dgebal(
+        -(L + alpha * np.outer(np.ones(n), v)).T, scale=0, permute=1)
+    if info < 0:
+        raise ValueError(f"?GEBAL: illegal value in argument number {-info}")
+    # p as a gather: a = (-Lbar^T)[perm][:, perm].  LAPACK swapped row and
+    # column pivscale[j] with j, first for j = n-1 down to hi + 1, then for
+    # j = 0 up to lo - 1 (the decoding of scipy.linalg.matrix_balance)
+    swaps = pivscale.astype(int) - 1
+    perm = np.arange(n)
+    for j in [*range(n - 1, hi, -1), *range(lo)]:
+        perm[[j, swaps[j]]] = perm[[swaps[j], j]]
+    core = slice(lo, hi + 1)
+    u = np.zeros((n, n))
+    u[perm, np.arange(n)] = 1.0
+    if hi > lo:
+        r_c, u_c = scipy.linalg.schur(r[core, core], output="real")
+        r[core, core] = r_c
+        r[:lo, core] = r[:lo, core] @ u_c
+        r[core, hi + 1:] = u_c.T @ r[core, hi + 1:]
+        u[perm[core], core] = u_c
+    return r, u
 
 
 def _lyapunov_from_schur(r: np.ndarray, u: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -117,6 +117,32 @@ def test_laplacian_facts_property(family, n, seed):
         assert lap.v_left is None
 
 
+def full_svd_left_null_vector(L):
+    """Oracle: the left null vector from the SVD of all of L^T, normalised and
+    clamped as ``left_eigenvector`` does; rounding leaves it nonzero off the
+    root component."""
+    null = np.linalg.svd(L.T)[2][-1]
+    v = null / null.sum()
+    v = np.where(v < 0, 0.0, v)
+    return v / v.sum()
+
+
+@given(st.sampled_from(("tree", "cyclic-root")), st.integers(min_value=2, max_value=80),
+       st.integers(min_value=0, max_value=2 ** 32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_left_null_vector_zero_off_root_component(family, n, seed):
+    """v is exactly zero on every agent that does not reach every agent,
+    agrees with the full SVD's null vector, and ``left_eigenvector`` of L
+    reproduces ``build_laplacian``'s bit for bit."""
+    g = random_family_graph(np.random.default_rng(seed), n, family)
+    lap = build_laplacian(g)
+    root = _reachability_closure(g.weights.T > 0).all(axis=1)
+    assert root.any()
+    assert np.all(lap.v_left[~root] == 0.0)
+    assert np.abs(lap.v_left - full_svd_left_null_vector(lap.L)).max() <= 1e-12
+    assert np.array_equal(left_eigenvector(lap.L), lap.v_left)
+
+
 def test_graph_json_edges_in_row_major_order():
     g = DirectedGraph(np.array([[0.0, 0.5, 2.0], [0.0, 0.0, 0.0], [1.5, 0.25, 0.0]]))
     assert graph_to_json(g) == {"n": 3, "edges": [

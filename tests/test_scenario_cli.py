@@ -484,6 +484,25 @@ def test_cli_plot_malformed_artifact_exit_2(tmp_path, capsys, artifact, text, se
     assert artifact in err and says in err
 
 
+@pytest.mark.parametrize("argv, name, data", [
+    (["graph", "analyze", "{file}"], "graph.json", b"\xff\xfe{\x00}\x00"),
+    (["simulate", "{file}", "--out", "{tmp}/out"], "scenario.json", b"\xff\xfe{\x00}\x00"),
+    (["gains", "certify", "{file}"], "scenario.json", b"\xff\xfe{\x00}\x00"),
+    (["plot", "{tmp}", "--series", "errors"], "metrics.csv",
+     b"t,ex_norm,ey_norm,ed_norm\n0,1,2,\xff\n"),
+], ids=["graph-analyze", "simulate", "gains-certify", "plot"])
+def test_cli_non_utf8_input_exit_2(tmp_path, capsys, argv, name, data):
+    """An input file whose bytes are not UTF-8 is invalid input: exit 2 and
+    one error line that names the file, never a UnicodeDecodeError traceback."""
+    path = tmp_path / name
+    path.write_bytes(data)
+    rc = cli.main([a.format(file=path, tmp=tmp_path) for a in argv])
+    assert rc == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err and "not UTF-8" in err
+
+
 def _reference_csv(header, rows) -> str:
     """The writer the block writer replaced: one f-string per value."""
     lines = [",".join(header)]

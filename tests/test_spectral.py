@@ -36,6 +36,13 @@ def kron_solve_P(L, v, Q, alpha):
     return p.reshape(n, n)
 
 
+def full_shifted_schur(L, v, alpha):
+    """Oracle: the real Schur form of all of -Lbar^T, from one factorisation
+    that ignores the graph's structure."""
+    L_shift = L + alpha * np.outer(np.ones(L.shape[0]), v)
+    return scipy.linalg.schur(-L_shift.T, output="real")
+
+
 def test_scalar_case():
     lap = build_laplacian(DirectedGraph(np.zeros((1, 1))))
     cert = solve_P(lap, Q=np.eye(1), alpha=1.0)
@@ -320,3 +327,52 @@ def test_blocked_solve_falls_back_to_one_dtrsyl(scale, info):
         P = solve_P(lap).P
     assert orders[0] < n and orders[-1] == n and orders.count(n) == 1
     assert np.array_equal(P, _whole_dtrsyl_P(lap))
+
+
+@given(st.sampled_from(("tree", "cyclic-root")),
+       st.integers(min_value=_KRON_MAX_N + 1, max_value=250),
+       st.integers(min_value=0, max_value=2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+# strongly connected: nothing to permute, so the full factorisation
+@example(family="cyclic-root", n=13, seed=5)
+def test_balanced_schur_matches_full_schur(family, n, seed):
+    """The Schur form factorised on the irreducible core alone is a real
+    Schur form of -Lbar^T, and the certificate from it agrees with the one
+    from the full factorisation."""
+    lap = build_laplacian(random_family_graph(np.random.default_rng(seed), n, family))
+    a = -(lap.L + np.outer(np.ones(n), lap.v_left)).T
+    r, u = _shifted_schur(lap.L, lap.v_left, 1.0)
+    assert not np.any(np.tril(r, -2))
+    sub = np.flatnonzero(np.diag(r, -1))
+    assert not np.any(np.diff(sub) == 1), "overlapping 2x2 blocks"
+    for k in sub:
+        assert r[k, k] == r[k + 1, k + 1] and r[k, k + 1] * r[k + 1, k] < 0
+    # backward stable to a small multiple of n eps: on 300 graphs of 13-39
+    # agents both errors stayed below 2 n eps
+    tol = 8 * n * np.finfo(float).eps
+    assert np.abs(u.T @ u - np.eye(n)).max() <= tol
+    assert np.abs(u @ r @ u.T - a).max() <= tol * np.abs(a).max()
+    P = solve_P(lap).P
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_shifted_schur", full_shifted_schur)
+        P_full = solve_P(lap).P
+    assert np.abs(P - P_full).max() <= 1e-12 * np.abs(P_full).max()
+    if np.all(lap.v_left > 0):
+        r_full, u_full = full_shifted_schur(lap.L, lap.v_left, 1.0)
+        assert np.array_equal(r, r_full) and np.array_equal(u, u_full)
+
+
+def test_tree_certificate_needs_no_schur_factorisation():
+    """The shifted Laplacian of a spanning tree permutes to triangular form,
+    so solve_P factorises nothing."""
+    n = 3 * _KRON_MAX_N
+    lap = build_laplacian(random_tree_graph(np.random.default_rng(36), n))
+
+    def no_schur(*args, **kwargs):
+        raise AssertionError("scipy.linalg.schur called on a tree")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scipy.linalg, "schur", no_schur)
+        cert = solve_P(lap)
+    assert cert.residual < spectral._RESIDUAL_TOL
+    assert cert.min_eig_P > 0
