@@ -12,7 +12,7 @@ simulation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -59,14 +59,7 @@ class OrbitFit:
     residual_ratio: float
 
     def to_json(self) -> dict:
-        return {
-            "angular_frequency": self.angular_frequency,
-            "amplitude": self.amplitude,
-            "phase": self.phase,
-            "offset": self.offset,
-            "residual": self.residual,
-            "residual_ratio": self.residual_ratio,
-        }
+        return asdict(self)
 
 
 #: values per block of rows in the array passes below and in the CSV
@@ -309,23 +302,16 @@ class EstimationLimits:
 
 
 def estimation_limits(traj: Trajectory, profile: DisturbanceProfile, g: MatchedGains,
-                      at_time: float | None = None, side: str = "left") -> EstimationLimits:
-    """delta_hat at a sample time (default: final) next to the predicted
-    d/gamma3 there.
+                      side: str = "left") -> EstimationLimits:
+    """delta_hat at the final sample next to the predicted d/gamma3 there.
 
     ``side='left'`` evaluates the disturbance as the limit from below, which
-    is what the continuous state delta_hat can have tracked when the query
+    is what the continuous state delta_hat can have tracked when the final
     time sits exactly on a switch.
     """
-    t = float(traj.times[-1]) if at_time is None else float(at_time)
-    idx = traj.index_at(t)
-    t_sample = float(traj.times[idx])
-    d = eval_disturbance(profile, t_sample, side=side)
-    return EstimationLimits(
-        t=t_sample,
-        delta_hat=traj.delta_hat[idx].copy(),
-        predicted=d / g.gamma3,
-    )
+    t = float(traj.times[-1])
+    d = eval_disturbance(profile, t, side=side)
+    return EstimationLimits(t=t, delta_hat=traj.delta_hat[-1].copy(), predicted=d / g.gamma3)
 
 
 def trajectory_metrics(traj: Trajectory, v: np.ndarray, gains, profile: DisturbanceProfile,

@@ -9,11 +9,13 @@ Subcommands:
     plot <dir> --series NAME        render one SVG chart from run artifacts
 
 ``<scenario>`` is a JSON file path or a builtin name (``paper-matched``,
-``paper-unmatched``).  The CONSENSUS_NET_OUT environment variable overrides
-the default output directory.  Exit codes: 0 success, 2 invalid input (bad
-data, a graph whose spectrum cannot be certified, infeasible gains, values so
-extreme that a matrix routine fails, a horizon whose arrays cannot be
-allocated), 3 numerical divergence, 4 I/O failure.
+``paper-unmatched``); ``--align-dt`` applies ``scenario.align_dt`` to it.
+The CONSENSUS_NET_OUT environment variable overrides the default output
+directory.  Exit codes: 0 success, 2 invalid input (bad data, a graph whose
+spectrum cannot be certified, infeasible gains, values so extreme that a
+matrix routine or the certificate's arithmetic fails, a grid of more than
+2**53 steps, arrays that cannot be allocated, a plot range that overflows),
+3 numerical divergence, 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -33,9 +36,9 @@ from .errors import (
     IntegrationDivergedError,
     ValidationError,
 )
-from .gains import MatchedGains, certify_matched, suggest_matched
+from .gains import certify_matched, suggest_matched
 from .graph import build_laplacian, graph_from_json
-from .scenario import BUILTIN_NAMES, load_scenario, read_json_file
+from .scenario import BUILTIN_NAMES, align_dt, load_scenario, read_json_file
 from .spectral import solve_P
 
 EXIT_OK = 0
@@ -89,7 +92,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_graph_analyze(args) -> int:
-    g = graph_from_json(read_json_file(args.file, "graph"))
+    doc = read_json_file(args.file, "graph")
+    try:
+        g = graph_from_json(doc)
+    except ValidationError as exc:
+        raise ValidationError(f"graph file {args.file}: {exc}") from None
     lap = build_laplacian(g)
     print(f"agents: {g.n_agents}")
     print(f"spanning tree: {'yes' if lap.has_spanning_tree else 'no'}")
@@ -115,14 +122,9 @@ def _cmd_graph_analyze(args) -> int:
     return EXIT_OK
 
 
-def _certify_scenario(sc):
-    _, _, cert, report, _ = runner.prepare(sc)
-    return cert, report
-
-
 def _cmd_gains_certify(args) -> int:
     sc = load_scenario(args.scenario)
-    cert, report = _certify_scenario(sc)
+    _, cert, report, _ = runner.prepare(sc)
     print(f"scenario: {sc.name} ({sc.mode})")
     print(f"lambda_P = {cert.lambda_P:.6g}, lambda_L = {cert.lambda_L:.6g}")
     print(report.table())
@@ -137,16 +139,16 @@ def _cmd_gains_suggest(args) -> int:
     sc = load_scenario(args.scenario)
     if sc.mode != "matched":
         raise ValidationError("gains suggest: only matched-mode scenarios are supported")
-    g: MatchedGains = sc.gains
+    g = sc.gains
     gamma1 = args.gamma1 if args.gamma1 is not None else g.gamma1
     gamma3 = args.gamma3 if args.gamma3 is not None else g.gamma3
     mu = args.mu if args.mu is not None else g.mu
     b = args.b if args.b is not None else g.b
-    _, _, cert, _, _ = runner.prepare(sc)
+    _, cert, _, _ = runner.prepare(sc)
     suggestion = suggest_matched(gamma1, gamma3, mu, b, cert)
     print(f"suggested gains for {sc.name}:")
-    for field in ("gamma1", "gamma2", "gamma3", "gamma4", "mu", "b", "rho", "epsilon"):
-        print(f"  {field} = {getattr(suggestion, field):.10g}")
+    for field in fields(suggestion):
+        print(f"  {field.name} = {getattr(suggestion, field.name):.10g}")
     print(certify_matched(suggestion, cert).table())
     return EXIT_OK
 
@@ -158,12 +160,12 @@ def _default_out_dir(name: str) -> Path:
 
 
 def _cmd_simulate(args) -> int:
-    sc = load_scenario(args.scenario)
-    sc = sc.with_overrides(t_final=args.t_final, dt=args.dt)
+    sc = load_scenario(args.scenario).with_overrides(t_final=args.t_final, dt=args.dt)
+    if args.align_dt:
+        sc = align_dt(sc)
     out_dir = Path(args.out) if args.out else _default_out_dir(sc.name)
-    align = sc.dt if args.align_dt else None
     try:
-        arts = runner.run(sc, out_dir, align_dt_to=align)
+        arts = runner.run(sc, out_dir)
     except IntegrationDivergedError as exc:
         print(f"integration diverged: state non-finite after t = {exc.last_time}",
               file=sys.stderr)
@@ -226,7 +228,10 @@ def _cmd_plot(args) -> int:
             raise ValidationError(f"{csv_path}: missing column(s) {', '.join(missing)}")
         cols = [(name, data[:, names.index(name)]) for name in wanted]
     out_path = Path(args.out) if args.out else run_dir / f"{series}.svg"
-    svgchart.write_line_chart(out_path, title, "time [s]", y_label, t, cols)
+    try:
+        svgchart.write_line_chart(out_path, title, "time [s]", y_label, t, cols)
+    except ValidationError as exc:
+        raise ValidationError(f"{csv_path}: {exc}") from None
     print(f"wrote {out_path}")
     return EXIT_OK
 

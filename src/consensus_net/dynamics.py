@@ -37,7 +37,7 @@ the weighted-average velocity decay at exactly rate k_d.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -149,18 +149,8 @@ def eval_disturbance(profile: DisturbanceProfile, t: float, side: str = "right")
 
 
 def profile_to_json(profile: DisturbanceProfile) -> dict:
-    return {
-        "segments": [
-            {
-                "t_start": seg.t_start,
-                "base": [float(x) for x in seg.base],
-                "hyperbolic_coeff": seg.hyperbolic_coeff,
-                "exp_coeff": seg.exp_coeff,
-                "exp_rate": seg.exp_rate,
-            }
-            for seg in profile.segments
-        ]
-    }
+    return {"segments": [{**asdict(seg), "base": [float(x) for x in seg.base]}
+                         for seg in profile.segments]}
 
 
 def profile_from_json(doc: dict) -> DisturbanceProfile:

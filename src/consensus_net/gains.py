@@ -14,7 +14,8 @@ runs uncertified gains and records the report alongside the trajectory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -25,11 +26,11 @@ from .spectral import LyapunovCertificate
 _SUBSTITUTION_TOL = 1e-12
 
 
-def _require_positive(obj, names):
-    for name in names:
-        value = getattr(obj, name)
+def _require_positive(gains):
+    for field in fields(gains):
+        value = getattr(gains, field.name)
         if not (value > 0) or not math.isfinite(value):
-            raise ValidationError(f"{name}: must be a positive finite number, got {value}")
+            raise ValidationError(f"{field.name}: must be a positive finite number, got {value}")
 
 
 @dataclass(frozen=True)
@@ -41,6 +42,9 @@ class MatchedGains:
     gamma4 = 2*gamma3*(1 + mu/b) + gamma2, epsilon = rho/gamma2 and
     rho = gamma2; gains violating those are still simulated but flagged.
     """
+
+    #: the scenario mode whose controller takes these gains
+    mode: ClassVar[str] = "matched"
 
     gamma1: float
     gamma2: float
@@ -56,13 +60,14 @@ class MatchedGains:
             object.__setattr__(self, "rho", float(self.gamma2))
         if self.epsilon is None:
             object.__setattr__(self, "epsilon", float(self.rho) / float(self.gamma2))
-        _require_positive(self, ("gamma1", "gamma2", "gamma3", "gamma4", "mu", "b", "rho", "epsilon"))
+        _require_positive(self)
 
     @classmethod
     def with_substitutions(cls, gamma1, gamma2, gamma3, mu=1.0, b=10.0) -> "MatchedGains":
-        """Fill gamma4, rho, epsilon from the stability-analysis substitutions."""
+        """Fill gamma4, rho, epsilon from the stability-analysis substitutions
+        (the defaults of rho and epsilon are two of them)."""
         gamma4 = 2.0 * gamma3 * (1.0 + mu / b) + gamma2
-        return cls(gamma1, gamma2, gamma3, gamma4, mu=mu, b=b, rho=gamma2, epsilon=1.0)
+        return cls(gamma1, gamma2, gamma3, gamma4, mu=mu, b=b)
 
 
 @dataclass(frozen=True)
@@ -73,6 +78,8 @@ class UnmatchedGains:
     Lyapunov function.  The stability analysis substitutes nu = alpha1/k_d and alpha1 = k_d.
     """
 
+    mode: ClassVar[str] = "unmatched"
+
     k_x: float
     k_d: float
     k_s: float
@@ -81,7 +88,7 @@ class UnmatchedGains:
     alpha2: float = 1.0
 
     def __post_init__(self):
-        _require_positive(self, ("k_x", "k_d", "k_s", "alpha1", "nu", "alpha2"))
+        _require_positive(self)
 
 
 @dataclass(frozen=True)
@@ -98,19 +105,19 @@ class Check:
     right: float
     margin: float
 
+    def __post_init__(self):
+        # JSON cannot spell a non-finite number, and none certifies anything
+        if not all(map(math.isfinite, (self.left, self.right, self.margin))):
+            raise ValidationError(
+                f"{self.name}: {self.requirement} overflows on this input "
+                f"(left {self.left}, right {self.right})")
+
     @property
     def passed(self) -> bool:
         return self.margin > 0
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "requirement": self.requirement,
-            "left": self.left,
-            "right": self.right,
-            "margin": self.margin,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 @dataclass(frozen=True)
@@ -199,13 +206,13 @@ def certify_matched(g: MatchedGains, cert: LyapunovCertificate) -> Certification
         g.gamma2, gamma2_bound))
     checks.append(_bound_check(
         "b_bound", "b >= (gamma3/gamma1)*lambda_P^2",
-        g.b, (g.gamma3 / g.gamma1) * lam_P ** 2))
+        g.b, (g.gamma3 / g.gamma1) * (lam_P * lam_P)))
 
     N = matched_form_matrix(g, cert)
     min_eig = float(np.linalg.eigvalsh(N)[0])
     checks.append(_bound_check("form_posdef", "min eig of quadratic form > 0", min_eig, 0.0))
 
-    passed = all(c.passed for c in checks) and min_eig > 0
+    passed = all(c.passed for c in checks)
     return CertificationReport(passed=passed, checks=tuple(checks), min_eig_form=min_eig)
 
 
@@ -245,7 +252,7 @@ def suggest_matched(gamma1: float, gamma3: float, mu: float, b: float,
     for name, value in (("gamma1", gamma1), ("gamma3", gamma3), ("mu", mu), ("b", b)):
         if not (value > 0 and math.isfinite(value)):
             raise ValidationError(f"{name}: must be a positive finite number, got {value}")
-    b_min = (gamma3 / gamma1) * cert.lambda_P ** 2
+    b_min = (gamma3 / gamma1) * (cert.lambda_P * cert.lambda_P)
     if b < b_min:
         raise InfeasibleGainError(
             f"b = {b} is below the minimal admissible value {b_min}", minimal_value=b_min)
@@ -273,7 +280,7 @@ def unmatched_form_matrices(g: UnmatchedGains,
         [(g.alpha1 * g.k_x / g.k_d) * I, g.alpha2 * g.k_x * L.T],
         [g.alpha2 * g.k_x * L, 2.0 * (g.alpha2 * g.k_d * I - (g.alpha1 / g.k_d) * P)],
     ])
-    D = 2.0 * (g.alpha2 * g.k_d * I - P) - g.alpha2 ** 2 * g.k_x * (L @ L.T)
+    D = 2.0 * (g.alpha2 * g.k_d * I - P) - (g.alpha2 * g.alpha2) * g.k_x * (L @ L.T)
     return M, D
 
 
@@ -303,5 +310,5 @@ def certify_unmatched(g: UnmatchedGains, cert: LyapunovCertificate) -> Certifica
     checks.append(_bound_check("form_posdef", "min eig of quadratic form > 0", min_eig_M, 0.0))
     checks.append(_bound_check("schur_psd", "min eig of Schur test matrix > 0", min_eig_D, 0.0))
 
-    passed = all(c.passed for c in checks) and min_eig_M > 0
+    passed = all(c.passed for c in checks)
     return CertificationReport(passed=passed, checks=tuple(checks), min_eig_form=min_eig_M)

@@ -268,7 +268,10 @@ def graph_from_json(doc: dict) -> DirectedGraph:
     edges = doc.get("edges", [])
     if not isinstance(edges, list):
         raise ValidationError("edges: expected a list")
-    w = np.zeros((n, n))
+    try:
+        w = np.zeros((n, n))
+    except (ValueError, MemoryError):
+        raise ValidationError(f"n: {n} agents, too many for an n x n weight matrix") from None
     for k, e in enumerate(edges):
         if not isinstance(e, dict):
             raise ValidationError(f"edges[{k}]: expected an object")

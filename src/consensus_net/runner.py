@@ -1,9 +1,10 @@
 """Scenario execution pipeline and artifact writing.
 
-A run builds the Laplacian, solves the Lyapunov certificate, certifies the
-gain conditions (advisory: failures are recorded, not fatal), integrates the
-closed loop, post-processes the trajectory, and writes four artifacts into
-the output directory:
+A run checks the scenario's step grid, builds the Laplacian, solves the
+Lyapunov certificate, certifies the gain conditions (advisory: failures are
+recorded, not fatal), integrates the closed loop, post-processes the
+trajectory, and writes four artifacts into the output directory.  It runs
+the scenario as given; ``scenario.align_dt`` rewrites a grid beforehand.
 
     trajectory.csv      t, x_1..x_n, y_1..y_n, dhat_1..dhat_n
     metrics.csv         t, ||e_x||, ||e_y||, ||e_d||, x_m, y_m, delta_m, lyap
@@ -34,8 +35,7 @@ from .dynamics import MatchedLoop, UnmatchedLoop
 from .errors import IntegrationDivergedError, NoOrbitError, SignalFitError, ValidationError
 from .gains import certify_matched, certify_unmatched, is_S_hurwitz
 from .graph import build_laplacian
-from .kernels import largest_divisor_at_most
-from .scenario import Scenario, aligned_dt, scenario_to_json
+from .scenario import Scenario, scenario_to_json
 from .sim import SimParams, Trajectory, integrate
 from .spectral import solve_P
 
@@ -225,35 +225,31 @@ def _summary(sc: Scenario, traj: Trajectory, metrics: dict, lap, cert, report) -
     }
 
 
-def prepare(sc: Scenario, align_dt_to: float | None = None):
-    """Build the Laplacian, certificate, report and loop for a scenario."""
-    if align_dt_to is not None:
-        dt = aligned_dt(sc, align_dt_to)
-        # keep samples uniform and ending on t_final under the new grid
-        n_steps = round(sc.t_final / dt)
-        sc = sc.with_overrides(dt=dt,
-                               sample_every=largest_divisor_at_most(n_steps, sc.sample_every))
+def prepare(sc: Scenario):
+    """The Laplacian, certificate, certification report and closed loop of a
+    scenario, as ``(lap, cert, report, loop)``."""
     lap = build_laplacian(sc.graph)
-    n = sc.n_agents
-    cert = solve_P(lap, Q=sc.q_scale * np.eye(n), alpha=sc.alpha)
+    cert = solve_P(lap, Q=sc.q_scale * np.eye(sc.n_agents), alpha=sc.alpha)
     if sc.mode == "matched":
         report = certify_matched(sc.gains, cert)
         loop = MatchedLoop(sc.gains, lap, sc.disturbance)
     else:
         report = certify_unmatched(sc.gains, cert)
         loop = UnmatchedLoop(sc.gains, lap, sc.disturbance)
-    return sc, lap, cert, report, loop
+    return lap, cert, report, loop
 
 
-def run(sc: Scenario, out_dir, align_dt_to: float | None = None) -> RunArtifacts:
+def run(sc: Scenario, out_dir) -> RunArtifacts:
     """Execute a scenario and write all four artifacts into ``out_dir``.
 
-    Certification failures do not stop the run (the report records them).
-    Numerical divergence writes the partial trajectory and certification
-    artifacts, then re-raises IntegrationDivergedError.
+    The grid is checked before the O(n^3) set-up.  Certification failures
+    do not stop the run (the report records them).  Numerical divergence
+    writes the partial trajectory and certification artifacts, then
+    re-raises IntegrationDivergedError.
     """
     out = Path(out_dir)
-    sc, lap, cert, report, loop = prepare(sc, align_dt_to)
+    params = SimParams(t_final=sc.t_final, dt=sc.dt, sample_every=sc.sample_every)
+    lap, cert, report, loop = prepare(sc)
     arts = RunArtifacts(
         trajectory_csv=out / "trajectory.csv",
         metrics_csv=out / "metrics.csv",
@@ -266,7 +262,6 @@ def run(sc: Scenario, out_dir, align_dt_to: float | None = None) -> RunArtifacts
         "scenario": sc.name,
         "mode": sc.mode,
     }
-    params = SimParams(t_final=sc.t_final, dt=sc.dt, sample_every=sc.sample_every)
     z0 = np.concatenate([sc.x0, sc.y0, sc.delta_hat0])
     try:
         traj = integrate(loop, z0, params)

@@ -6,13 +6,16 @@ use a five-agent spanning tree (root agent 1, unit edges 1->2, 2->3, 3->4,
 the published gain sets, and the published switching disturbances: a step
 change of the base vector plus vanishing terms 1/(12+t) before the switch and
 exp(-0.2 t)/(12+t) after it.
+
+This module alone reads, writes and rewrites (``align_dt``) scenarios.  The
+gain dataclasses state the ``gains`` keys, and the mode their class serves.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,8 +25,11 @@ from .dynamics import DisturbanceProfile, profile_from_json, profile_to_json
 from .errors import ValidationError, finite_number
 from .gains import MatchedGains, UnmatchedGains
 from .graph import DirectedGraph, graph_from_json, graph_to_json
+from .kernels import largest_divisor_at_most
 
 BUILTIN_NAMES = ("paper-matched", "paper-unmatched")
+
+_GAINS_BY_MODE = {cls.mode: cls for cls in (MatchedGains, UnmatchedGains)}
 
 _DEFAULT_GRAPH = {
     "n": 5,
@@ -84,12 +90,11 @@ _BUILTINS = {
 
 @dataclass(frozen=True)
 class Scenario:
-    """A validated simulation scenario."""
+    """A validated simulation scenario; its mode is that of its gains."""
 
     name: str
-    mode: str
     graph: DirectedGraph
-    gains: object
+    gains: MatchedGains | UnmatchedGains
     q_scale: float
     alpha: float
     disturbance: DisturbanceProfile
@@ -106,6 +111,10 @@ class Scenario:
             arr = np.array(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    @property
+    def mode(self) -> str:
+        return self.gains.mode
 
     @property
     def n_agents(self) -> int:
@@ -163,7 +172,7 @@ def scenario_from_json(doc: dict) -> Scenario:
         raise ValidationError("scenario: expected a JSON object")
     name = _get(doc, "", "name", str, required=False, default="unnamed")
     mode = _get(doc, "", "mode", str)
-    if mode not in ("matched", "unmatched"):
+    if mode not in _GAINS_BY_MODE:
         raise ValidationError(f"mode: expected 'matched' or 'unmatched', got {mode!r}")
 
     if "graph" not in doc:
@@ -173,27 +182,12 @@ def scenario_from_json(doc: dict) -> Scenario:
     n = graph.n_agents
 
     gdoc = _section(doc, "gains", required=True)
+    gains_cls = _GAINS_BY_MODE[mode]
     try:
-        if mode == "matched":
-            gains = MatchedGains(
-                gamma1=_get(gdoc, "gains", "gamma1", float),
-                gamma2=_get(gdoc, "gains", "gamma2", float),
-                gamma3=_get(gdoc, "gains", "gamma3", float),
-                gamma4=_get(gdoc, "gains", "gamma4", float),
-                mu=_get(gdoc, "gains", "mu", float, required=False, default=1.0),
-                b=_get(gdoc, "gains", "b", float, required=False, default=10.0),
-                rho=_get(gdoc, "gains", "rho", float, required=False, default=None),
-                epsilon=_get(gdoc, "gains", "epsilon", float, required=False, default=None),
-            )
-        else:
-            gains = UnmatchedGains(
-                k_x=_get(gdoc, "gains", "k_x", float),
-                k_d=_get(gdoc, "gains", "k_d", float),
-                k_s=_get(gdoc, "gains", "k_s", float),
-                alpha1=_get(gdoc, "gains", "alpha1", float),
-                nu=_get(gdoc, "gains", "nu", float),
-                alpha2=_get(gdoc, "gains", "alpha2", float, required=False, default=1.0),
-            )
+        # a gain is required when its field has no default
+        gains = gains_cls(**{f.name: _get(gdoc, "gains", f.name, float)
+                             for f in fields(gains_cls)
+                             if f.name in gdoc or f.default is MISSING})
     except ValidationError as exc:
         # gain positivity failures surface with the gains. prefix
         raise ValidationError(f"gains: {exc}") from None
@@ -235,23 +229,13 @@ def scenario_from_json(doc: dict) -> Scenario:
     sample_every = _get(sdoc, "sim", "sample_every", int, required=False, default=10)
 
     return Scenario(
-        name=name, mode=mode, graph=graph, gains=gains, q_scale=q_scale, alpha=alpha,
+        name=name, graph=graph, gains=gains, q_scale=q_scale, alpha=alpha,
         disturbance=disturbance, x0=x0, y0=y0, delta_hat0=dh0,
         t_final=t_final, dt=dt, sample_every=sample_every, fig1_substitute=fig1,
     )
 
 
 def scenario_to_json(sc: Scenario) -> dict:
-    gdoc = {}
-    if isinstance(sc.gains, MatchedGains):
-        g = sc.gains
-        gdoc = {"gamma1": g.gamma1, "gamma2": g.gamma2, "gamma3": g.gamma3,
-                "gamma4": g.gamma4, "mu": g.mu, "b": g.b, "rho": g.rho,
-                "epsilon": g.epsilon}
-    else:
-        g = sc.gains
-        gdoc = {"k_x": g.k_x, "k_d": g.k_d, "k_s": g.k_s, "alpha1": g.alpha1,
-                "nu": g.nu, "alpha2": g.alpha2}
     graph_doc = graph_to_json(sc.graph)
     if sc.fig1_substitute:
         graph_doc["fig1_substitute"] = True
@@ -259,7 +243,7 @@ def scenario_to_json(sc: Scenario) -> dict:
         "name": sc.name,
         "mode": sc.mode,
         "graph": graph_doc,
-        "gains": gdoc,
+        "gains": asdict(sc.gains),
         "lyapunov": {"q_scale": sc.q_scale, "alpha": sc.alpha},
         "disturbance": profile_to_json(sc.disturbance),
         "initial": {"x": [float(v) for v in sc.x0],
@@ -325,3 +309,13 @@ def aligned_dt(sc: Scenario, requested_dt: float) -> float:
     req = _as_fraction(requested_dt)
     k = math.ceil(g / req)
     return float(g / k)
+
+
+def align_dt(sc: Scenario) -> Scenario:
+    """``sc`` with dt shrunk to ``aligned_dt(sc, sc.dt)``, and sample_every
+    to the largest divisor of the new step count not above it, so that the
+    samples stay uniform and end on t_final."""
+    dt = aligned_dt(sc, sc.dt)
+    # in rationals: the float quotient of an extreme horizon is infinite
+    n_steps = round(_as_fraction(sc.t_final) / _as_fraction(dt))
+    return sc.with_overrides(dt=dt, sample_every=largest_divisor_at_most(n_steps, sc.sample_every))

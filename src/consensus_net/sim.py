@@ -29,6 +29,10 @@ EXACT_ORDER = math.inf
 
 _GRID_TOL = 1e-9
 
+#: most steps a horizon may take: above 2**53 a float no longer tells
+#: consecutive step counts apart, so the grid check below means nothing
+_MAX_STEPS = 2 ** 53
+
 
 @dataclass(frozen=True)
 class SimParams:
@@ -49,6 +53,9 @@ class SimParams:
             raise ValidationError(f"t_final: must be positive, got {self.t_final}")
         if self.dt > self.t_final:
             raise ValidationError(f"dt: {self.dt} exceeds t_final {self.t_final}")
+        if not self.t_final / self.dt <= _MAX_STEPS:
+            raise ValidationError(
+                f"t_final: {self.t_final} is more than 2**53 steps of dt = {self.dt}")
         n_steps = round(self.t_final / self.dt)
         if n_steps < 1 or abs(n_steps * self.dt - self.t_final) > _GRID_TOL * max(1.0, self.t_final):
             raise ValidationError(

@@ -84,7 +84,6 @@ class LyapunovCertificate:
     """
 
     P: np.ndarray
-    Q: np.ndarray
     L: np.ndarray
     alpha: float
     residual: float
@@ -94,7 +93,7 @@ class LyapunovCertificate:
     cond_P: float
 
     def __post_init__(self):
-        for name in ("P", "Q", "L"):
+        for name in ("P", "L"):
             arr = np.array(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -170,7 +169,6 @@ def solve_P(lap: LaplacianData, Q: np.ndarray | None = None, alpha: float = 1.0)
 
     return LyapunovCertificate(
         P=P,
-        Q=Q,
         L=L,
         alpha=float(alpha),
         residual=residual,

@@ -28,6 +28,9 @@ def _nice_ticks(lo: float, hi: float, target: int = 6):
     if hi <= lo:
         hi = lo + 1.0
     raw = (hi - lo) / max(target - 1, 1)
+    if not 0 < raw < math.inf:
+        raise ValidationError(
+            "chart: the values span more than a float can hold, or less than it resolves")
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if mult * mag >= raw:
@@ -38,6 +41,8 @@ def _nice_ticks(lo: float, hi: float, target: int = 6):
     t = first
     while t <= hi + 1e-12 * step:
         ticks.append(0.0 if abs(t) < 1e-12 * step else t)
+        if t + step == t:
+            raise ValidationError("chart: the values differ by less than a float resolves")
         t += step
     return ticks
 

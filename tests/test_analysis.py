@@ -438,7 +438,8 @@ def _check_against_reference(traj, v, gains, profile, P):
 @pytest.mark.parametrize("name", ["paper-matched", "paper-unmatched"])
 def test_array_pass_matches_loop_on_builtins(name):
     """Full builtin horizons, so the switch sits on a sample time."""
-    sc, lap, cert, _, loop = runner.prepare(builtin_scenario(name))
+    sc = builtin_scenario(name)
+    lap, cert, _, loop = runner.prepare(sc)
     params = SimParams(t_final=sc.t_final, dt=sc.dt, sample_every=sc.sample_every)
     traj = integrate(loop, np.concatenate([sc.x0, sc.y0, sc.delta_hat0]), params)
     _check_against_reference(traj, lap.v_left, sc.gains, sc.disturbance, cert.P)

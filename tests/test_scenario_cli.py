@@ -67,11 +67,18 @@ def test_builtin_disturbance_shapes():
 
 
 def test_scenario_round_trip(tmp_path):
-    sc = builtin_scenario("paper-unmatched")
+    """Both builtins, and a matched document without rho and epsilon, whose
+    filled-in defaults (rho = gamma2, epsilon = 1) are echoed and read back."""
+    doc = scenario_to_json(builtin_scenario("paper-matched"))
+    del doc["gains"]["rho"], doc["gains"]["epsilon"]
+    filled = scenario_from_json(doc)
+    assert (filled.gains.rho, filled.gains.epsilon) == (17.0, 1.0)
     path = tmp_path / "scenario.json"
-    save_scenario(sc, path)
-    sc2 = load_scenario(path)
-    assert scenario_to_json(sc) == scenario_to_json(sc2)
+    for sc in (builtin_scenario("paper-matched"), builtin_scenario("paper-unmatched"), filled):
+        save_scenario(sc, path)
+        sc2 = load_scenario(path)
+        assert sc2.gains == sc.gains
+        assert scenario_to_json(sc) == scenario_to_json(sc2)
 
 
 def test_scenario_validation_paths():
@@ -425,9 +432,16 @@ def _unmatched(change):
     # finite gains whose unmatched coefficient blocks overflow
     _unmatched(_set(["gains", "nu"], 1e308)),
     _unmatched(_set(["gains", "k_s"], 1e308)),
+    # more steps than a float counts, checked before the certificate
+    _set(["sim", "dt"], 1e-320),
+    _set(["sim", "t_final"], 1e308),
+    # finite inputs whose certificate arithmetic overflows
+    _set(["lyapunov", "q_scale"], 1e154),
+    _unmatched(_set(["gains", "alpha2"], 1e308)),
 ], ids=["lyapunov-not-object", "segments-not-list", "negative-seed", "infinite-x-high",
         "huge-switch", "infinite-switch", "infinite-alpha", "infinite-q-scale", "huge-gain",
-        "sim-not-object", "fractional-sample-every", "fractional-n", "huge-nu", "huge-k-s"])
+        "sim-not-object", "fractional-sample-every", "fractional-n", "huge-nu", "huge-k-s",
+        "tiny-dt", "huge-t-final", "huge-q-scale", "huge-alpha2"])
 @pytest.mark.filterwarnings("error")
 def test_cli_malformed_scenario_exit_2(tmp_path, capsys, change):
     """Every malformed field of a scenario is invalid input: exit code 2 and
@@ -467,12 +481,37 @@ def test_cli_horizon_too_long_for_memory_exit_2(tmp_path, capsys):
     assert "memory" in err
 
 
+@pytest.mark.parametrize("grid", [
+    ["--t-final", "1e300"],
+    ["--t-final", "1e308"],
+    ["--dt", "1e-320", "--t-final", "1"],
+], ids=["t-final-1e300", "t-final-1e308", "dt-1e-320"])
+def test_cli_aligned_horizon_too_many_steps_exit_2(tmp_path, capsys, grid):
+    """--align-dt on a horizon of 1e300 s keeps dt = 1e-3: 1e303 steps, which
+    the grid check rejects before any array is sized.  At 1e308 s, or at
+    dt = 1e-320, the step count overflows a float, so the rewrite counts the
+    steps in rationals.  Exit 2, never a ValueError or OverflowError
+    traceback."""
+    rc = cli.main(["simulate", "paper-matched", *grid, "--align-dt",
+                   "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "2**53 steps" in err
+
+
 @pytest.mark.parametrize("artifact, text, series, says", [
     ("metrics.csv", "t,ey_norm,ed_norm\n0,1,2\n", "errors", "missing column(s) ex_norm"),
     ("metrics.csv", "t,ex_norm,ey_norm,ed_norm\n0,1,2,3\n", "lyapunov", "missing column(s) lyap"),
     ("trajectory.csv", "t,x_1\n0,1\n0.5,abc\n", "x", "line 3"),
     ("trajectory.csv", "t,x_1\n0,1\n0.5\n", "x", "line 3"),
-], ids=["no-ex-norm", "no-lyap", "non-numeric-cell", "ragged-row"])
+    ("trajectory.csv", "t,x_1\n0,1e308\n0.5,-1e308\n", "x", "span more than a float"),
+    # 16 apart at 1e17, where floats are 16 apart: a tick step of 5 adds nothing
+    ("trajectory.csv", "t,x_1\n0,1e17\n0.5,100000000000000016\n", "x", "float resolves"),
+    # a constant 1e17, widened by 1 to either side, is still one float
+    ("trajectory.csv", "t,x_1\n0,1e17\n0.5,1e17\n", "x", "less than it resolves"),
+], ids=["no-ex-norm", "no-lyap", "non-numeric-cell", "ragged-row", "overflowing-range",
+        "range-below-resolution", "constant-below-resolution"])
 def test_cli_plot_malformed_artifact_exit_2(tmp_path, capsys, artifact, text, series, says):
     """A malformed artifact is invalid input: exit 2 and one error line that
     names the file, never a traceback."""
@@ -484,23 +523,28 @@ def test_cli_plot_malformed_artifact_exit_2(tmp_path, capsys, artifact, text, se
     assert artifact in err and says in err
 
 
-@pytest.mark.parametrize("argv, name, data", [
-    (["graph", "analyze", "{file}"], "graph.json", b"\xff\xfe{\x00}\x00"),
-    (["simulate", "{file}", "--out", "{tmp}/out"], "scenario.json", b"\xff\xfe{\x00}\x00"),
-    (["gains", "certify", "{file}"], "scenario.json", b"\xff\xfe{\x00}\x00"),
+@pytest.mark.parametrize("argv, name, data, says", [
+    (["graph", "analyze", "{file}"], "graph.json", b"\xff\xfe{\x00}\x00", "not UTF-8"),
+    (["simulate", "{file}", "--out", "{tmp}/out"], "scenario.json", b"\xff\xfe{\x00}\x00",
+     "not UTF-8"),
+    (["gains", "certify", "{file}"], "scenario.json", b"\xff\xfe{\x00}\x00", "not UTF-8"),
     (["plot", "{tmp}", "--series", "errors"], "metrics.csv",
-     b"t,ex_norm,ey_norm,ed_norm\n0,1,2,\xff\n"),
-], ids=["graph-analyze", "simulate", "gains-certify", "plot"])
-def test_cli_non_utf8_input_exit_2(tmp_path, capsys, argv, name, data):
-    """An input file whose bytes are not UTF-8 is invalid input: exit 2 and
-    one error line that names the file, never a UnicodeDecodeError traceback."""
+     b"t,ex_norm,ey_norm,ed_norm\n0,1,2,\xff\n", "not UTF-8"),
+    # an n x n weight matrix of 8e20 bytes, more than numpy can size
+    (["graph", "analyze", "{file}"], "graph.json", b'{"n": 10000000000, "edges": []}',
+     "too many"),
+], ids=["graph-analyze", "simulate", "gains-certify", "plot", "graph-too-many-agents"])
+def test_cli_non_utf8_input_exit_2(tmp_path, capsys, argv, name, data, says):
+    """An input file whose bytes are not UTF-8, or that describes a graph no
+    array can hold, is invalid input: exit 2 and one error line that names
+    the file, never a UnicodeDecodeError or ValueError traceback."""
     path = tmp_path / name
     path.write_bytes(data)
     rc = cli.main([a.format(file=path, tmp=tmp_path) for a in argv])
     assert rc == cli.EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert str(path) in err and "not UTF-8" in err
+    assert str(path) in err and says in err
 
 
 def _reference_csv(header, rows) -> str:

@@ -1,9 +1,11 @@
 """Module boundaries of the package, read from the source's syntax trees."""
 
 import ast
+from dataclasses import fields
 from pathlib import Path
 
 from consensus_net.dynamics import HYPERBOLIC_OFFSET
+from consensus_net.gains import MatchedGains, UnmatchedGains
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "consensus_net"
 TREES = {path.name: ast.parse(path.read_text(), filename=str(path))
@@ -77,4 +79,20 @@ def test_no_module_level_scipy_import():
     found = [(module, line, name) for module, tree in TREES.items()
              for line, name in _imports_run_at_import(tree)
              if name == "scipy" or name.startswith("scipy.")]
+    assert found == []
+
+
+def test_gain_fields_named_only_in_gains():
+    """The gain dataclasses are the one statement of the gain names: the
+    scenario codec, the CLI and the positivity checks read them with
+    ``dataclasses.fields``.  No other module spells a gain name as a string,
+    except the builtin documents in ``scenario._BUILTINS``."""
+    names = {f.name for cls in (MatchedGains, UnmatchedGains) for f in fields(cls)}
+    builtins = next(node for node in TREES["scenario.py"].body if isinstance(node, ast.Assign)
+                    and [getattr(t, "id", None) for t in node.targets] == ["_BUILTINS"])
+    allowed = {id(node) for node in ast.walk(builtins)}
+    found = [(module, node.lineno, node.value) for module, tree in TREES.items()
+             if module != "gains.py" for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)
+             and node.value in names and id(node) not in allowed]
     assert found == []
