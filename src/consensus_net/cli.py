@@ -144,7 +144,9 @@ def _cmd_gains_suggest(args) -> int:
     gamma3 = args.gamma3 if args.gamma3 is not None else g.gamma3
     mu = args.mu if args.mu is not None else g.mu
     b = args.b if args.b is not None else g.b
-    _, cert, _, _ = runner.prepare(sc)
+    # the certificate of the graph alone: the scenario's own gains, which the
+    # suggestion replaces, need not certify or even stay finite
+    _, cert = runner.certificate(sc)
     suggestion = suggest_matched(gamma1, gamma3, mu, b, cert)
     print(f"suggested gains for {sc.name}:")
     for field in fields(suggestion):

@@ -225,11 +225,17 @@ def _summary(sc: Scenario, traj: Trajectory, metrics: dict, lap, cert, report) -
     }
 
 
+def certificate(sc: Scenario):
+    """The Laplacian and Lyapunov certificate of a scenario's graph, as
+    ``(lap, cert)``."""
+    lap = build_laplacian(sc.graph)
+    return lap, solve_P(lap, Q=sc.q_scale * np.eye(sc.n_agents), alpha=sc.alpha)
+
+
 def prepare(sc: Scenario):
     """The Laplacian, certificate, certification report and closed loop of a
     scenario, as ``(lap, cert, report, loop)``."""
-    lap = build_laplacian(sc.graph)
-    cert = solve_P(lap, Q=sc.q_scale * np.eye(sc.n_agents), alpha=sc.alpha)
+    lap, cert = certificate(sc)
     if sc.mode == "matched":
         report = certify_matched(sc.gains, cert)
         loop = MatchedLoop(sc.gains, lap, sc.disturbance)

@@ -1,10 +1,15 @@
 """Gain certification: every inequality of the stability chain."""
 
+import contextlib
+import math
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from consensus_net import gains
 from consensus_net.errors import InfeasibleGainError, ValidationError
 from consensus_net.gains import (
     MatchedGains,
@@ -19,7 +24,7 @@ from consensus_net.gains import (
 from consensus_net.graph import DirectedGraph, build_laplacian
 from consensus_net.spectral import solve_P
 
-from conftest import random_tree_graph
+from conftest import random_family_graph, random_tree_graph
 
 BENCHMARK_MATCHED = MatchedGains(gamma1=6.0, gamma2=17.0, gamma3=4.0, gamma4=25.8,
                              mu=1.0, b=10.0)
@@ -216,3 +221,120 @@ def test_report_table_renders(default_cert):
     text = certify_matched(BENCHMARK_MATCHED, default_cert).table()
     assert "gamma2_bound" in text
     assert "FAILED" in text
+
+
+@contextlib.contextmanager
+def _eigsh_calls(regime=None):
+    """The shapes of the forms given to the sparse solver inside the block;
+    ``regime`` "sparse" or "dense" sends every form to that regime."""
+    shapes = []
+    real = scipy.sparse.linalg.eigsh
+
+    def spy(A, *args, **kwargs):
+        shapes.append(A.shape)
+        return real(A, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scipy.sparse.linalg, "eigsh", spy)
+        if regime == "sparse":
+            mp.setattr(gains, "_SPARSE_MIN_N", 0)
+            mp.setattr(gains, "_SPARSE_MAX_FILL", math.inf)
+        elif regime == "dense":
+            mp.setattr(gains, "_SPARSE_MIN_N", math.inf)
+        yield shapes
+
+
+def _random_gains(rng):
+    matched = MatchedGains.with_substitutions(*rng.uniform(0.1, 50.0, 3),
+                                              mu=rng.uniform(0.1, 5.0), b=rng.uniform(1.0, 50.0))
+    unmatched = UnmatchedGains(*rng.uniform(0.1, 50.0, 5), alpha2=rng.uniform(0.1, 5.0))
+    return matched, unmatched
+
+
+@given(st.sampled_from(("tree", "cyclic-root")), st.integers(min_value=13, max_value=300),
+       st.integers(min_value=0, max_value=2 ** 32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_sparse_regime_matches_dense(family, n, seed):
+    """Shift-invert Lanczos finds the smallest eigenvalue of every form, the
+    dense P of a cyclic root included, within 1e-12 of the form's norm, and
+    no form check passes in one regime and fails in the other unless the
+    eigenvalue is that close to zero.  Every other check is the same."""
+    rng = np.random.default_rng(seed)
+    cert = solve_P(build_laplacian(random_family_graph(rng, n, family)))
+    matched, unmatched = _random_gains(rng)
+    reports = {}
+    for regime in ("sparse", "dense"):
+        with _eigsh_calls(regime) as shapes:
+            reports[regime] = (certify_matched(matched, cert), certify_unmatched(unmatched, cert))
+        assert shapes == {"sparse": [(3 * n, 3 * n), (2 * n, 2 * n), (n, n)], "dense": []}[regime]
+    sparse, dense = reports["sparse"], reports["dense"]
+    assert sparse[0].checks[:-1] == dense[0].checks[:-1]
+    assert sparse[1].checks[:-2] == dense[1].checks[:-2]
+    forms = [matched_form_matrix(matched, cert), *unmatched_form_matrices(unmatched, cert)]
+    for form, k, name in zip(forms, (0, 1, 1), ("form_posdef", "form_posdef", "schur_psd")):
+        eigs = np.linalg.eigvalsh((form + form.T) / 2)
+        scale = np.abs(eigs).max()
+        assert dense[k].check(name).left == eigs[0]
+        assert abs(sparse[k].check(name).left - eigs[0]) <= 1e-12 * scale
+        if abs(eigs[0]) > 1e-12 * scale:
+            assert sparse[k].check(name).passed == dense[k].check(name).passed
+
+
+def test_large_tree_takes_sparse_regime():
+    """Above _SPARSE_MIN_N agents a tree's forms are sparse, and each takes
+    the shifted solve with its default thresholds."""
+    n = 2 * gains._SPARSE_MIN_N
+    rng = np.random.default_rng(12)
+    cert = solve_P(build_laplacian(random_tree_graph(rng, n)))
+    matched, unmatched = _random_gains(rng)
+    with _eigsh_calls() as shapes:
+        report = certify_matched(matched, cert)
+        certify_unmatched(unmatched, cert)
+    assert shapes == [(3 * n, 3 * n), (2 * n, 2 * n), (n, n)]
+    eigs = np.linalg.eigvalsh(matched_form_matrix(matched, cert))
+    assert abs(report.min_eig_form - eigs[0]) <= 1e-12 * np.abs(eigs).max()
+
+
+def test_star_schur_test_matrix_takes_dense_regime():
+    """Every child of a star listens to the root, so L L^T, and with it the
+    Schur test matrix D, is dense although P and L are not: M takes the
+    shifted solve and D the dense eigvalsh."""
+    n = 300
+    assert n >= gains._SPARSE_MIN_N
+    rng = np.random.default_rng(5)
+    w = np.zeros((n, n))
+    w[1:, 0] = rng.uniform(0.5, 2.0, n - 1)
+    cert = solve_P(build_laplacian(DirectedGraph(w)))
+    g = UnmatchedGains(k_x=3.4, k_d=50.0, k_s=5.0, alpha1=50.0, nu=1.0)
+    with _eigsh_calls() as shapes:
+        report = certify_unmatched(g, cert)
+    assert shapes == [(2 * n, 2 * n)]
+    M, D = unmatched_form_matrices(g, cert)
+    assert report.check("schur_psd").left == np.linalg.eigvalsh((D + D.T) / 2)[0]
+    eigs = np.linalg.eigvalsh(M)
+    assert abs(report.check("form_posdef").left - eigs[0]) <= 1e-12 * np.abs(eigs).max()
+
+
+def test_sparse_failure_falls_back_to_dense():
+    """When ARPACK does not converge, each form's smallest eigenvalue is the
+    dense eigvalsh's, bit for bit."""
+    n = gains._SPARSE_MIN_N + 50
+    rng = np.random.default_rng(3)
+    cert = solve_P(build_laplacian(random_tree_graph(rng, n)))
+    matched, unmatched = _random_gains(rng)
+    calls = []
+
+    def no_convergence(A, *args, **kwargs):
+        calls.append(A.shape)
+        raise scipy.sparse.linalg.ArpackNoConvergence(
+            "ARPACK error -1: No convergence", np.empty(0), np.empty((A.shape[0], 0)))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+        report_m = certify_matched(matched, cert)
+        report_u = certify_unmatched(unmatched, cert)
+    assert calls == [(3 * n, 3 * n), (2 * n, 2 * n), (n, n)]
+    assert report_m.min_eig_form == np.linalg.eigvalsh(matched_form_matrix(matched, cert))[0]
+    M, D = unmatched_form_matrices(unmatched, cert)
+    assert report_u.check("form_posdef").left == np.linalg.eigvalsh((M + M.T) / 2)[0]
+    assert report_u.check("schur_psd").left == np.linalg.eigvalsh((D + D.T) / 2)[0]

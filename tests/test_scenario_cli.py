@@ -17,7 +17,7 @@ from consensus_net.analysis import BLOCK_VALUES
 from consensus_net.dynamics import eval_disturbance
 from consensus_net.errors import DegenerateSpectrumError, ValidationError
 from consensus_net.gains import certify_matched
-from consensus_net.graph import DirectedGraph, build_laplacian
+from consensus_net.graph import DirectedGraph, build_laplacian, graph_to_json
 from consensus_net.scenario import (
     aligned_dt,
     builtin_scenario,
@@ -368,6 +368,21 @@ def test_cli_gains_suggest(capsys):
     assert "PASSED" in out
 
 
+def test_cli_gains_suggest_ignores_the_scenario_gains(tmp_path, capsys):
+    """The suggestion needs only the graph's certificate: gains in the
+    scenario that overflow the gamma2 bound do not stop a suggestion from
+    the overriding gamma1."""
+    doc = scenario_to_json(builtin_scenario("paper-matched"))
+    doc["gains"]["gamma1"] = 1e308
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    rc = cli.main(["gains", "suggest", str(path), "--gamma1", "6"])
+    assert rc == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert "  gamma1 = 6\n" in out
+    assert "certified: PASSED" in out
+
+
 def _write_uncertifiable_inputs(tmp_path):
     """paper-unmatched with one edge weight at 1e-300: the graph keeps its
     spanning tree, but the zero eigenvalue of L is numerically not simple."""
@@ -666,3 +681,24 @@ def test_certification_json_rejects_non_finite_P(bad):
     """JSON cannot spell a non-finite float; the writer raises instead."""
     with pytest.raises(ValueError, match="non-finite"):
         runner.certification_json_text(_certification_doc([[1.0, bad], [bad, 1.0]]))
+
+
+def test_large_tree_run_repeats_certification_json(tmp_path):
+    """A 600-agent tree takes the sparse regime for its smallest form
+    eigenvalue, whose ARPACK start is fixed: two runs in one process write
+    the same certification.json."""
+    n = 600
+    rng = np.random.default_rng(11)
+    doc = scenario_to_json(builtin_scenario("paper-matched"))
+    doc["graph"] = graph_to_json(random_tree_graph(rng, n))
+    segments = doc["disturbance"]["segments"]
+    segments[1]["t_start"] = 0.01
+    for seg in segments:
+        seg["base"] = rng.uniform(-0.3, 0.3, n).tolist()
+    doc["initial"] = {"x": rng.uniform(-1.0, 1.0, n).tolist(), "y": [0.0] * n,
+                      "delta_hat": [0.0] * n}
+    doc["sim"] = {"t_final": 0.02, "dt": 1e-3, "sample_every": 10}
+    sc = scenario_from_json(doc)
+    texts = [runner.run(sc, tmp_path / f"run{k}").certification_json.read_bytes()
+             for k in range(2)]
+    assert texts[0] == texts[1]
