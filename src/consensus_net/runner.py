@@ -16,8 +16,10 @@ All files are written atomically (temp file + rename) with fixed formatting
 of the same scenario produces identical bytes.  The JSON files are
 ``json.dumps(doc, indent=2, sort_keys=True)``; ``certification_json_text``
 splices P's rows into that text instead of encoding them, with the same
-bytes, and formats each distinct bit pattern of P once (P is symmetric, so
-about half of its n^2 entries repeat).
+bytes.  ``run`` hands it ``P`` as the certificate's array, not as rows of
+Python floats; it formats each distinct nonzero bit pattern of P once (P is
+symmetric, so about half of its n^2 entries repeat) and each run of zeros
+in a row as one string (on a tree, 98 % of P is exactly zero).
 """
 
 from __future__ import annotations
@@ -85,45 +87,83 @@ def _json_chunks(doc) -> list:
 #: stands in for ``certificate.P`` while the rest of the document is dumped
 _P_SLOT = "P rows"
 
+#: what ``json.dumps(indent=2)`` puts between two entries of a row of P
+_P_SEP = ",\n        "
+
 
 def certification_json_text(doc: dict):
     """``_json_chunks(doc)`` for the certification document, without running
-    the n^2 entries of ``doc["certificate"]["P"]`` (rows of floats) through
-    the pure-Python encoder that ``indent`` selects.
+    the n^2 entries of ``doc["certificate"]["P"]`` (an array or rows of
+    floats) through the pure-Python encoder that ``indent`` selects.
 
     The rest of the document is dumped with ``P`` replaced by a placeholder,
     and ``P``'s text is built from ``repr``, which spells every finite float
-    as ``json`` does, in ``json``'s 2-space layout.  Each distinct bit
-    pattern of ``P`` is formatted once and gathered back into place; bit
-    patterns, not values, so that ``0.0`` and ``-0.0`` keep their spellings.
-    The keys are sorted, and ``certificate`` is the first key of the document
-    and ``P`` the first of the certificate, so the placeholder's first
-    occurrence is the one to replace.  JSON has no spelling for a non-finite
-    float, so such a ``P`` raises ``ValueError`` here, before any text.  The
-    chunks come one row of ``P`` at a time, not as one string.
+    as ``json`` does, in ``json``'s 2-space layout.  Each distinct nonzero
+    bit pattern of ``P`` is formatted once and gathered back into place, and
+    each run of ``0.0`` in a row is one string, made once per run length
+    (a tree's ``P`` is mostly zeros).  Bit patterns, not values, so that
+    ``-0.0`` keeps its own spelling.  The keys are sorted, and
+    ``certificate`` is the first key of the document and ``P`` the first of
+    the certificate, so the placeholder's first occurrence is the one to
+    replace.  JSON has no spelling for a non-finite float, so such a ``P``
+    raises ``ValueError`` here, before any text.  The chunks come one row of
+    ``P`` at a time, not as one string.
     """
-    rows = doc["certificate"]["P"]
-    bits, index = np.unique(np.asarray(rows, dtype=np.float64).view(np.int64),
-                            return_inverse=True)
-    values = bits.view(np.float64)
+    P = np.asarray(doc["certificate"]["P"], dtype=np.float64)
+    bits = P.view(np.int64)
+    rows, cols = np.nonzero(bits)
+    patterns, index = np.unique(bits[rows, cols], return_inverse=True)
+    values = patterns.view(np.float64)
     if not np.isfinite(values).all():
         raise ValueError("certificate P has non-finite entries, which JSON cannot hold")
     head, tail = json.dumps(
         {**doc, "certificate": {**doc["certificate"], "P": _P_SLOT}},
         indent=2, sort_keys=True).split(json.dumps(_P_SLOT), 1)
     spelled = np.array([repr(v) for v in values.tolist()], dtype=object)
-    return _p_chunks(head, spelled, index.reshape(len(rows), -1), tail)
+    return _p_chunks(head, _row_texts(P.shape, rows, cols, spelled[index]), tail)
 
 
-def _p_chunks(head: str, spelled: np.ndarray, index: np.ndarray, tail: str):
-    """The certification text around ``P``, one chunk per row of ``P``:
-    ``spelled[index[i, j]]`` is the text of ``P[i, j]``."""
+def _row_texts(shape, rows, cols, texts):
+    """The text of each row, one at a time, of a matrix of ``shape`` whose
+    nonzero entries, spelled ``texts``, sit at ``(rows, cols)`` in row-major
+    order and whose other entries are ``0.0``.
+
+    Row r is its pieces joined by ``_P_SEP``: for each nonzero, the run of
+    zeros before it and its text, then the run of zeros after the last one.
+    Each piece has its place in one array: the nonzero q of row r at
+    2q + r + 1, its zero run at 2q + r, and row r's last run at
+    2 * (nonzeros up to row r) + r.  Empty runs are dropped.
+    """
+    n_rows, n_cols = shape
+    row_start = np.arange(n_rows) * n_cols
+    flat = row_start[rows] + cols
+    # where the previous nonzero ended, before each one and after the last
+    ended = np.concatenate(([0], flat + 1))
+    ends = np.searchsorted(rows, np.arange(1, n_rows + 1))
+    text_at = 2 * np.arange(rows.size) + rows + 1
+    run_at = np.concatenate((text_at - 1, 2 * ends + np.arange(n_rows)))
+    run = np.concatenate((flat - np.maximum(ended[:-1], row_start[rows]),
+                          row_start + n_cols - np.maximum(ended[ends], row_start)))
+    lengths, which = np.unique(run, return_inverse=True)
+    zeros = np.array([_P_SEP.join(["0.0"] * k) for k in lengths.tolist()], dtype=object)
+    pieces = np.empty(text_at.size + run_at.size, dtype=object)
+    pieces[text_at] = texts
+    pieces[run_at] = zeros[which]
+    kept = np.ones(pieces.size, dtype=bool)
+    kept[run_at] = run > 0
+    bounds = np.concatenate(([0], np.cumsum(kept)[run_at[rows.size:]]))
+    pieces = pieces[kept].tolist()
+    return (_P_SEP.join(pieces[a:b]) for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+
+
+def _p_chunks(head: str, row_texts, tail: str):
+    """The certification text around ``P``, one chunk per row of ``P``."""
     yield head
     yield "[\n      [\n        "
-    for i, row in enumerate(index):
+    for i, text in enumerate(row_texts):
         if i:
             yield "\n      ],\n      [\n        "
-        yield ",\n        ".join(spelled[row].tolist())
+        yield text
     yield "\n      ]\n    ]"
     yield tail
     yield "\n"
@@ -264,7 +304,7 @@ def run(sc: Scenario, out_dir) -> RunArtifacts:
     )
     cert_doc = {
         "report": report.to_json(),
-        "certificate": cert.to_json(),
+        "certificate": {**cert.scalars_json(), "P": cert.P},
         "scenario": sc.name,
         "mode": sc.mode,
     }

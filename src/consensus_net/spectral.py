@@ -103,9 +103,12 @@ class LyapunovCertificate:
         return self.P.shape[0]
 
     def to_json(self) -> dict:
+        return {**self.scalars_json(), "P": self.P.tolist()}
+
+    def scalars_json(self) -> dict:
+        """``to_json`` without ``P``, for a writer that spells ``P`` itself."""
         return {
             "n": self.n_agents,
-            "P": self.P.tolist(),
             "alpha": self.alpha,
             "residual": self.residual,
             "lambda_P": self.lambda_P,

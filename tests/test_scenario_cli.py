@@ -631,26 +631,44 @@ def _certification_doc(P, name="writer"):
             "mode": "matched"}
 
 
+#: literal P for the writer's edge cases: runs of zeros (the writer spells
+#: each run as one string) and the spellings a zero run must not swallow
+_WRITER_CASES = {
+    "awkward-values": [[-0.0, 5e-324, 1e-300], [1e300, 1.0, 0.0], [1e16, 0.1, -5e-324]],
+    "all-zero-row": [[0.0, 0.0, 0.0], [0.0, 2.0, -1.0], [0.0, -1.0, 2.0]],
+    "zero-runs-at-row-ends": [[0.0, 0.0, 1.5, 0.0], [0.0, 0.0, 0.0, 2.5],
+                              [3.5, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]],
+    "row-without-zeros": [[1.0, -2.0, 0.25], [0.0, 0.0, 0.0], [0.1, 1e16, -3.0]],
+    "negative-zero-between-zeros": [[0.0, -0.0, 0.0], [-0.0, 0.0, -0.0], [0.0, 0.0, -0.0]],
+    "subnormal": [[0.0, 5e-324, 0.0], [5e-324, 0.0, -5e-324], [0.0, 0.0, 5e-324]],
+    "n1-zero": [[0.0]],
+    "n1-negative-zero": [[-0.0]],
+}
+
+
 def _writer_P(case):
-    """P of a solved certificate of 1, 2 or 600 agents, or awkward floats."""
-    if case == "awkward-values":
-        return [[-0.0, 5e-324, 1e-300], [1e300, 1.0, 0.0], [1e16, 0.1, -5e-324]]
+    """P of a solved certificate of 1, 2 or 600 agents, or a literal case."""
+    if case in _WRITER_CASES:
+        return _WRITER_CASES[case]
     graph = {"n1": lambda: DirectedGraph(np.zeros((1, 1))),
              "n2": lambda: DirectedGraph(np.array([[0.0, 0.0], [1.0, 0.0]])),
              "n600": lambda: random_tree_graph(np.random.default_rng(3), 600)}[case]()
     return spectral.solve_P(build_laplacian(graph)).P.tolist()
 
 
-@pytest.mark.parametrize("case", ["n1", "n2", "n600", "awkward-values"])
+@pytest.mark.parametrize("case", ["n1", "n2", "n600", *_WRITER_CASES])
 def test_certification_json_is_the_indented_dump(case):
     """The spliced certification text is the indented, key-sorted dump,
     character for character, also when the scenario is named like the
-    placeholder that stands in for P."""
+    placeholder that stands in for P; P given as rows of floats and as an
+    array (as ``runner.run`` passes it) give the same bytes."""
     P = _writer_P(case)
     for name in ("writer", runner._P_SLOT):
         doc = _certification_doc(P, name)
-        _assert_same_text("".join(runner.certification_json_text(doc)),
-                          json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        text = "".join(runner.certification_json_text(doc))
+        _assert_same_text(text, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        array_doc = _certification_doc(np.array(P), name)
+        assert "".join(runner.certification_json_text(array_doc)) == text
 
 
 #: few values, so that draws repeat them; both zeros, so that a writer that

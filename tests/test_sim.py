@@ -342,11 +342,13 @@ def _frozen_segment_field(loop_cls, gains, lap, profile, dt):
     return field
 
 
-def _sparse_and_dense(mode, lap, profile, z0, params):
-    """The stage body on the CSR A, as ``rk4_closed_loop`` runs it, and the
-    same body on the dense A; (written, out) each."""
+def _run_and_dense(mode, lap, profile, z0, params):
+    """``rk4_closed_loop`` as a run calls it, on a graph for which the
+    estimate rejects the dense recurrence (so on the CSR A: the sparse
+    recurrence, replayed by the stage body near overflow), and the stage
+    body on the dense A; (written, out) each."""
     C_L, C_I, c_E = _loop(mode, lap, profile).blocks()
-    # the estimate must pick the stage body, or the sparse body is not tested
+    # the estimate must reject the dense recurrence, or no CSR path is tested
     assert not kernels.prefer_recurrence(lap.n_agents, np.count_nonzero(lap.L),
                                          params.n_steps, params.sample_every)
     sparse = np.empty((params.n_samples, z0.shape[0]))
@@ -364,10 +366,17 @@ def _large_shuffled_lap(seed, n=200):
     return build_laplacian(DirectedGraph(w[np.ix_(perm, perm)])), rng
 
 
+def _csr_system(mode, lap, profile):
+    C_L, C_I, c_E = _loop(mode, lap, profile).blocks()
+    return kernels._csr_system(C_L, C_I, lap.L), c_E
+
+
 @pytest.mark.parametrize("mode", ["matched", "unmatched"])
 def test_sparse_stage_body_oracle(mode):
     """200 agents, a tree with extra edges and shuffled labels, and a switch
-    at step 255, strictly inside the sample block of steps 250-260."""
+    at step 255, strictly inside the sample block of steps 250-260: the run's
+    path (the sparse recurrence), the stage body on the CSR A and on the
+    dense A agree, and all three match the generic RK4 oracle."""
     lap, rng = _large_shuffled_lap(5)
     n = lap.n_agents
     profile = DisturbanceProfile((
@@ -376,16 +385,18 @@ def test_sparse_stage_body_oracle(mode):
     ))
     params = SimParams(t_final=0.5, dt=1e-3, sample_every=10)
     z0 = np.concatenate([rng.uniform(-1.0, 1.0, n), rng.uniform(-0.5, 0.5, n), np.zeros(n)])
-    (w_sparse, sparse), (w_dense, dense) = _sparse_and_dense(mode, lap, profile, z0, params)
-    assert w_sparse == w_dense == params.n_samples
-    assert np.abs(sparse - dense).max() <= 1e-12 * np.abs(dense).max()
+    (w_run, run), (w_dense, dense) = _run_and_dense(mode, lap, profile, z0, params)
+    w_csr, csr = _run(kernels._rk4_stage, *_csr_system(mode, lap, profile), profile, z0, params)
+    assert w_run == w_csr == w_dense == params.n_samples
+    for path in (run, csr):
+        assert np.abs(path - dense).max() <= 1e-12 * np.abs(dense).max()
 
     loop_cls, gains = (MatchedLoop, MATCHED) if mode == "matched" else (UnmatchedLoop, UNMATCHED)
     oracle = np.empty_like(dense)
     field = _frozen_segment_field(loop_cls, gains, lap, profile, params.dt)
     assert _rk4_generic(field, z0, params, oracle) == params.n_samples
-    assert np.abs(sparse - oracle).max() < 1e-10
-    assert np.abs(dense - oracle).max() < 1e-10
+    for path in (run, csr, dense):
+        assert np.abs(path - oracle).max() < 1e-10
 
 
 def _diverging_case(y_dhat0):
@@ -409,7 +420,7 @@ def test_sparse_stage_body_divergence(mode):
     non-finite sample and keep the finite prefix."""
     lap, profile, params, z0 = _diverging_case(0.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        (written, out), _ = _sparse_and_dense(mode, lap, profile, z0, params)
+        (written, out), _ = _run_and_dense(mode, lap, profile, z0, params)
         assert 1 < written < params.n_samples
         assert np.isfinite(out[:written]).all()
         # one more sample from the last finite state overflows; the constant
@@ -429,7 +440,7 @@ def test_divergence_well_conditioned_paths_agree(mode):
     CSR A, the dense A and the generic path overflow at the same sample."""
     lap, profile, params, z0 = _diverging_case(1.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        (w_sparse, sparse), (w_dense, dense) = _sparse_and_dense(mode, lap, profile, z0, params)
+        (w_sparse, sparse), (w_dense, dense) = _run_and_dense(mode, lap, profile, z0, params)
         oracle = np.empty_like(dense)
         w_oracle = _rk4_generic(_loop(mode, lap, profile).field, z0, params, oracle)
     assert 1 < w_sparse < params.n_samples
@@ -438,3 +449,176 @@ def test_divergence_well_conditioned_paths_agree(mode):
     for path in (sparse, dense):
         assert np.isfinite(path[:w_sparse]).all()
         assert (np.abs(path[:w_sparse] - oracle[:w_oracle]).max(axis=1) <= 1e-10 * scale).all()
+
+
+def _spy(monkeypatch, name):
+    """Wrap ``kernels.<name>`` so that each call's arguments and result are
+    recorded; returns the list of (args, kwargs, result)."""
+    calls = []
+    real = getattr(kernels, name)
+
+    def spy(*args, **kwargs):
+        result = real(*args, **kwargs)
+        calls.append((args, kwargs, result))
+        return result
+    monkeypatch.setattr(kernels, name, spy)
+    return calls
+
+
+def _run_sparse(A, c_E, profile, z0, params):
+    """The sparse recurrence on the CSR ``A`` run directly; (written, out)."""
+    out = np.empty((params.n_samples, z0.shape[0]))
+    written = kernels._rk4_sparse(A, kernels._step_operator(A, params.dt), c_E, z0, profile,
+                                  params.dt, params.n_steps, params.sample_every, out)
+    return written, out
+
+
+def _two_segment_case(lap, rng, t_switch):
+    n = lap.n_agents
+    profile = DisturbanceProfile((
+        Segment(0.0, rng.uniform(-0.3, 0.3, n), hyperbolic_coeff=1.0),
+        Segment(t_switch, rng.uniform(-0.3, 0.3, n), exp_coeff=1.0, exp_rate=0.2),
+    ))
+    z0 = np.concatenate([rng.uniform(-1.0, 1.0, n), rng.uniform(-0.5, 0.5, n), np.zeros(n)])
+    return profile, z0
+
+
+@pytest.mark.parametrize("mode", ["matched", "unmatched"])
+@pytest.mark.parametrize("sample_every", [1, 10, 200])
+def test_sparse_recurrence_agrees_with_stage_bodies(monkeypatch, mode, sample_every):
+    """The sparse recurrence (cap raised so that it folds as deep as its
+    set-up allows), the stage body on the CSR A and on the dense A agree
+    within 1e-12 and stay within 1e-10 of the generic RK4 oracle.  A tree
+    with extra edges; the switch at step 253 lies strictly inside a block for
+    every fold above 1."""
+    monkeypatch.setattr(kernels, "_SPARSE_MAX_FILL", 1.0)
+    folds = _spy(monkeypatch, "_sparse_fold")
+    lap, rng = _large_shuffled_lap(8, n=60)
+    profile, z0 = _two_segment_case(lap, rng, 0.253)
+    params = SimParams(t_final=0.6, dt=1e-3, sample_every=sample_every)
+    C_L, C_I, c_E = _loop(mode, lap, profile).blocks()
+    A = kernels._csr_system(C_L, C_I, lap.L)
+    w_rec, rec = _run_sparse(A, c_E, profile, z0, params)
+    (_, _, (f, _)), = folds
+    assert f > 1 or sample_every == 1
+    assert 253 % f or f == 1
+    w_csr, csr = _run(kernels._rk4_stage, A, c_E, profile, z0, params)
+    w_dense, dense = _run(kernels._rk4_stage, kernels._dense_system(C_L, C_I, lap.L), c_E,
+                          profile, z0, params)
+    assert w_rec == w_csr == w_dense == params.n_samples
+    scale = np.abs(dense).max()
+    assert np.abs(rec - dense).max() <= 1e-12 * scale
+    assert np.abs(csr - dense).max() <= 1e-12 * scale
+
+    loop_cls, gains = (MatchedLoop, MATCHED) if mode == "matched" else (UnmatchedLoop, UNMATCHED)
+    oracle = np.empty_like(dense)
+    field = _frozen_segment_field(loop_cls, gains, lap, profile, params.dt)
+    assert _rk4_generic(field, z0, params, oracle) == params.n_samples
+    for path in (rec, csr, dense):
+        assert np.abs(path - oracle).max() < 1e-10
+
+
+def test_fill_cap_limits_fold_on_long_path(monkeypatch):
+    """On a path the powers of M fill in (bandwidth grows with the power), so
+    the default cap, not the step count, stops the fold: on 150 agents M^4
+    passes 5 % of N^2, so sample_every = 10 folds 2 steps, not 10."""
+    n = 150
+    lap = build_laplacian(DirectedGraph(np.diag(np.ones(n - 1), -1)))
+    profile, z0 = _two_segment_case(lap, np.random.default_rng(2), 0.253)
+    params = SimParams(t_final=1.0, dt=1e-3, sample_every=10)
+    blocks = _loop("matched", lap, profile).blocks()
+    A = kernels._csr_system(*blocks[:2], lap.L)
+    M = kernels._step_operator(A, params.dt)
+    cap = kernels._SPARSE_MAX_FILL * A.shape[0] ** 2
+    powers = [M]
+    for _ in range(3):
+        powers.append(powers[-1] @ M)
+    assert powers[2].nnz <= cap < powers[3].nnz
+    folds = _spy(monkeypatch, "_sparse_fold")
+    sparse = _spy(monkeypatch, "_rk4_sparse")
+    out = np.empty((params.n_samples, z0.shape[0]))
+    written = kernels.rk4_closed_loop(*blocks, lap.L, z0, profile, params.dt, params.n_steps,
+                                      params.sample_every, out)
+    assert len(sparse) == 1
+    (_, _, (f, M_f)), = folds
+    assert f == kernels.largest_divisor_at_most(10, 3) == 2
+    assert (M_f != powers[1]).nnz == 0
+    w_csr, csr = _run(kernels._rk4_stage, A, blocks[2], profile, z0, params)
+    assert written == w_csr == params.n_samples
+    assert np.abs(out - csr).max() <= 1e-12 * np.abs(csr).max()
+
+
+def test_zero_cap_falls_back_to_stage_body(monkeypatch):
+    """With a fill cap of 0 even M is too full: the stage body runs on the
+    CSR A, with the same bits as calling it directly."""
+    monkeypatch.setattr(kernels, "_SPARSE_MAX_FILL", 0.0)
+    stage = _spy(monkeypatch, "_rk4_stage")
+    sparse = _spy(monkeypatch, "_rk4_sparse")
+    lap, rng = _large_shuffled_lap(9, n=200)
+    profile, z0 = _two_segment_case(lap, rng, 0.253)
+    params = SimParams(t_final=0.3, dt=1e-3, sample_every=10)
+    C_L, C_I, c_E = _loop("matched", lap, profile).blocks()
+    out = np.empty((params.n_samples, z0.shape[0]))
+    assert kernels.rk4_closed_loop(C_L, C_I, c_E, lap.L, z0, profile, params.dt,
+                                   params.n_steps, params.sample_every, out) == params.n_samples
+    assert not sparse
+    (args, _, _), = stage
+    assert args[0].format == "csr"
+    _, direct = _run(kernels._rk4_stage, kernels._csr_system(C_L, C_I, lap.L), c_E,
+                     profile, z0, params)
+    assert np.array_equal(out, direct)
+
+
+def test_600_agent_tree_takes_sparse_recurrence(monkeypatch):
+    """A 600-agent tree, the benchmark's large graph: with the default cap the
+    run folds on the CSR operator, and the stage body does not run."""
+    stage = _spy(monkeypatch, "_rk4_stage")
+    sparse = _spy(monkeypatch, "_rk4_sparse")
+    folds = _spy(monkeypatch, "_sparse_fold")
+    rng = np.random.default_rng(4)
+    lap = build_laplacian(random_tree_graph(rng, 600))
+    profile, z0 = _two_segment_case(lap, rng, 0.05)
+    params = SimParams(t_final=0.1, dt=1e-3, sample_every=10)
+    C_L, C_I, c_E = _loop("matched", lap, profile).blocks()
+    out = np.empty((params.n_samples, z0.shape[0]))
+    assert kernels.rk4_closed_loop(C_L, C_I, c_E, lap.L, z0, profile, params.dt,
+                                   params.n_steps, params.sample_every, out) == params.n_samples
+    assert len(sparse) == 1 and not stage
+    (_, _, (f, _)), = folds
+    assert f > 1
+    _, csr = _run(kernels._rk4_stage, kernels._csr_system(C_L, C_I, lap.L), c_E,
+                  profile, z0, params)
+    assert np.abs(out - csr).max() <= 1e-12 * np.abs(csr).max()
+
+
+class _PoisonedBlock:
+    """``M^f`` whose product goes NaN at one block, as an overflow would."""
+
+    def __init__(self, M_f, bad_call):
+        self.M_f, self.bad_call, self.calls = M_f, bad_call, 0
+
+    def __matmul__(self, z):
+        self.calls += 1
+        return self.M_f @ z * (np.nan if self.calls == self.bad_call else 1.0)
+
+
+def test_non_finite_block_is_replayed_by_stage_body(monkeypatch):
+    """A block of the second chunk goes non-finite where the stage body stays
+    finite: the chunk is replayed from its first state by the stage body,
+    whose count (all samples) is returned, not the recurrence's."""
+    n_steps = kernels._CHUNK_STEPS + 500
+    real_fold = kernels._sparse_fold
+    monkeypatch.setattr(kernels, "_sparse_fold", lambda M, se, steps: (
+        1, _PoisonedBlock(real_fold(M, se, steps)[1], kernels._CHUNK_STEPS + 100)))
+    stage = _spy(monkeypatch, "_rk4_stage")
+    lap, rng = _large_shuffled_lap(10, n=20)
+    profile, z0 = _two_segment_case(lap, rng, 1.0)
+    params = SimParams(t_final=n_steps * 1e-3, dt=1e-3, sample_every=1)
+    A, c_E = _csr_system("unmatched", lap, profile)
+    written, out = _run_sparse(A, c_E, profile, z0, params)
+    (args, kwargs, result), = stage
+    assert kwargs == {"k_start": kernels._CHUNK_STEPS}
+    assert written == result == params.n_samples
+    assert np.isfinite(out).all()
+    _, direct = _run(kernels._rk4_stage, A, c_E, profile, z0, params)
+    assert np.abs(out - direct).max() <= 1e-12 * np.abs(direct).max()
