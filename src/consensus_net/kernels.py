@@ -18,8 +18,13 @@ either loop one of three ways, all built on the same RK4 step
   comes from applying the step to the identity columns of a dense ``A``,
   and ``Cb`` and ``c*`` from applying it to zero columns under the forcing
   ``E`` and ``E 1``; ``fold_length`` steps are folded into one block
-  operator, so Python loops once per block (once per sample for
-  ``sample_every`` up to 100).  Setting it up costs O((3n)^3) flops.
+  operator ``M^f``.  The blocks are stepped as a blocked scan
+  (``_scan_blocks``): products with a block-Toeplitz matrix of its powers
+  give every superblock of K blocks its local part, Python loops once per
+  superblock to carry the start state, and products with its powers give
+  every block end.  ``_scan_length`` picks K from the unit costs below
+  (K = 12 on the builtins, K = 1, the plain loop, from 40 agents up).
+  Setting it up costs O((3n)^3) flops.
 * the sparse recurrence (``_rk4_sparse``) is the same recurrence on a CSR
   ``A``: graphs that contain a spanning tree are typically sparse (a tree
   has n - 1 edges), and so are ``M`` and its first powers.  Its forcing
@@ -57,11 +62,25 @@ import numpy as np
 MAX_FOLD = 100
 
 #: steps whose disturbance terms are evaluated together; bounds the
-#: transient arrays of both paths to a few MiB
-_CHUNK_STEPS = 4096
+#: transient arrays of all paths to a few MiB.  The dense scan holds a
+#: chunk's forcing and its local parts at once: at 4096 steps that raised
+#: the builtins' peak RSS by about 1 MiB
+_CHUNK_STEPS = 2048
 
-#: numpy calls per block of the recurrence
+#: numpy calls per block of the recurrence's plain loop, and per superblock
+#: of its scan
 _BLOCK_CALLS = 4
+
+#: largest size in bytes of the dense scan's block-Toeplitz operator ``T``:
+#: about one chunk's forcing at n = 5, so ``T`` adds no more than a chunk does
+_SCAN_MAX_BYTES = 2 ** 18
+
+#: most multiply-adds (m n k) of one matrix product in the dense scan.
+#: OpenBLAS runs products this small on one thread; larger ones are split
+#: across its thread pool, and on a 2-vCPU host such a product can stall
+#: about 16 ms per call (a 170 x 180 by 180 x 180 product: 16 ms in some
+#: processes against 0.2 ms in others)
+_GEMM_MAX_MNK = 2 ** 19
 
 #: unit costs of the estimate in seconds, measured on a 2-core x86 host
 #: with OpenBLAS: one numpy call's fixed overhead, one flop of a
@@ -110,16 +129,17 @@ def prefer_recurrence(n: int, nnz: int, n_steps: int, sample_every: int) -> bool
     """Whether the recurrence is estimated to run faster than the stage body.
 
     The estimate weighs numpy calls and flops with the unit costs above.
-    With N = 3n and f = ``fold_length(sample_every)``:
+    With N = 3n, f = ``fold_length(sample_every)`` and K = ``_scan_length(N)``:
 
     * stage body, per step: ``_STAGE_STEP_S`` and four sparse products with
       ``A``, 8 (2 nnz + 7 n) flops (``nnz`` counts the stored entries of L;
       ``A`` stores at most two copies of L and seven diagonals of I_n);
     * recurrence set-up, in matrix-product flops: one RK4 step on N identity
       and n + 3 forcing columns (8 N^2 (N + n + 3)), f - 1 products for the
-      block forcing (2 N^2 (n + 3) each) and M^f by squaring (4 N^3 log2 f);
-    * recurrence, per block: ``_BLOCK_CALLS`` calls and one N x N
-      matrix-vector product (2 N^2 flops); per step, 6 N + 30 flops for
+      block forcing (2 N^2 (n + 3) each), M^f by squaring (4 N^3 log2 f)
+      and the scan's K powers of M^f (2 N^3 K);
+    * recurrence, per block: ``_block_seconds(N, K)``, the scan's products
+      and its loop's calls shared by K blocks; per step, 6 N + 30 flops for
       the vanishing terms and their block forcing.
 
     The set-up grows as n^3 and the stage body as nnz per step, so the
@@ -131,11 +151,11 @@ def prefer_recurrence(n: int, nnz: int, n_steps: int, sample_every: int) -> bool
     """
     N = 3 * n
     f = fold_length(sample_every)
+    K = _scan_length(N)
     stage = n_steps * (_STAGE_STEP_S + 8 * (2 * nnz + 7 * n) * _SPARSE_FLOP_S)
     setup_flops = 8 * N * N * (N + n + 3) + 2 * N * N * (n + 3) * (f - 1) \
-        + 4 * N ** 3 * math.log2(f)
-    recurrence = setup_flops * _MATMUL_FLOP_S \
-        + (n_steps // f) * (_BLOCK_CALLS * _CALL_S + 2 * N * N * _MATVEC_FLOP_S) \
+        + 4 * N ** 3 * math.log2(f) + 2 * N ** 3 * K
+    recurrence = setup_flops * _MATMUL_FLOP_S + (n_steps // f) * _block_seconds(N, K) \
         + n_steps * (6 * N + 30) * _MATVEC_FLOP_S
     return recurrence < stage
 
@@ -209,15 +229,26 @@ def _forced_step(A, columns, scalar, dt):
 
 def _rk4_affine(A, c_E, z0, profile, dt, n_steps, sample_every, out):
     """The dense recurrence: same contract and switching rule as
-    ``_rk4_stage``; ``A`` is dense."""
+    ``_rk4_stage``; ``A`` is dense.
+
+    Blocks are stepped by the scan over ``_scan_length`` blocks at a time.
+    On the first chunk with a non-finite sample (or one above
+    ``_TRUSTED_MAGNITUDE``), the plain block loop replays the rest of the
+    run from that chunk's first state and its count is returned:
+    ``M^j z`` can overflow at another sample than stepping does."""
     N = A.shape[0]
     E = np.kron(c_E[:, None], np.eye(N // 3))
     f = fold_length(sample_every)
     # M: one step from identity columns, unforced; D forced by E's columns
     M = _linear_rk4_step(A, np.eye(N), 0.0, 0.0, 0.0, dt)
     D = _forced_step(A, E, E.sum(axis=1), dt)
-    return _affine_blocks(M, D, np.linalg.matrix_power(M, f), f, profile.bases,
-                          z0, profile, dt, n_steps, sample_every, out)
+    args = (M, D, np.linalg.matrix_power(M, f), f, profile.bases)
+
+    def replay(b, z):
+        return _affine_blocks(*args, z, profile, dt, n_steps, sample_every, out, b_start=b)
+
+    return _affine_blocks(*args, z0, profile, dt, n_steps, sample_every, out, replay,
+                          _scan_length(N))
 
 
 def _sparse_fold(M, sample_every, n_steps):
@@ -259,22 +290,96 @@ def _rk4_sparse(A, M, c_E, z0, profile, dt, n_steps, sample_every, out):
     f, M_f = _sparse_fold(M, sample_every, n_steps)
     D = _forced_step(A, _segment_forcing(c_E, profile).T, np.repeat(c_E, profile.n_agents), dt)
 
-    def replay(k, z):
-        return _rk4_stage(A, c_E, z, profile, dt, n_steps, sample_every, out, k_start=k)
+    def replay(b, z):
+        return _rk4_stage(A, c_E, z, profile, dt, n_steps, sample_every, out, k_start=b * f)
 
     return _affine_blocks(M, D, M_f, f, np.eye(len(profile.bases)), z0, profile, dt,
                           n_steps, sample_every, out, replay)
 
 
+def _block_seconds(N, K):
+    """Estimated seconds per block of the dense recurrence on an N x N
+    block operator, stepped by the scan over K blocks at a time: per block,
+    2 K N^2 matrix-product flops for ``T`` and 2 N^2 for ``P``, and per
+    superblock ``_BLOCK_CALLS`` calls and one matrix-vector product.  K = 1
+    is the plain block loop, which costs just the latter per block."""
+    loop = _BLOCK_CALLS * _CALL_S + 2 * N * N * _MATVEC_FLOP_S
+    return loop if K == 1 else loop / K + 2 * (K + 1) * N * N * _MATMUL_FLOP_S
+
+
+def _scan_length(N):
+    """Blocks per superblock of the dense recurrence's scan: the K that
+    minimises ``_block_seconds``, with ``T``, (K N)^2 entries, at most
+    ``_SCAN_MAX_BYTES``.  At N = 15 (the builtins) the size binds: K = 12
+    against 17 for the cost alone, which the estimate puts 5 % apart."""
+    return min(range(1, max(1, math.isqrt(_SCAN_MAX_BYTES // 8) // N) + 1),
+               key=lambda K: _block_seconds(N, K))
+
+
+def _scan_operators(M_block, K):
+    """``T`` and ``P`` of the scan over K blocks, both acting on row vectors.
+
+    ``T`` is the lower block-Toeplitz (K N) x (K N) matrix whose block (j, k)
+    is ``(M_block^(k-j))^T`` for j <= k, and ``P`` the N x (K N) row
+    ``[(M_block^1)^T ... (M_block^K)^T]``.  The leading K' blocks of both are
+    the operators over K' < K blocks.  Powers are formed one product at a
+    time."""
+    N = M_block.shape[0]
+    powers = np.empty((K + 1, N, N))
+    powers[0] = np.eye(N)
+    for k in range(K):
+        powers[k + 1] = M_block @ powers[k]
+    T = np.zeros((K, N, K, N))
+    for j in range(K):
+        T[j, :, j:] = powers[:K - j].transpose(2, 0, 1)
+    return T.reshape(K * N, K * N), powers[1:].transpose(2, 0, 1).reshape(N, K * N)
+
+
+def _scan_blocks(T, P, F, z):
+    """Overwrite each row of ``F`` (one per block) with the block end of
+    ``z_(i+1) = M_block z_i + F[i]`` from ``z_0 = z``, by a blocked scan over
+    superblocks of K blocks (K and ``M_block`` as in ``T`` and ``P``).
+
+    Products with ``T`` give every superblock's local part (its block ends
+    from a zero start), a loop over superblocks carries the start state
+    from one to the next (``M_block^K z + last local end``), and products
+    with ``P`` give each start's contribution to every block end.  Each
+    product takes as many superblocks as ``_GEMM_MAX_MNK`` allows.  Blocks
+    left over after the last full superblock form one short superblock,
+    scanned with the leading blocks of ``T`` and ``P``."""
+    B, N = F.shape
+    K = min(P.shape[1] // N, B)
+    ns = B // K
+    ends = F[:ns * K].reshape(ns, K * N)
+    T_K, P_K = T[:K * N, :K * N], P[:, :K * N]
+    rows = max(1, _GEMM_MAX_MNK // (K * N) ** 2)
+    local = np.empty_like(ends)
+    for r in range(0, ns, rows):
+        np.matmul(ends[r:r + rows], T_K, out=local[r:r + rows])
+    starts = np.empty((ns, N))
+    starts[0] = z
+    for s in range(ns - 1):
+        starts[s + 1] = starts[s] @ P_K[:, -N:] + local[s, -N:]
+    for r in range(0, ns, rows):
+        np.matmul(starts[r:r + rows], P_K, out=ends[r:r + rows])
+    ends += local
+    if ns * K < B:
+        _scan_blocks(T, P, F[ns * K:], F[ns * K - 1])
+
+
 def _affine_blocks(M, D, M_block, f, coords, z0, profile, dt, n_steps, sample_every, out,
-                   replay=None):
+                   replay=None, K=1, b_start=0):
     """Step the recurrence in blocks of f steps: ``z_f = M^f z_0 + sum_j
     M^(f-1-j) D [c_j; s_j]``, with ``M_block`` = M^f, ``c_j`` the row of
     ``coords`` for step j's segment (D's first columns) and ``s_j`` its three
-    vanishing terms (D's last three).  Writes samples as ``_rk4_stage`` does;
-    on the first chunk of blocks with a non-finite sample, returns
-    ``replay(first step, first state)`` of that chunk if given, else the
-    recurrence's own count.  With ``replay``, a sample above
+    vanishing terms (D's last three).  ``z0`` is the state after block
+    ``b_start`` (the initial state, written as out[0], when 0).
+
+    Each chunk of blocks is stepped by ``_scan_blocks`` over superblocks of
+    K blocks (``M_block`` dense), or one block at a time for K = 1.  Writes
+    samples as ``_rk4_stage`` does; on the first chunk with a non-finite
+    sample, returns ``replay(first block, first state)`` of that chunk if
+    given, else the recurrence's own count.  With ``replay``, a sample above
     ``_TRUSTED_MAGNITUDE`` counts as non-finite.
     """
     N = M.shape[0]
@@ -290,11 +395,15 @@ def _affine_blocks(M, D, M_block, f, coords, z0, profile, dt, n_steps, sample_ev
     base_forcing = coords @ W[:, :, :m].sum(axis=0).T
 
     z = z0.copy()
-    out[0] = z
-    chunk = max(1, _CHUNK_STEPS // f)
+    if not b_start:
+        out[0] = z
+    chunk = K * max(1, _CHUNK_STEPS // (f * K))
     limit = np.finfo(np.float64).max if replay is None else _TRUSTED_MAGNITUDE
     with np.errstate(over="ignore", invalid="ignore"):
-        for b0 in range(0, n_blocks, chunk):
+        if K > 1:
+            # powers of a diverging M_block may overflow: their chunk replays
+            T, P = _scan_operators(M_block, K)
+        for b0 in range(b_start, n_blocks, chunk):
             b1 = min(b0 + chunk, n_blocks)
             z_start = z
             seg, s = _step_terms(profile, dt, b0 * f, b1 * f)
@@ -306,16 +415,22 @@ def _affine_blocks(M, D, M_block, f, coords, z0, profile, dt, n_steps, sample_ev
                 for j in range(f):
                     w = M @ w + D @ np.concatenate([coords[seg[i, j]], s[i * f + j]])
                 F[i] = w
-            for i in range(b1 - b0):
-                z = M_block @ z + F[i]
-                b = b0 + i + 1
-                if b % blocks_per_sample == 0:
-                    out[b // blocks_per_sample] = z
-            first, last = b0 // blocks_per_sample + 1, b1 // blocks_per_sample
-            bad = np.flatnonzero(~(np.abs(out[first:last + 1]) <= limit).all(axis=1))
+            # block ends overwrite the forcing
+            if K > 1:
+                _scan_blocks(T, P, F, z)
+                z = F[-1].copy()
+            else:
+                for i in range(b1 - b0):
+                    z = F[i] = M_block @ z + F[i]
+            # the first block of the chunk that ends on a sample
+            i0 = -(b0 + 1) % blocks_per_sample
+            first = (b0 + i0 + 1) // blocks_per_sample
+            rows = out[first:b1 // blocks_per_sample + 1]
+            rows[:] = F[i0::blocks_per_sample]
+            bad = np.flatnonzero(~(np.abs(rows) <= limit).all(axis=1))
             if bad.size:
                 if replay is not None:
-                    return replay(b0 * f, z_start)
+                    return replay(b0, z_start)
                 return first + int(bad[0])
     return out.shape[0]
 
@@ -325,15 +440,17 @@ def _dense_system(C_L, C_I, L):
     return np.kron(C_L, L) + np.kron(C_I, np.eye(L.shape[0]))
 
 
-def _csr_system(C_L, C_I, L):
-    """``A`` as a ``scipy.sparse.csr_array``.
+def _csr_system(C_L, C_I, L, nonzero=None):
+    """``A`` as a ``scipy.sparse.csr_array``; ``nonzero`` is ``np.nonzero(L)``
+    when the caller has it already.
 
     ``scipy.sparse`` is imported here, not at module level: importing it adds
     tens of milliseconds and about 2 MiB to every process, and runs that take
     the recurrence (the builtins) never need it."""
     from scipy import sparse
 
-    return (sparse.kron(C_L, sparse.csr_array(L))
+    rows, cols = np.nonzero(L) if nonzero is None else nonzero
+    return (sparse.kron(C_L, sparse.csr_array((L[rows, cols], (rows, cols)), shape=L.shape))
             + sparse.kron(C_I, sparse.eye_array(L.shape[0]))).tocsr()
 
 
@@ -358,9 +475,10 @@ def rk4_closed_loop(C_L, C_I, c_E, L, z0, profile, dt, n_steps, sample_every, ou
     non-finite at the first missing sample.
     """
     args = (z0, profile, dt, n_steps, sample_every, out)
-    if prefer_recurrence(L.shape[0], np.count_nonzero(L), n_steps, sample_every):
+    nonzero = np.nonzero(L)
+    if prefer_recurrence(L.shape[0], nonzero[0].size, n_steps, sample_every):
         return _rk4_affine(_dense_system(C_L, C_I, L), c_E, *args)
-    A = _csr_system(C_L, C_I, L)
+    A = _csr_system(C_L, C_I, L, nonzero)
     M = _step_operator(A, dt)
     if M.nnz > _SPARSE_MAX_FILL * A.shape[0] ** 2:
         return _rk4_stage(A, c_E, *args)

@@ -290,7 +290,7 @@ def test_recurrence_agrees_with_stage_body(mode, sample_every):
     assert np.abs(fast - slow).max() < 1e-10
 
 
-@pytest.mark.parametrize("sample_every", [1, 10])
+@pytest.mark.parametrize("sample_every", [1, 10, 200])
 def test_recurrence_divergence_keeps_partial(sample_every):
     lap = build_laplacian(DirectedGraph(np.zeros((1, 1))))
     profile = DisturbanceProfile.constant(np.array([0.0]))
@@ -302,6 +302,73 @@ def test_recurrence_divergence_keeps_partial(sample_every):
     assert w_fast == w_slow
     assert np.isfinite(fast[:w_fast]).all()
     assert np.abs(fast[:w_fast] - slow[:w_slow]).max() <= 1e-10 * np.abs(slow[:w_slow]).max()
+
+
+def _three_agent_case(mode, sample_every):
+    """The 3-agent graph of ``test_recurrence_agrees_with_stage_body`` over
+    4610 steps (4600 for sample_every 200; more than two chunks), with a
+    switch at step 2555, strictly inside a block for every fold above 1."""
+    lap = build_laplacian(DirectedGraph(np.array([[0.0, 0.0, 0.0],
+                                                  [1.0, 0.0, 0.0],
+                                                  [0.0, 0.7, 0.0]])))
+    profile = DisturbanceProfile((
+        Segment(0.0, np.array([0.2, -0.1, 0.3]), hyperbolic_coeff=1.0),
+        Segment(2.555, np.array([-0.3, 0.1, 0.0]), exp_coeff=1.0, exp_rate=0.2),
+    ))
+    params = SimParams(t_final=4.6 if sample_every == 200 else 4.61, dt=1e-3,
+                       sample_every=sample_every)
+    z0 = np.array([1.0, -0.5, 0.2, 0.1, 0.0, -0.3, 0.05, 0.0, 0.1])
+    C_L, C_I, c_E = _loop(mode, lap, profile).blocks()
+    return kernels._dense_system(C_L, C_I, lap.L), c_E, profile, z0, params
+
+
+@pytest.mark.parametrize("mode", ["matched", "unmatched"])
+@pytest.mark.parametrize("sample_every", [1, 10, 200])
+def test_scan_agrees_with_block_loop(monkeypatch, mode, sample_every):
+    """The dense recurrence's blocked scan against its plain block loop
+    (K = 1) within 1e-12 of max|z|: n_steps above ``_CHUNK_STEPS`` and not
+    a multiple of K f, so the last chunk ends in a short superblock
+    (sample_every 1 and 10) or is shorter than K (200, two blocks per
+    sample)."""
+    A, c_E, profile, z0, params = _three_agent_case(mode, sample_every)
+    f = kernels.fold_length(sample_every)
+    K = kernels._scan_length(A.shape[0])
+    assert K > 1 and params.n_steps > kernels._CHUNK_STEPS and params.n_steps % (K * f)
+    assert 2555 % f or f == 1
+    scans = _spy(monkeypatch, "_scan_blocks")
+    w_scan, scan = _run(kernels._rk4_affine, A, c_E, profile, z0, params)
+    assert scans
+    monkeypatch.setattr(kernels, "_scan_length", lambda N: 1)
+    w_loop, loop = _run(kernels._rk4_affine, A, c_E, profile, z0, params)
+    assert w_scan == w_loop == params.n_samples
+    assert np.abs(scan - loop).max() <= 1e-12 * np.abs(loop).max()
+
+
+def test_non_finite_scan_is_replayed_by_block_loop(monkeypatch):
+    """A sample of the scan's second chunk goes non-finite where the block
+    loop stays finite: the plain loop replays the run from that chunk's
+    first state, and its count (all samples) is returned."""
+    A, c_E, profile, z0, params = _three_agent_case("unmatched", 1)
+    real_scan = kernels._scan_blocks
+    calls = []
+
+    def poisoned(T, P, F, z):
+        # the first chunk is whole superblocks, so the second call is the
+        # second chunk's, not a short superblock's
+        calls.append(len(F))
+        call = len(calls)
+        real_scan(T, P, F, z)
+        if call == 2:
+            F[100] = np.nan
+    monkeypatch.setattr(kernels, "_scan_blocks", poisoned)
+    blocks = _spy(monkeypatch, "_affine_blocks")
+    written, out = _run(kernels._rk4_affine, A, c_E, profile, z0, params)
+    assert len(calls) == 2
+    assert [kwargs.get("b_start", 0) for _, kwargs, _ in blocks] == [calls[0], 0]
+    assert written == params.n_samples and np.isfinite(out).all()
+    monkeypatch.setattr(kernels, "_scan_length", lambda N: 1)
+    _, loop = _run(kernels._rk4_affine, A, c_E, profile, z0, params)
+    assert np.abs(out - loop).max() <= 1e-12 * np.abs(loop).max()
 
 
 def test_path_choice_estimate():
@@ -602,23 +669,39 @@ class _PoisonedBlock:
         return self.M_f @ z * (np.nan if self.calls == self.bad_call else 1.0)
 
 
+def _poisoned_sparse_run(monkeypatch, fold):
+    """The sparse recurrence folding ``fold`` steps, with a block of its
+    second chunk poisoned; returns the stage body's calls in the run, the
+    run's (written, out), the stage body's own run and the parameters."""
+    n_steps = kernels._CHUNK_STEPS + 500
+    monkeypatch.setattr(kernels, "_sparse_fold", lambda M, se, steps: (
+        fold, _PoisonedBlock(M if fold == 1 else M @ M, kernels._CHUNK_STEPS // fold + 100)))
+    lap, rng = _large_shuffled_lap(10, n=20)
+    profile, z0 = _two_segment_case(lap, rng, 1.0)
+    params = SimParams(t_final=n_steps * 1e-3, dt=1e-3, sample_every=fold)
+    A, c_E = _csr_system("unmatched", lap, profile)
+    direct = _run(kernels._rk4_stage, A, c_E, profile, z0, params)
+    stage = _spy(monkeypatch, "_rk4_stage")
+    return stage, _run_sparse(A, c_E, profile, z0, params), direct, params
+
+
 def test_non_finite_block_is_replayed_by_stage_body(monkeypatch):
     """A block of the second chunk goes non-finite where the stage body stays
     finite: the chunk is replayed from its first state by the stage body,
     whose count (all samples) is returned, not the recurrence's."""
-    n_steps = kernels._CHUNK_STEPS + 500
-    real_fold = kernels._sparse_fold
-    monkeypatch.setattr(kernels, "_sparse_fold", lambda M, se, steps: (
-        1, _PoisonedBlock(real_fold(M, se, steps)[1], kernels._CHUNK_STEPS + 100)))
-    stage = _spy(monkeypatch, "_rk4_stage")
-    lap, rng = _large_shuffled_lap(10, n=20)
-    profile, z0 = _two_segment_case(lap, rng, 1.0)
-    params = SimParams(t_final=n_steps * 1e-3, dt=1e-3, sample_every=1)
-    A, c_E = _csr_system("unmatched", lap, profile)
-    written, out = _run_sparse(A, c_E, profile, z0, params)
+    stage, (written, out), (_, direct), params = _poisoned_sparse_run(monkeypatch, 1)
     (args, kwargs, result), = stage
     assert kwargs == {"k_start": kernels._CHUNK_STEPS}
     assert written == result == params.n_samples
     assert np.isfinite(out).all()
-    _, direct = _run(kernels._rk4_stage, A, c_E, profile, z0, params)
+    assert np.abs(out - direct).max() <= 1e-12 * np.abs(direct).max()
+
+
+def test_non_finite_folded_block_is_replayed_at_its_step(monkeypatch):
+    """As above with two steps per block: the replay starts at the chunk's
+    first step, not at its first block."""
+    stage, (written, out), (_, direct), params = _poisoned_sparse_run(monkeypatch, 2)
+    (args, kwargs, result), = stage
+    assert kwargs == {"k_start": kernels._CHUNK_STEPS}
+    assert written == result == params.n_samples
     assert np.abs(out - direct).max() <= 1e-12 * np.abs(direct).max()
