@@ -9,43 +9,43 @@ from the loop's coefficient blocks (``MatchedLoop.blocks`` /
 ``UnmatchedLoop.blocks``), and ``base`` and the scalar vanishing term s(t)
 those of the active segment of the loop's ``DisturbanceProfile``
 (``profile.bases`` and ``profile.vanishing``).  ``rk4_closed_loop`` steps
-either loop one of three ways, all built on the same RK4 step
+either loop one of two ways, both built on the same RK4 step
 (``_linear_rk4_step``):
 
-* the dense recurrence (``_rk4_affine``) uses that one RK4 step of a linear
-  system is exactly
+* the recurrence (``_rk4_recurrence``, dense or CSR operator) uses that one
+  RK4 step of a linear system is exactly
   ``z+ = M z + Cb base + c0 s(t) + ch s(t + h/2) + c1 s(t + h)``.  ``M``
-  comes from applying the step to the identity columns of a dense ``A``,
-  and ``Cb`` and ``c*`` from applying it to zero columns under the forcing
-  ``E`` and ``E 1``; ``fold_length`` steps are folded into one block
-  operator ``M^f``.  The blocks are stepped as a blocked scan
-  (``_scan_blocks``): products with a block-Toeplitz matrix of its powers
-  give every superblock of K blocks its local part, Python loops once per
-  superblock to carry the start state, and products with its powers give
-  every block end.  ``_scan_length`` picks K from the unit costs below
-  (K = 12 on the builtins, K = 1, the plain loop, from 40 agents up).
-  Setting it up costs O((3n)^3) flops.
-* the sparse recurrence (``_rk4_sparse``) is the same recurrence on a CSR
-  ``A``: graphs that contain a spanning tree are typically sparse (a tree
-  has n - 1 edges), and so are ``M`` and its first powers.  Its forcing
-  columns are ``E base`` of each segment rather than E's n columns, and
-  ``_sparse_fold`` picks the fold: powers of ``M`` one product at a time,
-  while they store at most ``_SPARSE_MAX_FILL`` of the (3n)^2 entries and
-  their set-up stays below the run's block products.  On the benchmark's
-  600-agent tree, ``M`` stores 13.7k entries and ``M^5`` 33k to 38k (1.0 to
-  1.2 %); 1000 steps fold 5 at a time and take about 0.03 s, against
-  0.12 s for the stage body.
-  Near overflow the stage body replays the chunk (``_TRUSTED_MAGNITUDE``).
+  (``_step_operator``) comes from applying the step to the identity columns
+  of ``A``, and ``Cb base`` and ``c*`` from applying it to zero columns
+  under the forcing ``E base`` of each segment and ``E 1``; f steps are
+  folded into one block operator ``M^f``.  The storage of ``A`` decides
+  only the fold.  A dense ``M`` folds ``fold_length`` steps, and its blocks
+  are stepped as a blocked scan (``_scan_blocks``): products with a
+  block-Toeplitz matrix of its powers give every superblock of K blocks its
+  local part, Python loops once per superblock to carry the start state,
+  and products with its powers give every block end.  ``_scan_length``
+  picks K from the unit costs below (K = 12 on the builtins, K = 1, the
+  plain loop, from 40 agents up); set-up costs O((3n)^3) flops.  A CSR
+  ``M`` serves graphs that contain a spanning tree, which are typically
+  sparse (a tree has n - 1 edges), and so are ``M`` and its first powers:
+  ``_sparse_fold`` forms powers of ``M`` one product at a time while they
+  store at most ``_SPARSE_MAX_FILL`` of the (3n)^2 entries and their set-up
+  stays below the run's block products, and the blocks are stepped one at a
+  time.  On the benchmark's 600-agent tree, ``M`` stores 13.7k entries and
+  ``M^5`` 33k to 38k (1.0 to 1.2 %); 1000 steps fold 5 at a time and take
+  about 0.03 s, against 0.12 s for the stage body.  Near overflow
+  (``_TRUSTED_MAGNITUDE``) the stage body replays the chunk, for either
+  storage.
 * the stage body (``_rk4_stage``) takes that step once per time step on a
   CSR ``A``, each ``A @ z`` in O(nnz); it runs where even ``M`` stores more
   than ``_SPARSE_MAX_FILL`` of its entries.
 
-``prefer_recurrence`` chooses the dense recurrence or a CSR path with an
-operation-count estimate from n, the stored entries of L, the step count and
-``sample_every``: the dense recurrence for small graphs over long horizons,
-a CSR path for large graphs over short ones.
+``prefer_recurrence`` chooses a dense or a CSR ``A`` with an
+operation-count estimate from n, the stored entries of L, the step count,
+``sample_every`` and the segment count: the dense recurrence for small
+graphs over long horizons, a CSR path for large graphs over short ones.
 
-Switching rule, shared by all three paths through ``_step_terms``: step k
+Switching rule, shared by both paths through ``_step_terms``: step k
 (t = k*dt) uses the last segment whose start satisfies ``t >= start - dt/4``,
 and keeps it for all four stages.  A stage landing exactly on a switch time
 still sees the old segment; the step starting at the switch sees the new one
@@ -75,11 +75,11 @@ _BLOCK_CALLS = 4
 #: about one chunk's forcing at n = 5, so ``T`` adds no more than a chunk does
 _SCAN_MAX_BYTES = 2 ** 18
 
-#: most multiply-adds (m n k) of one matrix product in the dense scan.
-#: OpenBLAS runs products this small on one thread; larger ones are split
-#: across its thread pool, and on a 2-vCPU host such a product can stall
-#: about 16 ms per call (a 170 x 180 by 180 x 180 product: 16 ms in some
-#: processes against 0.2 ms in others)
+#: most multiply-adds (m n k) of one matrix product of the recurrence
+#: (``_matmul_rows``).  OpenBLAS runs products this small on one thread;
+#: larger ones are split across its thread pool, and on a 2-vCPU host such a
+#: product can stall about 16 ms per call (a 170 x 180 by 180 x 180 product:
+#: 16 ms in some processes against 0.2 ms in others)
 _GEMM_MAX_MNK = 2 ** 19
 
 #: unit costs of the estimate in seconds, measured on a 2-core x86 host
@@ -94,7 +94,7 @@ _MATMUL_FLOP_S = 1.0 / 3e10
 _STAGE_STEP_S = 33e-6
 _SPARSE_FLOP_S = 1.0 / 1e9
 
-#: largest share of N^2 = (3n)^2 entries that the sparse recurrence's
+#: largest share of N^2 = (3n)^2 entries that the recurrence's CSR
 #: operators may store.  Measured on the same host at N = 1800: one product
 #: with a CSR matrix of 5 % fill takes about 155 us against 116 us for one
 #: step of the stage body, so even an unfolded ``M`` at the cap costs about
@@ -108,7 +108,7 @@ _SPARSE_MAX_FILL = 0.05
 #: on the 600-agent tree, where M^k saturates at 33k entries
 _PRODUCT_ENTRY_COST = 17
 
-#: the sparse recurrence trusts a sample only up to this magnitude, far
+#: the recurrence trusts a sample only up to this magnitude, far
 #: below overflow: the RK4 stages of a diverging state overflow before
 #: ``M^f z`` does, so beyond it the stage body decides where the run stops
 _TRUSTED_MAGNITUDE = math.sqrt(np.finfo(np.float64).max)
@@ -125,7 +125,8 @@ def fold_length(sample_every: int) -> int:
     return largest_divisor_at_most(sample_every, MAX_FOLD)
 
 
-def prefer_recurrence(n: int, nnz: int, n_steps: int, sample_every: int) -> bool:
+def prefer_recurrence(n: int, nnz: int, n_steps: int, sample_every: int,
+                      segments: int) -> bool:
     """Whether the recurrence is estimated to run faster than the stage body.
 
     The estimate weighs numpy calls and flops with the unit costs above.
@@ -135,9 +136,9 @@ def prefer_recurrence(n: int, nnz: int, n_steps: int, sample_every: int) -> bool
       ``A``, 8 (2 nnz + 7 n) flops (``nnz`` counts the stored entries of L;
       ``A`` stores at most two copies of L and seven diagonals of I_n);
     * recurrence set-up, in matrix-product flops: one RK4 step on N identity
-      and n + 3 forcing columns (8 N^2 (N + n + 3)), f - 1 products for the
-      block forcing (2 N^2 (n + 3) each), M^f by squaring (4 N^3 log2 f)
-      and the scan's K powers of M^f (2 N^3 K);
+      and m + 3 forcing columns, m = ``segments`` (8 N^2 (N + m + 3)),
+      f - 1 products for the block forcing (2 N^2 (m + 3) each), M^f by
+      squaring (4 N^3 log2 f) and the scan's K powers of M^f (2 N^3 K);
     * recurrence, per block: ``_block_seconds(N, K)``, the scan's products
       and its loop's calls shared by K blocks; per step, 6 N + 30 flops for
       the vanishing terms and their block forcing.
@@ -146,14 +147,15 @@ def prefer_recurrence(n: int, nnz: int, n_steps: int, sample_every: int) -> bool
     recurrence wins for small graphs over long horizons (the builtins: 100x
     faster) and loses for large graphs over short ones (a 600-agent tree over
     1000 steps: set-up about 2 s against 0.12 s for the stage body).  When it
-    loses, the sparse recurrence usually runs, which is cheaper still than
-    the stage body (0.03 s on that tree); the estimate does not model it.
+    loses, the recurrence usually runs on a CSR operator, which is cheaper
+    still than the stage body (0.03 s on that tree); the estimate does not
+    model it.
     """
     N = 3 * n
     f = fold_length(sample_every)
     K = _scan_length(N)
     stage = n_steps * (_STAGE_STEP_S + 8 * (2 * nnz + 7 * n) * _SPARSE_FLOP_S)
-    setup_flops = 8 * N * N * (N + n + 3) + 2 * N * N * (n + 3) * (f - 1) \
+    setup_flops = 8 * N * N * (N + segments + 3) + 2 * N * N * (segments + 3) * (f - 1) \
         + 4 * N ** 3 * math.log2(f) + 2 * N ** 3 * K
     recurrence = setup_flops * _MATMUL_FLOP_S + (n_steps // f) * _block_seconds(N, K) \
         + n_steps * (6 * N + 30) * _MATVEC_FLOP_S
@@ -227,32 +229,8 @@ def _forced_step(A, columns, scalar, dt):
     return _linear_rk4_step(A, np.zeros((N, m + 3)), *forcing, dt)
 
 
-def _rk4_affine(A, c_E, z0, profile, dt, n_steps, sample_every, out):
-    """The dense recurrence: same contract and switching rule as
-    ``_rk4_stage``; ``A`` is dense.
-
-    Blocks are stepped by the scan over ``_scan_length`` blocks at a time.
-    On the first chunk with a non-finite sample (or one above
-    ``_TRUSTED_MAGNITUDE``), the plain block loop replays the rest of the
-    run from that chunk's first state and its count is returned:
-    ``M^j z`` can overflow at another sample than stepping does."""
-    N = A.shape[0]
-    E = np.kron(c_E[:, None], np.eye(N // 3))
-    f = fold_length(sample_every)
-    # M: one step from identity columns, unforced; D forced by E's columns
-    M = _linear_rk4_step(A, np.eye(N), 0.0, 0.0, 0.0, dt)
-    D = _forced_step(A, E, E.sum(axis=1), dt)
-    args = (M, D, np.linalg.matrix_power(M, f), f, profile.bases)
-
-    def replay(b, z):
-        return _affine_blocks(*args, z, profile, dt, n_steps, sample_every, out, b_start=b)
-
-    return _affine_blocks(*args, z0, profile, dt, n_steps, sample_every, out, replay,
-                          _scan_length(N))
-
-
 def _sparse_fold(M, sample_every, n_steps):
-    """Fold length f and ``M^f`` for the sparse recurrence.
+    """Fold length f and ``M^f`` of the recurrence on a CSR ``M``.
 
     Powers of the CSR ``M`` are formed one product at a time, up to
     ``fold_length(sample_every)``; the search stops at the first power whose
@@ -275,26 +253,6 @@ def _sparse_fold(M, sample_every, n_steps):
         if _PRODUCT_ENTRY_COST * formed > n_steps / k * power.nnz:
             break
     return f, M_f
-
-
-def _rk4_sparse(A, M, c_E, z0, profile, dt, n_steps, sample_every, out):
-    """The sparse recurrence: same contract and switching rule as
-    ``_rk4_stage``; ``A`` and its one-step operator ``M`` are CSR.
-
-    The forcing columns are ``E base`` of each segment, not E's n columns,
-    so set-up stays O(nnz).  On the first chunk with a non-finite sample (or
-    one above ``_TRUSTED_MAGNITUDE``), the stage body replays that chunk from
-    its first state and its count is returned: the RK4 stages can overflow
-    where ``M^f z`` is still finite.
-    """
-    f, M_f = _sparse_fold(M, sample_every, n_steps)
-    D = _forced_step(A, _segment_forcing(c_E, profile).T, np.repeat(c_E, profile.n_agents), dt)
-
-    def replay(b, z):
-        return _rk4_stage(A, c_E, z, profile, dt, n_steps, sample_every, out, k_start=b * f)
-
-    return _affine_blocks(M, D, M_f, f, np.eye(len(profile.bases)), z0, profile, dt,
-                          n_steps, sample_every, out, replay)
 
 
 def _block_seconds(N, K):
@@ -335,6 +293,17 @@ def _scan_operators(M_block, K):
     return T.reshape(K * N, K * N), powers[1:].transpose(2, 0, 1).reshape(N, K * N)
 
 
+def _matmul_rows(a, b, out=None):
+    """``a @ b``, into ``out`` if given: one product per piece of rows of
+    ``a`` of at most ``_GEMM_MAX_MNK`` multiply-adds."""
+    if out is None:
+        out = np.empty((a.shape[0], b.shape[1]))
+    rows = max(1, _GEMM_MAX_MNK // (a.shape[1] * b.shape[1]))
+    for r in range(0, a.shape[0], rows):
+        np.matmul(a[r:r + rows], b, out=out[r:r + rows])
+    return out
+
+
 def _scan_blocks(T, P, F, z):
     """Overwrite each row of ``F`` (one per block) with the block end of
     ``z_(i+1) = M_block z_i + F[i]`` from ``z_0 = z``, by a blocked scan over
@@ -343,47 +312,50 @@ def _scan_blocks(T, P, F, z):
     Products with ``T`` give every superblock's local part (its block ends
     from a zero start), a loop over superblocks carries the start state
     from one to the next (``M_block^K z + last local end``), and products
-    with ``P`` give each start's contribution to every block end.  Each
-    product takes as many superblocks as ``_GEMM_MAX_MNK`` allows.  Blocks
+    with ``P`` give each start's contribution to every block end.  Blocks
     left over after the last full superblock form one short superblock,
     scanned with the leading blocks of ``T`` and ``P``."""
     B, N = F.shape
     K = min(P.shape[1] // N, B)
     ns = B // K
     ends = F[:ns * K].reshape(ns, K * N)
-    T_K, P_K = T[:K * N, :K * N], P[:, :K * N]
-    rows = max(1, _GEMM_MAX_MNK // (K * N) ** 2)
-    local = np.empty_like(ends)
-    for r in range(0, ns, rows):
-        np.matmul(ends[r:r + rows], T_K, out=local[r:r + rows])
+    P_K = P[:, :K * N]
+    local = _matmul_rows(ends, T[:K * N, :K * N])
     starts = np.empty((ns, N))
     starts[0] = z
     for s in range(ns - 1):
         starts[s + 1] = starts[s] @ P_K[:, -N:] + local[s, -N:]
-    for r in range(0, ns, rows):
-        np.matmul(starts[r:r + rows], P_K, out=ends[r:r + rows])
+    _matmul_rows(starts, P_K, out=ends)
     ends += local
     if ns * K < B:
         _scan_blocks(T, P, F[ns * K:], F[ns * K - 1])
 
 
-def _affine_blocks(M, D, M_block, f, coords, z0, profile, dt, n_steps, sample_every, out,
-                   replay=None, K=1, b_start=0):
-    """Step the recurrence in blocks of f steps: ``z_f = M^f z_0 + sum_j
-    M^(f-1-j) D [c_j; s_j]``, with ``M_block`` = M^f, ``c_j`` the row of
-    ``coords`` for step j's segment (D's first columns) and ``s_j`` its three
-    vanishing terms (D's last three).  ``z0`` is the state after block
-    ``b_start`` (the initial state, written as out[0], when 0).
+def _rk4_recurrence(A, M, c_E, z0, profile, dt, n_steps, sample_every, out):
+    """The recurrence: same contract and switching rule as ``_rk4_stage``;
+    ``M`` is one step's operator of ``A`` (``_step_operator``), both dense or
+    both CSR.
 
-    Each chunk of blocks is stepped by ``_scan_blocks`` over superblocks of
-    K blocks (``M_block`` dense), or one block at a time for K = 1.  Writes
-    samples as ``_rk4_stage`` does; on the first chunk with a non-finite
-    sample, returns ``replay(first block, first state)`` of that chunk if
-    given, else the recurrence's own count.  With ``replay``, a sample above
-    ``_TRUSTED_MAGNITUDE`` counts as non-finite.
+    Steps blocks of f steps: ``z_f = M^f z_0 + sum_j M^(f-1-j) D [e_j; s_j]``,
+    with ``D`` one step from zero columns forced by ``E base`` of each
+    segment and by ``E 1`` (``_forced_step``), ``e_j`` the unit vector of
+    step j's segment and ``s_j`` its three vanishing terms.  The storage
+    decides only the fold: a dense ``M`` folds ``fold_length`` steps and its
+    blocks are stepped by the scan over ``_scan_length`` blocks at a time; a
+    CSR ``M`` folds as ``_sparse_fold`` finds, one block at a time.  On the
+    first chunk with a sample that is non-finite or above
+    ``_TRUSTED_MAGNITUDE``, the stage body replays the run from that chunk's
+    first step and its count is returned: the RK4 stages can overflow where
+    ``M^f z`` is still finite.
     """
     N = M.shape[0]
-    m = coords.shape[1]
+    m = len(profile.bases)
+    if isinstance(M, np.ndarray):
+        f, K = fold_length(sample_every), _scan_length(N)
+        M_f = np.linalg.matrix_power(M, f)
+    else:
+        (f, M_f), K = _sparse_fold(M, sample_every, n_steps), 1
+    D = _forced_step(A, _segment_forcing(c_E, profile).T, np.repeat(c_E, profile.n_agents), dt)
     blocks_per_sample = sample_every // f
     n_blocks = n_steps // f
 
@@ -392,28 +364,26 @@ def _affine_blocks(M, D, M_block, f, coords, z0, profile, dt, n_steps, sample_ev
     for j in range(f - 2, -1, -1):
         W[j] = M @ W[j + 1]
     G = W[:, :, m:].transpose(1, 0, 2).reshape(N, 3 * f)
-    base_forcing = coords @ W[:, :, :m].sum(axis=0).T
+    base_forcing = W[:, :, :m].sum(axis=0).T
 
     z = z0.copy()
-    if not b_start:
-        out[0] = z
+    out[0] = z
     chunk = K * max(1, _CHUNK_STEPS // (f * K))
-    limit = np.finfo(np.float64).max if replay is None else _TRUSTED_MAGNITUDE
     with np.errstate(over="ignore", invalid="ignore"):
         if K > 1:
-            # powers of a diverging M_block may overflow: their chunk replays
-            T, P = _scan_operators(M_block, K)
-        for b0 in range(b_start, n_blocks, chunk):
+            # powers of a diverging M^f may overflow: their chunk replays
+            T, P = _scan_operators(M_f, K)
+        for b0 in range(0, n_blocks, chunk):
             b1 = min(b0 + chunk, n_blocks)
             z_start = z
             seg, s = _step_terms(profile, dt, b0 * f, b1 * f)
             seg = seg.reshape(-1, f)
-            F = s.reshape(-1, 3 * f) @ G.T + base_forcing[seg[:, 0]]
+            F = _matmul_rows(s.reshape(-1, 3 * f), G.T) + base_forcing[seg[:, 0]]
             for i in np.flatnonzero(seg[:, 0] != seg[:, -1]):
                 # a switch strictly inside the block: build its forcing step by step
                 w = np.zeros(N)
                 for j in range(f):
-                    w = M @ w + D @ np.concatenate([coords[seg[i, j]], s[i * f + j]])
+                    w = M @ w + D @ np.concatenate([np.arange(m) == seg[i, j], s[i * f + j]])
                 F[i] = w
             # block ends overwrite the forcing
             if K > 1:
@@ -421,17 +391,15 @@ def _affine_blocks(M, D, M_block, f, coords, z0, profile, dt, n_steps, sample_ev
                 z = F[-1].copy()
             else:
                 for i in range(b1 - b0):
-                    z = F[i] = M_block @ z + F[i]
+                    z = F[i] = M_f @ z + F[i]
             # the first block of the chunk that ends on a sample
             i0 = -(b0 + 1) % blocks_per_sample
             first = (b0 + i0 + 1) // blocks_per_sample
             rows = out[first:b1 // blocks_per_sample + 1]
             rows[:] = F[i0::blocks_per_sample]
-            bad = np.flatnonzero(~(np.abs(rows) <= limit).all(axis=1))
-            if bad.size:
-                if replay is not None:
-                    return replay(b0, z_start)
-                return first + int(bad[0])
+            if not (np.abs(rows) <= _TRUSTED_MAGNITUDE).all():
+                return _rk4_stage(A, c_E, z_start, profile, dt, n_steps, sample_every, out,
+                                  k_start=b0 * f)
     return out.shape[0]
 
 
@@ -455,20 +423,24 @@ def _csr_system(C_L, C_I, L, nonzero=None):
 
 
 def _step_operator(A, dt):
-    """One RK4 step's operator ``M`` of the CSR ``A``: the step applied to
-    the identity columns, unforced."""
-    from scipy import sparse
+    """One RK4 step's operator ``M`` of ``A``, stored as ``A`` is (dense or
+    CSR): the step applied to the identity columns, unforced."""
+    if isinstance(A, np.ndarray):
+        identity = np.eye(A.shape[0])
+    else:
+        from scipy import sparse
 
-    return _linear_rk4_step(A, sparse.eye_array(A.shape[0], format="csr"), 0.0, 0.0, 0.0, dt)
+        identity = sparse.eye_array(A.shape[0], format="csr")
+    return _linear_rk4_step(A, identity, 0.0, 0.0, 0.0, dt)
 
 
 def rk4_closed_loop(C_L, C_I, c_E, L, z0, profile, dt, n_steps, sample_every, out):
     """Step z' = A z + E d(t) with ``A = kron(C_L, L) + kron(C_I, I_n)``,
     ``E = kron(c_E, I_n)`` and d the ``DisturbanceProfile`` ``profile`` over
-    ``n_steps`` steps of ``dt``: the dense recurrence where
-    ``prefer_recurrence`` estimates it cheaper, else the sparse recurrence on
-    a CSR ``A``, or the stage body when even one step's operator ``M`` stores
-    more than ``_SPARSE_MAX_FILL`` of its entries.
+    ``n_steps`` steps of ``dt``: the recurrence on a dense ``A`` where
+    ``prefer_recurrence`` estimates it cheaper, else on a CSR ``A``, or the
+    stage body when even one step's CSR operator ``M`` stores more than
+    ``_SPARSE_MAX_FILL`` of its entries.
 
     Writes every sample_every-th state into ``out`` and returns the number of
     finite samples written; fewer than out.shape[0] means the state went
@@ -476,10 +448,12 @@ def rk4_closed_loop(C_L, C_I, c_E, L, z0, profile, dt, n_steps, sample_every, ou
     """
     args = (z0, profile, dt, n_steps, sample_every, out)
     nonzero = np.nonzero(L)
-    if prefer_recurrence(L.shape[0], nonzero[0].size, n_steps, sample_every):
-        return _rk4_affine(_dense_system(C_L, C_I, L), c_E, *args)
+    if prefer_recurrence(L.shape[0], nonzero[0].size, n_steps, sample_every,
+                         len(profile.bases)):
+        A = _dense_system(C_L, C_I, L)
+        return _rk4_recurrence(A, _step_operator(A, dt), c_E, *args)
     A = _csr_system(C_L, C_I, L, nonzero)
     M = _step_operator(A, dt)
     if M.nnz > _SPARSE_MAX_FILL * A.shape[0] ** 2:
         return _rk4_stage(A, c_E, *args)
-    return _rk4_sparse(A, M, c_E, *args)
+    return _rk4_recurrence(A, M, c_E, *args)

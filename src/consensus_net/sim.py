@@ -157,7 +157,7 @@ def integrate(loop_or_field, x0, params: SimParams) -> Trajectory:
 
     ``loop_or_field`` is either a ``ClosedLoop`` (fast path, disturbance
     switches validated against the grid and its coefficient blocks checked
-    finite; ``kernels`` describes its three paths and the switching rule) or a
+    finite; ``kernels`` describes its two paths and the switching rule) or a
     callable ``f(t, z) -> dz`` (plain path; the field must be smooth over the
     horizon).
 

@@ -261,11 +261,19 @@ def _run(path, A, c_E, profile, z0, params):
     return written, out
 
 
+def _run_recurrence(A, c_E, profile, z0, params):
+    """The recurrence on ``A``, dense or CSR, run directly; (written, out)."""
+    out = np.empty((params.n_samples, z0.shape[0]))
+    written = kernels._rk4_recurrence(A, kernels._step_operator(A, params.dt), c_E, z0, profile,
+                                      params.dt, params.n_steps, params.sample_every, out)
+    return written, out
+
+
 def _both_paths(mode, lap, profile, z0, params):
     """Run the recurrence and the stage body on the dense A; (written, out) each."""
     C_L, C_I, c_E = _loop(mode, lap, profile).blocks()
     A = kernels._dense_system(C_L, C_I, lap.L)
-    return (_run(kernels._rk4_affine, A, c_E, profile, z0, params),
+    return (_run_recurrence(A, c_E, profile, z0, params),
             _run(kernels._rk4_stage, A, c_E, profile, z0, params))
 
 
@@ -307,7 +315,8 @@ def test_recurrence_divergence_keeps_partial(sample_every):
 def _three_agent_case(mode, sample_every):
     """The 3-agent graph of ``test_recurrence_agrees_with_stage_body`` over
     4610 steps (4600 for sample_every 200; more than two chunks), with a
-    switch at step 2555, strictly inside a block for every fold above 1."""
+    switch at step 2555, strictly inside a block for every fold above 1;
+    (A, c_E, profile, z0, params), the arguments of ``_run_recurrence``."""
     lap = build_laplacian(DirectedGraph(np.array([[0.0, 0.0, 0.0],
                                                   [1.0, 0.0, 0.0],
                                                   [0.0, 0.7, 0.0]])))
@@ -336,39 +345,12 @@ def test_scan_agrees_with_block_loop(monkeypatch, mode, sample_every):
     assert K > 1 and params.n_steps > kernels._CHUNK_STEPS and params.n_steps % (K * f)
     assert 2555 % f or f == 1
     scans = _spy(monkeypatch, "_scan_blocks")
-    w_scan, scan = _run(kernels._rk4_affine, A, c_E, profile, z0, params)
+    w_scan, scan = _run_recurrence(A, c_E, profile, z0, params)
     assert scans
     monkeypatch.setattr(kernels, "_scan_length", lambda N: 1)
-    w_loop, loop = _run(kernels._rk4_affine, A, c_E, profile, z0, params)
+    w_loop, loop = _run_recurrence(A, c_E, profile, z0, params)
     assert w_scan == w_loop == params.n_samples
     assert np.abs(scan - loop).max() <= 1e-12 * np.abs(loop).max()
-
-
-def test_non_finite_scan_is_replayed_by_block_loop(monkeypatch):
-    """A sample of the scan's second chunk goes non-finite where the block
-    loop stays finite: the plain loop replays the run from that chunk's
-    first state, and its count (all samples) is returned."""
-    A, c_E, profile, z0, params = _three_agent_case("unmatched", 1)
-    real_scan = kernels._scan_blocks
-    calls = []
-
-    def poisoned(T, P, F, z):
-        # the first chunk is whole superblocks, so the second call is the
-        # second chunk's, not a short superblock's
-        calls.append(len(F))
-        call = len(calls)
-        real_scan(T, P, F, z)
-        if call == 2:
-            F[100] = np.nan
-    monkeypatch.setattr(kernels, "_scan_blocks", poisoned)
-    blocks = _spy(monkeypatch, "_affine_blocks")
-    written, out = _run(kernels._rk4_affine, A, c_E, profile, z0, params)
-    assert len(calls) == 2
-    assert [kwargs.get("b_start", 0) for _, kwargs, _ in blocks] == [calls[0], 0]
-    assert written == params.n_samples and np.isfinite(out).all()
-    monkeypatch.setattr(kernels, "_scan_length", lambda N: 1)
-    _, loop = _run(kernels._rk4_affine, A, c_E, profile, z0, params)
-    assert np.abs(out - loop).max() <= 1e-12 * np.abs(loop).max()
 
 
 def test_path_choice_estimate():
@@ -378,10 +360,13 @@ def test_path_choice_estimate():
         n_steps = round(sc.t_final / sc.dt)
         nnz = np.count_nonzero(build_laplacian(sc.graph).L)
         assert kernels.prefer_recurrence(sc.n_agents, nnz, n_steps,
-                                         sample_every or sc.sample_every)
+                                         sample_every or sc.sample_every,
+                                         len(sc.disturbance.bases))
+    # the builtins' 15 states scan 12 blocks at a time
+    assert kernels._scan_length(15) == 12
     # a 600-agent tree (599 edges, 599 nonzero diagonal entries) over 1000
     # steps: the O(n^3) set-up outweighs the steps
-    assert not kernels.prefer_recurrence(600, 1198, 1000, 10)
+    assert not kernels.prefer_recurrence(600, 1198, 1000, 10, 2)
     assert kernels.fold_length(10) == 10
     assert kernels.fold_length(200) == 100
     assert kernels.fold_length(97) == 97
@@ -411,13 +396,14 @@ def _frozen_segment_field(loop_cls, gains, lap, profile, dt):
 
 def _run_and_dense(mode, lap, profile, z0, params):
     """``rk4_closed_loop`` as a run calls it, on a graph for which the
-    estimate rejects the dense recurrence (so on the CSR A: the sparse
-    recurrence, replayed by the stage body near overflow), and the stage
-    body on the dense A; (written, out) each."""
+    estimate rejects the dense A (so the recurrence on the CSR A, replayed
+    by the stage body near overflow), and the stage body on the dense A;
+    (written, out) each."""
     C_L, C_I, c_E = _loop(mode, lap, profile).blocks()
     # the estimate must reject the dense recurrence, or no CSR path is tested
     assert not kernels.prefer_recurrence(lap.n_agents, np.count_nonzero(lap.L),
-                                         params.n_steps, params.sample_every)
+                                         params.n_steps, params.sample_every,
+                                         len(profile.bases))
     sparse = np.empty((params.n_samples, z0.shape[0]))
     w_sparse = kernels.rk4_closed_loop(C_L, C_I, c_E, lap.L, z0, profile,
                                        params.dt, params.n_steps, params.sample_every, sparse)
@@ -442,8 +428,8 @@ def _csr_system(mode, lap, profile):
 def test_sparse_stage_body_oracle(mode):
     """200 agents, a tree with extra edges and shuffled labels, and a switch
     at step 255, strictly inside the sample block of steps 250-260: the run's
-    path (the sparse recurrence), the stage body on the CSR A and on the
-    dense A agree, and all three match the generic RK4 oracle."""
+    path (the recurrence on the CSR A), the stage body on the CSR A and on
+    the dense A agree, and all three match the generic RK4 oracle."""
     lap, rng = _large_shuffled_lap(5)
     n = lap.n_agents
     profile = DisturbanceProfile((
@@ -494,7 +480,8 @@ def test_sparse_stage_body_divergence(mode):
         # disturbance makes the continuation independent of the start time
         one = replace(params, t_final=params.sample_dt)
         assert not kernels.prefer_recurrence(lap.n_agents, np.count_nonzero(lap.L),
-                                             one.n_steps, one.sample_every)
+                                             one.n_steps, one.sample_every,
+                                             len(profile.bases))
         nxt = np.empty((2, z0.shape[0]))
         assert kernels.rk4_closed_loop(*_loop(mode, lap, profile).blocks(), lap.L,
                                        out[written - 1], profile,
@@ -504,16 +491,20 @@ def test_sparse_stage_body_divergence(mode):
 @pytest.mark.parametrize("mode", ["matched", "unmatched"])
 def test_divergence_well_conditioned_paths_agree(mode):
     """With y0 = delta_hat0 = 1 the fastest modes start at order one, so the
-    CSR A, the dense A and the generic path overflow at the same sample."""
+    run (on the CSR A), the recurrence on the dense A, the stage body on the
+    dense A and the generic path overflow at the same sample."""
     lap, profile, params, z0 = _diverging_case(1.0)
+    C_L, C_I, c_E = _loop(mode, lap, profile).blocks()
     with np.errstate(over="ignore", invalid="ignore"):
         (w_sparse, sparse), (w_dense, dense) = _run_and_dense(mode, lap, profile, z0, params)
+        w_rec, rec = _run_recurrence(kernels._dense_system(C_L, C_I, lap.L), c_E, profile, z0,
+                                     params)
         oracle = np.empty_like(dense)
         w_oracle = _rk4_generic(_loop(mode, lap, profile).field, z0, params, oracle)
     assert 1 < w_sparse < params.n_samples
-    assert w_sparse == w_dense == w_oracle
+    assert w_sparse == w_dense == w_rec == w_oracle
     scale = np.abs(oracle[:w_oracle]).max(axis=1)
-    for path in (sparse, dense):
+    for path in (sparse, rec, dense):
         assert np.isfinite(path[:w_sparse]).all()
         assert (np.abs(path[:w_sparse] - oracle[:w_oracle]).max(axis=1) <= 1e-10 * scale).all()
 
@@ -532,14 +523,6 @@ def _spy(monkeypatch, name):
     return calls
 
 
-def _run_sparse(A, c_E, profile, z0, params):
-    """The sparse recurrence on the CSR ``A`` run directly; (written, out)."""
-    out = np.empty((params.n_samples, z0.shape[0]))
-    written = kernels._rk4_sparse(A, kernels._step_operator(A, params.dt), c_E, z0, profile,
-                                  params.dt, params.n_steps, params.sample_every, out)
-    return written, out
-
-
 def _two_segment_case(lap, rng, t_switch):
     n = lap.n_agents
     profile = DisturbanceProfile((
@@ -553,11 +536,11 @@ def _two_segment_case(lap, rng, t_switch):
 @pytest.mark.parametrize("mode", ["matched", "unmatched"])
 @pytest.mark.parametrize("sample_every", [1, 10, 200])
 def test_sparse_recurrence_agrees_with_stage_bodies(monkeypatch, mode, sample_every):
-    """The sparse recurrence (cap raised so that it folds as deep as its
-    set-up allows), the stage body on the CSR A and on the dense A agree
-    within 1e-12 and stay within 1e-10 of the generic RK4 oracle.  A tree
-    with extra edges; the switch at step 253 lies strictly inside a block for
-    every fold above 1."""
+    """The recurrence on the CSR A (cap raised so that it folds as deep as
+    its set-up allows) and on the dense A, and the stage body on the CSR A
+    and on the dense A agree within 1e-12 and stay within 1e-10 of the
+    generic RK4 oracle.  A tree with extra edges; the switch at step 253
+    lies strictly inside a block for every fold above 1."""
     monkeypatch.setattr(kernels, "_SPARSE_MAX_FILL", 1.0)
     folds = _spy(monkeypatch, "_sparse_fold")
     lap, rng = _large_shuffled_lap(8, n=60)
@@ -565,23 +548,24 @@ def test_sparse_recurrence_agrees_with_stage_bodies(monkeypatch, mode, sample_ev
     params = SimParams(t_final=0.6, dt=1e-3, sample_every=sample_every)
     C_L, C_I, c_E = _loop(mode, lap, profile).blocks()
     A = kernels._csr_system(C_L, C_I, lap.L)
-    w_rec, rec = _run_sparse(A, c_E, profile, z0, params)
+    w_rec, rec = _run_recurrence(A, c_E, profile, z0, params)
     (_, _, (f, _)), = folds
     assert f > 1 or sample_every == 1
     assert 253 % f or f == 1
+    A_dense = kernels._dense_system(C_L, C_I, lap.L)
+    w_rec_dense, rec_dense = _run_recurrence(A_dense, c_E, profile, z0, params)
     w_csr, csr = _run(kernels._rk4_stage, A, c_E, profile, z0, params)
-    w_dense, dense = _run(kernels._rk4_stage, kernels._dense_system(C_L, C_I, lap.L), c_E,
-                          profile, z0, params)
-    assert w_rec == w_csr == w_dense == params.n_samples
+    w_dense, dense = _run(kernels._rk4_stage, A_dense, c_E, profile, z0, params)
+    assert w_rec == w_rec_dense == w_csr == w_dense == params.n_samples
     scale = np.abs(dense).max()
-    assert np.abs(rec - dense).max() <= 1e-12 * scale
-    assert np.abs(csr - dense).max() <= 1e-12 * scale
+    for path in (rec, rec_dense, csr):
+        assert np.abs(path - dense).max() <= 1e-12 * scale
 
     loop_cls, gains = (MatchedLoop, MATCHED) if mode == "matched" else (UnmatchedLoop, UNMATCHED)
     oracle = np.empty_like(dense)
     field = _frozen_segment_field(loop_cls, gains, lap, profile, params.dt)
     assert _rk4_generic(field, z0, params, oracle) == params.n_samples
-    for path in (rec, csr, dense):
+    for path in (rec, rec_dense, csr, dense):
         assert np.abs(path - oracle).max() < 1e-10
 
 
@@ -602,11 +586,12 @@ def test_fill_cap_limits_fold_on_long_path(monkeypatch):
         powers.append(powers[-1] @ M)
     assert powers[2].nnz <= cap < powers[3].nnz
     folds = _spy(monkeypatch, "_sparse_fold")
-    sparse = _spy(monkeypatch, "_rk4_sparse")
+    recurrence = _spy(monkeypatch, "_rk4_recurrence")
     out = np.empty((params.n_samples, z0.shape[0]))
     written = kernels.rk4_closed_loop(*blocks, lap.L, z0, profile, params.dt, params.n_steps,
                                       params.sample_every, out)
-    assert len(sparse) == 1
+    (args, _, _), = recurrence
+    assert args[1].format == "csr"
     (_, _, (f, M_f)), = folds
     assert f == kernels.largest_divisor_at_most(10, 3) == 2
     assert (M_f != powers[1]).nnz == 0
@@ -620,7 +605,7 @@ def test_zero_cap_falls_back_to_stage_body(monkeypatch):
     CSR A, with the same bits as calling it directly."""
     monkeypatch.setattr(kernels, "_SPARSE_MAX_FILL", 0.0)
     stage = _spy(monkeypatch, "_rk4_stage")
-    sparse = _spy(monkeypatch, "_rk4_sparse")
+    recurrence = _spy(monkeypatch, "_rk4_recurrence")
     lap, rng = _large_shuffled_lap(9, n=200)
     profile, z0 = _two_segment_case(lap, rng, 0.253)
     params = SimParams(t_final=0.3, dt=1e-3, sample_every=10)
@@ -628,7 +613,7 @@ def test_zero_cap_falls_back_to_stage_body(monkeypatch):
     out = np.empty((params.n_samples, z0.shape[0]))
     assert kernels.rk4_closed_loop(C_L, C_I, c_E, lap.L, z0, profile, params.dt,
                                    params.n_steps, params.sample_every, out) == params.n_samples
-    assert not sparse
+    assert not recurrence
     (args, _, _), = stage
     assert args[0].format == "csr"
     _, direct = _run(kernels._rk4_stage, kernels._csr_system(C_L, C_I, lap.L), c_E,
@@ -640,7 +625,7 @@ def test_600_agent_tree_takes_sparse_recurrence(monkeypatch):
     """A 600-agent tree, the benchmark's large graph: with the default cap the
     run folds on the CSR operator, and the stage body does not run."""
     stage = _spy(monkeypatch, "_rk4_stage")
-    sparse = _spy(monkeypatch, "_rk4_sparse")
+    recurrence = _spy(monkeypatch, "_rk4_recurrence")
     folds = _spy(monkeypatch, "_sparse_fold")
     rng = np.random.default_rng(4)
     lap = build_laplacian(random_tree_graph(rng, 600))
@@ -650,7 +635,8 @@ def test_600_agent_tree_takes_sparse_recurrence(monkeypatch):
     out = np.empty((params.n_samples, z0.shape[0]))
     assert kernels.rk4_closed_loop(C_L, C_I, c_E, lap.L, z0, profile, params.dt,
                                    params.n_steps, params.sample_every, out) == params.n_samples
-    assert len(sparse) == 1 and not stage
+    (args, _, _), = recurrence
+    assert args[1].format == "csr" and not stage
     (_, _, (f, _)), = folds
     assert f > 1
     _, csr = _run(kernels._rk4_stage, kernels._csr_system(C_L, C_I, lap.L), c_E,
@@ -669,39 +655,61 @@ class _PoisonedBlock:
         return self.M_f @ z * (np.nan if self.calls == self.bad_call else 1.0)
 
 
-def _poisoned_sparse_run(monkeypatch, fold):
-    """The sparse recurrence folding ``fold`` steps, with a block of its
-    second chunk poisoned; returns the stage body's calls in the run, the
-    run's (written, out), the stage body's own run and the parameters."""
-    n_steps = kernels._CHUNK_STEPS + 500
-    monkeypatch.setattr(kernels, "_sparse_fold", lambda M, se, steps: (
-        fold, _PoisonedBlock(M if fold == 1 else M @ M, kernels._CHUNK_STEPS // fold + 100)))
-    lap, rng = _large_shuffled_lap(10, n=20)
-    profile, z0 = _two_segment_case(lap, rng, 1.0)
-    params = SimParams(t_final=n_steps * 1e-3, dt=1e-3, sample_every=fold)
-    A, c_E = _csr_system("unmatched", lap, profile)
+def _poisoned_run(monkeypatch, storage, fold=1):
+    """The recurrence on a ``storage`` A folding ``fold`` steps, with a block
+    of its second chunk poisoned; returns the stage body's calls in the run,
+    the run's (written, out), the stage body's own run, the parameters and
+    the number of steps in the first chunk.
+
+    CSR: a 20-agent tree whose ``M^f`` goes NaN at one block.  Dense: the
+    unmatched ``_three_agent_case``, every step sampled, whose scan returns
+    NaN at one block of its second chunk."""
+    if storage == "csr":
+        n_steps = kernels._CHUNK_STEPS + 500
+        monkeypatch.setattr(kernels, "_sparse_fold", lambda M, se, steps: (
+            fold, _PoisonedBlock(M if fold == 1 else M @ M, kernels._CHUNK_STEPS // fold + 100)))
+        lap, rng = _large_shuffled_lap(10, n=20)
+        profile, z0 = _two_segment_case(lap, rng, 1.0)
+        params = SimParams(t_final=n_steps * 1e-3, dt=1e-3, sample_every=fold)
+        A, c_E = _csr_system("unmatched", lap, profile)
+        chunks = [kernels._CHUNK_STEPS]
+    else:
+        A, c_E, profile, z0, params = _three_agent_case("unmatched", fold)
+        real_scan, chunks = kernels._scan_blocks, []
+
+        def poisoned(T, P, F, z):
+            # the first chunk is whole superblocks, so the second call is the
+            # second chunk's, not a short superblock's
+            chunks.append(len(F) * fold)
+            real_scan(T, P, F, z)
+            if len(chunks) == 2:
+                F[100] = np.nan
+        monkeypatch.setattr(kernels, "_scan_blocks", poisoned)
     direct = _run(kernels._rk4_stage, A, c_E, profile, z0, params)
     stage = _spy(monkeypatch, "_rk4_stage")
-    return stage, _run_sparse(A, c_E, profile, z0, params), direct, params
+    run = _run_recurrence(A, c_E, profile, z0, params)
+    return stage, run, direct, params, chunks[0]
 
 
-def test_non_finite_block_is_replayed_by_stage_body(monkeypatch):
+@pytest.mark.parametrize("storage", ["csr", "dense"])
+def test_non_finite_block_is_replayed_by_stage_body(monkeypatch, storage):
     """A block of the second chunk goes non-finite where the stage body stays
-    finite: the chunk is replayed from its first state by the stage body,
+    finite: the chunk is replayed from its first step by the stage body,
     whose count (all samples) is returned, not the recurrence's."""
-    stage, (written, out), (_, direct), params = _poisoned_sparse_run(monkeypatch, 1)
+    stage, (written, out), (_, direct), params, first_chunk = _poisoned_run(monkeypatch, storage)
     (args, kwargs, result), = stage
-    assert kwargs == {"k_start": kernels._CHUNK_STEPS}
+    assert first_chunk < params.n_steps
+    assert kwargs == {"k_start": first_chunk}
     assert written == result == params.n_samples
     assert np.isfinite(out).all()
     assert np.abs(out - direct).max() <= 1e-12 * np.abs(direct).max()
 
 
 def test_non_finite_folded_block_is_replayed_at_its_step(monkeypatch):
-    """As above with two steps per block: the replay starts at the chunk's
-    first step, not at its first block."""
-    stage, (written, out), (_, direct), params = _poisoned_sparse_run(monkeypatch, 2)
+    """As above on the CSR A with two steps per block: the replay starts at
+    the chunk's first step, not at its first block."""
+    stage, (written, out), (_, direct), params, first_chunk = _poisoned_run(monkeypatch, "csr", 2)
     (args, kwargs, result), = stage
-    assert kwargs == {"k_start": kernels._CHUNK_STEPS}
+    assert kwargs == {"k_start": first_chunk}
     assert written == result == params.n_samples
     assert np.abs(out - direct).max() <= 1e-12 * np.abs(direct).max()
