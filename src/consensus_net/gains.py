@@ -12,20 +12,20 @@ runs uncertified gains and records the report alongside the trajectory.
 
 Each form is written once, as blocks of P, L and the identity that numpy
 arrays and ``scipy.sparse`` arrays evaluate alike.  Its smallest eigenvalue
-comes from one of two regimes, read from the certificate's structure:
+comes from one of two regimes, read from the certificate's structure by the
+rule of ``sparsity.is_sparse``:
 
-* dense: ``np.linalg.eigvalsh`` of the whole form.  Graphs below
-  ``_SPARSE_MIN_N`` (200) agents take it, so the builtin scenarios never
-  import ``scipy.sparse``, and so does any form whose share of nonzeros
-  exceeds ``_SPARSE_MAX_FILL`` (5 %): a dense P, which a long path or a
-  large cycle gives, or the Schur test matrix's L L^T on a star, where every
-  child shares the root;
-* sparse: shift-invert Lanczos (ARPACK through
-  ``scipy.sparse.linalg.eigsh``) at a shift below the Gershgorin bound, so
-  the eigenvalue nearest the shift is the smallest.  On the 600-agent random
-  trees of the large-graph benchmark, P is about 98 % exact zeros and so are
-  the forms; the matched form's smallest eigenvalue took about 0.05 s
-  against 0.4 s for ``eigvalsh``.
+* dense: ``np.linalg.eigvalsh`` of the whole form.  Graphs below 200 agents
+  take it, so the builtin scenarios never import ``scipy.sparse``, and so
+  does any form whose share of nonzeros exceeds 5 %: a dense P, which a long
+  path or a large cycle gives, or the Schur test matrix's L L^T on a star,
+  where every child shares the root;
+* sparse: shift-invert Lanczos (``sparsity.smallest_eigenvalue``) at a
+  shift below the Gershgorin bound, so the eigenvalue nearest the shift is
+  the smallest, on one sparse LU factor under a symmetric ordering.  On the
+  600-agent random trees of the large-graph benchmark, P is about 98 %
+  exact zeros and so are the forms; the matched form's smallest eigenvalue
+  took about 0.05 s against 0.4 s for ``eigvalsh``.
 
 Should the sparse solve fail (ARPACK does not converge, or the shifted form
 has an exactly singular factor), or a form hold a non-finite entry or row
@@ -41,21 +41,12 @@ from typing import ClassVar
 
 import numpy as np
 
+from . import sparsity
 from .errors import InfeasibleGainError, ValidationError
 from .spectral import LyapunovCertificate
 
 #: tolerance for the exact-equality substitution checks
 _SUBSTITUTION_TOL = 1e-12
-#: smallest agent count whose forms may take the sparse regime.  On a 2-vCPU
-#: x86 VM with OpenBLAS, trees of 100 agents took 6 ms dense against 9 ms
-#: sparse for the matched form, 200 agents about 23 ms on both, and 400
-#: agents 0.13 s dense against 0.02 s sparse
-_SPARSE_MIN_N = 200
-#: largest share of nonzeros in P and L, and in each assembled form, that
-#: takes the sparse regime.  At 400 agents (same VM) the matched form with
-#: 1.2 % nonzeros took 0.02 s sparse against 0.13 s dense, with 8 % 0.10 s
-#: against 0.13 s, and with 31 % (a dense P) 0.33 s against 0.13 s
-_SPARSE_MAX_FILL = 0.05
 
 
 def _require_positive(gains):
@@ -241,7 +232,7 @@ def certify_matched(g: MatchedGains, cert: LyapunovCertificate) -> Certification
         g.b, (g.gamma3 / g.gamma1) * (lam_P * lam_P)))
 
     sparse = _sparse_operands(cert)
-    min_eig = _smallest_eigenvalue(
+    min_eig = sparsity.smallest_eigenvalue(
         None if sparse is None else _matched_form(g, *sparse),
         lambda: matched_form_matrix(g, cert))
     checks.append(_bound_check("form_posdef", "min eig of quadratic form > 0", min_eig, 0.0))
@@ -279,43 +270,13 @@ def _sparse_operands(cert: LyapunovCertificate):
     else None.  Counting the nonzeros of P and L spares assembling a sparse
     form that is dense anyway."""
     n = cert.n_agents
-    if n < _SPARSE_MIN_N or (np.count_nonzero(cert.P) + np.count_nonzero(cert.L)
-                             > _SPARSE_MAX_FILL * n * n):
+    if not sparsity.is_sparse(n, int(np.count_nonzero(cert.P) + np.count_nonzero(cert.L))):
         return None
     import scipy.sparse
 
     return (scipy.sparse.csr_array(cert.P), scipy.sparse.csr_array(cert.L),
             scipy.sparse.eye_array(n, format="csr"),
             lambda blocks: scipy.sparse.block_array(blocks, format="csc"))
-
-
-def _smallest_eigenvalue(sparse, dense) -> float:
-    """Smallest eigenvalue of a symmetric form: by shift-invert Lanczos on the
-    ``scipy.sparse`` array ``sparse`` when it is given, finite and sparse
-    enough, else (and when that solve fails) ``eigvalsh`` of ``dense()``.
-
-    Every eigenvalue lies at or above the Gershgorin bound
-    min_i (N_ii - sum_{j != i} |N_ij|), so with the shift one below it the
-    shifted form is positive definite and the eigenvalue nearest the shift is
-    the smallest.  ARPACK's default start vector is random; a fixed one keeps
-    the result, which ``certification.json`` records, the same on every run.
-    """
-    if sparse is not None and sparse.nnz <= _SPARSE_MAX_FILL * sparse.shape[0] ** 2:
-        diag = sparse.diagonal()
-        radius = abs(sparse).sum(axis=1)
-        if np.isfinite(radius).all():
-            import scipy.sparse.linalg
-
-            sigma = float((diag + np.abs(diag) - radius).min()) - 1.0
-            try:
-                return float(scipy.sparse.linalg.eigsh(
-                    sparse, k=1, sigma=sigma, which="LM", tol=0,
-                    v0=np.ones(sparse.shape[0]), return_eigenvectors=False)[0])
-            except RuntimeError:
-                # ARPACK's errors, ArpackNoConvergence among them, and an
-                # exactly singular factor of the shifted form
-                pass
-    return float(np.linalg.eigvalsh(dense())[0])
 
 
 def suggest_matched(gamma1: float, gamma3: float, mu: float, b: float,
@@ -390,8 +351,8 @@ def certify_unmatched(g: UnmatchedGains, cert: LyapunovCertificate) -> Certifica
     sparse = _sparse_operands(cert)
     M, D = (None, None) if sparse is None else _unmatched_forms(g, *sparse)
     dense = functools.cache(lambda: [(X + X.T) / 2 for X in unmatched_form_matrices(g, cert)])
-    min_eig_M = _smallest_eigenvalue(M, lambda: dense()[0])
-    min_eig_D = _smallest_eigenvalue(D, lambda: dense()[1])
+    min_eig_M = sparsity.smallest_eigenvalue(M, lambda: dense()[0])
+    min_eig_D = sparsity.smallest_eigenvalue(D, lambda: dense()[1])
     checks.append(_bound_check("form_posdef", "min eig of quadratic form > 0", min_eig_M, 0.0))
     checks.append(_bound_check("schur_psd", "min eig of Schur test matrix > 0", min_eig_D, 0.0))
 

@@ -29,16 +29,16 @@ either loop one of two ways, both built on the same RK4 step
   ``M`` serves graphs that contain a spanning tree, which are typically
   sparse (a tree has n - 1 edges), and so are ``M`` and its first powers:
   ``_sparse_fold`` forms powers of ``M`` one product at a time while they
-  store at most ``_SPARSE_MAX_FILL`` of the (3n)^2 entries and their set-up
-  stays below the run's block products, and the blocks are stepped one at a
-  time.  On the benchmark's 600-agent tree, ``M`` stores 13.7k entries and
+  store at most ``sparsity.SPARSE_MAX_FILL`` (5 %) of the (3n)^2 entries
+  and their set-up stays below the run's block products, and the blocks are
+  stepped one at a time.  On the benchmark's 600-agent tree, ``M`` stores 13.7k entries and
   ``M^5`` 33k to 38k (1.0 to 1.2 %); 1000 steps fold 5 at a time and take
   about 0.03 s, against 0.12 s for the stage body.  Near overflow
   (``_TRUSTED_MAGNITUDE``) the stage body replays the chunk, for either
   storage.
 * the stage body (``_rk4_stage``) takes that step once per time step on a
   CSR ``A``, each ``A @ z`` in O(nnz); it runs where even ``M`` stores more
-  than ``_SPARSE_MAX_FILL`` of its entries.
+  than ``sparsity.SPARSE_MAX_FILL`` of its entries.
 
 ``prefer_recurrence`` chooses a dense or a CSR ``A`` with an
 operation-count estimate from n, the stored entries of L, the step count,
@@ -57,6 +57,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from . import sparsity
 
 #: the recurrence folds at most this many steps into one block operator
 MAX_FOLD = 100
@@ -93,14 +95,6 @@ _MATVEC_FLOP_S = 1.0 / 4e9
 _MATMUL_FLOP_S = 1.0 / 3e10
 _STAGE_STEP_S = 33e-6
 _SPARSE_FLOP_S = 1.0 / 1e9
-
-#: largest share of N^2 = (3n)^2 entries that the recurrence's CSR
-#: operators may store.  Measured on the same host at N = 1800: one product
-#: with a CSR matrix of 5 % fill takes about 155 us against 116 us for one
-#: step of the stage body, so even an unfolded ``M`` at the cap costs about
-#: one stage step, and every fold of 2 or more is cheaper; at N = 600 a
-#: 10 % fill still beats the stage step (34 against 42 us)
-_SPARSE_MAX_FILL = 0.05
 
 #: cost of forming one stored entry of a power of ``M`` (a CSR product and
 #: its block forcing), in units of one stored entry of a block product in
@@ -234,14 +228,14 @@ def _sparse_fold(M, sample_every, n_steps):
 
     Powers of the CSR ``M`` are formed one product at a time, up to
     ``fold_length(sample_every)``; the search stops at the first power whose
-    stored entries pass ``_SPARSE_MAX_FILL`` of N^2, and after the first
-    whose set-up (``_PRODUCT_ENTRY_COST`` per stored entry of every power
+    stored entries pass ``sparsity.SPARSE_MAX_FILL`` of N^2, and after the
+    first whose set-up (``_PRODUCT_ENTRY_COST`` per stored entry of every power
     formed so far) outweighs the run's block products at that fold.  f is
     the largest divisor of ``sample_every`` not above the last power kept,
     so samples fall on block boundaries.  Only the current power and
     ``M^f`` are held.
     """
-    cap = _SPARSE_MAX_FILL * M.shape[0] ** 2
+    cap = sparsity.SPARSE_MAX_FILL * M.shape[0] ** 2
     f, M_f, power, formed = 1, M, M, 0
     for k in range(2, fold_length(sample_every) + 1):
         power = power @ M
@@ -440,7 +434,7 @@ def rk4_closed_loop(C_L, C_I, c_E, L, z0, profile, dt, n_steps, sample_every, ou
     ``n_steps`` steps of ``dt``: the recurrence on a dense ``A`` where
     ``prefer_recurrence`` estimates it cheaper, else on a CSR ``A``, or the
     stage body when even one step's CSR operator ``M`` stores more than
-    ``_SPARSE_MAX_FILL`` of its entries.
+    ``sparsity.SPARSE_MAX_FILL`` of its entries.
 
     Writes every sample_every-th state into ``out`` and returns the number of
     finite samples written; fewer than out.shape[0] means the state went
@@ -454,6 +448,6 @@ def rk4_closed_loop(C_L, C_I, c_E, L, z0, profile, dt, n_steps, sample_every, ou
         return _rk4_recurrence(A, _step_operator(A, dt), c_E, *args)
     A = _csr_system(C_L, C_I, L, nonzero)
     M = _step_operator(A, dt)
-    if M.nnz > _SPARSE_MAX_FILL * A.shape[0] ** 2:
+    if M.nnz > sparsity.SPARSE_MAX_FILL * A.shape[0] ** 2:
         return _rk4_stage(A, c_E, *args)
     return _rk4_recurrence(A, M, c_E, *args)

@@ -40,6 +40,21 @@ An eigendecomposition of Lbar would be cheaper than any of these but is not
 safe: L can be defective (the builtin graph's L has a size-3 Jordan block).
 All paths apply the same gates (shifted spectrum, residual of the original
 form, positive definiteness of P) with the same messages.
+
+The gates and the scalars of the certificate are found in one of two
+regimes, picked by ``sparsity.is_sparse`` from the agent count and the
+nonzeros of P and L:
+
+* dense: the residual from dense products, and every eigenvalue of P from
+  ``eigvalsh``;
+* sparse (200 agents or more, at most 5 % nonzeros, as the random trees of
+  the large-graph benchmark give): the residual from CSR products,
+  ``lambda_P`` by Lanczos, and ``min_eig_P`` by shift-invert Lanczos at 0 on
+  one sparse LU factor of P under a symmetric ordering
+  (``sparsity.symmetric_lu``).  That factor is trusted only when it proves P
+  positive definite (``sparsity.proves_positive_definite``); otherwise, and
+  should ARPACK fail, ``eigvalsh`` answers, so the positive-definiteness gate
+  and its message are the dense regime's.
 """
 
 from __future__ import annotations
@@ -49,6 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import sparsity
 from .errors import DegenerateSpectrumError, ValidationError
 from .graph import LaplacianData
 
@@ -160,28 +176,63 @@ def solve_P(lap: LaplacianData, Q: np.ndarray | None = None, alpha: float = 1.0)
         P = _lyapunov_from_schur(r, u, -Q)
     P = (P + P.T) / 2.0
 
-    defect = P @ L + L.T @ P - Q + alpha * (np.outer(P @ ones, v) + np.outer(v, P @ ones))
-    residual = float(np.abs(defect).max())
+    P_csr = None
+    if sparsity.is_sparse(n, int(np.count_nonzero(P) + np.count_nonzero(L))):
+        import scipy.sparse
+
+        P_csr, L_csr = scipy.sparse.csr_array(P), scipy.sparse.csr_array(L)
+        p1 = P_csr @ ones
+        # alpha (P 1 v^T + v 1^T P), nonzero only in v's columns and rows
+        rank_one = alpha * scipy.sparse.csr_array(p1[:, None]) @ scipy.sparse.csr_array(v[None, :])
+        defect = P_csr @ L_csr + L_csr.T @ P_csr - scipy.sparse.csr_array(Q) \
+            + rank_one + rank_one.T
+        residual = float(abs(defect).max())
+    else:
+        defect = P @ L + L.T @ P - Q + alpha * (np.outer(P @ ones, v) + np.outer(v, P @ ones))
+        residual = float(np.abs(defect).max())
     q_norm = float(q_eigs[-1])  # Q is symmetric positive definite
     if residual >= _RESIDUAL_TOL * max(1.0, q_norm):
         raise DegenerateSpectrumError(
             f"Lyapunov solve residual {residual:.3e} exceeds tolerance "
             f"{_RESIDUAL_TOL * max(1.0, q_norm):.3e}"
         )
-    p_eigs = np.linalg.eigvalsh(P)
-    if p_eigs[0] <= 0:
-        raise DegenerateSpectrumError(f"solution P is not positive definite, min eig = {p_eigs[0]:.3e}")
+    p_min, p_max = _extreme_eigenvalues(P_csr, P)
+    if p_min <= 0:
+        raise DegenerateSpectrumError(f"solution P is not positive definite, min eig = {p_min:.3e}")
 
     return LyapunovCertificate(
         P=P,
         L=L,
         alpha=float(alpha),
         residual=residual,
-        lambda_P=float(p_eigs[-1]),
+        lambda_P=p_max,
         lambda_L=lap.lambda_L,
-        min_eig_P=float(p_eigs[0]),
-        cond_P=float(p_eigs[-1] / p_eigs[0]),
+        min_eig_P=p_min,
+        cond_P=p_max / p_min,
     )
+
+
+def _extreme_eigenvalues(P_csr, P: np.ndarray) -> tuple[float, float]:
+    """Smallest and largest eigenvalue of the symmetric P: by Lanczos on its
+    CSR copy ``P_csr`` when one is given and its symmetric LU factor proves
+    P positive definite, else (and should ARPACK fail) from ``eigvalsh``.
+
+    The smallest comes from shift-invert at 0 on that factor: about 13 ms on
+    the 600-agent tree of the large-graph benchmark.  A shift at the
+    Gershgorin bound, as the gain forms take, needs a second factor and took
+    1.2 s there, and LOBPCG did not converge in 200 iterations.
+    """
+    if P_csr is not None:
+        try:
+            lu = sparsity.symmetric_lu(P_csr)
+            if sparsity.proves_positive_definite(lu):
+                return (sparsity.nearest_eigenvalue(P_csr, 0.0, lu),
+                        sparsity.largest_eigenvalue(P_csr))
+        except RuntimeError:
+            # ARPACK's errors and an exactly singular factor
+            pass
+    p_eigs = np.linalg.eigvalsh(P)
+    return float(p_eigs[0]), float(p_eigs[-1])
 
 
 def _require_shifted_spectrum(shift_min: float) -> None:
@@ -230,7 +281,9 @@ def _shifted_schur(L: np.ndarray, v: np.ndarray, alpha: float):
     as a ``scipy.sparse`` array, so that transforming with it gathers rather
     than multiplies: on the 600-agent tree of the large-graph benchmark the
     two transforms of ``_lyapunov_from_schur`` took about 4 ms against
-    33 ms dense.  Otherwise u is dense; for a strongly connected graph
+    33 ms dense.  A larger core gives a sparse u, the permutation and the
+    core's orthogonal block, where ``sparsity.is_sparse`` takes its entries
+    for sparse, and a dense u otherwise; for a strongly connected graph
     nothing is permuted and this is the full factorisation.
 
     ``scipy.linalg`` is imported here and in ``_lyapunov_from_schur``, not at
@@ -260,6 +313,15 @@ def _shifted_schur(L: np.ndarray, v: np.ndarray, alpha: float):
     r[core, core] = r_c
     r[:lo, core] = r[:lo, core] @ u_c
     r[core, hi + 1:] = u_c.T @ r[core, hi + 1:]
+    m = hi + 1 - lo
+    if sparsity.is_sparse(n, n - m + m * m):
+        import scipy.sparse
+
+        outside = np.r_[:lo, hi + 1:n]
+        rows = np.concatenate([perm[outside], np.repeat(perm[core], m)])
+        cols = np.concatenate([outside, np.tile(np.arange(lo, hi + 1), m)])
+        data = np.concatenate([np.ones(n - m), u_c.ravel()])
+        return r, scipy.sparse.csr_array((data, (rows, cols)), shape=(n, n))
     u = np.zeros((n, n))
     u[perm, np.arange(n)] = 1.0
     u[perm[core], core] = u_c

@@ -9,7 +9,7 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from consensus_net import gains
+from consensus_net import sparsity
 from consensus_net.errors import InfeasibleGainError, ValidationError
 from consensus_net.gains import (
     MatchedGains,
@@ -237,10 +237,10 @@ def _eigsh_calls(regime=None):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scipy.sparse.linalg, "eigsh", spy)
         if regime == "sparse":
-            mp.setattr(gains, "_SPARSE_MIN_N", 0)
-            mp.setattr(gains, "_SPARSE_MAX_FILL", math.inf)
+            mp.setattr(sparsity, "SPARSE_MIN_N", 0)
+            mp.setattr(sparsity, "SPARSE_MAX_FILL", math.inf)
         elif regime == "dense":
-            mp.setattr(gains, "_SPARSE_MIN_N", math.inf)
+            mp.setattr(sparsity, "SPARSE_MIN_N", math.inf)
         yield shapes
 
 
@@ -281,9 +281,9 @@ def test_sparse_regime_matches_dense(family, n, seed):
 
 
 def test_large_tree_takes_sparse_regime():
-    """Above _SPARSE_MIN_N agents a tree's forms are sparse, and each takes
+    """Above SPARSE_MIN_N agents a tree's forms are sparse, and each takes
     the shifted solve with its default thresholds."""
-    n = 2 * gains._SPARSE_MIN_N
+    n = 2 * sparsity.SPARSE_MIN_N
     rng = np.random.default_rng(12)
     cert = solve_P(build_laplacian(random_tree_graph(rng, n)))
     matched, unmatched = _random_gains(rng)
@@ -300,7 +300,7 @@ def test_star_schur_test_matrix_takes_dense_regime():
     Schur test matrix D, is dense although P and L are not: M takes the
     shifted solve and D the dense eigvalsh."""
     n = 300
-    assert n >= gains._SPARSE_MIN_N
+    assert n >= sparsity.SPARSE_MIN_N
     rng = np.random.default_rng(5)
     w = np.zeros((n, n))
     w[1:, 0] = rng.uniform(0.5, 2.0, n - 1)
@@ -318,7 +318,7 @@ def test_star_schur_test_matrix_takes_dense_regime():
 def test_sparse_failure_falls_back_to_dense():
     """When ARPACK does not converge, each form's smallest eigenvalue is the
     dense eigvalsh's, bit for bit."""
-    n = gains._SPARSE_MIN_N + 50
+    n = sparsity.SPARSE_MIN_N + 50
     rng = np.random.default_rng(3)
     cert = solve_P(build_laplacian(random_tree_graph(rng, n)))
     matched, unmatched = _random_gains(rng)

@@ -231,6 +231,38 @@ print(np.isfinite(mf.as_array()).all(), "scipy.linalg" in sys.modules)
 """
 
 
+_SPARSE_SETUP_PROBE = """
+import sys
+import numpy as np
+from consensus_net.gains import MatchedGains, certify_matched
+from consensus_net.graph import DirectedGraph, build_laplacian
+from consensus_net.spectral import solve_P
+n = 240
+rng = np.random.default_rng(240)
+w = np.zeros((n, n))
+for i in range(1, n):
+    w[i, rng.integers(0, i)] = rng.uniform(0.5, 2.0)
+gains = MatchedGains.with_substitutions(6.0, 17.0, 4.0)
+for _ in range(2):
+    lap = build_laplacian(DirectedGraph(w))
+    cert = solve_P(lap)
+    report = certify_matched(gains, cert)
+    print(*(x.hex() for x in (cert.lambda_L, cert.lambda_P, cert.min_eig_P,
+                              report.min_eig_form)), sep=",")
+print("scipy.sparse.csgraph" in sys.modules)
+"""
+
+
+def test_sparse_setup_scalars_are_deterministic():
+    """ARPACK starts from a fixed vector, never the ones vector that L^T L
+    annihilates (ARPACK would then draw a random start), so the sparse
+    regime's lambda_L, lambda_P, min_eig_P and min_eig_form are the same bits
+    in two calls in one process and in two fresh interpreters."""
+    first, second = _fresh_interpreter(_SPARSE_SETUP_PROBE), _fresh_interpreter(_SPARSE_SETUP_PROBE)
+    assert first == second
+    assert first[0] == first[1] and first[2] == "True"
+
+
 def test_builtin_runs_do_not_import_scipy_linalg(tmp_path):
     """Graphs of at most spectral._KRON_MAX_N agents solve the certificate in
     numpy, so a builtin run, through runner.run or the CLI, never loads scipy;

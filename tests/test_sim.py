@@ -17,7 +17,7 @@ from consensus_net.dynamics import (
 from consensus_net.errors import IntegrationDivergedError, ValidationError
 from consensus_net.gains import MatchedGains, UnmatchedGains
 from consensus_net.graph import DirectedGraph, build_laplacian
-from consensus_net import kernels
+from consensus_net import kernels, sparsity
 from consensus_net.scenario import builtin_scenario
 from consensus_net.sim import (
     EXACT_ORDER,
@@ -541,7 +541,7 @@ def test_sparse_recurrence_agrees_with_stage_bodies(monkeypatch, mode, sample_ev
     and on the dense A agree within 1e-12 and stay within 1e-10 of the
     generic RK4 oracle.  A tree with extra edges; the switch at step 253
     lies strictly inside a block for every fold above 1."""
-    monkeypatch.setattr(kernels, "_SPARSE_MAX_FILL", 1.0)
+    monkeypatch.setattr(sparsity, "SPARSE_MAX_FILL", 1.0)
     folds = _spy(monkeypatch, "_sparse_fold")
     lap, rng = _large_shuffled_lap(8, n=60)
     profile, z0 = _two_segment_case(lap, rng, 0.253)
@@ -580,7 +580,7 @@ def test_fill_cap_limits_fold_on_long_path(monkeypatch):
     blocks = _loop("matched", lap, profile).blocks()
     A = kernels._csr_system(*blocks[:2], lap.L)
     M = kernels._step_operator(A, params.dt)
-    cap = kernels._SPARSE_MAX_FILL * A.shape[0] ** 2
+    cap = sparsity.SPARSE_MAX_FILL * A.shape[0] ** 2
     powers = [M]
     for _ in range(3):
         powers.append(powers[-1] @ M)
@@ -603,7 +603,7 @@ def test_fill_cap_limits_fold_on_long_path(monkeypatch):
 def test_zero_cap_falls_back_to_stage_body(monkeypatch):
     """With a fill cap of 0 even M is too full: the stage body runs on the
     CSR A, with the same bits as calling it directly."""
-    monkeypatch.setattr(kernels, "_SPARSE_MAX_FILL", 0.0)
+    monkeypatch.setattr(sparsity, "SPARSE_MAX_FILL", 0.0)
     stage = _spy(monkeypatch, "_rk4_stage")
     recurrence = _spy(monkeypatch, "_rk4_recurrence")
     lap, rng = _large_shuffled_lap(9, n=200)

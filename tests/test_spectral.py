@@ -1,14 +1,19 @@
 """Lyapunov certificate solver against an independent vectorized oracle."""
 
+import contextlib
+import math
 import re
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.csgraph
+import scipy.sparse.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from consensus_net import spectral
+from consensus_net import graph, sparsity, spectral
 from consensus_net.errors import ConsensusNetError, DegenerateSpectrumError, ValidationError
 from consensus_net.graph import DirectedGraph, build_laplacian
 from consensus_net.scenario import builtin_scenario
@@ -376,3 +381,163 @@ def test_tree_certificate_needs_no_schur_factorisation():
         cert = solve_P(lap)
     assert cert.residual < spectral._RESIDUAL_TOL
     assert cert.min_eig_P > 0
+
+
+def _two_cycle_root_tree(rng, n):
+    """A random tree on ``n`` agents whose root is the 2-cycle of agents 0
+    and 1, labels shuffled."""
+    w = np.zeros((n, n))
+    w[0, 1], w[1, 0] = rng.uniform(0.5, 2.0, 2)
+    for i in range(2, n):
+        w[i, int(rng.integers(0, i))] = rng.uniform(0.5, 2.0)
+    perm = rng.permutation(n)
+    return DirectedGraph(w[np.ix_(perm, perm)])
+
+
+def test_two_cycle_root_gives_sparse_schur_factor():
+    """Above SPARSE_MIN_N agents a tree with a 2-cycle root balances to a
+    two-row core, and u is the permutation plus the core's 2x2 orthogonal
+    block, stored sparse; the certificate agrees with the dense-u solve."""
+    n = sparsity.SPARSE_MIN_N + 40
+    lap = build_laplacian(_two_cycle_root_tree(np.random.default_rng(21), n))
+    r, u = _shifted_schur(lap.L, lap.v_left, 1.0)
+    assert scipy.sparse.issparse(u) and u.nnz == n + 2
+    a = -(lap.L + np.outer(np.ones(n), lap.v_left)).T
+    assert np.abs(u @ r @ u.T - a).max() <= 8 * n * np.finfo(float).eps * np.abs(a).max()
+
+    def dense_u(*args):
+        r, u = _shifted_schur(*args)
+        return r, u.toarray()
+
+    P = solve_P(lap).P
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_shifted_schur", dense_u)
+        P_dense_u = solve_P(lap).P
+    assert np.abs(P - P_dense_u).max() <= 1e-12 * np.abs(P_dense_u).max()
+
+
+@contextlib.contextmanager
+def _regime(regime):
+    """Inside the block every set-up layer takes ``regime``: "dense" by
+    raising the agent threshold, "sparse" with the default rule.  Yields the
+    shapes of the matrices handed to ARPACK, and checks that each solve
+    starts from a vector that is not constant: L annihilates the ones
+    vector, so ARPACK would find L^T L's start invariant and draw a random
+    one."""
+    shapes = []
+    real = scipy.sparse.linalg.eigsh
+
+    def spy(A, *args, **kwargs):
+        shapes.append(A.shape)
+        assert np.ptp(kwargs["v0"]) > 0
+        return real(A, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scipy.sparse.linalg, "eigsh", spy)
+        if regime == "dense":
+            mp.setattr(sparsity, "SPARSE_MIN_N", math.inf)
+        yield shapes
+
+
+def _close(a, b):
+    return abs(a - b) <= 1e-12 * abs(b)
+
+
+@given(st.integers(min_value=200, max_value=240), st.integers(min_value=0, max_value=30),
+       st.integers(min_value=0, max_value=2 ** 32 - 1))
+@settings(max_examples=6, deadline=None)
+def test_sparse_setup_matches_dense_setup(n, extra, seed):
+    """On random trees with extra edges, the sparse regime of build_laplacian
+    and solve_P reports the dense regime's facts: the same spanning-tree and
+    right-half-plane flags, spectrum and left null vector, P within 1e-12 of its
+    largest entry (the Schur factor u is sparse in one regime and dense in
+    the other), and lambda_L, lambda_P,
+    min_eig_P and cond_P within 1e-12 relative; its residual passes the
+    gate."""
+    g = random_tree_graph(np.random.default_rng(seed), n, extra_edges=extra)
+    facts = {}
+    for regime in ("sparse", "dense"):
+        with _regime(regime) as shapes:
+            lap = build_laplacian(g)
+            facts[regime] = lap, solve_P(lap), shapes
+    (lap, cert, shapes), (lap_d, cert_d, shapes_d) = facts["sparse"], facts["dense"]
+    assert shapes_d == [] and (n, n) in shapes
+    assert lap.has_spanning_tree and lap_d.has_spanning_tree
+    assert (lap.nonzero_eigenvalue_real_parts_positive
+            == lap_d.nonzero_eigenvalue_real_parts_positive)
+    assert np.array_equal(lap.v_left, lap_d.v_left)
+    assert _close(lap.lambda_L, lap_d.lambda_L)
+    # the spectrum from the components is eigvals' spectrum
+    blocks = graph._eigenvalues(lap.L, scipy.sparse.csr_array(lap.L))
+    full = np.linalg.eigvals(lap.L)
+    for part in (np.real, np.imag):
+        assert np.abs(np.sort(part(blocks)) - np.sort(part(full))).max() <= 1e-8 * lap.lambda_L
+    assert np.abs(cert.P - cert_d.P).max() <= 1e-12 * np.abs(cert_d.P).max()
+    for name in ("lambda_P", "min_eig_P", "cond_P"):
+        assert _close(getattr(cert, name), getattr(cert_d, name)), name
+    assert cert.residual < spectral._RESIDUAL_TOL
+    assert _close(cert_d.lambda_L, lap_d.lambda_L)
+
+
+def test_strongly_connected_graph_answers_dense():
+    """A strongly connected graph is one component, whose block is all of L,
+    and its P is dense, so solve_P takes eigvalsh rather than Lanczos."""
+    n = sparsity.SPARSE_MIN_N
+    rng = np.random.default_rng(13)
+    w = np.zeros((n, n))
+    w[(np.arange(n) + 1) % n, np.arange(n)] = rng.uniform(0.5, 2.0, n)
+    g = DirectedGraph(w)
+    counts, blocks, eigvalsh = [], [], []
+    real_cc = scipy.sparse.csgraph.connected_components
+    real_eigvals, real_eigvalsh = np.linalg.eigvals, np.linalg.eigvalsh
+
+    def spy_cc(*args, **kwargs):
+        count, labels = real_cc(*args, **kwargs)
+        counts.append(count)
+        return count, labels
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scipy.sparse.csgraph, "connected_components", spy_cc)
+        mp.setattr(np.linalg, "eigvals", lambda A: blocks.append(A.shape) or real_eigvals(A))
+        lap = build_laplacian(g)
+        mp.setattr(np.linalg, "eigvalsh", lambda A: eigvalsh.append(A.shape) or real_eigvalsh(A))
+        with _regime("sparse") as shapes:
+            cert = solve_P(lap)
+    assert counts == [1] and blocks == [(n, n)]
+    assert np.count_nonzero(cert.P) > sparsity.SPARSE_MAX_FILL * n * n
+    assert shapes == [] and eigvalsh == [(n, n)]
+    with _regime("dense"):
+        lap_d = build_laplacian(g)
+        cert_d = solve_P(lap_d)
+    assert _close(lap.lambda_L, lap_d.lambda_L)
+    assert (cert.lambda_P, cert.min_eig_P) == (cert_d.lambda_P, cert_d.min_eig_P)
+
+
+def test_indefinite_sparse_P_fails_inertia_check():
+    """A sparse P that is not positive definite (here 2x2 blocks [[1, 2],
+    [2, 1]], whose diagonal is positive) fails the inertia check of its LU
+    factor, so no Lanczos solve runs, and solve_P raises the dense regime's
+    error, message and all."""
+    n = sparsity.SPARSE_MIN_N
+    lap = build_laplacian(random_tree_graph(np.random.default_rng(17), n))
+    indefinite = np.eye(n) + 2.0 * np.kron(np.eye(n // 2), [[0.0, 1.0], [1.0, 0.0]])
+    verdicts = []
+    real_proves = sparsity.proves_positive_definite
+
+    def spy(lu):
+        verdicts.append(real_proves(lu))
+        return verdicts[-1]
+
+    errors = {}
+    for regime in ("sparse", "dense"):
+        with _regime(regime) as shapes, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectral, "_lyapunov_from_schur", lambda r, u, q: indefinite.copy())
+            mp.setattr(spectral, "_RESIDUAL_TOL", math.inf)
+            mp.setattr(sparsity, "proves_positive_definite", spy)
+            with pytest.raises(DegenerateSpectrumError, match="not positive definite") as exc:
+                solve_P(lap)
+            errors[regime] = str(exc.value)
+        assert shapes == []
+    assert verdicts == [False]
+    assert errors["sparse"] == errors["dense"] == (
+        "solution P is not positive definite, min eig = -1.000e+00")
