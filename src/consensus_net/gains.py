@@ -25,7 +25,8 @@ rule of ``sparsity.is_sparse``:
   the smallest, on one sparse LU factor under a symmetric ordering.  On the
   600-agent random trees of the large-graph benchmark, P is about 98 %
   exact zeros and so are the forms; the matched form's smallest eigenvalue
-  took about 0.05 s against 0.4 s for ``eigvalsh``.
+  took about 0.014 s (0.05 s before the symmetric ordering) against 0.4 s
+  for ``eigvalsh``.
 
 Should the sparse solve fail (ARPACK does not converge, or the shifted form
 has an exactly singular factor), or a form hold a non-finite entry or row

@@ -31,11 +31,11 @@ either loop one of two ways, both built on the same RK4 step
   ``_sparse_fold`` forms powers of ``M`` one product at a time while they
   store at most ``sparsity.SPARSE_MAX_FILL`` (5 %) of the (3n)^2 entries
   and their set-up stays below the run's block products, and the blocks are
-  stepped one at a time.  On the benchmark's 600-agent tree, ``M`` stores 13.7k entries and
-  ``M^5`` 33k to 38k (1.0 to 1.2 %); 1000 steps fold 5 at a time and take
-  about 0.03 s, against 0.12 s for the stage body.  Near overflow
-  (``_TRUSTED_MAGNITUDE``) the stage body replays the chunk, for either
-  storage.
+  stepped one at a time.  On the benchmark's 600-agent tree, ``M`` stores
+  13.7k entries and ``M^5`` 33k to 38k (1.0 to 1.2 %); 1000 steps fold 5 at
+  a time and take about 0.03 s, against 0.12 s for the stage body.  Near
+  overflow (``_TRUSTED_MAGNITUDE``) the stage body replays the chunk, for
+  either storage.
 * the stage body (``_rk4_stage``) takes that step once per time step on a
   CSR ``A``, each ``A @ z`` in O(nnz); it runs where even ``M`` stores more
   than ``sparsity.SPARSE_MAX_FILL`` of its entries.

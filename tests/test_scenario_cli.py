@@ -254,10 +254,11 @@ print("scipy.sparse.csgraph" in sys.modules)
 
 
 def test_sparse_setup_scalars_are_deterministic():
-    """ARPACK starts from a fixed vector, never the ones vector that L^T L
-    annihilates (ARPACK would then draw a random start), so the sparse
-    regime's lambda_L, lambda_P, min_eig_P and min_eig_form are the same bits
-    in two calls in one process and in two fresh interpreters."""
+    """Every ARPACK solve starts from a fixed vector, so the sparse regime's
+    lambda_L, lambda_P, min_eig_P and min_eig_form are the same bits in two
+    calls in one process and in two fresh interpreters.  That the start is
+    not the ones vector, which L^T L annihilates, is checked on every solve
+    of test_spectral's sparse-regime oracle."""
     first, second = _fresh_interpreter(_SPARSE_SETUP_PROBE), _fresh_interpreter(_SPARSE_SETUP_PROBE)
     assert first == second
     assert first[0] == first[1] and first[2] == "True"
