@@ -298,11 +298,24 @@ def _whole_dtrsyl_P(lap, alpha=1.0):
         return solve_P(lap, alpha=alpha).P
 
 
+def _two_parent_tree(rng, n):
+    """A random tree on ``n`` agents rooted at agent 0 in which one agent of
+    depth two or more also listens to the root: acyclic, so its shifted
+    Laplacian balances to triangular form, but no tree, so solve_P takes
+    the Schur route."""
+    w = random_tree_graph(rng, n).weights.copy()
+    parent = w.argmax(axis=1)
+    j = int(np.flatnonzero(parent[1:] != 0)[0]) + 1
+    w[j, 0] = 1.0
+    return DirectedGraph(w)
+
+
 def test_blocked_solve_on_600_agent_tree():
-    """A 600-agent tree, the order of the large-graph benchmark: the blocked
-    solve's certificate agrees with the one-call certificate and passes the
-    residual gate."""
-    lap = build_laplacian(random_tree_graph(np.random.default_rng(600), 600))
+    """A 600-agent tree, the order of the large-graph benchmark, with one
+    agent given a second parent so that solve_P takes the Schur route: the
+    blocked solve's certificate agrees with the one-call certificate and
+    passes the residual gate."""
+    lap = build_laplacian(_two_parent_tree(np.random.default_rng(600), 600))
     cert = solve_P(lap)
     P_whole = _whole_dtrsyl_P(lap)
     assert np.abs(cert.P - P_whole).max() <= 1e-13 * np.abs(P_whole).max()
@@ -357,19 +370,20 @@ def test_balanced_schur_matches_full_schur(family, n, seed):
     tol = 8 * n * np.finfo(float).eps
     assert np.abs(u.T @ u - np.eye(n)).max() <= tol
     assert np.abs(u @ r @ u.T - a).max() <= tol * np.abs(a).max()
-    P = solve_P(lap).P
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spectral, "_shifted_schur", full_shifted_schur)
-        P_full = solve_P(lap).P
+    # solved from each form directly, as solve_P takes the tree regime on a
+    # large enough tree
+    r_full, u_full = full_shifted_schur(lap.L, lap.v_left, 1.0)
+    P = spectral._lyapunov_from_schur(r, u, -np.eye(n))
+    P_full = spectral._lyapunov_from_schur(r_full, u_full, -np.eye(n))
     assert np.abs(P - P_full).max() <= 1e-12 * np.abs(P_full).max()
     if np.all(lap.v_left > 0):
-        r_full, u_full = full_shifted_schur(lap.L, lap.v_left, 1.0)
         assert np.array_equal(r, r_full) and np.array_equal(u, u_full)
 
 
 def test_tree_certificate_needs_no_schur_factorisation():
-    """The shifted Laplacian of a spanning tree permutes to triangular form,
-    so solve_P factorises nothing."""
+    """Below the sparse rule a spanning tree takes the Schur route, and its
+    shifted Laplacian permutes to triangular form, so solve_P factorises
+    nothing."""
     n = 3 * _KRON_MAX_N
     lap = build_laplacian(random_tree_graph(np.random.default_rng(36), n))
 
@@ -414,6 +428,117 @@ def test_two_cycle_root_gives_sparse_schur_factor():
         mp.setattr(spectral, "_shifted_schur", dense_u)
         P_dense_u = solve_P(lap).P
     assert np.abs(P - P_dense_u).max() <= 1e-12 * np.abs(P_dense_u).max()
+
+
+def _shuffled_tree(rng, n, shape):
+    """A tree on ``n`` agents, weights from U(0.5, 2), labels shuffled: a
+    random recursive tree, a path (depth n - 1) or a star (depth 1).
+    Returns the graph and each agent's parent, the root its own."""
+    w = np.zeros((n, n))
+    for i in range(1, n):
+        parent = int(rng.integers(0, i)) if shape == "random" else (i - 1 if shape == "path" else 0)
+        w[i, parent] = rng.uniform(0.5, 2.0)
+    perm = rng.permutation(n)
+    w = w[np.ix_(perm, perm)]
+    parent = w.argmax(axis=1)
+    root = int(np.flatnonzero(w.max(axis=1) == 0)[0])
+    parent[root] = root
+    return DirectedGraph(w), parent
+
+
+def _ancestor_pairs(parent):
+    """Mask of the pairs (a, j) and (j, a) with a equal to j or an ancestor."""
+    n = parent.size
+    mask = np.zeros((n, n), dtype=bool)
+    anc = np.arange(n)
+    for _ in range(n):
+        mask[anc, np.arange(n)] = True
+        anc = parent[anc]
+    return mask | mask.T
+
+
+@given(st.sampled_from(("random", "path", "star")),
+       st.integers(min_value=_KRON_MAX_N + 1, max_value=250),
+       st.integers(min_value=0, max_value=2 ** 32 - 1), st.sampled_from((0.1, 1.0, 10.0)))
+@settings(max_examples=40, deadline=None)
+@example(shape="path", n=250, seed=1, alpha=0.1)
+@example(shape="star", n=250, seed=2, alpha=10.0)
+def test_tree_solve_matches_schur_route(shape, n, seed, alpha):
+    """The tree solver, called directly whatever the fill rule says, agrees
+    within 1e-12 relative with the Schur route on a random positive diagonal
+    Q, and its P is nonzero exactly on the ancestor-descendant pairs."""
+    rng = np.random.default_rng(seed)
+    g, parent = _shuffled_tree(rng, n, shape)
+    lap = build_laplacian(g)
+    q = rng.uniform(0.5, 2.0, n)
+    tree = spectral._spanning_tree(lap.L, lap.v_left)
+    assert np.array_equal(tree.parent, parent)
+    P = spectral._tree_lyapunov(tree, alpha, q)
+    P_schur = spectral._lyapunov_from_schur(*_shifted_schur(lap.L, lap.v_left, alpha), -np.diag(q))
+    P_schur = (P_schur + P_schur.T) / 2.0
+    assert np.abs(P - P_schur).max() <= 1e-12 * np.abs(P_schur).max()
+    assert np.array_equal(P != 0, _ancestor_pairs(parent))
+
+
+def test_tree_certificate_skips_dgebal_and_dtrsyl():
+    """A 600-agent random tree, the order of the large-graph benchmark, takes
+    the tree regime: neither LAPACK's balancing nor dtrsyl runs, and the
+    certificate passes the gates and agrees with the Schur route."""
+    n = 600
+    lap = build_laplacian(_shuffled_tree(np.random.default_rng(600), n, "random")[0])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK called on a tree")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scipy.linalg.lapack, "dgebal", refuse)
+        mp.setattr(scipy.linalg.lapack, "dtrsyl", refuse)
+        cert = solve_P(lap)
+    assert cert.residual < spectral._RESIDUAL_TOL
+    assert cert.min_eig_P > 0
+    P_schur = spectral._lyapunov_from_schur(*_shifted_schur(lap.L, lap.v_left, 1.0), -np.eye(n))
+    assert np.abs(cert.P - P_schur).max() <= 1e-12 * np.abs(P_schur).max()
+
+
+def _off_tree_case(case):
+    """A Laplacian and Q that the tree regime must leave alone."""
+    rng = np.random.default_rng(601)
+    if case == "two-parents":
+        return build_laplacian(_two_parent_tree(rng, 600)), None
+    if case == "two-cycle-root":
+        return build_laplacian(_two_cycle_root_tree(rng, 600)), None
+    if case == "non-diagonal-Q":
+        Q = np.eye(600)
+        Q[3, 5] = Q[5, 3] = 0.25
+        return build_laplacian(_shuffled_tree(rng, 600, "random")[0]), Q
+    if case == "path":
+        return build_laplacian(_shuffled_tree(rng, 600, "path")[0]), None
+    return build_laplacian(_shuffled_tree(rng, _KRON_MAX_N, "random")[0]), None
+
+
+@pytest.mark.parametrize("case", ["two-parents", "two-cycle-root", "non-diagonal-Q", "path",
+                                  "small"])
+def test_other_graphs_keep_their_route(case):
+    """The tree regime takes only trees with a diagonal Q, a fill under the
+    sparse rule and more than _KRON_MAX_N agents: an agent with two parents,
+    a 2-cycle root, a non-diagonal Q and a 600-agent path (a dense P) take
+    the Schur route, and a small tree the Kronecker system."""
+    lap, Q = _off_tree_case(case)
+    balanced = []
+    real = scipy.linalg.lapack.dgebal
+
+    def no_tree(*args):
+        raise AssertionError("tree regime taken")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_tree_lyapunov", no_tree)
+        mp.setattr(scipy.linalg.lapack, "dgebal",
+                   lambda *args, **kwargs: balanced.append(args[0].shape) or real(*args, **kwargs))
+        cert = solve_P(lap, Q=Q)
+    n = lap.n_agents
+    assert balanced == ([] if case == "small" else [(n, n)])
+    assert cert.residual < spectral._RESIDUAL_TOL
+    assert cert.min_eig_P > 0
 
 
 @contextlib.contextmanager
@@ -531,7 +656,9 @@ def test_indefinite_sparse_P_fails_inertia_check():
     errors = {}
     for regime in ("sparse", "dense"):
         with _regime(regime) as shapes, pytest.MonkeyPatch.context() as mp:
+            # whichever solver the tree takes
             mp.setattr(spectral, "_lyapunov_from_schur", lambda r, u, q: indefinite.copy())
+            mp.setattr(spectral, "_tree_lyapunov", lambda tree, alpha, q: indefinite.copy())
             mp.setattr(spectral, "_RESIDUAL_TOL", math.inf)
             mp.setattr(sparsity, "proves_positive_definite", spy)
             with pytest.raises(DegenerateSpectrumError, match="not positive definite") as exc:
