@@ -574,7 +574,8 @@ def _close(a, b):
 def test_sparse_setup_matches_dense_setup(n, extra, seed):
     """On random trees with extra edges, the sparse regime of build_laplacian
     and solve_P reports the dense regime's facts: the same spanning-tree and
-    right-half-plane flags, spectrum and left null vector, P within 1e-12 of its
+    right-half-plane flags, neighbour lists and root component, spectrum and
+    left null vector, P within 1e-12 of its
     largest entry (the Schur factor u is sparse in one regime and dense in
     the other), and lambda_L, lambda_P,
     min_eig_P and cond_P within 1e-12 relative; its residual passes the
@@ -592,8 +593,14 @@ def test_sparse_setup_matches_dense_setup(n, extra, seed):
             == lap_d.nonzero_eigenvalue_real_parts_positive)
     assert np.array_equal(lap.v_left, lap_d.v_left)
     assert _close(lap.lambda_L, lap_d.lambda_L)
-    # the spectrum from the components is eigvals' spectrum
-    blocks = graph._eigenvalues(lap.L, scipy.sparse.csr_array(lap.L))
+    # the neighbours read from CSR arrays are the dense scan's, and so is the
+    # root component; the spectrum from the components is eigvals' spectrum
+    L_csr = scipy.sparse.csr_array(lap.L)
+    for m in (lap.L, lap.L.T):
+        assert ([sorted(row) for row in graph._neighbours(scipy.sparse.csr_array(m))]
+                == graph._neighbours(m != 0))
+    assert np.array_equal(graph._root_component(L_csr), graph._root_component(lap.L != 0))
+    blocks = graph._eigenvalues(lap.L, L_csr)
     full = np.linalg.eigvals(lap.L)
     for part in (np.real, np.imag):
         assert np.abs(np.sort(part(blocks)) - np.sort(part(full))).max() <= 1e-8 * lap.lambda_L
