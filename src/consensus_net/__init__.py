@@ -60,6 +60,6 @@ from .graph import (
 from .runner import RunArtifacts, run
 from .scenario import Scenario, builtin_scenario, load_scenario, save_scenario
 from .sim import EXACT_ORDER, SimParams, Trajectory, convergence_order, integrate
-from .spectral import LyapunovCertificate, solve_P, spectral_norm
+from .spectral import LyapunovCertificate, solve_P
 
 __version__ = "0.1.0"

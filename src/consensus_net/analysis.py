@@ -315,16 +315,16 @@ def estimation_limits(traj: Trajectory, profile: DisturbanceProfile, g: MatchedG
 
 
 def trajectory_metrics(traj: Trajectory, v: np.ndarray, gains, profile: DisturbanceProfile,
-                       P: np.ndarray) -> dict:
+                       P) -> dict:
     """Per-sample metric arrays: error norms, mean field, Lyapunov value, and
     ``projector_residual``, the largest |v.e| over the three errors (zero up
     to rounding).
 
     Disturbance values use the active segment at each sample time
     (right-continuous), matching what the controller experienced.  The
-    samples are processed as arrays, one block of rows at a time.
+    samples are processed as arrays, one block of rows at a time.  P is a
+    numpy array or, as a large tree's certificate stores it, a CSR array.
     """
-    P = np.atleast_2d(np.asarray(P, dtype=float))
     lyapunov = _lyapunov_matched if isinstance(gains, MatchedGains) else _lyapunov_unmatched
     n_samples = traj.times.shape[0]
     out = {"t": traj.times.copy()}

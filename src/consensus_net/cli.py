@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import runner, svgchart
+from . import runner, sparsity, svgchart
 from .errors import (
     DegenerateSpectrumError,
     InfeasibleGainError,
@@ -114,7 +114,7 @@ def _cmd_graph_analyze(args) -> int:
         "has_spanning_tree": lap.has_spanning_tree,
         "lambda_L": lap.lambda_L,
         "v_left": None if lap.v_left is None else [float(v) for v in lap.v_left],
-        "L": [[float(x) for x in row] for row in lap.L],
+        "L": sparsity.dense(lap.L).tolist(),
     }
     if args.json_out:
         Path(args.json_out).write_text(json.dumps(out, indent=2, sort_keys=True) + "\n")

@@ -12,17 +12,18 @@ runs uncertified gains and records the report alongside the trajectory.
 
 Each form is written once, as blocks of P, L and the identity that numpy
 arrays and ``scipy.sparse`` arrays evaluate alike.  Its smallest eigenvalue
-comes from one of two regimes, read from the certificate's structure by the
-rule of ``sparsity.is_sparse``:
+comes from one of two regimes, read from the storage of the certificate's P
+and L, as ``spectral.solve_P`` chose it; nothing here counts or converts them:
 
 * dense: ``np.linalg.eigvalsh`` of the whole form.  Graphs below 200 agents
   take it, so the builtin scenarios never import ``scipy.sparse``, and so
-  does any form whose share of nonzeros exceeds 5 %: a dense P, which a long
-  path or a large cycle gives, or the Schur test matrix's L L^T on a star,
-  where every child shares the root;
-* sparse: shift-invert Lanczos (``sparsity.smallest_eigenvalue``) at a
-  shift below the Gershgorin bound, so the eigenvalue nearest the shift is
-  the smallest, on one sparse LU factor under a symmetric ordering.  On the
+  does a dense P, which a long path or a large cycle gives, or a form whose
+  share of nonzeros exceeds 5 %, such as the Schur test matrix's L L^T on a
+  star, where every child shares the root;
+* sparse, for a CSR P and L: shift-invert Lanczos
+  (``sparsity.smallest_eigenvalue``) at a shift below the Gershgorin bound,
+  so the eigenvalue nearest the shift is the smallest, on one sparse LU
+  factor under a symmetric ordering.  On the
   600-agent random trees of the large-graph benchmark, P is about 98 %
   exact zeros and so are the forms; the matched form's smallest eigenvalue
   took about 0.014 s (0.05 s before the symmetric ordering) against 0.4 s
@@ -245,7 +246,8 @@ def certify_matched(g: MatchedGains, cert: LyapunovCertificate) -> Certification
 def matched_form_matrix(g: MatchedGains, cert: LyapunovCertificate) -> np.ndarray:
     """Assemble the symmetric 3n x 3n matrix of the matched Lyapunov decay,
     in (e_x, e_y, e_d) block order."""
-    return _matched_form(g, cert.P, cert.L, np.eye(cert.n_agents), np.block)
+    return _matched_form(g, sparsity.dense(cert.P), sparsity.dense(cert.L),
+                         np.eye(cert.n_agents), np.block)
 
 
 def _matched_form(g: MatchedGains, P, L, I, join):
@@ -267,16 +269,13 @@ def _matched_form(g: MatchedGains, P, L, I, join):
 
 def _sparse_operands(cert: LyapunovCertificate):
     """``(P, L, I, join)`` as ``scipy.sparse`` arrays, with a ``join`` that
-    makes a CSC array, when the forms of ``cert`` may take the sparse regime;
-    else None.  Counting the nonzeros of P and L spares assembling a sparse
-    form that is dense anyway."""
-    n = cert.n_agents
-    if not sparsity.is_sparse(n, int(np.count_nonzero(cert.P) + np.count_nonzero(cert.L))):
+    makes a CSC array, when the certificate stores P and L as CSR arrays;
+    else None."""
+    if isinstance(cert.P, np.ndarray):
         return None
     import scipy.sparse
 
-    return (scipy.sparse.csr_array(cert.P), scipy.sparse.csr_array(cert.L),
-            scipy.sparse.eye_array(n, format="csr"),
+    return (cert.P, cert.L, scipy.sparse.eye_array(cert.n_agents, format="csr"),
             lambda blocks: scipy.sparse.block_array(blocks, format="csc"))
 
 
@@ -315,7 +314,8 @@ def suggest_matched(gamma1: float, gamma3: float, mu: float, b: float,
 def unmatched_form_matrices(g: UnmatchedGains,
                             cert: LyapunovCertificate) -> tuple[np.ndarray, np.ndarray]:
     """The 2n x 2n quadratic-form matrix and its Schur-complement test matrix."""
-    return _unmatched_forms(g, cert.P, cert.L, np.eye(cert.n_agents), np.block)
+    return _unmatched_forms(g, sparsity.dense(cert.P), sparsity.dense(cert.L),
+                            np.eye(cert.n_agents), np.block)
 
 
 def _unmatched_forms(g: UnmatchedGains, P, L, I, join):

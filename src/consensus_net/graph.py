@@ -9,23 +9,23 @@ the open right half plane, and a nonnegative left null vector exists; that
 vector (normalized to sum 1) defines the weighted average the network agrees
 on.
 
-``build_laplacian`` finds the spectral facts in one of two regimes, picked by
-``sparsity.is_sparse`` from the agent count and the nonzeros of L:
+``build_laplacian`` stores L and finds the spectral facts in one of two
+regimes, picked by ``sparsity.is_sparse`` from n and L's nonzeros:
 
-* dense: ``eigvals`` of all of L for the simple-zero and right-half-plane
-  checks, and ``eigvalsh`` of L^T L for the spectral norm;
-* sparse (200 agents or more, at most 5 % nonzeros): ordered by its strongly
-  connected components, L is block triangular, so its spectrum is the union
-  of its diagonal blocks' spectra.  ``scipy.sparse.csgraph`` finds the
+* dense, L a numpy array: ``eigvals`` of all of L for the simple-zero and
+  right-half-plane checks, and ``eigvalsh`` of L^T L for the spectral norm;
+* sparse (200 agents or more, at most 5 % nonzeros), L a CSR array, which
+  every later layer reads as it is: ordered by its strongly connected
+  components, L is block triangular, so its spectrum is the union of its
+  diagonal blocks' spectra.  ``scipy.sparse.csgraph`` finds the
   components; a one-agent block's eigenvalue is its diagonal entry, and only
   larger blocks go to ``eigvals``.  The spectral norm comes from Lanczos on
   the CSR L^T L.  On the random 2,000-agent tree of the large-graph
   document (seed 3, best of 3, 2-vCPU x86 VM with OpenBLAS) the spectral
   norm took 12 ms against 0.69 s dense, and the spectrum 0.2 ms against
   0.12 s, with the same eigenvalues.  Should ARPACK fail, the dense spectral
-  norm answers.  The root component's reachability passes read each agent's
-  neighbours from the index arrays of the CSR L and its transpose rather
-  than from a scan of all n^2 entries.
+  norm answers.  The root component is found from the index arrays of the
+  CSR L and its transpose (``_root_component``).
 """
 
 from __future__ import annotations
@@ -104,6 +104,7 @@ class DirectedGraph:
 class LaplacianData:
     """Laplacian of a directed graph plus the spectral facts used downstream.
 
+    ``L`` is a read-only numpy array, or a CSR array in the sparse regime.
     ``v_left`` is None when the graph has no spanning tree (the left null
     space is then not one-dimensional).  ``lambda_L`` bounds the spectral
     norm of L (tight: it equals it).
@@ -116,7 +117,8 @@ class LaplacianData:
     nonzero_eigenvalue_real_parts_positive: bool
 
     def __post_init__(self):
-        object.__setattr__(self, "L", _freeze(self.L))
+        if isinstance(self.L, np.ndarray):
+            object.__setattr__(self, "L", _freeze(self.L))
         if self.v_left is not None:
             object.__setattr__(self, "v_left", _freeze(self.v_left))
 
@@ -140,14 +142,13 @@ def build_laplacian(g: DirectedGraph) -> LaplacianData:
     w = g.weights
     L = np.diag(w.sum(axis=1)) - w
     n = L.shape[0]
-    L_csr = None
     if sparsity.is_sparse(n, int(np.count_nonzero(L))):
         import scipy.sparse
 
-        L_csr = scipy.sparse.csr_array(L)
-    root = _root_component(L != 0 if L_csr is None else L_csr)
+        L = scipy.sparse.csr_array(L)
+    root = _root_component(L)
     if root is not None:
-        eigs = _eigenvalues(L, L_csr)
+        eigs = _eigenvalues(L)
         v = _left_null_vector(L, eigs, root)
         # all eigenvalues except the (simple) zero one must sit strictly in
         # the right half plane
@@ -159,15 +160,15 @@ def build_laplacian(g: DirectedGraph) -> LaplacianData:
         L=L,
         has_spanning_tree=root is not None,
         v_left=v,
-        lambda_L=_spectral_norm(L, L_csr),
+        lambda_L=_spectral_norm(L),
         nonzero_eigenvalue_real_parts_positive=rhp,
     )
 
 
-def _eigenvalues(L: np.ndarray, L_csr) -> np.ndarray:
-    """Eigenvalues of L, in no particular order: from ``eigvals`` of all of L,
-    or, given its CSR copy ``L_csr``, block by block over its strongly
-    connected components.
+def _eigenvalues(L) -> np.ndarray:
+    """Eigenvalues of L, in no particular order: from ``eigvals`` of all of a
+    dense L, or block by block over the strongly connected components of a
+    CSR L.
 
     An edge runs only from an earlier component to a later one in a
     topological order of the components, so in that order L is block
@@ -176,21 +177,21 @@ def _eigenvalues(L: np.ndarray, L_csr) -> np.ndarray:
     by ``eigvals`` one block at a time.  A strongly connected graph is one
     block, which is all of L.
     """
-    if L_csr is None:
+    if isinstance(L, np.ndarray):
         return np.linalg.eigvals(L)
     from scipy.sparse.csgraph import connected_components
 
-    count, labels = connected_components(L_csr, directed=True, connection="strong")
+    count, labels = connected_components(L, directed=True, connection="strong")
     sizes = np.bincount(labels, minlength=count)
     single = sizes[labels] == 1
     eigs = [L.diagonal()[single]]
     for label in np.flatnonzero(sizes > 1):
         idx = np.flatnonzero(labels == label)
-        eigs.append(np.linalg.eigvals(L[np.ix_(idx, idx)]))
+        eigs.append(np.linalg.eigvals(L[np.ix_(idx, idx)].toarray()))
     return np.concatenate(eigs)
 
 
-def _spectral_norm(L: np.ndarray, L_csr=None) -> float:
+def _spectral_norm(L) -> float:
     """Largest singular value of L.
 
     Above ``_SVD_MAX_N`` agents it is the square root of the largest
@@ -198,19 +199,18 @@ def _spectral_norm(L: np.ndarray, L_csr=None) -> float:
     L's singular values, and within 1e-15 relative of them.  L is first
     divided by the power of two just above its largest magnitude, which is
     exact and keeps L^T L from overflowing or underflowing; the factor is put
-    back after the square root.  Given L's CSR copy ``L_csr``, that
-    eigenvalue comes from Lanczos on the CSR L^T L, and from ``eigvalsh``
-    should ARPACK fail.
+    back after the square root.  For a CSR L that eigenvalue comes from
+    Lanczos on the CSR L^T L, and from ``eigvalsh`` should ARPACK fail.
     """
     if L.shape[0] <= _SVD_MAX_N:
         return float(np.linalg.svd(L.T, compute_uv=False)[0])
-    scale = np.ldexp(1.0, np.frexp(np.abs(L).max())[1])
-    if L_csr is not None:
-        Ls = L_csr / scale
+    scale = np.ldexp(1.0, np.frexp(abs(L).max())[1])
+    if not isinstance(L, np.ndarray):
+        Ls = L / scale
         try:
             return float(scale * np.sqrt(sparsity.largest_eigenvalue(Ls.T @ Ls)))
         except RuntimeError:
-            pass
+            L = L.toarray()
     Ls = L / scale
     return float(scale * np.sqrt(np.linalg.eigvalsh(Ls.T @ Ls)[-1]))
 
@@ -235,8 +235,8 @@ def has_spanning_tree(g: DirectedGraph) -> bool:
 
 
 def _neighbours(m) -> list:
-    """Column indices of the nonzero entries of each row of ``m``: a boolean
-    numpy array, or a ``scipy.sparse`` array, whose CSR form lists them."""
+    """Column indices of the nonzero entries of each row of ``m``: a numpy
+    array, or a ``scipy.sparse`` array, whose CSR form lists them."""
     if isinstance(m, np.ndarray):
         rows, cols = np.nonzero(m)
         return [a.tolist() for a in np.split(cols, np.searchsorted(rows, np.arange(1, m.shape[0])))]
@@ -248,15 +248,14 @@ def _root_component(listens) -> np.ndarray | None:
     """Mask of the agents that reach every agent, or None when none does.
 
     ``listens[i, j]`` nonzero means the edge j -> i (a nonzero diagonal is a
-    self loop, which changes no reachability); ``listens`` is a boolean numpy
-    array, or, on a sparse graph, the Laplacian's CSR copy, whose index
-    arrays and its transpose's give the neighbours without a scan over all
-    n^2 entries.  Found with three reachability passes
-    (the mother-vertex argument).  The first sweeps all agents, starting a
-    new search from each agent not yet reached; if any agent reaches
-    everyone, so does the last start of that sweep, because an earlier
-    search that reached such an agent would have reached every later start
-    too.  The second pass searches from that last start alone.  The third,
+    self loop, which changes no reachability); ``listens`` is a numpy array,
+    or, on a sparse graph, the CSR Laplacian, whose index arrays and its
+    transpose's give the neighbours without a scan over all n^2 entries.
+    Found with three reachability passes (the mother-vertex argument).  The
+    first sweeps all agents, starting a new search from each agent not yet
+    reached; if any agent reaches everyone, so does the last start of that
+    sweep, because an earlier search that reached such an agent would have
+    reached every later start too.  The second pass searches from that last start alone.  The third,
     against the edges, finds the agents that reach it: exactly those that
     reach everyone.  They form the root component, a strongly connected set
     that listens to no agent outside it, so the left null vector of the
@@ -290,12 +289,12 @@ def left_eigenvector(L: np.ndarray) -> np.ndarray:
     negative entries (>= -1e-12) are clamped to zero.
     """
     L = np.asarray(L, dtype=float)
-    return _left_null_vector(L, np.linalg.eigvals(L), _root_component(L != 0))
+    return _left_null_vector(L, np.linalg.eigvals(L), _root_component(L))
 
 
-def _left_null_vector(L: np.ndarray, eigs: np.ndarray, root: np.ndarray | None) -> np.ndarray:
-    """``left_eigenvector`` from the eigenvalues of L and the mask of its root
-    component, both computed by the caller.
+def _left_null_vector(L, eigs: np.ndarray, root: np.ndarray | None) -> np.ndarray:
+    """``left_eigenvector`` from L, dense or CSR, its eigenvalues and the mask
+    of its root component, both computed by the caller.
 
     The agents of the root component listen to no one outside it, so its
     block of L has zero row sums, and the block's left null vector, padded
@@ -315,7 +314,7 @@ def _left_null_vector(L: np.ndarray, eigs: np.ndarray, root: np.ndarray | None) 
                                       "space of L is not one-dimensional")
     idx = np.flatnonzero(root)
     v = np.zeros(n)
-    v[idx] = np.linalg.svd(L[np.ix_(idx, idx)].T)[2][-1]
+    v[idx] = np.linalg.svd(sparsity.dense(L[np.ix_(idx, idx)]).T)[2][-1]
     s = v.sum()
     if abs(s) < 1e-12:
         raise DegenerateSpectrumError("left null vector has zero sum; cannot normalize")

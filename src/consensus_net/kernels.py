@@ -40,10 +40,10 @@ either loop one of two ways, both built on the same RK4 step
   CSR ``A``, each ``A @ z`` in O(nnz); it runs where even ``M`` stores more
   than ``sparsity.SPARSE_MAX_FILL`` of its entries.
 
-``prefer_recurrence`` chooses a dense or a CSR ``A`` with an
-operation-count estimate from n, the stored entries of L, the step count,
-``sample_every`` and the segment count: the dense recurrence for small
-graphs over long horizons, a CSR path for large graphs over short ones.
+``prefer_recurrence`` chooses a dense or a CSR ``A``, from L stored either
+way, by an operation-count estimate from n, L's stored entries, the steps,
+``sample_every`` and the segments: the dense recurrence for small graphs
+over long horizons, a CSR path for large graphs over short ones.
 
 Switching rule, shared by both paths through ``_step_terms``: step k
 (t = k*dt) uses the last segment whose start satisfies ``t >= start - dt/4``,
@@ -399,20 +399,19 @@ def _rk4_recurrence(A, M, c_E, z0, profile, dt, n_steps, sample_every, out):
 
 def _dense_system(C_L, C_I, L):
     """``A = kron(C_L, L) + kron(C_I, I_n)`` as a dense array."""
-    return np.kron(C_L, L) + np.kron(C_I, np.eye(L.shape[0]))
+    return np.kron(C_L, sparsity.dense(L)) + np.kron(C_I, np.eye(L.shape[0]))
 
 
-def _csr_system(C_L, C_I, L, nonzero=None):
-    """``A`` as a ``scipy.sparse.csr_array``; ``nonzero`` is ``np.nonzero(L)``
-    when the caller has it already.
+def _csr_system(C_L, C_I, L):
+    """``A`` as a ``scipy.sparse.csr_array``, from L stored dense or CSR (a
+    sparse C_L makes ``kron`` return an array, not a matrix, for a dense L).
 
     ``scipy.sparse`` is imported here, not at module level: importing it adds
     tens of milliseconds and about 2 MiB to every process, and runs that take
     the recurrence (the builtins) never need it."""
     from scipy import sparse
 
-    rows, cols = np.nonzero(L) if nonzero is None else nonzero
-    return (sparse.kron(C_L, sparse.csr_array((L[rows, cols], (rows, cols)), shape=L.shape))
+    return (sparse.kron(sparse.coo_array(C_L), L)
             + sparse.kron(C_I, sparse.eye_array(L.shape[0]))).tocsr()
 
 
@@ -441,12 +440,11 @@ def rk4_closed_loop(C_L, C_I, c_E, L, z0, profile, dt, n_steps, sample_every, ou
     non-finite at the first missing sample.
     """
     args = (z0, profile, dt, n_steps, sample_every, out)
-    nonzero = np.nonzero(L)
-    if prefer_recurrence(L.shape[0], nonzero[0].size, n_steps, sample_every,
-                         len(profile.bases)):
+    nnz = np.count_nonzero(L) if isinstance(L, np.ndarray) else L.nnz
+    if prefer_recurrence(L.shape[0], nnz, n_steps, sample_every, len(profile.bases)):
         A = _dense_system(C_L, C_I, L)
         return _rk4_recurrence(A, _step_operator(A, dt), c_E, *args)
-    A = _csr_system(C_L, C_I, L, nonzero)
+    A = _csr_system(C_L, C_I, L)
     M = _step_operator(A, dt)
     if M.nnz > sparsity.SPARSE_MAX_FILL * A.shape[0] ** 2:
         return _rk4_stage(A, c_E, *args)

@@ -16,10 +16,10 @@ All files are written atomically (temp file + rename) with fixed formatting
 of the same scenario produces identical bytes.  The JSON files are
 ``json.dumps(doc, indent=2, sort_keys=True)``; ``certification_json_text``
 splices P's rows into that text instead of encoding them, with the same
-bytes.  ``run`` hands it ``P`` as the certificate's array, not as rows of
-Python floats; it formats each distinct nonzero bit pattern of P once (P is
-symmetric, so about half of its n^2 entries repeat) and each run of zeros
-in a row as one string (on a tree, 98 % of P is exactly zero).
+bytes.  ``run`` hands it ``P`` as the certificate stores it, dense or CSR;
+it formats each distinct nonzero bit pattern of P once (P is symmetric, so
+about half of its n^2 entries repeat) and each run of zeros in a row as one
+string (on a tree, 98 % of P is exactly zero, and a CSR P stores the rest).
 """
 
 from __future__ import annotations
@@ -93,26 +93,32 @@ _P_SEP = ",\n        "
 
 def certification_json_text(doc: dict):
     """``_json_chunks(doc)`` for the certification document, without running
-    the n^2 entries of ``doc["certificate"]["P"]`` (an array or rows of
-    floats) through the pure-Python encoder that ``indent`` selects.
+    the n^2 entries of ``doc["certificate"]["P"]`` (rows of floats, a dense
+    or a CSR array) through the pure-Python encoder that ``indent`` selects.
 
     The rest of the document is dumped with ``P`` replaced by a placeholder,
     and ``P``'s text is built from ``repr``, which spells every finite float
     as ``json`` does, in ``json``'s 2-space layout.  Each distinct nonzero
     bit pattern of ``P`` is formatted once and gathered back into place, and
-    each run of ``0.0`` in a row is one string, made once per run length
-    (a tree's ``P`` is mostly zeros).  Bit patterns, not values, so that
-    ``-0.0`` keeps its own spelling.  The keys are sorted, and
-    ``certificate`` is the first key of the document and ``P`` the first of
-    the certificate, so the placeholder's first occurrence is the one to
-    replace.  JSON has no spelling for a non-finite float, so such a ``P``
-    raises ``ValueError`` here, before any text.  The chunks come one row of
-    ``P`` at a time, not as one string.
+    each run of ``0.0`` in a row is one string, made once per run length (a
+    tree's ``P`` is mostly zeros; a CSR ``P`` gives its stored entries).
+    Bit patterns, not values, so that ``-0.0`` keeps its own spelling.  The
+    keys are sorted, and ``certificate`` is the first key of the document
+    and ``P`` the first of the certificate, so the placeholder's first
+    occurrence is the one to replace.  JSON has no spelling for a non-finite
+    float, so such a ``P`` raises ``ValueError`` here, before any text.  The
+    chunks come one row of ``P`` at a time, not as one string.
     """
-    P = np.asarray(doc["certificate"]["P"], dtype=np.float64)
-    bits = P.view(np.int64)
-    rows, cols = np.nonzero(bits)
-    patterns, index = np.unique(bits[rows, cols], return_inverse=True)
+    P = doc["certificate"]["P"]
+    if hasattr(P, "nnz"):
+        P = P.tocoo()
+        P.sum_duplicates()  # which sorts the entries into row-major order
+        rows, cols, values = P.row, P.col, P.data
+    else:
+        P = np.asarray(P, dtype=np.float64)
+        rows, cols = np.nonzero(P.view(np.int64))
+        values = P[rows, cols]
+    patterns, index = np.unique(values.view(np.int64), return_inverse=True)
     values = patterns.view(np.float64)
     if not np.isfinite(values).all():
         raise ValueError("certificate P has non-finite entries, which JSON cannot hold")

@@ -11,7 +11,9 @@ matrix-vector products, or from solves with one sparse LU factor.
 nonzero.  Below that the dense regime keeps its arithmetic, so small graphs,
 the builtin scenarios among them, never import ``scipy.sparse``.  The
 integrator in ``kernels`` caps the fill of its CSR operators at the same
-``SPARSE_MAX_FILL``.
+``SPARSE_MAX_FILL``.  The rule also decides storage, once: ``graph`` stores
+L, and ``spectral`` P and the certificate's L, as CSR arrays where it
+passes; later layers read the storage they are given.
 
 The helpers raise ``RuntimeError`` on ARPACK's errors and on an exactly
 singular LU factor, and the callers then take the dense regime.  ARPACK's
@@ -47,6 +49,11 @@ def is_sparse(n: int, nnz: int) -> bool:
     """Whether an n x n matrix (or the n x n blocks of a form) with ``nnz``
     nonzeros takes the sparse regime."""
     return n >= SPARSE_MIN_N and nnz <= SPARSE_MAX_FILL * n * n
+
+
+def dense(M) -> np.ndarray:
+    """``M``, or a ``scipy.sparse`` M as a numpy array, for a dense regime."""
+    return M if isinstance(M, np.ndarray) else M.toarray()
 
 
 def _start_vector(n: int) -> np.ndarray:

@@ -17,32 +17,33 @@ of three regimes, picked from the agent count n, the graph's structure and Q:
   with the shifted spectrum's real parts from ``np.linalg.eigvals(Lbar)``.
   This keeps scipy out of the process for the small graphs of the builtin
   scenarios: importing ``scipy.linalg`` costs more than the whole solve.
-* a spanning tree (``_spanning_tree``: every agent but the root listens to
-  exactly one agent, and v is exactly the root's unit vector) with a
-  diagonal Q, whose P passes ``sparsity.is_sparse``: P is nonzero only on
+* a spanning tree (``_spanning_tree``, from a CSR L: every agent but the root
+  listens to exactly one agent, and v is exactly the root's unit vector) with
+  a diagonal Q, whose P passes ``sparsity.is_sparse``: P is nonzero only on
   the tree's ancestor-descendant pairs, n + 2 sum_j depth(j) entries, which
-  the rule counts with L's 2 (n - 1).  Written entry by entry, the equation
-  gives each pair from pairs one step further from the root
-  (``_tree_lyapunov``): P_aj from P_ak, k a child of j, and from P_cj, c the
-  child of a on the path to j; the root's pairs also from P's row sums.  The
-  non-root pairs are solved in descending wavefronts of 2 depth(j) - g, g
-  the distance from j up to a, each a few vectorised steps that read only
-  the wavefront before; then the root's pairs, deepest first; and the
-  root's diagonal last.  Lbar's spectrum is the edge weights and alpha.
-  On the 600-agent tree of the large-graph document (seed 18301, best of 5,
-  2-vCPU x86 VM with OpenBLAS) the tree check and solve took 3 ms against
-  83 ms for the Schur route below, and at 2,000 agents 26 ms against
-  0.77 s.  A long path fails the fill rule: its P is dense, and the
-  wavefronts, two per agent, lose to the blocked solve.
-* any other graph: Bartels-Stewart on a real Schur form of -Lbar^T, which
-  also yields the shifted spectrum's real parts.  The Kronecker system grows
-  as n^4 in memory and n^6 in time, so it cannot serve here.  The form comes
-  from the graph's structure (``_shifted_schur``): v is exactly zero off the
-  root component, so LAPACK's permutation balancing ``dgebal`` orders -Lbar^T
-  block triangular, and ``scipy.linalg.schur`` factorises only the core that
-  balancing leaves: the agents on cycles (the root component among them)
-  and those ordered between them.  An acyclic graph's core is one row and
-  needs no factorisation; a strongly connected graph's is the whole matrix.
+  the rule counts with L's 2 (n - 1) and which a CSR P stores.  Written entry
+  by entry, the equation gives each pair from pairs one step further from the
+  root (``_tree_lyapunov``): P_aj from P_ak, k a child of j, and from P_cj, c
+  the child of a on the path to j; the root's pairs also from P's row sums.
+  The non-root pairs are solved in descending wavefronts of 2 depth(j) - g, g
+  the distance from j up to a, each a few vectorised steps that read only the
+  wavefront before; then the root's pairs, deepest first; and the root's
+  diagonal last.  Lbar's spectrum is the edge weights and alpha.  On the
+  600-agent tree of the large-graph document (seed 18301, best of 5, 2-vCPU
+  x86 VM with OpenBLAS) the tree check and solve took 3 ms against 83 ms for
+  the Schur route below, and at 2,000 agents 26 ms against 0.77 s.  A long
+  path fails the fill rule: its P is dense, and the wavefronts, two per agent,
+  lose to the blocked solve.
+* any other graph: Bartels-Stewart on a real Schur form of -Lbar^T, which also
+  yields the shifted spectrum's real parts.  The Kronecker system grows as n^4
+  in memory and n^6 in time, so it cannot serve here.  Both run on a dense L,
+  built from a CSR one where needed.  The form comes from the graph's
+  structure (``_shifted_schur``): v is exactly zero off the root component, so
+  LAPACK's permutation balancing ``dgebal`` orders -Lbar^T block triangular,
+  and ``scipy.linalg.schur`` factorises only the core that balancing leaves:
+  the agents on cycles (the root component among them) and those ordered
+  between them.  An acyclic graph's core is one row and needs no
+  factorisation; a strongly connected graph's is the whole matrix.
   The triangular equation left by the factorisation is
   - up to ``_TRSYL_BLOCK`` (64) rows, one call of LAPACK's unblocked ``dtrsyl``;
   - above it, split recursively at the middle of the Schur factor, never
@@ -58,19 +59,19 @@ All paths apply the same gates (shifted spectrum, residual of the original
 form, positive definiteness of P) with the same messages.
 
 The gates and the scalars of the certificate are found in one of two
-regimes, picked by ``sparsity.is_sparse`` from the agent count and the
-nonzeros of P and L:
+regimes, read from the storage of P, which the certificate keeps with L:
 
 * dense: the residual from dense products, and every eigenvalue of P from
   ``eigvalsh``;
-* sparse (200 agents or more, at most 5 % nonzeros, as the random trees of
-  the large-graph benchmark give): the residual from CSR products,
-  ``lambda_P`` by Lanczos, and ``min_eig_P`` by shift-invert Lanczos at 0 on
-  one sparse LU factor of P under a symmetric ordering
-  (``sparsity.symmetric_lu``).  That factor is trusted only when it proves P
-  positive definite (``sparsity.proves_positive_definite``); otherwise, and
-  should ARPACK fail, ``eigvalsh`` answers, so the positive-definiteness gate
-  and its message are the dense regime's.
+* sparse, P and L CSR arrays (from the tree route, or where the other routes'
+  P and L pass ``sparsity.is_sparse``, as for an acyclic graph with a
+  two-parent agent): the residual from CSR products, ``lambda_P`` by Lanczos,
+  and ``min_eig_P`` by shift-invert Lanczos at 0 on one sparse LU factor of P
+  under a symmetric ordering (``sparsity.symmetric_lu``).  That factor is
+  trusted only when it proves P positive definite
+  (``sparsity.proves_positive_definite``); otherwise, and should ARPACK fail,
+  ``eigvalsh`` answers, so the positive-definiteness gate and its message are
+  the dense regime's.
 """
 
 from __future__ import annotations
@@ -97,14 +98,6 @@ _KRON_MAX_N = 12
 _TRSYL_BLOCK = 64
 
 
-def spectral_norm(M: np.ndarray) -> float:
-    """Largest singular value of a real matrix."""
-    M = np.asarray(M, dtype=float)
-    if not np.all(np.isfinite(M)):
-        raise ValidationError("spectral_norm: matrix has non-finite entries")
-    return float(np.linalg.norm(M, 2))
-
-
 @dataclass(frozen=True)
 class LyapunovCertificate:
     """Solution P of the graph Lyapunov equation plus its audit trail.
@@ -113,7 +106,7 @@ class LyapunovCertificate:
     bounds used by the gain inequalities); ``residual`` is the max-norm of
     the original equation's defect; ``cond_P`` records the conditioning of P
     for diagnostics.  L itself is kept so gain certification needs nothing
-    but the certificate.
+    but the certificate.  P and L are both dense or both CSR, as given.
     """
 
     P: np.ndarray
@@ -125,21 +118,12 @@ class LyapunovCertificate:
     min_eig_P: float
     cond_P: float
 
-    def __post_init__(self):
-        for name in ("P", "L"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
     @property
     def n_agents(self) -> int:
         return self.P.shape[0]
 
-    def to_json(self) -> dict:
-        return {**self.scalars_json(), "P": self.P.tolist()}
-
     def scalars_json(self) -> dict:
-        """``to_json`` without ``P``, for a writer that spells ``P`` itself."""
+        """The certificate's scalars, for a writer that spells ``P`` itself."""
         return {
             "n": self.n_agents,
             "alpha": self.alpha,
@@ -170,56 +154,61 @@ def solve_P(lap: LaplacianData, Q: np.ndarray | None = None, alpha: float = 1.0)
     Q = np.asarray(Q, dtype=float)
     if Q.shape != (n, n):
         raise ValidationError(f"Q: expected shape {(n, n)}, got {Q.shape}")
-    if np.abs(Q - Q.T).max() > 1e-12 * max(1.0, np.abs(Q).max()):
+    q = np.diag(Q)
+    # a diagonal Q, such as the default, is symmetric, its eigenvalues on it
+    q_diagonal = np.count_nonzero(Q) == np.count_nonzero(q)
+    if not q_diagonal and np.abs(Q - Q.T).max() > 1e-12 * max(1.0, np.abs(Q).max()):
         raise ValidationError("Q: must be symmetric")
-    # a diagonal Q, such as the default, holds its eigenvalues on its diagonal
-    q_diagonal = np.count_nonzero(Q) == np.count_nonzero(np.diag(Q))
-    q_eigs = np.sort(np.diag(Q)) if q_diagonal else np.linalg.eigvalsh((Q + Q.T) / 2)
+    q_eigs = np.sort(q) if q_diagonal else np.linalg.eigvalsh((Q + Q.T) / 2)
     if q_eigs[0] <= 0:
         raise ValidationError(f"Q: must be positive definite, min eig = {q_eigs[0]:.3e}")
 
     v = lap.v_left
     ones = np.ones(n)
-    tree = _spanning_tree(L, v) if n > _KRON_MAX_N and q_diagonal else None
-    if n <= _KRON_MAX_N:
-        L_shift = L + alpha * np.outer(ones, v)
-        _require_shifted_spectrum(float(np.linalg.eigvals(L_shift).real.min()))
-        P = _kron_lyapunov(L_shift, Q)
-        P = (P + P.T) / 2.0
-    elif tree is not None and sparsity.is_sparse(n, n + 2 * int(tree.depth.sum()) + 2 * (n - 1)):
+    # a CSR L is one that passed the sparse rule, which the tree's P needs too
+    tree = None if isinstance(L, np.ndarray) or not q_diagonal else _spanning_tree(L, v)
+    if tree is not None and sparsity.is_sparse(n, n + 2 * int(tree.depth.sum()) + L.nnz):
         # Lbar's spectrum is the edge weights and alpha, as diag(r) lists it below
         _require_shifted_spectrum(min(alpha, float(tree.w[tree.depth > 0].min())))
-        P = _tree_lyapunov(tree, alpha, np.diag(Q))
+        P = _tree_lyapunov(tree, alpha, q)
     else:
-        r, u = _shifted_schur(L, v, alpha)
-        # in the standardised real Schur form a 2x2 block's diagonal holds the
-        # real part of its eigenvalue pair, so diag(r) lists every real part of
-        # -Lbar^T's spectrum
-        _require_shifted_spectrum(-float(np.diag(r).max()))
-        P = _lyapunov_from_schur(r, u, -Q)
+        L = sparsity.dense(L)
+        if n <= _KRON_MAX_N:
+            L_shift = L + alpha * np.outer(ones, v)
+            _require_shifted_spectrum(float(np.linalg.eigvals(L_shift).real.min()))
+            P = _kron_lyapunov(L_shift, Q)
+        else:
+            r, u = _shifted_schur(L, v, alpha)
+            # in the standardised real Schur form a 2x2 block's diagonal holds
+            # the real part of its eigenvalue pair, so diag(r) lists every real
+            # part of -Lbar^T's spectrum
+            _require_shifted_spectrum(-float(np.diag(r).max()))
+            P = _lyapunov_from_schur(r, u, -Q)
         P = (P + P.T) / 2.0
+        if sparsity.is_sparse(n, int(np.count_nonzero(P) + np.count_nonzero(L))):
+            import scipy.sparse
 
-    P_csr = None
-    if sparsity.is_sparse(n, int(np.count_nonzero(P) + np.count_nonzero(L))):
+            # then L passes the rule on its own, and lap.L is CSR
+            P, L = scipy.sparse.csr_array(P), lap.L
+
+    if isinstance(P, np.ndarray):
+        defect = P @ L + L.T @ P - Q + alpha * (np.outer(P @ ones, v) + np.outer(v, P @ ones))
+    else:
         import scipy.sparse
 
-        P_csr, L_csr = scipy.sparse.csr_array(P), scipy.sparse.csr_array(L)
-        p1 = P_csr @ ones
+        p1 = P @ ones
         # alpha (P 1 v^T + v 1^T P), nonzero only in v's columns and rows
         rank_one = alpha * scipy.sparse.csr_array(p1[:, None]) @ scipy.sparse.csr_array(v[None, :])
-        defect = P_csr @ L_csr + L_csr.T @ P_csr - scipy.sparse.csr_array(Q) \
-            + rank_one + rank_one.T
-        residual = float(abs(defect).max())
-    else:
-        defect = P @ L + L.T @ P - Q + alpha * (np.outer(P @ ones, v) + np.outer(v, P @ ones))
-        residual = float(np.abs(defect).max())
+        Q_sparse = scipy.sparse.diags_array(q) if q_diagonal else scipy.sparse.csr_array(Q)
+        defect = P @ L + L.T @ P - Q_sparse + rank_one + rank_one.T
+    residual = float(abs(defect).max())
     q_norm = float(q_eigs[-1])  # Q is symmetric positive definite
     if residual >= _RESIDUAL_TOL * max(1.0, q_norm):
         raise DegenerateSpectrumError(
             f"Lyapunov solve residual {residual:.3e} exceeds tolerance "
             f"{_RESIDUAL_TOL * max(1.0, q_norm):.3e}"
         )
-    p_min, p_max = _extreme_eigenvalues(P_csr, P)
+    p_min, p_max = _extreme_eigenvalues(P)
     if p_min <= 0:
         raise DegenerateSpectrumError(f"solution P is not positive definite, min eig = {p_min:.3e}")
 
@@ -235,26 +224,25 @@ def solve_P(lap: LaplacianData, Q: np.ndarray | None = None, alpha: float = 1.0)
     )
 
 
-def _extreme_eigenvalues(P_csr, P: np.ndarray) -> tuple[float, float]:
-    """Smallest and largest eigenvalue of the symmetric P: by Lanczos on its
-    CSR copy ``P_csr`` when one is given and its symmetric LU factor proves
-    P positive definite, else (and should ARPACK fail) from ``eigvalsh``.
+def _extreme_eigenvalues(P) -> tuple[float, float]:
+    """Smallest and largest eigenvalue of the symmetric P: by Lanczos on a
+    CSR P whose symmetric LU factor proves it positive definite, else (and
+    should ARPACK fail) from ``eigvalsh``.
 
     The smallest comes from shift-invert at 0 on that factor: about 13 ms on
     the 600-agent tree of the large-graph benchmark.  A shift at the
     Gershgorin bound, as the gain forms take, needs a second factor and took
     1.2 s there, and LOBPCG did not converge in 200 iterations.
     """
-    if P_csr is not None:
+    if not isinstance(P, np.ndarray):
         try:
-            lu = sparsity.symmetric_lu(P_csr)
+            lu = sparsity.symmetric_lu(P)
             if sparsity.proves_positive_definite(lu):
-                return (sparsity.nearest_eigenvalue(P_csr, 0.0, lu),
-                        sparsity.largest_eigenvalue(P_csr))
+                return sparsity.nearest_eigenvalue(P, 0.0, lu), sparsity.largest_eigenvalue(P)
         except RuntimeError:
             # ARPACK's errors and an exactly singular factor
             pass
-    p_eigs = np.linalg.eigvalsh(P)
+    p_eigs = np.linalg.eigvalsh(sparsity.dense(P))
     return float(p_eigs[0]), float(p_eigs[-1])
 
 
@@ -296,16 +284,15 @@ class _Tree(NamedTuple):
     depth: np.ndarray
 
 
-def _spanning_tree(L: np.ndarray, v: np.ndarray) -> _Tree | None:
-    """The spanning tree whose Laplacian is L, or None when L is not one.
+def _spanning_tree(L, v: np.ndarray) -> _Tree | None:
+    """The spanning tree whose CSR Laplacian is L, or None when L is not one.
 
     L is a tree's Laplacian, rooted where v is one, when v is exactly a unit
-    vector, the root's row of L is zero, and every other row i holds w_i > 0
-    on the diagonal and -w_i at its one parent.  A row's smallest entry is
-    then at its parent, and those 2 (n - 1) entries are all of L's nonzeros:
-    two passes over L, which took 0.7 ms at 600 agents against 1.9 ms for
-    one ``np.nonzero``.  Depths come from pointer doubling, which also tells
-    a cycle among the parents from a tree.
+    vector and, as L's index arrays show, every row but the root's stores
+    one off-diagonal entry, -w_i at its parent, and the root's none.  A
+    Laplacian's row sums are zero, so such a row's diagonal is w_i.  Depths
+    come from pointer doubling, which also tells a cycle among the parents
+    from a tree.
     """
     support = np.flatnonzero(v)
     if support.size != 1 or v[support[0]] != 1.0:
@@ -313,12 +300,13 @@ def _spanning_tree(L: np.ndarray, v: np.ndarray) -> _Tree | None:
     root = int(support[0])
     n = L.shape[0]
     w = L.diagonal()
-    parent = np.argmin(L, axis=1)
-    parent[root] = root
+    rows = np.repeat(np.arange(n), np.diff(L.indptr))
+    off = L.indices != rows
     rest = np.arange(n) != root
-    if (np.count_nonzero(L) != 2 * (n - 1) or not (w[rest] > 0).all()
-            or not np.array_equal(L[rest, parent[rest]], -w[rest])):
+    if not np.array_equal(rows[off], np.flatnonzero(rest)):
         return None
+    parent = np.full(n, root)
+    parent[rest] = L.indices[off]
     depth = rest.astype(np.intp)
     anc = parent
     for _ in range(n.bit_length() + 1):
@@ -328,9 +316,9 @@ def _spanning_tree(L: np.ndarray, v: np.ndarray) -> _Tree | None:
     return None
 
 
-def _tree_lyapunov(tree: _Tree, alpha: float, q: np.ndarray) -> np.ndarray:
+def _tree_lyapunov(tree: _Tree, alpha: float, q: np.ndarray):
     """Solve P L + L^T P = diag(q) - alpha (P 1 e_r^T + e_r 1^T P) on a
-    spanning tree rooted at r, over its ancestor-descendant pairs.
+    spanning tree rooted at r, over its ancestor-descendant pairs: a CSR P.
 
     P_aj is nonzero only where a is j or one of its ancestors.  With w_j the
     weight of j's in-edge, ch(j) its children and c the child of a on the
@@ -347,6 +335,8 @@ def _tree_lyapunov(tree: _Tree, alpha: float, q: np.ndarray) -> np.ndarray:
     each; then the root's pairs, deepest first, which need the non-root
     pairs' R_j; and the root's diagonal last.
     """
+    import scipy.sparse
+
     root, parent, w, depth = tree
     n = parent.size
     # the agents deepest first, so that those of one depth are contiguous
@@ -400,13 +390,13 @@ def _tree_lyapunov(tree: _Tree, alpha: float, q: np.ndarray) -> np.ndarray:
         P_root[J] = ((S_root[J] + w[a[top[lo:hi]]] * P[top[lo:hi]] - alpha * R[J])
                      / (w[J] + alpha))
         np.add.at(S_root, parent[J], w[J] * P_root[J])
-    out = np.zeros((n, n))
-    out[a, j] = P
-    out[j, a] = P
-    out[root] = P_root
-    out[:, root] = P_root
-    out[root, root] = (q[root] + 2.0 * S_root[root] - 2.0 * alpha * P_root.sum()) / (2.0 * alpha)
-    return out
+    P_rr = (q[root] + 2.0 * S_root[root] - 2.0 * alpha * P_root.sum()) / (2.0 * alpha)
+    rest = np.flatnonzero(depth)
+    at_root = np.full(rest.size, root)
+    rows = np.concatenate([a, j[off], at_root, rest, [root]])
+    cols = np.concatenate([j, a[off], rest, at_root, [root]])
+    data = np.concatenate([P, P[off], P_root[rest], P_root[rest], [P_rr]])
+    return scipy.sparse.csr_array((data, (rows, cols)), shape=(n, n))
 
 
 def _shifted_schur(L: np.ndarray, v: np.ndarray, alpha: float):

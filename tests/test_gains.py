@@ -2,6 +2,7 @@
 
 import contextlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -262,10 +263,15 @@ def test_sparse_regime_matches_dense(family, n, seed):
     rng = np.random.default_rng(seed)
     cert = solve_P(build_laplacian(random_family_graph(rng, n, family)))
     matched, unmatched = _random_gains(rng)
+    # the forms take the sparse regime from a certificate stored as CSR
+    stored = {"sparse": replace(cert, P=scipy.sparse.csr_array(sparsity.dense(cert.P)),
+                                L=scipy.sparse.csr_array(sparsity.dense(cert.L))),
+              "dense": replace(cert, P=sparsity.dense(cert.P), L=sparsity.dense(cert.L))}
     reports = {}
     for regime in ("sparse", "dense"):
         with _eigsh_calls(regime) as shapes:
-            reports[regime] = (certify_matched(matched, cert), certify_unmatched(unmatched, cert))
+            reports[regime] = (certify_matched(matched, stored[regime]),
+                               certify_unmatched(unmatched, stored[regime]))
         assert shapes == {"sparse": [(3 * n, 3 * n), (2 * n, 2 * n), (n, n)], "dense": []}[regime]
     sparse, dense = reports["sparse"], reports["dense"]
     assert sparse[0].checks[:-1] == dense[0].checks[:-1]

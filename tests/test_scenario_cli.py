@@ -9,10 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from consensus_net import cli, runner, spectral
+from consensus_net import cli, runner, sparsity, spectral
 from consensus_net.analysis import BLOCK_VALUES
 from consensus_net.dynamics import eval_disturbance
 from consensus_net.errors import DegenerateSpectrumError, ValidationError
@@ -385,6 +386,20 @@ def test_cli_graph_analyze(tmp_path, capsys):
     assert doc["v_left"][0] == pytest.approx(1.0)
 
 
+def test_cli_graph_json_writes_dense_L_rows(tmp_path, capsys):
+    """A 250-agent tree's L is stored as CSR; the analysis document still
+    holds it as the dense rows of the Laplacian of the weights."""
+    g = random_tree_graph(np.random.default_rng(250), 250)
+    assert not isinstance(build_laplacian(g).L, np.ndarray)
+    gpath = tmp_path / "graph.json"
+    gpath.write_text(json.dumps(graph_to_json(g)))
+    assert cli.main(["graph", "analyze", str(gpath), "--json", str(tmp_path / "a.json")]) == 0
+    capsys.readouterr()
+    w = g.weights
+    doc = json.loads((tmp_path / "a.json").read_text())
+    assert json.dumps(doc["L"]) == json.dumps((np.diag(w.sum(axis=1)) - w).tolist())
+
+
 def test_cli_gains_certify(capsys):
     rc = cli.main(["gains", "certify", "paper-unmatched"])
     assert rc == 0
@@ -658,7 +673,7 @@ def _certification_doc(P, name="writer"):
     """A certification document as runner.run builds it, around ``P``."""
     sc = builtin_scenario("paper-matched")
     report = certify_matched(sc.gains, spectral.solve_P(build_laplacian(sc.graph)))
-    certificate = {"n": len(P), "P": P, "alpha": 1.0, "residual": 5e-17, "lambda_P": 1.5,
+    certificate = {"n": np.shape(P)[0], "P": P, "alpha": 1.0, "residual": 5e-17, "lambda_P": 1.5,
                    "lambda_L": 2.0, "min_eig_P": 0.25, "cond_P": 6.0}
     return {"report": report.to_json(), "certificate": certificate, "scenario": name,
             "mode": "matched"}
@@ -686,22 +701,33 @@ def _writer_P(case):
     graph = {"n1": lambda: DirectedGraph(np.zeros((1, 1))),
              "n2": lambda: DirectedGraph(np.array([[0.0, 0.0], [1.0, 0.0]])),
              "n600": lambda: random_tree_graph(np.random.default_rng(3), 600)}[case]()
-    return spectral.solve_P(build_laplacian(graph)).P.tolist()
+    return sparsity.dense(spectral.solve_P(build_laplacian(graph)).P).tolist()
+
+
+def _csr_copies(P):
+    """P as two CSR arrays: one that stores every entry, zeros of both signs
+    included, and one that stores the entries whose bit pattern is not zero,
+    so -0.0 but not 0.0."""
+    P = np.array(P, dtype=float)
+    return [scipy.sparse.csr_array((P[mask], np.nonzero(mask)), shape=P.shape)
+            for mask in (np.ones(P.shape, dtype=bool), P.view(np.int64) != 0)]
 
 
 @pytest.mark.parametrize("case", ["n1", "n2", "n600", *_WRITER_CASES])
 def test_certification_json_is_the_indented_dump(case):
     """The spliced certification text is the indented, key-sorted dump,
     character for character, also when the scenario is named like the
-    placeholder that stands in for P; P given as rows of floats and as an
-    array (as ``runner.run`` passes it) give the same bytes."""
+    placeholder that stands in for P; P given as rows of floats, as an
+    array and as CSR arrays with explicit zeros (as ``runner.run`` passes a
+    certificate's P) give the same bytes."""
     P = _writer_P(case)
     for name in ("writer", runner._P_SLOT):
         doc = _certification_doc(P, name)
         text = "".join(runner.certification_json_text(doc))
         _assert_same_text(text, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        array_doc = _certification_doc(np.array(P), name)
-        assert "".join(runner.certification_json_text(array_doc)) == text
+        for stored in (np.array(P), *_csr_copies(P)):
+            stored_doc = _certification_doc(stored, name)
+            assert "".join(runner.certification_json_text(stored_doc)) == text
 
 
 #: few values, so that draws repeat them; both zeros, so that a writer that
@@ -714,10 +740,12 @@ _P_POOL = (0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e300, 1e16, 0.1, 1.0, -2.0, 3.0,
 @settings(max_examples=100, deadline=None)
 def test_certification_json_of_any_square_P(P):
     """Any square P, symmetric or not, with repeated values: the spliced
-    text is the indented, key-sorted dump."""
+    text is the indented, key-sorted dump, also from P's CSR copies."""
     doc = _certification_doc(P)
-    _assert_same_text("".join(runner.certification_json_text(doc)),
-                      json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    text = "".join(runner.certification_json_text(doc))
+    _assert_same_text(text, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    for csr in _csr_copies(P):
+        assert "".join(runner.certification_json_text(_certification_doc(csr))) == text
 
 
 @pytest.mark.parametrize("name", ["paper-matched", "paper-unmatched"])

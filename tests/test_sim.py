@@ -398,15 +398,20 @@ def _run_and_dense(mode, lap, profile, z0, params):
     """``rk4_closed_loop`` as a run calls it, on a graph for which the
     estimate rejects the dense A (so the recurrence on the CSR A, replayed
     by the stage body near overflow), and the stage body on the dense A;
-    (written, out) each."""
+    (written, out) each.  The run's samples are the same bits whether L is
+    stored as CSR, as ``build_laplacian`` stores it here, or dense."""
     C_L, C_I, c_E = _loop(mode, lap, profile).blocks()
     # the estimate must reject the dense recurrence, or no CSR path is tested
-    assert not kernels.prefer_recurrence(lap.n_agents, np.count_nonzero(lap.L),
+    assert not kernels.prefer_recurrence(lap.n_agents, lap.L.nnz,
                                          params.n_steps, params.sample_every,
                                          len(profile.bases))
-    sparse = np.empty((params.n_samples, z0.shape[0]))
-    w_sparse = kernels.rk4_closed_loop(C_L, C_I, c_E, lap.L, z0, profile,
-                                       params.dt, params.n_steps, params.sample_every, sparse)
+    sparse, from_dense = (np.empty((params.n_samples, z0.shape[0])) for _ in range(2))
+    w_sparse, w_from_dense = (
+        kernels.rk4_closed_loop(C_L, C_I, c_E, L, z0, profile,
+                                params.dt, params.n_steps, params.sample_every, out)
+        for L, out in ((lap.L, sparse), (lap.L.toarray(), from_dense)))
+    assert w_from_dense == w_sparse
+    assert np.array_equal(from_dense[:w_sparse], sparse[:w_sparse])
     dense = _run(kernels._rk4_stage, kernels._dense_system(C_L, C_I, lap.L), c_E,
                  profile, z0, params)
     return (w_sparse, sparse), dense
@@ -479,7 +484,7 @@ def test_sparse_stage_body_divergence(mode):
         # one more sample from the last finite state overflows; the constant
         # disturbance makes the continuation independent of the start time
         one = replace(params, t_final=params.sample_dt)
-        assert not kernels.prefer_recurrence(lap.n_agents, np.count_nonzero(lap.L),
+        assert not kernels.prefer_recurrence(lap.n_agents, lap.L.nnz,
                                              one.n_steps, one.sample_every,
                                              len(profile.bases))
         nxt = np.empty((2, z0.shape[0]))

@@ -23,7 +23,6 @@ from consensus_net.spectral import (
     _lyapunov_blocked,
     _shifted_schur,
     solve_P,
-    spectral_norm,
 )
 
 from conftest import GRAPH_FAMILIES, random_family_graph, random_tree_graph
@@ -86,7 +85,7 @@ def test_random_graphs_residual_and_oracle():
         lap = build_laplacian(g)
         Q = np.eye(n)
         cert = solve_P(lap, Q=Q, alpha=1.0)
-        assert cert.residual < 1e-8 * max(1.0, spectral_norm(Q))
+        assert cert.residual < 1e-8 * max(1.0, np.linalg.norm(Q, 2))
         assert cert.min_eig_P > 0
         P_oracle = kron_solve_P(lap.L, lap.v_left, Q, 1.0)
         assert np.abs(cert.P - P_oracle).max() < 1e-8
@@ -109,8 +108,8 @@ def test_scaling_linearity(default_lap):
 
 
 def test_lambda_bounds_tight(default_lap, default_cert):
-    assert default_cert.lambda_P == pytest.approx(spectral_norm(default_cert.P), rel=1e-12)
-    assert default_cert.lambda_L == pytest.approx(spectral_norm(default_lap.L), rel=1e-12)
+    assert default_cert.lambda_P == pytest.approx(np.linalg.norm(default_cert.P, 2), rel=1e-12)
+    assert default_cert.lambda_L == pytest.approx(np.linalg.norm(default_lap.L, 2), rel=1e-12)
 
 
 def test_alpha_variation(default_lap):
@@ -137,11 +136,11 @@ def test_rejects_bad_inputs(default_lap):
 
 
 def test_spectral_norm_examples():
-    assert spectral_norm(np.eye(3)) == pytest.approx(1.0, abs=1e-12)
+    assert graph._spectral_norm(np.eye(3)) == pytest.approx(1.0, abs=1e-12)
     # M^T M of [[0,0],[-1,1]] has eigenvalues {2, 0}
-    assert spectral_norm(np.array([[0.0, 0.0], [-1.0, 1.0]])) == pytest.approx(
+    assert graph._spectral_norm(np.array([[0.0, 0.0], [-1.0, 1.0]])) == pytest.approx(
         np.sqrt(2.0), abs=1e-10)
-    assert spectral_norm(np.diag([3.0, -5.0])) == pytest.approx(5.0, abs=1e-12)
+    assert graph._spectral_norm(np.diag([3.0, -5.0])) == pytest.approx(5.0, abs=1e-12)
 
 
 @given(st.sampled_from(GRAPH_FAMILIES), st.integers(min_value=2, max_value=60),
@@ -171,12 +170,12 @@ def test_certificate_property(family, n, seed, alpha):
     i = np.argmin(w.real)
     y, x = left[:, i], right[:, i]
     kappa = np.linalg.norm(y) * np.linalg.norm(x) / abs(y.conj() @ x)
-    bound = 4 * n * np.finfo(float).eps * spectral_norm(L_shift) * kappa
+    bound = 4 * n * np.finfo(float).eps * np.linalg.norm(L_shift, 2) * kappa
     assert abs(-np.diag(r).max() - np.linalg.eigvals(L_shift).real.min()) <= bound
     cert = solve_P(lap, alpha=alpha)
     assert cert.residual < 1e-8
     assert np.linalg.eigvalsh(cert.P)[0] > 0
-    assert cert.lambda_P == pytest.approx(spectral_norm(cert.P), rel=1e-12)
+    assert cert.lambda_P == pytest.approx(np.linalg.norm(cert.P, 2), rel=1e-12)
 
 
 def _solve_on_path(lap, alpha, schur, Q=None):
@@ -464,20 +463,24 @@ def _ancestor_pairs(parent):
 @example(shape="path", n=250, seed=1, alpha=0.1)
 @example(shape="star", n=250, seed=2, alpha=10.0)
 def test_tree_solve_matches_schur_route(shape, n, seed, alpha):
-    """The tree solver, called directly whatever the fill rule says, agrees
-    within 1e-12 relative with the Schur route on a random positive diagonal
-    Q, and its P is nonzero exactly on the ancestor-descendant pairs."""
+    """The tree solver, called directly on a CSR L whatever the fill rule
+    says, agrees within 1e-12 relative with the Schur route on a random
+    positive diagonal Q, and its CSR P stores exactly the
+    ancestor-descendant pairs, all nonzero."""
     rng = np.random.default_rng(seed)
     g, parent = _shuffled_tree(rng, n, shape)
     lap = build_laplacian(g)
+    L = sparsity.dense(lap.L)
     q = rng.uniform(0.5, 2.0, n)
-    tree = spectral._spanning_tree(lap.L, lap.v_left)
+    tree = spectral._spanning_tree(scipy.sparse.csr_array(L), lap.v_left)
     assert np.array_equal(tree.parent, parent)
-    P = spectral._tree_lyapunov(tree, alpha, q)
-    P_schur = spectral._lyapunov_from_schur(*_shifted_schur(lap.L, lap.v_left, alpha), -np.diag(q))
+    P_csr = spectral._tree_lyapunov(tree, alpha, q)
+    P = P_csr.toarray()
+    P_schur = spectral._lyapunov_from_schur(*_shifted_schur(L, lap.v_left, alpha), -np.diag(q))
     P_schur = (P_schur + P_schur.T) / 2.0
     assert np.abs(P - P_schur).max() <= 1e-12 * np.abs(P_schur).max()
     assert np.array_equal(P != 0, _ancestor_pairs(parent))
+    assert P_csr.nnz == np.count_nonzero(P)
 
 
 def test_tree_certificate_skips_dgebal_and_dtrsyl():
@@ -575,11 +578,12 @@ def test_sparse_setup_matches_dense_setup(n, extra, seed):
     """On random trees with extra edges, the sparse regime of build_laplacian
     and solve_P reports the dense regime's facts: the same spanning-tree and
     right-half-plane flags, neighbour lists and root component, spectrum and
-    left null vector, P within 1e-12 of its
+    left null vector, the same L, stored as CSR, P within 1e-12 of its
     largest entry (the Schur factor u is sparse in one regime and dense in
     the other), and lambda_L, lambda_P,
     min_eig_P and cond_P within 1e-12 relative; its residual passes the
-    gate."""
+    gate.  The certificate's P and L are CSR exactly when the sparse rule
+    passes on P and L, and dense in the dense regime."""
     g = random_tree_graph(np.random.default_rng(seed), n, extra_edges=extra)
     facts = {}
     for regime in ("sparse", "dense"):
@@ -593,18 +597,24 @@ def test_sparse_setup_matches_dense_setup(n, extra, seed):
             == lap_d.nonzero_eigenvalue_real_parts_positive)
     assert np.array_equal(lap.v_left, lap_d.v_left)
     assert _close(lap.lambda_L, lap_d.lambda_L)
+    assert isinstance(lap.L, scipy.sparse.csr_array) and isinstance(lap_d.L, np.ndarray)
+    assert np.array_equal(lap.L.toarray(), lap_d.L)
+    sparse_P = sparsity.is_sparse(n, np.count_nonzero(sparsity.dense(cert.P))
+                                  + np.count_nonzero(lap_d.L))
+    for m in (cert.P, cert.L):
+        assert isinstance(m, scipy.sparse.csr_array if sparse_P else np.ndarray)
+    assert isinstance(cert_d.P, np.ndarray) and isinstance(cert_d.L, np.ndarray)
     # the neighbours read from CSR arrays are the dense scan's, and so is the
     # root component; the spectrum from the components is eigvals' spectrum
-    L_csr = scipy.sparse.csr_array(lap.L)
-    for m in (lap.L, lap.L.T):
-        assert ([sorted(row) for row in graph._neighbours(scipy.sparse.csr_array(m))]
-                == graph._neighbours(m != 0))
-    assert np.array_equal(graph._root_component(L_csr), graph._root_component(lap.L != 0))
-    blocks = graph._eigenvalues(lap.L, L_csr)
-    full = np.linalg.eigvals(lap.L)
+    for m, m_d in ((lap.L, lap_d.L), (lap.L.T, lap_d.L.T)):
+        assert [sorted(row) for row in graph._neighbours(m)] == graph._neighbours(m_d != 0)
+    assert np.array_equal(graph._root_component(lap.L), graph._root_component(lap_d.L != 0))
+    blocks = graph._eigenvalues(lap.L)
+    full = np.linalg.eigvals(lap_d.L)
     for part in (np.real, np.imag):
         assert np.abs(np.sort(part(blocks)) - np.sort(part(full))).max() <= 1e-8 * lap.lambda_L
-    assert np.abs(cert.P - cert_d.P).max() <= 1e-12 * np.abs(cert_d.P).max()
+    assert (np.abs(sparsity.dense(cert.P) - cert_d.P).max()
+            <= 1e-12 * np.abs(cert_d.P).max())
     for name in ("lambda_P", "min_eig_P", "cond_P"):
         assert _close(getattr(cert, name), getattr(cert_d, name)), name
     assert cert.residual < spectral._RESIDUAL_TOL

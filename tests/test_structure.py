@@ -82,6 +82,16 @@ def test_no_module_level_scipy_import():
     assert found == []
 
 
+def test_sparse_rule_applied_only_where_storage_is_decided():
+    """``sparsity.is_sparse`` decides the storage of L in ``graph`` and of P
+    in ``spectral``, and ``sparsity`` applies it to the gain forms; every
+    other layer, ``gains`` among them, reads the storage it is given."""
+    callers = {module for module, tree in TREES.items() for node in ast.walk(tree)
+               if isinstance(node, ast.Call) and "is_sparse" in (
+                   getattr(node.func, "attr", None), getattr(node.func, "id", None))}
+    assert callers == {"graph.py", "spectral.py", "sparsity.py"}
+
+
 def test_gain_fields_named_only_in_gains():
     """The gain dataclasses are the one statement of the gain names: the
     scenario codec, the CLI and the positivity checks read them with
