@@ -20,15 +20,26 @@ bytes.  ``run`` hands it ``P`` as the certificate stores it, dense or CSR;
 it formats each distinct nonzero bit pattern of P once (P is symmetric, so
 about half of its n^2 entries repeat) and each run of zeros in a row as one
 string (on a tree, 98 % of P is exactly zero, and a CSR P stores the rest).
+
+The two CSV files are text from ``_csv_chunks``, whoever formats it.  When
+their tables hold more than ``FORK_MIN_VALUES`` values and two CPUs are
+free, ``_write_csvs`` forks one child that formats the last ``TAIL_SHARE``
+of each table's rows into a part file, while this process computes the
+summary and formats the head rows; it then writes head and part as one
+file.  If the child fails, this process formats the tail itself.  The
+bytes do not depend on which process formatted which rows.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import signal
 import tempfile
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -54,6 +65,19 @@ SYNC_WINDOW_LEN = 5.0
 #: metrics.csv columns, in order
 METRIC_COLUMNS = ("t", "ex_norm", "ey_norm", "ed_norm", "x_m", "y_m", "delta_m", "lyap")
 
+#: CSV tables of more than this many values in all are formatted on two
+#: CPUs.  On a 2-vCPU x86 VM the fork, the child's start and exit and the
+#: part files cost about what the second CPU saved between 25k and 100k
+#: values, and the fork won clearly from 200k (90-100 ms against 130-140 ms)
+FORK_MIN_VALUES = 100_000
+
+#: the share of each table's rows that the forked child formats.  Measured
+#: on the same VM, the two processes waited least for each other at 0.48 to
+#: 0.50 of the rows on the benchmark's paper-matched and large-graph runs,
+#: and at 0.54 to 0.56 on unmatched-dense, whose summary this process
+#: computes meanwhile
+TAIL_SHARE = 0.52
+
 
 @dataclass(frozen=True)
 class RunArtifacts:
@@ -68,11 +92,13 @@ class RunArtifacts:
 
 
 def _atomic_write(path: Path, chunks) -> None:
+    """Write ``chunks``, each text (as UTF-8) or bytes, to ``path``: into a
+    temporary file beside it, renamed over it once complete."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", newline="\n") as fh:
-            fh.writelines(chunks)
+        with os.fdopen(fd, "wb") as fh:
+            fh.writelines(c if isinstance(c, bytes) else c.encode() for c in chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -175,30 +201,159 @@ def _p_chunks(head: str, row_texts, tail: str):
     yield "\n"
 
 
-def _csv_chunks(header, columns: list) -> list:
-    """CSV text as a list of chunks: the header line, then one chunk per block
-    of rows.  ``columns`` holds 1-D and 2-D arrays with one row per CSV line;
-    every value is written with 17 significant digits."""
-    n_rows = columns[0].shape[0]
-    chunks = [",".join(header) + "\n"]
+def _csv_chunks(header, columns: list, start: int = 0, stop: int | None = None) -> list:
+    """CSV text of rows ``start:stop`` as a list of chunks: the header line
+    when ``start`` is 0, then one chunk per block of rows.  ``columns`` holds
+    1-D and 2-D arrays with one row per CSV line; every value is written with
+    17 significant digits.  Runs in ``_write_csvs``' child too, so it calls
+    no BLAS: ``np.column_stack``, ``tolist`` and ``%`` only."""
+    columns = [c[start:stop] for c in columns]
+    chunks = [",".join(header) + "\n"] if start == 0 else []
     row_format = ",".join(["%.17g"] * len(header)) + "\n"
-    for rows in analysis.row_blocks(n_rows, len(header)):
+    for rows in analysis.row_blocks(columns[0].shape[0], len(header)):
         block = np.column_stack([c[rows] for c in columns])
         chunks.append((row_format * block.shape[0]) % tuple(block.ravel().tolist()))
     return chunks
 
 
-def trajectory_csv_text(traj: Trajectory) -> list:
+def trajectory_csv_text(traj: Trajectory, start: int = 0, stop: int | None = None) -> list:
     n = traj.n_agents
     header = ["t"]
     header += [f"x_{i + 1}" for i in range(n)]
     header += [f"y_{i + 1}" for i in range(n)]
     header += [f"dhat_{i + 1}" for i in range(n)]
-    return _csv_chunks(header, [traj.times, traj.states])
+    return _csv_chunks(header, [traj.times, traj.states], start, stop)
 
 
-def metrics_csv_text(metrics: dict) -> list:
-    return _csv_chunks(METRIC_COLUMNS, [metrics[c] for c in METRIC_COLUMNS])
+def metrics_csv_text(metrics: dict, start: int = 0, stop: int | None = None) -> list:
+    return _csv_chunks(METRIC_COLUMNS, [metrics[c] for c in METRIC_COLUMNS], start, stop)
+
+
+class _CsvTable(NamedTuple):
+    """A CSV artifact to write: ``text(start, stop)`` gives the chunks of rows
+    ``start:stop``, the header with row 0, of a table of ``n_rows`` rows of
+    ``n_columns`` values."""
+    path: Path
+    text: Callable
+    n_rows: int
+    n_columns: int
+
+
+def _trajectory_table(path: Path, traj: Trajectory) -> _CsvTable:
+    return _CsvTable(path, partial(trajectory_csv_text, traj), traj.times.shape[0],
+                    1 + traj.states.shape[1])
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _write_csvs(tables: list, meanwhile=None):
+    """Write each ``_CsvTable`` atomically and return ``meanwhile()``, which
+    runs (if given) while the tables are formatted.
+
+    When the tables hold more than ``FORK_MIN_VALUES`` values, ``os.fork``
+    exists and this process may run on two CPUs, one forked child formats
+    the last ``TAIL_SHARE`` of each table's rows into a part file, table by
+    table, while this process runs ``meanwhile`` and formats the head rows.
+    This process writes each table as its head and then its part, read back
+    as soon as the child reports it complete, so that the first table is
+    written while the child formats the second.  Should the child fail
+    before it completes a part, or a part not be read, this process formats
+    that tail itself; the fork failing leaves all rows to it.  Either way
+    ``text`` formats every row, so the bytes do not depend on who ran it.
+    On every path the child is reaped (killed first, if this process
+    raises) and the part files are removed.
+    """
+    fork = (sum(t.n_rows * t.n_columns for t in tables) > FORK_MIN_VALUES
+            and hasattr(os, "fork") and _cpus() >= 2)
+    # the head holds row 0 or, in an empty table, the header alone
+    heads = [max(1, t.n_rows - (round(TAIL_SHARE * t.n_rows) if fork else 0)) for t in tables]
+    parts, pid, done = [], None, None
+    try:
+        if fork:
+            pid, done = _fork_tails(tables, heads, parts)
+        result = None if meanwhile is None else meanwhile()
+        for k, (table, head) in enumerate(zip(tables, heads)):
+            part = parts[k] if done is not None else None
+            _atomic_write(table.path, _table_text(table, head, done, part))
+        if pid is not None:
+            os.waitpid(pid, 0)
+            pid = None
+        return result
+    finally:
+        if done is not None:
+            os.close(done)
+        if pid is not None:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for part in parts:
+            Path(part).unlink(missing_ok=True)
+
+
+def _fork_tails(tables: list, heads: list, parts: list):
+    """Fork the one child that writes rows ``heads[k]:`` of table k into a
+    part file beside it, appended to ``parts`` first, and then one byte to a
+    pipe; the child's pid and the pipe's read end, or two Nones when the
+    fork fails.  The child only formats, since numpy's BLAS threads do not
+    exist in it, and writes as ``_atomic_write`` does.  It ends in
+    ``os._exit``, so it never returns into the caller nor flushes the stdio
+    buffers it inherited."""
+    fds = []
+    try:
+        for table in tables:
+            table.path.parent.mkdir(parents=True, exist_ok=True)
+            fd, part = tempfile.mkstemp(dir=table.path.parent, prefix="." + table.path.name + ".",
+                                        suffix=".tmp")
+            fds.append(fd)
+            parts.append(part)
+        done_r, done_w = os.pipe()
+        fds.append(done_w)
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(done_r)
+            return None, None
+        if pid == 0:
+            code = 1
+            try:
+                # fds ends with the pipe's write end, which zip leaves out
+                for table, head, fd in zip(tables, heads, fds):
+                    with os.fdopen(fd, "wb") as fh:
+                        fh.writelines(c.encode() for c in table.text(head, table.n_rows))
+                    os.write(done_w, b"1")
+                code = 0
+            finally:
+                os._exit(code)
+        return pid, done_r
+    finally:
+        for fd in fds:
+            os.close(fd)
+
+
+def _table_text(table: _CsvTable, head: int, done, part) -> list:
+    """All of ``table``'s text: rows ``:head`` formatted here, then rows
+    ``head:``.  Those are the child's ``part``, once the child reports it
+    complete by one byte on the pipe ``done``; otherwise (no child, a child
+    that failed first, a part that cannot be read) they are formatted here.
+
+    The part is read whole and as bytes, which ``_atomic_write`` writes as
+    they are.  Each other way measured raised the benchmark's peak RSS: read
+    in 256 KiB pieces by 6-12 MiB on unmatched-dense, and decoded to text,
+    which the write encodes again, the run's own peak by 6 MiB.  The caller
+    passes the list on and drops it, so that no table's text is held while
+    the next one is formatted."""
+    text = table.text(0, head)
+    if done is not None and os.read(done, 1):
+        try:
+            with open(part, "rb") as fh:
+                return text + [fh.read()]
+        except OSError:
+            pass
+    return text + table.text(head, table.n_rows)
 
 
 def _orbit_window(sc: Scenario) -> tuple[float, float]:
@@ -275,7 +430,7 @@ def certificate(sc: Scenario):
     """The Laplacian and Lyapunov certificate of a scenario's graph, as
     ``(lap, cert)``."""
     lap = build_laplacian(sc.graph)
-    return lap, solve_P(lap, Q=sc.q_scale * np.eye(sc.n_agents), alpha=sc.alpha)
+    return lap, solve_P(lap, Q=np.full(sc.n_agents, sc.q_scale), alpha=sc.alpha)
 
 
 def prepare(sc: Scenario):
@@ -294,10 +449,11 @@ def prepare(sc: Scenario):
 def run(sc: Scenario, out_dir) -> RunArtifacts:
     """Execute a scenario and write all four artifacts into ``out_dir``.
 
-    The grid is checked before the O(n^3) set-up.  Certification failures
-    do not stop the run (the report records them).  Numerical divergence
-    writes the partial trajectory and certification artifacts, then
-    re-raises IntegrationDivergedError.
+    The grid is checked before the set-up.  Certification failures do not
+    stop the run (the report records them).  Numerical divergence writes the
+    partial trajectory and certification artifacts, then re-raises
+    IntegrationDivergedError.  The summary is computed while
+    ``_write_csvs``' child, if it forks one, formats the CSV tails.
     """
     out = Path(out_dir)
     params = SimParams(t_final=sc.t_final, dt=sc.dt, sample_every=sc.sample_every)
@@ -319,13 +475,14 @@ def run(sc: Scenario, out_dir) -> RunArtifacts:
         traj = integrate(loop, z0, params)
     except IntegrationDivergedError as exc:
         if exc.partial is not None:
-            _atomic_write(arts.trajectory_csv, trajectory_csv_text(exc.partial))
+            _write_csvs([_trajectory_table(arts.trajectory_csv, exc.partial)])
         _atomic_write(arts.certification_json, certification_json_text(cert_doc))
         raise
     metrics = analysis.trajectory_metrics(traj, lap.v_left, sc.gains, sc.disturbance, cert.P)
-    summary = _summary(sc, traj, metrics, lap, cert, report)
-    _atomic_write(arts.trajectory_csv, trajectory_csv_text(traj))
-    _atomic_write(arts.metrics_csv, metrics_csv_text(metrics))
+    tables = [_trajectory_table(arts.trajectory_csv, traj),
+              _CsvTable(arts.metrics_csv, partial(metrics_csv_text, metrics),
+                       metrics["t"].shape[0], len(METRIC_COLUMNS))]
+    summary = _write_csvs(tables, lambda: _summary(sc, traj, metrics, lap, cert, report))
     _atomic_write(arts.summary_json, _json_chunks(summary))
     _atomic_write(arts.certification_json, certification_json_text(cert_doc))
     return arts

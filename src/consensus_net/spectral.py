@@ -138,10 +138,12 @@ class LyapunovCertificate:
 def solve_P(lap: LaplacianData, Q: np.ndarray | None = None, alpha: float = 1.0) -> LyapunovCertificate:
     """Solve the graph Lyapunov equation and certify the solution.
 
-    Q defaults to the identity.  Fails when the graph has no spanning tree,
-    when Q is not symmetric positive definite, or when the shifted matrix is
-    numerically degenerate (an eigenvalue with real part below 1e-9, meaning
-    alpha is too small relative to rounding).
+    Q is an n x n matrix, or a length-n vector that stands for the diagonal
+    Q with those entries (no n x n array is built unless a dense route
+    runs); it defaults to the identity.  Fails when the graph has no
+    spanning tree, when Q is not symmetric positive definite, or when the
+    shifted matrix is numerically degenerate (an eigenvalue with real part
+    below 1e-9, meaning alpha is too small relative to rounding).
     """
     if not lap.has_spanning_tree:
         raise ValidationError("solve_P: graph has no directed spanning tree")
@@ -149,14 +151,12 @@ def solve_P(lap: LaplacianData, Q: np.ndarray | None = None, alpha: float = 1.0)
         raise ValidationError(f"alpha: must be > 0, got {alpha}")
     L = lap.L
     n = lap.n_agents
-    if Q is None:
-        Q = np.eye(n)
-    Q = np.asarray(Q, dtype=float)
-    if Q.shape != (n, n):
-        raise ValidationError(f"Q: expected shape {(n, n)}, got {Q.shape}")
-    q = np.diag(Q)
+    Q = np.ones(n) if Q is None else np.asarray(Q, dtype=float)
+    if Q.shape not in ((n,), (n, n)):
+        raise ValidationError(f"Q: expected shape {(n,)} or {(n, n)}, got {Q.shape}")
+    q = Q if Q.ndim == 1 else np.diag(Q)
     # a diagonal Q, such as the default, is symmetric, its eigenvalues on it
-    q_diagonal = np.count_nonzero(Q) == np.count_nonzero(q)
+    q_diagonal = Q.ndim == 1 or np.count_nonzero(Q) == np.count_nonzero(q)
     if not q_diagonal and np.abs(Q - Q.T).max() > 1e-12 * max(1.0, np.abs(Q).max()):
         raise ValidationError("Q: must be symmetric")
     q_eigs = np.sort(q) if q_diagonal else np.linalg.eigvalsh((Q + Q.T) / 2)
@@ -173,6 +173,7 @@ def solve_P(lap: LaplacianData, Q: np.ndarray | None = None, alpha: float = 1.0)
         P = _tree_lyapunov(tree, alpha, q)
     else:
         L = sparsity.dense(L)
+        Q = np.diag(q) if Q.ndim == 1 else Q
         if n <= _KRON_MAX_N:
             L_shift = L + alpha * np.outer(ones, v)
             _require_shifted_spectrum(float(np.linalg.eigvals(L_shift).real.min()))

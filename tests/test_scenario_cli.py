@@ -3,8 +3,10 @@
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +18,11 @@ from hypothesis import strategies as st
 from consensus_net import cli, runner, sparsity, spectral
 from consensus_net.analysis import BLOCK_VALUES
 from consensus_net.dynamics import eval_disturbance
-from consensus_net.errors import DegenerateSpectrumError, ValidationError
+from consensus_net.errors import (
+    DegenerateSpectrumError,
+    IntegrationDivergedError,
+    ValidationError,
+)
 from consensus_net.gains import certify_matched
 from consensus_net.graph import DirectedGraph, build_laplacian, graph_to_json
 from consensus_net.scenario import (
@@ -667,6 +673,193 @@ def test_run_writes_reference_bytes(tmp_path):
     arts = runner.run(sc, tmp_path / "out")
     names, data = runner.read_csv(arts.trajectory_csv)
     _assert_same_text(arts.trajectory_csv.read_bytes().decode(), _reference_csv(names, data))
+
+
+def _spy_writer(monkeypatch, in_child=None):
+    """Spies on ``os.fork`` and ``runner._csv_chunks``.  Returns the pids of
+    the children forked and the (columns, start, stop) of every row range
+    this process formats; the child's own ranges stay in the child.
+    ``in_child``, if given, runs first in the child, which it must never
+    leave by returning into pytest."""
+    forks, ranges = [], []
+    real_fork, real_chunks = os.fork, runner._csv_chunks
+
+    def fork():
+        pid = real_fork()
+        if pid == 0 and in_child is not None:
+            try:
+                in_child()
+            except BaseException:
+                os._exit(70)
+        forks.append(pid)
+        return pid
+
+    def chunks(header, columns, start=0, stop=None):
+        ranges.append((len(header), start, stop))
+        return real_chunks(header, columns, start, stop)
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(runner, "_csv_chunks", chunks)
+    return forks, ranges
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_forked_csv_writer_matches_per_value_writer(tmp_path, monkeypatch):
+    """Tables above ``FORK_MIN_VALUES``, of awkward values: one child formats
+    their tails, and the bytes are the per-value writer's.  This process
+    formats only the head rows, so the tails in the files are the child's.
+    An empty table beside a large one is its header alone."""
+    rng = np.random.default_rng(19)
+    n_rows = 2 * runner.FORK_MIN_VALUES // 24 + 5
+    traj = Trajectory(np.arange(n_rows) * 0.1, _awkward_values(rng, (n_rows, 15)))
+    table = _awkward_values(rng, (n_rows, len(runner.METRIC_COLUMNS)))
+    metrics = {name: table[:, k] for k, name in enumerate(runner.METRIC_COLUMNS)}
+    empty = {name: np.empty(0) for name in runner.METRIC_COLUMNS}
+    assert 24 * n_rows > 2 * runner.FORK_MIN_VALUES
+    for case, met in (("both", metrics), ("empty-metrics", empty)):
+        out = tmp_path / case
+        forks, ranges = _spy_writer(monkeypatch)
+        runner._write_csvs([
+            runner._trajectory_table(out / "trajectory.csv", traj),
+            runner._CsvTable(out / "metrics.csv", partial(runner.metrics_csv_text, met),
+                             met["t"].shape[0], len(runner.METRIC_COLUMNS))])
+        assert len(forks) == 1 and forks[0] > 0
+        heads = [r for r in ranges if r[1] == 0]
+        assert ranges == heads and [r[0] for r in heads] == [16, 8]
+        assert 0 < heads[0][2] < n_rows
+        _assert_same_text((out / "trajectory.csv").read_text(), _reference_trajectory_csv(traj))
+        want = _reference_csv(runner.METRIC_COLUMNS, table if case == "both" else [])
+        _assert_same_text((out / "metrics.csv").read_text(), want)
+        assert sorted(p.name for p in out.iterdir()) == ["metrics.csv", "trajectory.csv"]
+        _assert_no_child_left()
+
+
+#: the unmatched builtin sampled every step for 5 s: 5,001 rows of 16 and of
+#: 8 values, above ``runner.FORK_MIN_VALUES``
+_FORKING_RUN = dict(t_final=5.0, sample_every=1)
+
+_ARTIFACTS = ["certification.json", "metrics.csv", "summary.json", "trajectory.csv"]
+
+
+@pytest.fixture(scope="module")
+def serial_run_bytes(tmp_path_factory):
+    """The four artifacts of ``_FORKING_RUN`` written by this process alone."""
+    sc = builtin_scenario("paper-unmatched").with_overrides(**_FORKING_RUN)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(runner, "FORK_MIN_VALUES", math.inf)
+        arts = runner.run(sc, tmp_path_factory.mktemp("serial"))
+    return [p.read_bytes() for p in arts.paths()]
+
+
+def _kill_self():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _fail_formatting():
+    def boom(*args):
+        raise RuntimeError("formatting failed in the child")
+
+    runner._csv_chunks = boom
+
+
+def _kill_self_after_first_part():
+    """In the child: die by a signal right after reporting the first part."""
+    real = os.write
+
+    def write(fd, data):
+        real(fd, data)
+        _kill_self()
+
+    os.write = write
+
+
+def _remove_parts_before_reporting(out):
+    """In the child: remove the part files before reporting each one
+    complete, so that this process cannot open them."""
+    real = os.write
+
+    def write(fd, data):
+        for part in out.glob(".*.tmp"):
+            part.unlink()
+        return real(fd, data)
+
+    os.write = write
+
+
+@pytest.mark.parametrize("case", ["forked", "child-exits-1", "child-killed",
+                                  "child-killed-after-first-part", "part-unreadable",
+                                  "fork-fails"])
+def test_run_bytes_do_not_depend_on_who_formats(tmp_path, monkeypatch, serial_run_bytes, case):
+    """A run large enough to fork writes the serial run's bytes: with the
+    child's tails; and, formatting the tails itself, when the child exits 1,
+    dies by a signal (before any part, or after reporting the first),
+    reports parts that cannot be opened, or cannot be forked.  Either way no
+    child is left unreaped, and the output directory holds the four
+    artifacts alone.  The forked trajectory is also the per-value writer's
+    text."""
+    out = tmp_path / "out"
+    in_child = {"child-exits-1": _fail_formatting, "child-killed": _kill_self,
+                "child-killed-after-first-part": _kill_self_after_first_part,
+                "part-unreadable": partial(_remove_parts_before_reporting, out)}.get(case)
+    forks, ranges = _spy_writer(monkeypatch, in_child)
+    if case == "fork-fails":
+        def fork():
+            raise OSError("fork refused")
+
+        monkeypatch.setattr(os, "fork", fork)
+    sc = builtin_scenario("paper-unmatched").with_overrides(**_FORKING_RUN)
+    arts = runner.run(sc, out)
+    assert [p.read_bytes() for p in arts.paths()] == serial_run_bytes
+    assert len(forks) == (0 if case == "fork-fails" else 1)
+    tails = [r for r in ranges if r[1] > 0]
+    assert [r[0] for r in tails] == {"forked": [], "child-killed-after-first-part": [8]}.get(
+        case, [16, 8])
+    assert sorted(p.name for p in out.iterdir()) == _ARTIFACTS
+    _assert_no_child_left()
+    if case == "forked":
+        names, data = runner.read_csv(arts.trajectory_csv)
+        _assert_same_text(arts.trajectory_csv.read_text(), _reference_csv(names, data))
+
+
+@pytest.mark.parametrize("failing", ["_atomic_write", "_summary"])
+def test_parent_failure_reaps_child_and_removes_parts(tmp_path, monkeypatch, failing):
+    """When this process raises while the child formats (in the summary) or
+    after it (writing a file), the child is reaped, killed first if it still
+    runs, and no part file is left."""
+    forks, _ = _spy_writer(monkeypatch)
+
+    def fail(*args):
+        raise OSError(f"{failing} failed")
+
+    monkeypatch.setattr(runner, failing, fail)
+    out = tmp_path / "out"
+    sc = builtin_scenario("paper-unmatched").with_overrides(**_FORKING_RUN)
+    with pytest.raises(OSError, match=failing):
+        runner.run(sc, out)
+    assert len(forks) == 1
+    _assert_no_child_left()
+    assert list(out.glob("*.tmp")) == list(out.glob(".*.tmp")) == []
+
+
+def test_divergence_partial_goes_through_the_writer(tmp_path, monkeypatch):
+    """The partial trajectory of a diverging run is written by the same
+    writer, here made to fork although the table is small."""
+    monkeypatch.setattr(runner, "FORK_MIN_VALUES", 0)
+    forks, ranges = _spy_writer(monkeypatch)
+    sc = scenario_from_json(_diverging_scenario_doc())
+    out = tmp_path / "out"
+    with pytest.raises(IntegrationDivergedError), np.errstate(over="ignore", invalid="ignore"):
+        runner.run(sc, out)
+    assert len(forks) == 1 and all(r[1] == 0 for r in ranges)
+    names, data = runner.read_csv(out / "trajectory.csv")
+    assert data.shape[0] > 2
+    _assert_same_text((out / "trajectory.csv").read_text(), _reference_csv(names, data))
+    assert sorted(p.name for p in out.iterdir()) == ["certification.json", "trajectory.csv"]
+    _assert_no_child_left()
 
 
 def _certification_doc(P, name="writer"):

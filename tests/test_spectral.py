@@ -133,6 +133,32 @@ def test_rejects_bad_inputs(default_lap):
     # the shifted spectrum is the nonzero spectrum of L plus alpha
     with pytest.raises(DegenerateSpectrumError, match="real part 1.0+e-10"):
         solve_P(default_lap, alpha=1e-10)
+    for Q in (np.ones(4), np.ones(6), np.ones((5, 6)), np.ones((5, 5, 1)), np.float64(1.0)):
+        with pytest.raises(ValidationError, match="Q: expected shape"):
+            solve_P(default_lap, Q=Q)
+    with pytest.raises(ValidationError, match="positive definite"):
+        solve_P(default_lap, Q=np.array([1.0, 2.0, 0.0, 1.0, 1.0]))
+
+
+@pytest.mark.parametrize("case", ["paper-matched", "tree-600", "two-parents-40"])
+def test_vector_Q_is_its_diagonal_matrix(case):
+    """A 1-D Q stands for the diagonal matrix with those entries: the same P,
+    bit for bit, and the same scalars, on the Kronecker route (the builtin
+    graph), the tree route (600 agents, a CSR P) and the Schur route."""
+    rng = np.random.default_rng(19)
+    graph_ = {"paper-matched": lambda: builtin_scenario("paper-matched").graph,
+              "tree-600": lambda: _shuffled_tree(rng, 600, "random")[0],
+              "two-parents-40": lambda: _two_parent_tree(rng, 40)}[case]()
+    lap = build_laplacian(graph_)
+    q = rng.uniform(0.5, 2.0, size=lap.n_agents)
+    from_vector, from_matrix = solve_P(lap, Q=q, alpha=0.7), solve_P(lap, Q=np.diag(q), alpha=0.7)
+    assert isinstance(from_vector.P, np.ndarray) == (case != "tree-600")
+    P_v, P_m = from_vector.P, from_matrix.P
+    if case == "tree-600":
+        assert np.array_equal(P_v.indptr, P_m.indptr) and np.array_equal(P_v.indices, P_m.indices)
+        P_v, P_m = P_v.data, P_m.data
+    assert np.array_equal(P_v.view(np.int64), P_m.view(np.int64))
+    assert from_vector.scalars_json() == from_matrix.scalars_json()
 
 
 def test_spectral_norm_examples():

@@ -106,3 +106,57 @@ def test_gain_fields_named_only_in_gains():
              if isinstance(node, ast.Constant) and isinstance(node.value, str)
              and node.value in names and id(node) not in allowed]
     assert found == []
+
+
+def _is_call(node, module: str, name: str) -> bool:
+    """Whether ``node`` calls ``module.name(...)``."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == name and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == module)
+
+
+def _blas_calls(node) -> list:
+    """(line, what) of every ``@``, ``dot``/``matmul`` call and ``linalg``
+    reference under ``node``: the ways code here reaches BLAS."""
+    found = []
+    for sub in ast.walk(node):
+        if isinstance(sub, (ast.BinOp, ast.AugAssign)) and isinstance(sub.op, ast.MatMult):
+            found.append((sub.lineno, "@"))
+        elif isinstance(sub, ast.Call) and "dot" in (
+                getattr(sub.func, "attr", None), getattr(sub.func, "id", None)):
+            found.append((sub.lineno, "dot"))
+        elif isinstance(sub, ast.Call) and "matmul" in (
+                getattr(sub.func, "attr", None), getattr(sub.func, "id", None)):
+            found.append((sub.lineno, "matmul"))
+        elif "linalg" in (getattr(sub, "attr", None), getattr(sub, "id", None)):
+            found.append((sub.lineno, "linalg"))
+    return found
+
+
+def test_one_fork_whose_child_only_formats_and_exits():
+    """``os.fork`` is called in one place, ``runner._fork_tails``.  Its child
+    branch (``if pid == 0``) ends in a ``try`` whose ``finally`` ends in
+    ``os._exit``, so the child never returns into the caller.  numpy's BLAS
+    threads do not exist in the child, so neither the branch nor the CSV
+    writer that its ``table.text`` reaches (``trajectory_csv_text``,
+    ``metrics_csv_text``, ``_csv_chunks``, ``analysis.row_blocks``) may
+    reach BLAS."""
+    forks = [(module, node) for module, tree in TREES.items() for node in ast.walk(tree)
+             if _is_call(node, "os", "fork")]
+    assert [module for module, _ in forks] == ["runner.py"]
+    functions = {module: {node.name: node for node in ast.walk(tree)
+                          if isinstance(node, ast.FunctionDef)}
+                 for module, tree in TREES.items()}
+    forking = functions["runner.py"]["_fork_tails"]
+    assign = next(node for node in ast.walk(forking)
+                  if isinstance(node, ast.Assign) and node.value is forks[0][1])
+    pid = assign.targets[0].id
+    branch = next(node.body for node in ast.walk(forking) if isinstance(node, ast.If)
+                  and ast.dump(node.test) == ast.dump(ast.parse(f"{pid} == 0", mode="eval").body))
+    last = branch[-1]
+    assert isinstance(last, ast.Try) and last.finalbody
+    assert isinstance(last.finalbody[-1], ast.Expr) and _is_call(last.finalbody[-1].value, "os", "_exit")
+    reached = [*branch, *(functions["runner.py"][name] for name in
+                          ("trajectory_csv_text", "metrics_csv_text", "_csv_chunks")),
+               functions["analysis.py"]["row_blocks"]]
+    assert [found for node in reached for found in _blas_calls(node)] == []
