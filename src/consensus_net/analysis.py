@@ -176,10 +176,6 @@ def fit_exponential_decay(times: np.ndarray, values: np.ndarray, window) -> floa
     return float(-slope)
 
 
-def _sinusoid_design(t: np.ndarray, w: float) -> np.ndarray:
-    return np.column_stack([np.sin(w * t), np.cos(w * t), np.ones_like(t)])
-
-
 def fit_orbit(times: np.ndarray, values: np.ndarray, window) -> OrbitFit:
     """Fit A*sin(w t + phi) + offset over the window.
 
@@ -208,26 +204,25 @@ def fit_orbit(times: np.ndarray, values: np.ndarray, window) -> OrbitFit:
         / (centered[crossings + 1] - centered[crossings])
     w = math.pi * (tc.size - 1) / (tc[-1] - tc[0])
 
-    # Gauss-Newton on (a, b, c, w) for a*sin(wt) + b*cos(wt) + c
-    design = _sinusoid_design(t, w)
-    abc, *_ = np.linalg.lstsq(design, sig, rcond=None)
+    # Gauss-Newton on (a, b, c, w) for a*sin(wt) + b*cos(wt) + c; s and co
+    # are sin(wt) and cos(wt) at the current w, computed once per w
+    s, co = np.sin(w * t), np.cos(w * t)
+    abc, *_ = np.linalg.lstsq(np.column_stack([s, co, np.ones_like(t)]), sig, rcond=None)
     params = np.array([abc[0], abc[1], abc[2], w])
     for _ in range(60):
         a, b, c, w = params
-        s = np.sin(w * t)
-        co = np.cos(w * t)
-        model = a * s + b * co + c
-        r = model - sig
+        r = a * s + b * co + c - sig
         J = np.column_stack([s, co, np.ones_like(t), (a * co - b * s) * t])
         try:
             step, *_ = np.linalg.lstsq(J, -r, rcond=None)
         except np.linalg.LinAlgError:
             break
         params = params + step
+        s, co = np.sin(params[3] * t), np.cos(params[3] * t)
         if np.abs(step).max() < 1e-12 * max(1.0, np.abs(params).max()):
             break
     a, b, c, w = params
-    model = a * np.sin(w * t) + b * np.cos(w * t) + c
+    model = a * s + b * co + c
     residual = float(np.sqrt(np.mean((model - sig) ** 2)))
     ratio = residual / rms
     if not (w > 0) or ratio > 0.5:

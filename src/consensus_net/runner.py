@@ -21,23 +21,28 @@ it formats each distinct nonzero bit pattern of P once (P is symmetric, so
 about half of its n^2 entries repeat) and each run of zeros in a row as one
 string (on a tree, 98 % of P is exactly zero, and a CSR P stores the rest).
 
-The two CSV files are text from ``_csv_chunks``, whoever formats it.  When
-their tables hold more than ``FORK_MIN_VALUES`` values and two CPUs are
-free, ``_write_csvs`` forks one child that formats the last ``TAIL_SHARE``
-of each table's rows into a part file, while this process computes the
-summary and formats the head rows; it then writes head and part as one
-file.  If the child fails, this process formats the tail itself.  The
-bytes do not depend on which process formatted which rows.
+The two CSV files are text from ``_csv_chunks``, whoever formats it, one
+block of rows (``analysis.row_blocks``) at a time.  When their tables hold
+more than ``FORK_MIN_VALUES`` values and two CPUs are free, ``_write_csvs``
+forks one child, and the child and this process share the blocks as a
+queue: each claims the next unclaimed block and formats it.  This process
+first computes the summary and writes both JSON files, then joins in, and
+writes each table from its own blocks and the child's.  If the child fails,
+this process formats the blocks that the child did not report.  The bytes
+do not depend on which process formatted which rows.
 """
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import json
 import os
 import signal
+import struct
 import tempfile
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -70,13 +75,6 @@ METRIC_COLUMNS = ("t", "ex_norm", "ey_norm", "ed_norm", "x_m", "y_m", "delta_m",
 #: part files cost about what the second CPU saved between 25k and 100k
 #: values, and the fork won clearly from 200k (90-100 ms against 130-140 ms)
 FORK_MIN_VALUES = 100_000
-
-#: the share of each table's rows that the forked child formats.  Measured
-#: on the same VM, the two processes waited least for each other at 0.48 to
-#: 0.50 of the rows on the benchmark's paper-matched and large-graph runs,
-#: and at 0.54 to 0.56 on unmatched-dense, whose summary this process
-#: computes meanwhile
-TAIL_SHARE = 0.52
 
 
 @dataclass(frozen=True)
@@ -216,13 +214,15 @@ def _csv_chunks(header, columns: list, start: int = 0, stop: int | None = None) 
     return chunks
 
 
+@cache
+def _trajectory_header(n: int) -> tuple:
+    """trajectory.csv's column names for ``n`` agents, spelled once per ``n``
+    although ``_write_csvs`` asks for the text one block of rows at a time."""
+    return ("t", *(f"{s}_{i + 1}" for s in ("x", "y", "dhat") for i in range(n)))
+
+
 def trajectory_csv_text(traj: Trajectory, start: int = 0, stop: int | None = None) -> list:
-    n = traj.n_agents
-    header = ["t"]
-    header += [f"x_{i + 1}" for i in range(n)]
-    header += [f"y_{i + 1}" for i in range(n)]
-    header += [f"dhat_{i + 1}" for i in range(n)]
-    return _csv_chunks(header, [traj.times, traj.states], start, stop)
+    return _csv_chunks(_trajectory_header(traj.n_agents), [traj.times, traj.states], start, stop)
 
 
 def metrics_csv_text(metrics: dict, start: int = 0, stop: int | None = None) -> list:
@@ -251,109 +251,174 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _write_csvs(tables: list, meanwhile=None):
-    """Write each ``_CsvTable`` atomically and return ``meanwhile()``, which
-    runs (if given) while the tables are formatted.
+def _format(block) -> list:
+    """The text of one ``(table, rows)`` block, whichever process asks."""
+    table, rows = block
+    return table.text(rows.start, rows.stop)
 
-    When the tables hold more than ``FORK_MIN_VALUES`` values, ``os.fork``
-    exists and this process may run on two CPUs, one forked child formats
-    the last ``TAIL_SHARE`` of each table's rows into a part file, table by
-    table, while this process runs ``meanwhile`` and formats the head rows.
-    This process writes each table as its head and then its part, read back
-    as soon as the child reports it complete, so that the first table is
-    written while the child formats the second.  Should the child fail
-    before it completes a part, or a part not be read, this process formats
-    that tail itself; the fork failing leaves all rows to it.  Either way
-    ``text`` formats every row, so the bytes do not depend on who ran it.
-    On every path the child is reaped (killed first, if this process
-    raises) and the part files are removed.
+
+def _write_csvs(tables: list, meanwhile=None) -> None:
+    """Write each ``_CsvTable`` atomically, and call ``meanwhile()`` (if
+    given) before any of their rows are formatted here.
+
+    The rows of the tables are cut into the blocks of ``analysis.row_blocks``,
+    table after table, and each block is formatted by one call of its
+    table's ``text``.  When the tables hold more than ``FORK_MIN_VALUES``
+    values, ``os.fork`` exists and this process may run on two CPUs, one
+    forked child (``_fork_formatter``) starts on the blocks while this
+    process runs ``meanwhile``.  The two then share the blocks as a queue:
+    each claims the next unclaimed block, formats it and claims again, until
+    none is left.  So whichever process is free formats the next block, and
+    no split has to be guessed beforehand.  As soon as every block of a
+    table is claimed, this process writes it from its own blocks, the
+    child's reported bytes, and its own formatting of any block that the
+    child claimed but never reported (it failed first) or whose bytes cannot
+    be read back whole.  So the first table is written while the child
+    formats the second.  Without a child this process claims every block.
+    Either way ``text`` formats every block, so the bytes do not depend on
+    who ran it.  On every path the child is reaped (killed first) and the
+    part file removed.
     """
+    spans = [analysis.row_blocks(t.n_rows, t.n_columns) for t in tables]
+    blocks = [(table, rows) for table, span in zip(tables, spans) for rows in span]
+    # table t holds blocks stops[t] - len(spans[t]) to stops[t]
+    stops = list(itertools.accumulate(len(span) for span in spans))
     fork = (sum(t.n_rows * t.n_columns for t in tables) > FORK_MIN_VALUES
             and hasattr(os, "fork") and _cpus() >= 2)
-    # the head holds row 0 or, in an empty table, the header alone
-    heads = [max(1, t.n_rows - (round(TAIL_SHARE * t.n_rows) if fork else 0)) for t in tables]
-    parts, pid, done = [], None, None
-    try:
-        if fork:
-            pid, done = _fork_tails(tables, heads, parts)
-        result = None if meanwhile is None else meanwhile()
-        for k, (table, head) in enumerate(zip(tables, heads)):
-            part = parts[k] if done is not None else None
-            _atomic_write(table.path, _table_text(table, head, done, part))
-        if pid is not None:
-            os.waitpid(pid, 0)
-            pid = None
-        return result
-    finally:
-        if done is not None:
-            os.close(done)
-        if pid is not None:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        for part in parts:
-            Path(part).unlink(missing_ok=True)
+    mine = {}
+
+    def table_text(t):
+        if not spans[t]:
+            yield from tables[t].text(0, 0)  # the header alone
+        for k in range(stops[t] - len(spans[t]), stops[t]):
+            if k in mine:
+                yield from mine.pop(k)
+            elif (data := child.bytes_of(k)) is not None:
+                yield data
+            else:
+                yield from _format(blocks[k])
+
+    with contextlib.ExitStack() as cleanup:
+        child = _fork_formatter(blocks, tables[0].path.parent, cleanup) if fork else None
+        if meanwhile is not None:
+            meanwhile()
+        written = 0
+        for k in range(len(blocks)) if child is None else _claims(child.queue):
+            mine[k] = _format(blocks[k])
+            while stops[written] <= k:  # every block of table `written` is claimed
+                _atomic_write(tables[written].path, table_text(written))
+                written += 1
+        for t in range(written, len(tables)):
+            _atomic_write(tables[t].path, table_text(t))
 
 
-def _fork_tails(tables: list, heads: list, parts: list):
-    """Fork the one child that writes rows ``heads[k]:`` of table k into a
-    part file beside it, appended to ``parts`` first, and then one byte to a
-    pipe; the child's pid and the pipe's read end, or two Nones when the
-    fork fails.  The child only formats, since numpy's BLAS threads do not
-    exist in it, and writes as ``_atomic_write`` does.  It ends in
+class _Formatter:
+    """The child that ``_fork_formatter`` forked, as this process sees it:
+    the queue of block numbers that the two share, the part file the child
+    writes, and the pipe on which it reports each block it formatted."""
+
+    #: a block number in the queue
+    token = struct.Struct("=I")
+    #: a block the child formatted: its number, then its offset and length
+    #: in the part file
+    report = struct.Struct("=3Q")
+
+    def __init__(self, queue: int, part: int, reports):
+        self.queue, self.part, self.reports = queue, part, reports
+        self.reported: dict = {}
+
+    def bytes_of(self, k: int):
+        """The child's bytes of block ``k``, waiting for its report if need
+        be: only a block the child claimed is asked for.  None when the
+        child ended without reporting ``k``, or the reported bytes cannot be
+        read back whole."""
+        while k not in self.reported:
+            record = self.reports.read(self.report.size)
+            if len(record) < self.report.size:
+                return None  # every copy of the write end is closed
+            block, offset, length = self.report.unpack(record)
+            self.reported[block] = (offset, length)
+        offset, length = self.reported.pop(k)
+        try:
+            data = os.pread(self.part, length, offset)
+        except OSError:
+            return None
+        return data if len(data) == length else None
+
+
+def _claims(queue: int):
+    """The numbers of the blocks this process claims, in order, until none is
+    left: each is the next token read from the file ``queue``, whose open
+    file description both processes share.  Reads that share one move its
+    offset atomically, so each token is read by one process alone.  A read
+    of a regular file never blocks, however many tokens it holds, where a
+    pipe would hold 64 KiB of them and block the one who fills it."""
+    while token := os.read(queue, _Formatter.token.size):
+        yield _Formatter.token.unpack(token)[0]
+
+
+def _write_all(fd: int, data: bytes) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _format_claims(blocks: list, queue: int, part: int, reports: int) -> None:
+    """In the forked child: format each block claimed from ``queue`` into
+    the file ``part``, then report its number, offset and length on the
+    pipe ``reports``.  A report follows its bytes, so this process uses no
+    byte that the child wrote after its last report."""
+    offset = 0
+    for k in _claims(queue):
+        data = "".join(_format(blocks[k])).encode()
+        _write_all(part, data)
+        os.write(reports, _Formatter.report.pack(k, offset, len(data)))
+        offset += len(data)
+
+
+def _reap(pid: int) -> None:
+    """Kill the child, whatever it still does, and wait for it."""
+    os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)
+
+
+def _fork_formatter(blocks: list, directory: Path, cleanup: contextlib.ExitStack):
+    """Fork the one child that claims and formats ``blocks`` beside this
+    process, and return it as a ``_Formatter``; None when the fork fails.
+
+    The queue (an unnamed file of every block number), the part file in
+    ``directory`` (prefix ``.``, suffix ``.tmp``, like ``_atomic_write``'s)
+    and the report pipe are made before the fork, and ``cleanup`` closes
+    them, removes the part and reaps the child.  The child only formats,
+    since numpy's BLAS threads do not exist in it.  It ends in
     ``os._exit``, so it never returns into the caller nor flushes the stdio
-    buffers it inherited."""
-    fds = []
+    buffers it inherited.  This process closes its copy of the pipe's write
+    end, so that the child's exit ends the reports."""
+    directory.mkdir(parents=True, exist_ok=True)
+    queue = cleanup.enter_context(tempfile.TemporaryFile(dir=directory, buffering=0)).fileno()
+    _write_all(queue, b"".join(map(_Formatter.token.pack, range(len(blocks)))))
+    os.lseek(queue, 0, os.SEEK_SET)
+    part, path = tempfile.mkstemp(dir=directory, prefix=".csv-blocks.", suffix=".tmp")
+    cleanup.callback(os.close, part)
+    cleanup.callback(Path(path).unlink, missing_ok=True)
+    reports_r, reports_w = os.pipe()
+    reports = cleanup.enter_context(os.fdopen(reports_r, "rb"))
     try:
-        for table in tables:
-            table.path.parent.mkdir(parents=True, exist_ok=True)
-            fd, part = tempfile.mkstemp(dir=table.path.parent, prefix="." + table.path.name + ".",
-                                        suffix=".tmp")
-            fds.append(fd)
-            parts.append(part)
-        done_r, done_w = os.pipe()
-        fds.append(done_w)
         try:
             pid = os.fork()
         except OSError:
-            os.close(done_r)
-            return None, None
+            return None
         if pid == 0:
             code = 1
             try:
-                # fds ends with the pipe's write end, which zip leaves out
-                for table, head, fd in zip(tables, heads, fds):
-                    with os.fdopen(fd, "wb") as fh:
-                        fh.writelines(c.encode() for c in table.text(head, table.n_rows))
-                    os.write(done_w, b"1")
+                _format_claims(blocks, queue, part, reports_w)
                 code = 0
             finally:
                 os._exit(code)
-        return pid, done_r
+        cleanup.callback(_reap, pid)
+        return _Formatter(queue, part, reports)
     finally:
-        for fd in fds:
-            os.close(fd)
-
-
-def _table_text(table: _CsvTable, head: int, done, part) -> list:
-    """All of ``table``'s text: rows ``:head`` formatted here, then rows
-    ``head:``.  Those are the child's ``part``, once the child reports it
-    complete by one byte on the pipe ``done``; otherwise (no child, a child
-    that failed first, a part that cannot be read) they are formatted here.
-
-    The part is read whole and as bytes, which ``_atomic_write`` writes as
-    they are.  Each other way measured raised the benchmark's peak RSS: read
-    in 256 KiB pieces by 6-12 MiB on unmatched-dense, and decoded to text,
-    which the write encodes again, the run's own peak by 6 MiB.  The caller
-    passes the list on and drops it, so that no table's text is held while
-    the next one is formatted."""
-    text = table.text(0, head)
-    if done is not None and os.read(done, 1):
-        try:
-            with open(part, "rb") as fh:
-                return text + [fh.read()]
-        except OSError:
-            pass
-    return text + table.text(head, table.n_rows)
+        os.close(reports_w)
 
 
 def _orbit_window(sc: Scenario) -> tuple[float, float]:
@@ -452,8 +517,9 @@ def run(sc: Scenario, out_dir) -> RunArtifacts:
     The grid is checked before the set-up.  Certification failures do not
     stop the run (the report records them).  Numerical divergence writes the
     partial trajectory and certification artifacts, then re-raises
-    IntegrationDivergedError.  The summary is computed while
-    ``_write_csvs``' child, if it forks one, formats the CSV tails.
+    IntegrationDivergedError.  The summary and both JSON files are written
+    (on divergence, ``certification.json``) while ``_write_csvs``' child, if
+    it forks one, starts on the CSV blocks.
     """
     out = Path(out_dir)
     params = SimParams(t_final=sc.t_final, dt=sc.dt, sample_every=sc.sample_every)
@@ -471,20 +537,27 @@ def run(sc: Scenario, out_dir) -> RunArtifacts:
         "mode": sc.mode,
     }
     z0 = np.concatenate([sc.x0, sc.y0, sc.delta_hat0])
+
+    def write_certification():
+        _atomic_write(arts.certification_json, certification_json_text(cert_doc))
+
     try:
         traj = integrate(loop, z0, params)
     except IntegrationDivergedError as exc:
-        if exc.partial is not None:
-            _write_csvs([_trajectory_table(arts.trajectory_csv, exc.partial)])
-        _atomic_write(arts.certification_json, certification_json_text(cert_doc))
+        if exc.partial is None:
+            write_certification()
+        else:
+            _write_csvs([_trajectory_table(arts.trajectory_csv, exc.partial)], write_certification)
         raise
     metrics = analysis.trajectory_metrics(traj, lap.v_left, sc.gains, sc.disturbance, cert.P)
-    tables = [_trajectory_table(arts.trajectory_csv, traj),
-              _CsvTable(arts.metrics_csv, partial(metrics_csv_text, metrics),
-                       metrics["t"].shape[0], len(METRIC_COLUMNS))]
-    summary = _write_csvs(tables, lambda: _summary(sc, traj, metrics, lap, cert, report))
-    _atomic_write(arts.summary_json, _json_chunks(summary))
-    _atomic_write(arts.certification_json, certification_json_text(cert_doc))
+
+    def write_json():
+        _atomic_write(arts.summary_json, _json_chunks(_summary(sc, traj, metrics, lap, cert, report)))
+        write_certification()
+
+    _write_csvs([_trajectory_table(arts.trajectory_csv, traj),
+                 _CsvTable(arts.metrics_csv, partial(metrics_csv_text, metrics),
+                           metrics["t"].shape[0], len(METRIC_COLUMNS))], write_json)
     return arts
 
 

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from functools import partial
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from consensus_net import cli, runner, sparsity, spectral
+from consensus_net import analysis, cli, runner, sparsity, spectral
 from consensus_net.analysis import BLOCK_VALUES
 from consensus_net.dynamics import eval_disturbance
 from consensus_net.errors import (
@@ -675,14 +676,23 @@ def test_run_writes_reference_bytes(tmp_path):
     _assert_same_text(arts.trajectory_csv.read_bytes().decode(), _reference_csv(names, data))
 
 
-def _spy_writer(monkeypatch, in_child=None):
-    """Spies on ``os.fork`` and ``runner._csv_chunks``.  Returns the pids of
-    the children forked and the (columns, start, stop) of every row range
-    this process formats; the child's own ranges stay in the child.
-    ``in_child``, if given, runs first in the child, which it must never
-    leave by returning into pytest."""
-    forks, ranges = [], []
+class _WriterSpy(NamedTuple):
+    """What ``_spy_writer`` sees in this process: the pids forked, the
+    (columns, start, stop) of every row range formatted here, and the
+    numbers of the blocks whose bytes came from the child."""
+    forks: list
+    ranges: list
+    from_child: list
+
+
+def _spy_writer(monkeypatch, in_child=None) -> _WriterSpy:
+    """Spies on ``os.fork``, ``runner._csv_chunks`` and the child's bytes as
+    ``runner._write_csvs`` uses them.  The child's own ranges stay in the
+    child.  ``in_child``, if given, runs first in the child, which it must
+    never leave by returning into pytest."""
+    spy = _WriterSpy([], [], [])
     real_fork, real_chunks = os.fork, runner._csv_chunks
+    real_bytes_of = runner._Formatter.bytes_of
 
     def fork():
         pid = real_fork()
@@ -691,16 +701,40 @@ def _spy_writer(monkeypatch, in_child=None):
                 in_child()
             except BaseException:
                 os._exit(70)
-        forks.append(pid)
+        spy.forks.append(pid)
         return pid
 
     def chunks(header, columns, start=0, stop=None):
-        ranges.append((len(header), start, stop))
+        spy.ranges.append((len(header), start, stop))
         return real_chunks(header, columns, start, stop)
+
+    def bytes_of(self, k):
+        data = real_bytes_of(self, k)
+        if data is not None:
+            spy.from_child.append(k)
+        return data
 
     monkeypatch.setattr(os, "fork", fork)
     monkeypatch.setattr(runner, "_csv_chunks", chunks)
-    return forks, ranges
+    monkeypatch.setattr(runner._Formatter, "bytes_of", bytes_of)
+    return spy
+
+
+def _queue(*tables) -> list:
+    """The (columns, start, stop) of each block of tables of (rows, columns),
+    in the order of ``_write_csvs``' queue."""
+    return [(n_columns, rows.start, rows.stop) for n_rows, n_columns in tables
+            for rows in analysis.row_blocks(n_rows, n_columns)]
+
+
+def _who_formatted(spy: _WriterSpy, queue: list) -> tuple:
+    """The sets of blocks this process formatted and whose bytes came from
+    the child.  Each block was formatted here at most once, and the ranges
+    formatted here are blocks of the queue (or an empty table's header)."""
+    position = {block: k for k, block in enumerate(queue)}
+    here = [position[r] for r in spy.ranges if r[1] != r[2]]
+    assert len(here) == len(set(here)) and len(spy.from_child) == len(set(spy.from_child))
+    return set(here), set(spy.from_child)
 
 
 def _assert_no_child_left():
@@ -708,10 +742,18 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_forked_csv_writer_matches_per_value_writer(tmp_path, monkeypatch):
-    """Tables above ``FORK_MIN_VALUES``, of awkward values: one child formats
-    their tails, and the bytes are the per-value writer's.  This process
-    formats only the head rows, so the tails in the files are the child's.
+def _wait_for_child_exit(spy: _WriterSpy):
+    """Return once the child has exited, without reaping it."""
+    os.waitid(os.P_PID, spy.forks[0], os.WEXITED | os.WNOWAIT)
+
+
+def test_forked_csv_writer_matches_per_value_writer(tmp_path):
+    """Tables above ``FORK_MIN_VALUES``, of awkward values, written by this
+    process and one child from a queue of blocks: the bytes are the
+    per-value writer's.  The blocks this process formats and the blocks the
+    child reports are disjoint and together cover the queue; a ``meanwhile``
+    that lasts until the child has exited leaves every block to the child,
+    and a child that formats nothing leaves every block to this process.
     An empty table beside a large one is its header alone."""
     rng = np.random.default_rng(19)
     n_rows = 2 * runner.FORK_MIN_VALUES // 24 + 5
@@ -720,27 +762,67 @@ def test_forked_csv_writer_matches_per_value_writer(tmp_path, monkeypatch):
     metrics = {name: table[:, k] for k, name in enumerate(runner.METRIC_COLUMNS)}
     empty = {name: np.empty(0) for name in runner.METRIC_COLUMNS}
     assert 24 * n_rows > 2 * runner.FORK_MIN_VALUES
-    for case, met in (("both", metrics), ("empty-metrics", empty)):
-        out = tmp_path / case
-        forks, ranges = _spy_writer(monkeypatch)
-        runner._write_csvs([
-            runner._trajectory_table(out / "trajectory.csv", traj),
-            runner._CsvTable(out / "metrics.csv", partial(runner.metrics_csv_text, met),
-                             met["t"].shape[0], len(runner.METRIC_COLUMNS))])
-        assert len(forks) == 1 and forks[0] > 0
-        heads = [r for r in ranges if r[1] == 0]
-        assert ranges == heads and [r[0] for r in heads] == [16, 8]
-        assert 0 < heads[0][2] < n_rows
-        _assert_same_text((out / "trajectory.csv").read_text(), _reference_trajectory_csv(traj))
-        want = _reference_csv(runner.METRIC_COLUMNS, table if case == "both" else [])
-        _assert_same_text((out / "metrics.csv").read_text(), want)
-        assert sorted(p.name for p in out.iterdir()) == ["metrics.csv", "trajectory.csv"]
-        _assert_no_child_left()
+    for case in ("shared", "meanwhile-outlasts-child", "child-formats-nothing"):
+        for sub, met in (("both", metrics), ("empty-metrics", empty)):
+            out = tmp_path / case / sub
+            with pytest.MonkeyPatch.context() as mp:
+                spy = _spy_writer(mp, partial(os._exit, 0) if case == "child-formats-nothing"
+                                  else None)
+                meanwhile = partial(_wait_for_child_exit, spy) \
+                    if case == "meanwhile-outlasts-child" else None
+                runner._write_csvs([
+                    runner._trajectory_table(out / "trajectory.csv", traj),
+                    runner._CsvTable(out / "metrics.csv", partial(runner.metrics_csv_text, met),
+                                     met["t"].shape[0], len(runner.METRIC_COLUMNS))], meanwhile)
+            assert len(spy.forks) == 1 and spy.forks[0] > 0
+            queue = _queue((n_rows, 16), (met["t"].shape[0], 8))
+            here, child = _who_formatted(spy, queue)
+            assert not here & child and here | child == set(range(len(queue)))
+            if case != "shared":
+                assert {"meanwhile-outlasts-child": child,
+                        "child-formats-nothing": here}[case] == set(range(len(queue)))
+            _assert_same_text((out / "trajectory.csv").read_text(),
+                              _reference_trajectory_csv(traj))
+            want = _reference_csv(runner.METRIC_COLUMNS, table if sub == "both" else [])
+            _assert_same_text((out / "metrics.csv").read_text(), want)
+            assert sorted(p.name for p in out.iterdir()) == ["metrics.csv", "trajectory.csv"]
+            _assert_no_child_left()
+
+
+def test_queue_longer_than_a_pipe(tmp_path, monkeypatch):
+    """With one row per block, the two tables make more blocks than a pipe
+    holds four-byte tokens (64 KiB, 16,384): claiming still never blocks
+    this process, one child is all that is forked, and the bytes are the
+    per-value writer's."""
+    monkeypatch.setattr(analysis, "BLOCK_VALUES", 1)
+    rng = np.random.default_rng(23)
+    n_rows = 9_000
+    traj = Trajectory(np.arange(n_rows) * 0.1, _awkward_values(rng, (n_rows, 15)))
+    table = _awkward_values(rng, (n_rows, len(runner.METRIC_COLUMNS)))
+    metrics = {name: table[:, k] for k, name in enumerate(runner.METRIC_COLUMNS)}
+    queue = _queue((n_rows, 16), (n_rows, 8))
+    assert len(queue) > (64 << 10) // 4
+    spy = _spy_writer(monkeypatch)
+    runner._write_csvs([
+        runner._trajectory_table(tmp_path / "trajectory.csv", traj),
+        runner._CsvTable(tmp_path / "metrics.csv", partial(runner.metrics_csv_text, metrics),
+                         n_rows, len(runner.METRIC_COLUMNS))])
+    assert len(spy.forks) == 1
+    here, child = _who_formatted(spy, queue)
+    assert not here & child and here | child == set(range(len(queue)))
+    _assert_same_text((tmp_path / "trajectory.csv").read_text(), _reference_trajectory_csv(traj))
+    _assert_same_text((tmp_path / "metrics.csv").read_text(),
+                      _reference_csv(runner.METRIC_COLUMNS, table))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["metrics.csv", "trajectory.csv"]
+    _assert_no_child_left()
 
 
 #: the unmatched builtin sampled every step for 5 s: 5,001 rows of 16 and of
 #: 8 values, above ``runner.FORK_MIN_VALUES``
 _FORKING_RUN = dict(t_final=5.0, sample_every=1)
+
+#: the blocks of ``_FORKING_RUN``'s two tables
+_FORKING_QUEUE = _queue((5001, 16), (5001, 8))
 
 _ARTIFACTS = ["certification.json", "metrics.csv", "summary.json", "trajectory.csv"]
 
@@ -766,46 +848,66 @@ def _fail_formatting():
     runner._csv_chunks = boom
 
 
-def _kill_self_after_first_part():
-    """In the child: die by a signal right after reporting the first part."""
-    real = os.write
+def _kill_self_at_write(n: int, share: float, cut_parts_in=None):
+    """In the child: die by a signal in its ``n``-th ``os.write``, once
+    ``share`` of its bytes are written, after emptying the part files in
+    ``cut_parts_in`` (if given).  The child's writes alternate: a block's
+    bytes into the part, then the block's report."""
+    real, calls = os.write, []
 
     def write(fd, data):
-        real(fd, data)
-        _kill_self()
-
-    os.write = write
-
-
-def _remove_parts_before_reporting(out):
-    """In the child: remove the part files before reporting each one
-    complete, so that this process cannot open them."""
-    real = os.write
-
-    def write(fd, data):
-        for part in out.glob(".*.tmp"):
-            part.unlink()
+        calls.append(fd)
+        if len(calls) == n:
+            for part in cut_parts_in.glob(".*.tmp") if cut_parts_in else ():
+                os.truncate(part, 0)
+            real(fd, data[:int(share * len(data))])
+            _kill_self()
         return real(fd, data)
 
     os.write = write
 
 
-@pytest.mark.parametrize("case", ["forked", "child-exits-1", "child-killed",
-                                  "child-killed-after-first-part", "part-unreadable",
-                                  "fork-fails"])
+#: how many blocks of ``_FORKING_QUEUE`` each case takes from the child
+_FROM_CHILD = {"child-exits-1": 0, "child-killed": 0, "child-formats-nothing": 0,
+               "child-killed-after-first-part": 1, "child-killed-mid-block": 1,
+               "part-unreadable": 0, "part-cut-short": 0, "fork-fails": 0}
+
+
+@pytest.mark.parametrize("case", ["forked", *_FROM_CHILD])
 def test_run_bytes_do_not_depend_on_who_formats(tmp_path, monkeypatch, serial_run_bytes, case):
-    """A run large enough to fork writes the serial run's bytes: with the
-    child's tails; and, formatting the tails itself, when the child exits 1,
-    dies by a signal (before any part, or after reporting the first),
-    reports parts that cannot be opened, or cannot be forked.  Either way no
-    child is left unreaped, and the output directory holds the four
-    artifacts alone.  The forked trajectory is also the per-value writer's
-    text."""
+    """A run large enough to fork writes the serial run's bytes, whoever
+    formats which block: the child and this process sharing the queue; and,
+    formatting what the child did not report, when the child exits 1, dies
+    by a signal (before any block, after reporting its first, or halfway
+    through writing its second, so that its part holds bytes past its last
+    report), formats nothing, or empties its part before its first report
+    and dies; when the part cannot be read; or when the fork fails.  This
+    process and the child never both format a block, and together they
+    format every one.  Either way no child is left unreaped, and the output
+    directory holds the four artifacts alone.  The forked trajectory is also
+    the per-value writer's text.  Where the child is made to end early, this
+    process waits for that before its summary, so that the child gets as far
+    as the case says however the two are scheduled."""
     out = tmp_path / "out"
     in_child = {"child-exits-1": _fail_formatting, "child-killed": _kill_self,
-                "child-killed-after-first-part": _kill_self_after_first_part,
-                "part-unreadable": partial(_remove_parts_before_reporting, out)}.get(case)
-    forks, ranges = _spy_writer(monkeypatch, in_child)
+                "child-formats-nothing": partial(os._exit, 0),
+                "child-killed-after-first-part": partial(_kill_self_at_write, 2, 1.0),
+                "child-killed-mid-block": partial(_kill_self_at_write, 3, 0.5),
+                "part-cut-short": partial(_kill_self_at_write, 2, 1.0, out)}.get(case)
+    spy = _spy_writer(monkeypatch, in_child)
+    if in_child is not None:
+        real_summary = runner._summary
+
+        def summary(*args):
+            _wait_for_child_exit(spy)
+            return real_summary(*args)
+
+        monkeypatch.setattr(runner, "_summary", summary)
+    if case == "part-unreadable":
+        def pread(*args):
+            raise OSError("part unreadable")
+
+        monkeypatch.setattr(os, "pread", pread)
     if case == "fork-fails":
         def fork():
             raise OSError("fork refused")
@@ -814,10 +916,11 @@ def test_run_bytes_do_not_depend_on_who_formats(tmp_path, monkeypatch, serial_ru
     sc = builtin_scenario("paper-unmatched").with_overrides(**_FORKING_RUN)
     arts = runner.run(sc, out)
     assert [p.read_bytes() for p in arts.paths()] == serial_run_bytes
-    assert len(forks) == (0 if case == "fork-fails" else 1)
-    tails = [r for r in ranges if r[1] > 0]
-    assert [r[0] for r in tails] == {"forked": [], "child-killed-after-first-part": [8]}.get(
-        case, [16, 8])
+    assert len(spy.forks) == (0 if case == "fork-fails" else 1)
+    here, child = _who_formatted(spy, _FORKING_QUEUE)
+    assert not here & child and here | child == set(range(len(_FORKING_QUEUE)))
+    if case != "forked":
+        assert len(child) == _FROM_CHILD[case]
     assert sorted(p.name for p in out.iterdir()) == _ARTIFACTS
     _assert_no_child_left()
     if case == "forked":
@@ -825,38 +928,46 @@ def test_run_bytes_do_not_depend_on_who_formats(tmp_path, monkeypatch, serial_ru
         _assert_same_text(arts.trajectory_csv.read_text(), _reference_csv(names, data))
 
 
-@pytest.mark.parametrize("failing", ["_atomic_write", "_summary"])
+@pytest.mark.parametrize("failing", ["_atomic_write", "_summary", "table-write"])
 def test_parent_failure_reaps_child_and_removes_parts(tmp_path, monkeypatch, failing):
-    """When this process raises while the child formats (in the summary) or
-    after it (writing a file), the child is reaped, killed first if it still
-    runs, and no part file is left."""
-    forks, _ = _spy_writer(monkeypatch)
+    """When this process raises while the child formats (in the summary, or
+    writing ``summary.json``) or after the blocks are claimed (writing
+    ``trajectory.csv``), the child is reaped, killed first if it still runs,
+    and no part file is left."""
+    spy = _spy_writer(monkeypatch)
+    real_write = runner._atomic_write
 
     def fail(*args):
+        if failing == "table-write" and args[0].name != "trajectory.csv":
+            return real_write(*args)
         raise OSError(f"{failing} failed")
 
-    monkeypatch.setattr(runner, failing, fail)
+    monkeypatch.setattr(runner, "_summary" if failing == "_summary" else "_atomic_write", fail)
     out = tmp_path / "out"
     sc = builtin_scenario("paper-unmatched").with_overrides(**_FORKING_RUN)
     with pytest.raises(OSError, match=failing):
         runner.run(sc, out)
-    assert len(forks) == 1
+    assert len(spy.forks) == 1
     _assert_no_child_left()
     assert list(out.glob("*.tmp")) == list(out.glob(".*.tmp")) == []
 
 
 def test_divergence_partial_goes_through_the_writer(tmp_path, monkeypatch):
     """The partial trajectory of a diverging run is written by the same
-    writer, here made to fork although the table is small."""
+    writer, here made to fork although the table is small, while this
+    process writes ``certification.json``."""
     monkeypatch.setattr(runner, "FORK_MIN_VALUES", 0)
-    forks, ranges = _spy_writer(monkeypatch)
+    spy = _spy_writer(monkeypatch)
     sc = scenario_from_json(_diverging_scenario_doc())
     out = tmp_path / "out"
     with pytest.raises(IntegrationDivergedError), np.errstate(over="ignore", invalid="ignore"):
         runner.run(sc, out)
-    assert len(forks) == 1 and all(r[1] == 0 for r in ranges)
+    assert len(spy.forks) == 1
     names, data = runner.read_csv(out / "trajectory.csv")
     assert data.shape[0] > 2
+    queue = _queue(data.shape)
+    here, child = _who_formatted(spy, queue)
+    assert not here & child and here | child == set(range(len(queue)))
     _assert_same_text((out / "trajectory.csv").read_text(), _reference_csv(names, data))
     assert sorted(p.name for p in out.iterdir()) == ["certification.json", "trajectory.csv"]
     _assert_no_child_left()

@@ -133,21 +133,41 @@ def _blas_calls(node) -> list:
     return found
 
 
+def _reached(start: list, functions: dict) -> dict:
+    """The functions that the nodes ``start`` reach by name, transitively:
+    a bare name of a ``runner`` function, or ``analysis.<name>``."""
+    reached, pending = {}, list(start)
+    while pending:
+        for sub in ast.walk(pending.pop()):
+            if isinstance(sub, ast.Name):
+                found = functions["runner.py"].get(sub.id)
+            elif (isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
+                  and sub.value.id == "analysis"):
+                found = functions["analysis.py"].get(sub.attr)
+            else:
+                continue
+            if found is not None and found.name not in reached:
+                reached[found.name] = found
+                pending.append(found)
+    return reached
+
+
 def test_one_fork_whose_child_only_formats_and_exits():
-    """``os.fork`` is called in one place, ``runner._fork_tails``.  Its child
-    branch (``if pid == 0``) ends in a ``try`` whose ``finally`` ends in
-    ``os._exit``, so the child never returns into the caller.  numpy's BLAS
-    threads do not exist in the child, so neither the branch nor the CSV
-    writer that its ``table.text`` reaches (``trajectory_csv_text``,
-    ``metrics_csv_text``, ``_csv_chunks``, ``analysis.row_blocks``) may
-    reach BLAS."""
+    """``os.fork`` is called in one place, ``runner._fork_formatter``.  Its
+    child branch (``if pid == 0``) ends in a ``try`` whose ``finally`` ends
+    in ``os._exit``, so the child never returns into the caller.  numpy's
+    BLAS threads do not exist in the child, so nothing the branch reaches
+    may reach BLAS: its claim loop (``_format_claims``, ``_claims``), and
+    the CSV writer that a table's ``text`` is (``trajectory_csv_text``,
+    ``metrics_csv_text``), with whatever they call in ``runner`` and
+    ``analysis``."""
     forks = [(module, node) for module, tree in TREES.items() for node in ast.walk(tree)
              if _is_call(node, "os", "fork")]
     assert [module for module, _ in forks] == ["runner.py"]
     functions = {module: {node.name: node for node in ast.walk(tree)
                           if isinstance(node, ast.FunctionDef)}
                  for module, tree in TREES.items()}
-    forking = functions["runner.py"]["_fork_tails"]
+    forking = functions["runner.py"]["_fork_formatter"]
     assign = next(node for node in ast.walk(forking)
                   if isinstance(node, ast.Assign) and node.value is forks[0][1])
     pid = assign.targets[0].id
@@ -156,7 +176,7 @@ def test_one_fork_whose_child_only_formats_and_exits():
     last = branch[-1]
     assert isinstance(last, ast.Try) and last.finalbody
     assert isinstance(last.finalbody[-1], ast.Expr) and _is_call(last.finalbody[-1].value, "os", "_exit")
-    reached = [*branch, *(functions["runner.py"][name] for name in
-                          ("trajectory_csv_text", "metrics_csv_text", "_csv_chunks")),
-               functions["analysis.py"]["row_blocks"]]
-    assert [found for node in reached for found in _blas_calls(node)] == []
+    reached = _reached([*branch, *(functions["runner.py"][name] for name in
+                                   ("trajectory_csv_text", "metrics_csv_text"))], functions)
+    assert {"_format_claims", "_claims", "_format", "_csv_chunks", "row_blocks"} <= set(reached)
+    assert [found for node in [*branch, *reached.values()] for found in _blas_calls(node)] == []
