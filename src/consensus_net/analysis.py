@@ -152,7 +152,9 @@ def lyapunov_W(errs: ErrorTriple, g: UnmatchedGains, P: np.ndarray) -> float:
     return float(_lyapunov_unmatched(errs.e_x, errs.e_y, errs.e_d, g, P))
 
 
-def _window_mask(times: np.ndarray, window) -> np.ndarray:
+def window_mask(times: np.ndarray, window) -> np.ndarray:
+    """Which of ``times`` lie in the closed ``window`` (lo, hi), which a fit
+    needs at least 4 of; raises SignalFitError otherwise."""
     lo, hi = float(window[0]), float(window[1])
     if not hi > lo:
         raise SignalFitError(f"window: expected (lo, hi) with hi > lo, got {window}")
@@ -167,7 +169,7 @@ def fit_exponential_decay(times: np.ndarray, values: np.ndarray, window) -> floa
     window.  The signal must not vanish or change sign inside the window."""
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
-    mask = _window_mask(times, window)
+    mask = window_mask(times, window)
     seg = values[mask]
     if np.any(seg == 0.0) or np.any(np.sign(seg) != np.sign(seg[0])):
         raise SignalFitError(
@@ -186,7 +188,7 @@ def fit_orbit(times: np.ndarray, values: np.ndarray, window) -> OrbitFit:
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
-    mask = _window_mask(times, window)
+    mask = window_mask(times, window)
     t = times[mask]
     sig = values[mask]
     centered = sig - sig.mean()

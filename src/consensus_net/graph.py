@@ -89,16 +89,6 @@ class DirectedGraph:
     def n_agents(self) -> int:
         return self.weights.shape[0]
 
-    @classmethod
-    def from_edges(cls, n: int, edges) -> "DirectedGraph":
-        """Build from ``(sender, receiver, weight)`` triples with 0-based ids."""
-        w = np.zeros((n, n))
-        for j, i, wij in edges:
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValidationError(f"edge ({j}->{i}): agent id out of range for n={n}")
-            w[i, j] = wij
-        return cls(w)
-
 
 @dataclass(frozen=True)
 class LaplacianData:

@@ -1,10 +1,10 @@
 """Scenario execution pipeline and artifact writing.
 
-A run checks the scenario's step grid, builds the Laplacian, solves the
-Lyapunov certificate, certifies the gain conditions (advisory: failures are
-recorded, not fatal), integrates the closed loop, post-processes the
-trajectory, and writes four artifacts into the output directory.  It runs
-the scenario as given; ``scenario.align_dt`` rewrites a grid beforehand.
+A run checks the scenario's step grid, builds the Laplacian, integrates the
+closed loop, solves the Lyapunov certificate, certifies the gain conditions
+(advisory: failures are recorded, not fatal), post-processes the trajectory,
+and writes four artifacts into the output directory.  It runs the scenario
+as given; ``scenario.align_dt`` rewrites a grid beforehand.
 
     trajectory.csv      t, x_1..x_n, y_1..y_n, dhat_1..dhat_n
     metrics.csv         t, ||e_x||, ||e_y||, ||e_d||, x_m, y_m, delta_m, lyap
@@ -22,14 +22,19 @@ about half of its n^2 entries repeat) and each run of zeros in a row as one
 string (on a tree, 98 % of P is exactly zero, and a CSR P stores the rest).
 
 The two CSV files are text from ``_csv_chunks``, whoever formats it, one
-block of rows (``analysis.row_blocks``) at a time.  When their tables hold
-more than ``FORK_MIN_VALUES`` values and two CPUs are free, ``_write_csvs``
-forks one child, and the child and this process share the blocks as a
-queue: each claims the next unclaimed block and formats it.  This process
-first computes the summary and writes both JSON files, then joins in, and
-writes each table from its own blocks and the child's.  If the child fails,
-this process formats the blocks that the child did not report.  The bytes
-do not depend on which process formatted which rows.
+block of rows (``analysis.row_blocks``) at a time.  The certificate and the
+simulation are independent consumers of the graph, so only the Laplacian
+and the integration run before the CSV writer starts.  When the two tables
+hold more than ``FORK_MIN_VALUES`` values and two CPUs are free,
+``_write_csvs`` forks one child as soon as the trajectory exists, and the
+child and this process share trajectory.csv's blocks as a queue: each
+claims the next unclaimed block and formats it.  This process first solves
+the certificate, certifies the gains, computes the metrics and the summary,
+writes both JSON files and formats all of metrics.csv (whose rows do not
+exist when the child is forked), then joins in, and writes trajectory.csv
+from its own blocks and the child's.  If the child fails, this process
+formats the blocks that the child did not report.  The bytes do not depend
+on which process formatted which rows.
 """
 
 from __future__ import annotations
@@ -55,7 +60,7 @@ from .gains import certify_matched, certify_unmatched, is_S_hurwitz
 from .graph import build_laplacian
 from .scenario import Scenario, scenario_to_json
 from .sim import SimParams, Trajectory, integrate
-from .spectral import solve_P
+from .spectral import require_spanning_tree, solve_P
 
 #: decay-rate fit window for the average-velocity signal
 DECAY_FIT_WINDOW = (0.5, 2.5)
@@ -257,33 +262,46 @@ def _format(block) -> list:
     return table.text(rows.start, rows.stop)
 
 
-def _write_csvs(tables: list, meanwhile=None) -> None:
-    """Write each ``_CsvTable`` atomically, and call ``meanwhile()`` (if
-    given) before any of their rows are formatted here.
+def _table_chunks(table: _CsvTable):
+    """The chunks of a whole table, each block formatted as it is asked for."""
+    span = analysis.row_blocks(table.n_rows, table.n_columns)
+    if not span:
+        yield from table.text(0, 0)  # the header alone
+    for rows in span:
+        yield from table.text(rows.start, rows.stop)
 
-    The rows of the tables are cut into the blocks of ``analysis.row_blocks``,
+
+def _write_csvs(tables: list, meanwhile=None, later_values: int = 0) -> None:
+    """Write each ``_CsvTable`` atomically, and call ``meanwhile()`` (if
+    given) before any of their rows are formatted here.  ``meanwhile`` may
+    return more tables, which this process formats and writes alone, block
+    after block as each is formatted; ``later_values`` is how many values
+    they hold, since their rows need not exist before ``meanwhile`` runs.
+
+    The rows of ``tables`` are cut into the blocks of ``analysis.row_blocks``,
     table after table, and each block is formatted by one call of its
-    table's ``text``.  When the tables hold more than ``FORK_MIN_VALUES``
-    values, ``os.fork`` exists and this process may run on two CPUs, one
-    forked child (``_fork_formatter``) starts on the blocks while this
-    process runs ``meanwhile``.  The two then share the blocks as a queue:
-    each claims the next unclaimed block, formats it and claims again, until
-    none is left.  So whichever process is free formats the next block, and
-    no split has to be guessed beforehand.  As soon as every block of a
-    table is claimed, this process writes it from its own blocks, the
-    child's reported bytes, and its own formatting of any block that the
-    child claimed but never reported (it failed first) or whose bytes cannot
-    be read back whole.  So the first table is written while the child
-    formats the second.  Without a child this process claims every block.
-    Either way ``text`` formats every block, so the bytes do not depend on
-    who ran it.  On every path the child is reaped (killed first) and the
-    part file removed.
+    table's ``text``.  When all the tables, ``meanwhile``'s included, hold
+    more than ``FORK_MIN_VALUES`` values, ``os.fork`` exists and this process
+    may run on two CPUs, one forked child (``_fork_formatter``) starts on the
+    blocks of ``tables`` while this process runs ``meanwhile`` and writes
+    the tables it returns.  The two then share the blocks as a queue: each
+    claims the next unclaimed block, formats it and claims again, until none
+    is left.  So whichever process is free formats the next block, and no
+    split has to be guessed beforehand.  As soon as every block of a table
+    is claimed, this process writes it from its own blocks, the child's
+    reported bytes, and its own formatting of any block that the child
+    claimed but never reported (it failed first) or whose bytes cannot be
+    read back whole.  So the first table is written while the child formats
+    the second.  Without a child this process claims every block.  Either
+    way ``text`` formats every block, so the bytes do not depend on who ran
+    it.  On every path the child is reaped (killed first) and the part file
+    removed.
     """
     spans = [analysis.row_blocks(t.n_rows, t.n_columns) for t in tables]
     blocks = [(table, rows) for table, span in zip(tables, spans) for rows in span]
     # table t holds blocks stops[t] - len(spans[t]) to stops[t]
     stops = list(itertools.accumulate(len(span) for span in spans))
-    fork = (sum(t.n_rows * t.n_columns for t in tables) > FORK_MIN_VALUES
+    fork = (sum(t.n_rows * t.n_columns for t in tables) + later_values > FORK_MIN_VALUES
             and hasattr(os, "fork") and _cpus() >= 2)
     mine = {}
 
@@ -300,8 +318,9 @@ def _write_csvs(tables: list, meanwhile=None) -> None:
 
     with contextlib.ExitStack() as cleanup:
         child = _fork_formatter(blocks, tables[0].path.parent, cleanup) if fork else None
-        if meanwhile is not None:
-            meanwhile()
+        alone = meanwhile() if meanwhile is not None else None
+        for table in alone or ():
+            _atomic_write(table.path, _table_chunks(table))
         written = 0
         for k in range(len(blocks)) if child is None else _claims(child.queue):
             mine[k] = _format(blocks[k])
@@ -382,9 +401,30 @@ def _reap(pid: int) -> None:
     os.waitpid(pid, 0)
 
 
+def _make_directory(directory: Path, cleanup: contextlib.ExitStack) -> None:
+    """Make ``directory`` with its missing parents, and let ``cleanup``
+    remove those it made, if they are still empty, when it exits on an
+    exception: a run that fails before it writes an artifact leaves no new
+    directory behind."""
+    made = [d for d in (directory, *directory.parents) if not d.exists()]
+    directory.mkdir(parents=True, exist_ok=True)
+
+    def remove(exc_type, exc, tb):
+        if exc_type is not None:
+            for d in made:  # the deepest first
+                with contextlib.suppress(OSError):
+                    d.rmdir()
+
+    cleanup.push(remove)
+
+
 def _fork_formatter(blocks: list, directory: Path, cleanup: contextlib.ExitStack):
     """Fork the one child that claims and formats ``blocks`` beside this
-    process, and return it as a ``_Formatter``; None when the fork fails.
+    process, and return it as a ``_Formatter``; None when the fork fails, or
+    when ``directory``, the queue, the part file or the pipe cannot be made
+    (an unwritable output directory, say).  Then this process formats every
+    block, and the fault, if it lasts, surfaces in its own writes, after
+    whatever ``_write_csvs``' ``meanwhile`` raises first.
 
     The queue (an unnamed file of every block number), the part file in
     ``directory`` (prefix ``.``, suffix ``.tmp``, like ``_atomic_write``'s)
@@ -394,14 +434,17 @@ def _fork_formatter(blocks: list, directory: Path, cleanup: contextlib.ExitStack
     ``os._exit``, so it never returns into the caller nor flushes the stdio
     buffers it inherited.  This process closes its copy of the pipe's write
     end, so that the child's exit ends the reports."""
-    directory.mkdir(parents=True, exist_ok=True)
-    queue = cleanup.enter_context(tempfile.TemporaryFile(dir=directory, buffering=0)).fileno()
-    _write_all(queue, b"".join(map(_Formatter.token.pack, range(len(blocks)))))
-    os.lseek(queue, 0, os.SEEK_SET)
-    part, path = tempfile.mkstemp(dir=directory, prefix=".csv-blocks.", suffix=".tmp")
-    cleanup.callback(os.close, part)
-    cleanup.callback(Path(path).unlink, missing_ok=True)
-    reports_r, reports_w = os.pipe()
+    try:
+        _make_directory(directory, cleanup)
+        queue = cleanup.enter_context(tempfile.TemporaryFile(dir=directory, buffering=0)).fileno()
+        _write_all(queue, b"".join(map(_Formatter.token.pack, range(len(blocks)))))
+        os.lseek(queue, 0, os.SEEK_SET)
+        part, path = tempfile.mkstemp(dir=directory, prefix=".csv-blocks.", suffix=".tmp")
+        cleanup.callback(os.close, part)
+        cleanup.callback(Path(path).unlink, missing_ok=True)
+        reports_r, reports_w = os.pipe()
+    except OSError:
+        return None
     reports = cleanup.enter_context(os.fdopen(reports_r, "rb"))
     try:
         try:
@@ -470,14 +513,21 @@ def _summary(sc: Scenario, traj: Trajectory, metrics: dict, lap, cert, report) -
         except SignalFitError as exc:
             results["decay_fit"] = {"window": list(DECAY_FIT_WINDOW), "error": str(exc)}
         window = _orbit_window(sc)
-        fits = []
-        for i in range(traj.n_agents):
-            try:
-                fit = analysis.fit_orbit(traj.times, traj.x[:, i], window)
-                fits.append({"agent": i + 1, **fit.to_json()})
-            except NoOrbitError as exc:
-                fits.append({"agent": i + 1, "error": str(exc)})
-        results["orbit_fits"] = {"window": list(window), "series": "x", "fits": fits}
+        results["orbit_fits"] = {"window": list(window), "series": "x"}
+        try:
+            # every agent's fit shares the window, whose samples may be too few
+            analysis.window_mask(traj.times, window)
+        except SignalFitError as exc:
+            results["orbit_fits"]["error"] = str(exc)
+        else:
+            fits = []
+            for i in range(traj.n_agents):
+                try:
+                    fit = analysis.fit_orbit(traj.times, traj.x[:, i], window)
+                    fits.append({"agent": i + 1, **fit.to_json()})
+                except NoOrbitError as exc:
+                    fits.append({"agent": i + 1, "error": str(exc)})
+            results["orbit_fits"]["fits"] = fits
         start = max([s for s in sc.disturbance.switch_times if s < sc.t_final], default=0.0)
         windows = analysis.sync_deviation_windows(traj, lap.v_left, g, sc.disturbance,
                                                   window_len=SYNC_WINDOW_LEN, start=start)
@@ -491,73 +541,97 @@ def _summary(sc: Scenario, traj: Trajectory, metrics: dict, lap, cert, report) -
     }
 
 
+def _solve_P(sc: Scenario, lap):
+    return solve_P(lap, Q=np.full(sc.n_agents, sc.q_scale), alpha=sc.alpha)
+
+
+def _certify(sc: Scenario, cert):
+    return (certify_matched if sc.mode == "matched" else certify_unmatched)(sc.gains, cert)
+
+
+def _closed_loop(sc: Scenario, lap):
+    return (MatchedLoop if sc.mode == "matched" else UnmatchedLoop)(sc.gains, lap, sc.disturbance)
+
+
 def certificate(sc: Scenario):
     """The Laplacian and Lyapunov certificate of a scenario's graph, as
     ``(lap, cert)``."""
     lap = build_laplacian(sc.graph)
-    return lap, solve_P(lap, Q=np.full(sc.n_agents, sc.q_scale), alpha=sc.alpha)
+    return lap, _solve_P(sc, lap)
 
 
 def prepare(sc: Scenario):
     """The Laplacian, certificate, certification report and closed loop of a
     scenario, as ``(lap, cert, report, loop)``."""
     lap, cert = certificate(sc)
-    if sc.mode == "matched":
-        report = certify_matched(sc.gains, cert)
-        loop = MatchedLoop(sc.gains, lap, sc.disturbance)
-    else:
-        report = certify_unmatched(sc.gains, cert)
-        loop = UnmatchedLoop(sc.gains, lap, sc.disturbance)
-    return lap, cert, report, loop
+    return lap, cert, _certify(sc, cert), _closed_loop(sc, lap)
 
 
 def run(sc: Scenario, out_dir) -> RunArtifacts:
     """Execute a scenario and write all four artifacts into ``out_dir``.
 
-    The grid is checked before the set-up.  Certification failures do not
-    stop the run (the report records them).  Numerical divergence writes the
-    partial trajectory and certification artifacts, then re-raises
-    IntegrationDivergedError.  The summary and both JSON files are written
-    (on divergence, ``certification.json``) while ``_write_csvs``' child, if
-    it forks one, starts on the CSV blocks.
+    The grid is checked and the Laplacian built first, and a graph without
+    a spanning tree is rejected before integrating.  Then the closed loop is
+    integrated, and ``_write_csvs`` forks its child, if it forks one, as
+    soon as the trajectory exists.  While the child starts on
+    trajectory.csv's blocks, this process solves the certificate, certifies
+    the gains (failures do not stop the run: the report records them),
+    computes the metrics and the summary, writes both JSON files and then
+    formats metrics.csv alone.
+
+    The certificate's errors win, as if it came first: when building the
+    closed loop or integrating raises, the certificate is solved before the
+    error is handled, and its own error, if any, is raised instead.  A
+    certificate that fails after the fork leaves no artifact and no new
+    directory.  Numerical divergence writes the partial trajectory and
+    certification artifacts, then re-raises IntegrationDivergedError.
     """
     out = Path(out_dir)
     params = SimParams(t_final=sc.t_final, dt=sc.dt, sample_every=sc.sample_every)
-    lap, cert, report, loop = prepare(sc)
+    lap = build_laplacian(sc.graph)
+    require_spanning_tree(lap)
     arts = RunArtifacts(
         trajectory_csv=out / "trajectory.csv",
         metrics_csv=out / "metrics.csv",
         summary_json=out / "summary.json",
         certification_json=out / "certification.json",
     )
-    cert_doc = {
-        "report": report.to_json(),
-        "certificate": {**cert.scalars_json(), "P": cert.P},
-        "scenario": sc.name,
-        "mode": sc.mode,
-    }
     z0 = np.concatenate([sc.x0, sc.y0, sc.delta_hat0])
 
-    def write_certification():
-        _atomic_write(arts.certification_json, certification_json_text(cert_doc))
+    def certified():
+        cert = _solve_P(sc, lap)
+        return cert, _certify(sc, cert)
+
+    def write_certification(cert, report):
+        _atomic_write(arts.certification_json, certification_json_text({
+            "report": report.to_json(),
+            "certificate": {**cert.scalars_json(), "P": cert.P},
+            "scenario": sc.name,
+            "mode": sc.mode,
+        }))
 
     try:
-        traj = integrate(loop, z0, params)
-    except IntegrationDivergedError as exc:
-        if exc.partial is None:
-            write_certification()
-        else:
-            _write_csvs([_trajectory_table(arts.trajectory_csv, exc.partial)], write_certification)
+        traj = integrate(_closed_loop(sc, lap), z0, params)
+    except Exception as exc:
+        cert, report = certified()
+        if isinstance(exc, IntegrationDivergedError):
+            if exc.partial is None:
+                write_certification(cert, report)
+            else:
+                _write_csvs([_trajectory_table(arts.trajectory_csv, exc.partial)],
+                            partial(write_certification, cert, report))
         raise
-    metrics = analysis.trajectory_metrics(traj, lap.v_left, sc.gains, sc.disturbance, cert.P)
 
-    def write_json():
+    def certify_and_write_json():
+        cert, report = certified()
+        metrics = analysis.trajectory_metrics(traj, lap.v_left, sc.gains, sc.disturbance, cert.P)
         _atomic_write(arts.summary_json, _json_chunks(_summary(sc, traj, metrics, lap, cert, report)))
-        write_certification()
+        write_certification(cert, report)
+        return [_CsvTable(arts.metrics_csv, partial(metrics_csv_text, metrics),
+                          metrics["t"].shape[0], len(METRIC_COLUMNS))]
 
-    _write_csvs([_trajectory_table(arts.trajectory_csv, traj),
-                 _CsvTable(arts.metrics_csv, partial(metrics_csv_text, metrics),
-                           metrics["t"].shape[0], len(METRIC_COLUMNS))], write_json)
+    _write_csvs([_trajectory_table(arts.trajectory_csv, traj)], certify_and_write_json,
+                later_values=traj.times.shape[0] * len(METRIC_COLUMNS))
     return arts
 
 

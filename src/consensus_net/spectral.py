@@ -135,6 +135,13 @@ class LyapunovCertificate:
         }
 
 
+def require_spanning_tree(lap: LaplacianData) -> None:
+    """Raise ValidationError unless the graph has a directed spanning tree,
+    which every certificate needs (``solve_P``'s first check)."""
+    if not lap.has_spanning_tree:
+        raise ValidationError("solve_P: graph has no directed spanning tree")
+
+
 def solve_P(lap: LaplacianData, Q: np.ndarray | None = None, alpha: float = 1.0) -> LyapunovCertificate:
     """Solve the graph Lyapunov equation and certify the solution.
 
@@ -145,8 +152,7 @@ def solve_P(lap: LaplacianData, Q: np.ndarray | None = None, alpha: float = 1.0)
     shifted matrix is numerically degenerate (an eigenvalue with real part
     below 1e-9, meaning alpha is too small relative to rounding).
     """
-    if not lap.has_spanning_tree:
-        raise ValidationError("solve_P: graph has no directed spanning tree")
+    require_spanning_tree(lap)
     if alpha <= 0:
         raise ValidationError(f"alpha: must be > 0, got {alpha}")
     L = lap.L

@@ -1,11 +1,14 @@
 """Scenario documents, the run pipeline, and the command-line interface."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import signal
 import subprocess
 import sys
+import tempfile
 from functools import partial
 from pathlib import Path
 from typing import NamedTuple
@@ -13,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 import scipy.sparse
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from consensus_net import analysis, cli, runner, sparsity, spectral
@@ -27,6 +30,7 @@ from consensus_net.errors import (
 from consensus_net.gains import certify_matched
 from consensus_net.graph import DirectedGraph, build_laplacian, graph_to_json
 from consensus_net.scenario import (
+    BUILTIN_NAMES,
     aligned_dt,
     builtin_scenario,
     load_scenario,
@@ -357,6 +361,102 @@ def test_cli_divergence_exit_code(tmp_path, capsys):
     _, data = runner.read_csv(out / "trajectory.csv")
     assert np.isfinite(data).all()
     assert data.shape[0] >= 1
+
+
+@pytest.mark.parametrize("t_final, sample_every", [
+    (0.01, 10), (0.02, 10), (0.05, 10), (1.0, 1000), (0.3, 50)])
+def test_unmatched_orbit_window_with_too_few_samples(tmp_path, t_final, sample_every):
+    """An orbit window of fewer than 4 samples, from a short horizon or a
+    coarse sampling, is recorded in ``orbit_fits`` as its error, as
+    ``decay_fit`` records its own: the run exits 0 with its four artifacts."""
+    doc = scenario_to_json(builtin_scenario("paper-unmatched"))
+    doc["sim"].update(t_final=t_final, sample_every=sample_every)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert cli.main(["simulate", str(path), "--out", str(out)]) == cli.EXIT_OK
+    assert sorted(p.name for p in out.iterdir()) == _ARTIFACTS
+    fits = json.loads((out / "summary.json").read_text())["results"]["orbit_fits"]
+    assert "fewer than 4 samples" in fits["error"] and "fits" not in fits
+    assert fits["window"] == list(runner._orbit_window(scenario_from_json(doc)))
+
+
+@pytest.mark.parametrize("nu", [3.0, 1e308])
+def test_no_spanning_tree_rejected_before_integrating(tmp_path, capsys, monkeypatch, nu):
+    """A graph without a spanning tree is invalid input, whatever else the
+    document holds (here also a gain whose coefficient blocks overflow).
+    Nothing is integrated and no directory is made."""
+    doc = scenario_to_json(builtin_scenario("paper-unmatched"))
+    doc["graph"]["edges"] = []
+    doc["gains"]["nu"] = nu
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    integrated = []
+    monkeypatch.setattr(runner, "integrate", lambda *args: integrated.append(args))
+    rc = cli.main(["simulate", str(path), "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_VALIDATION and integrated == []
+    assert capsys.readouterr().err == "error: solve_P: graph has no directed spanning tree\n"
+    assert not (tmp_path / "out").exists()
+
+
+#: a gain, disturbance entry or edge weight at an edge of its range
+_EXTREMES = st.sampled_from([0.0, -1.0, 1e-300, 1e308])
+
+
+def _graph_edit(draw, edges: list, n: int) -> None:
+    edit = draw(st.sampled_from(["self-loop", "no-root", "id-out-of-range", "duplicate"]))
+    if edit == "self-loop":
+        agent = draw(st.integers(1, n))
+        edges.append({"from": agent, "to": agent, "w": 1.0})
+    elif edit == "no-root":  # every edge of the builtin tree is needed
+        edges.pop(draw(st.integers(0, len(edges) - 1)))
+    elif edit == "id-out-of-range":
+        edges.append({"from": draw(st.sampled_from([0, n + 1])), "to": 1, "w": 1.0})
+    elif edit == "duplicate":
+        edges.append({**draw(st.sampled_from(edges)), "w": draw(_EXTREMES | st.just(2.0))})
+
+
+@st.composite
+def _scenario_documents(draw):
+    """A builtin's document, either mode, over 1 to 3,000 steps of 1 ms,
+    sampled every k steps (k a divisor of the step count or anything up to
+    past it), with up to two gains at an extreme, and perhaps one
+    disturbance entry at an extreme and one graph edit.  Its tables stay
+    below the fork threshold."""
+    doc = scenario_to_json(builtin_scenario(draw(st.sampled_from(BUILTIN_NAMES))))
+    steps = draw(st.integers(1, 3000))
+    divisors = [k for k in range(1, steps + 1) if steps % k == 0]
+    doc["sim"].update(t_final=steps * doc["sim"]["dt"], sample_every=draw(
+        st.sampled_from(divisors) | st.integers(1, 2 * steps + 1)))
+    for name in draw(st.lists(st.sampled_from(sorted(doc["gains"])), max_size=2, unique=True)):
+        doc["gains"][name] = draw(_EXTREMES)
+    if draw(st.booleans()):
+        segment = draw(st.sampled_from(doc["disturbance"]["segments"]))
+        segment["base"][draw(st.integers(0, doc["graph"]["n"] - 1))] = draw(_EXTREMES)
+    if draw(st.booleans()):
+        _graph_edit(draw, doc["graph"]["edges"], doc["graph"]["n"])
+    return doc
+
+
+@given(doc=_scenario_documents())
+@settings(max_examples=100, deadline=None)
+def test_generated_scenarios_end_in_a_documented_exit_code(doc):
+    """Every generated document, run by ``simulate`` in this process, ends in
+    exit code 0, 2, 3 or 4, never in an exception: 0 with the four
+    artifacts, 2 with exactly one ``error:`` line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        path.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main(["simulate", str(path), "--out", str(Path(tmp) / "out")])
+        event(f"exit {rc}")
+        assert rc in (cli.EXIT_OK, cli.EXIT_VALIDATION, cli.EXIT_DIVERGED, cli.EXIT_IO)
+        if rc == cli.EXIT_OK:
+            assert sorted(p.name for p in (Path(tmp) / "out").iterdir()) == _ARTIFACTS
+        if rc == cli.EXIT_VALIDATION:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
 def test_cli_align_dt(tmp_path):
@@ -928,28 +1028,87 @@ def test_run_bytes_do_not_depend_on_who_formats(tmp_path, monkeypatch, serial_ru
         _assert_same_text(arts.trajectory_csv.read_text(), _reference_csv(names, data))
 
 
-@pytest.mark.parametrize("failing", ["_atomic_write", "_summary", "table-write"])
+@pytest.mark.parametrize("failing", ["_atomic_write", "_summary", "table-write", "solve_P"])
 def test_parent_failure_reaps_child_and_removes_parts(tmp_path, monkeypatch, failing):
-    """When this process raises while the child formats (in the summary, or
-    writing ``summary.json``) or after the blocks are claimed (writing
-    ``trajectory.csv``), the child is reaped, killed first if it still runs,
-    and no part file is left."""
+    """When this process raises while the child formats (solving the
+    certificate, in the summary, or writing ``summary.json``) or after the
+    blocks are claimed (writing ``trajectory.csv``), the child is reaped,
+    killed first if it still runs, and no part file is left.  A certificate
+    that fails after the fork leaves no artifact and no output directory,
+    as it did when it was solved before the integration; here the fork
+    threshold is 0, so a short run forks too."""
     spy = _spy_writer(monkeypatch)
     real_write = runner._atomic_write
 
-    def fail(*args):
+    def fail(*args, **kwargs):
         if failing == "table-write" and args[0].name != "trajectory.csv":
             return real_write(*args)
         raise OSError(f"{failing} failed")
 
-    monkeypatch.setattr(runner, "_summary" if failing == "_summary" else "_atomic_write", fail)
+    monkeypatch.setattr(runner, "_atomic_write" if failing in ("_atomic_write", "table-write")
+                        else failing, fail)
+    overrides = _FORKING_RUN
+    if failing == "solve_P":
+        monkeypatch.setattr(runner, "FORK_MIN_VALUES", 0)
+        overrides = dict(t_final=1.0)
     out = tmp_path / "out"
-    sc = builtin_scenario("paper-unmatched").with_overrides(**_FORKING_RUN)
+    sc = builtin_scenario("paper-unmatched").with_overrides(**overrides)
     with pytest.raises(OSError, match=failing):
         runner.run(sc, out)
     assert len(spy.forks) == 1
     _assert_no_child_left()
     assert list(out.glob("*.tmp")) == list(out.glob(".*.tmp")) == []
+    if failing == "solve_P":
+        assert not out.exists()
+
+
+def test_unwritable_output_directory_keeps_the_certificate_error(tmp_path, monkeypatch):
+    """The child's queue and part file cannot be made where the output
+    directory cannot be: no child is forked, and the certificate's error,
+    not the directory's, is what the run raises (exit 2, not 4).  With a
+    sound certificate the directory's error follows, from the first
+    write."""
+    monkeypatch.setattr(runner, "FORK_MIN_VALUES", 0)
+    spy = _spy_writer(monkeypatch)
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "out"
+    sc = builtin_scenario("paper-unmatched").with_overrides(t_final=1.0)
+    with pytest.raises(OSError):
+        runner.run(sc, out)
+
+    def fail(*args, **kwargs):
+        raise DegenerateSpectrumError("certificate failed")
+
+    monkeypatch.setattr(runner, "solve_P", fail)
+    with pytest.raises(DegenerateSpectrumError, match="certificate failed"):
+        runner.run(sc, out)
+    assert spy.forks == []
+
+
+def test_child_formats_trajectory_blocks_only(tmp_path, monkeypatch, serial_run_bytes):
+    """The child is forked before metrics.csv's rows exist, so its queue
+    holds trajectory.csv's blocks alone.  This process formats every block
+    of metrics.csv exactly once, in order, before it claims any block of
+    trajectory.csv; the bytes are the serial run's."""
+    spy = _spy_writer(monkeypatch)
+    queued = []
+    real_fork_formatter = runner._fork_formatter
+
+    def fork_formatter(blocks, *args):
+        queued.extend(table.path.name for table, _ in blocks)
+        return real_fork_formatter(blocks, *args)
+
+    monkeypatch.setattr(runner, "_fork_formatter", fork_formatter)
+    sc = builtin_scenario("paper-unmatched").with_overrides(**_FORKING_RUN)
+    arts = runner.run(sc, tmp_path / "out")
+    assert [p.read_bytes() for p in arts.paths()] == serial_run_bytes
+    trajectory_blocks = _queue((5001, 16))
+    assert queued == ["trajectory.csv"] * len(trajectory_blocks) and len(spy.forks) == 1
+    metrics_ranges = [r for r in spy.ranges if r[0] == len(runner.METRIC_COLUMNS)]
+    assert metrics_ranges == _queue((5001, len(runner.METRIC_COLUMNS)))
+    assert spy.ranges[:len(metrics_ranges)] == metrics_ranges
+    assert set(spy.from_child) <= set(range(len(trajectory_blocks)))
+    _assert_no_child_left()
 
 
 def test_divergence_partial_goes_through_the_writer(tmp_path, monkeypatch):
