@@ -224,7 +224,7 @@ def certify_matched(g: MatchedGains, cert: LyapunovCertificate) -> Certification
         "epsilon_substitution", "epsilon = rho/gamma2", g.epsilon, g.rho / g.gamma2))
     checks.append(_equality_check("rho_substitution", "rho = gamma2", g.rho, g.gamma2))
     gamma2_bound = (lam_P + 2.0 * g.gamma3 * (g.mu + g.b)) / (2.0 * g.mu + g.b) \
-        + 0.5 * g.gamma1 * (2.0 * g.mu + g.b) * lam_L ** 2
+        + 0.5 * g.gamma1 * (2.0 * g.mu + g.b) * (lam_L * lam_L)
     checks.append(_bound_check(
         "gamma2_bound",
         "gamma2 > (lambda_P + 2*gamma3*(mu+b))/(2*mu+b) + gamma1*(2*mu+b)*lambda_L^2/2",
@@ -299,7 +299,7 @@ def suggest_matched(gamma1: float, gamma3: float, mu: float, b: float,
         raise InfeasibleGainError(
             f"b = {b} is below the minimal admissible value {b_min}", minimal_value=b_min)
     gamma2_bound = (cert.lambda_P + 2.0 * gamma3 * (mu + b)) / (2.0 * mu + b) \
-        + 0.5 * gamma1 * (2.0 * mu + b) * cert.lambda_L ** 2
+        + 0.5 * gamma1 * (2.0 * mu + b) * (cert.lambda_L * cert.lambda_L)
     gamma2 = 1.05 * gamma2_bound
     for _ in range(200):
         gains = MatchedGains.with_substitutions(gamma1, gamma2, gamma3, mu=mu, b=b)
@@ -344,7 +344,7 @@ def certify_unmatched(g: UnmatchedGains, cert: LyapunovCertificate) -> Certifica
         "nu_substitution", "nu = alpha1/k_d", g.nu, g.alpha1 / g.k_d))
     checks.append(_equality_check(
         "alpha1_substitution", "alpha1 = k_d", g.alpha1, g.k_d))
-    kd_bound = 0.5 * g.alpha2 * g.k_x * cert.lambda_L ** 2 + cert.lambda_P / g.alpha2
+    kd_bound = 0.5 * g.alpha2 * g.k_x * (cert.lambda_L * cert.lambda_L) + cert.lambda_P / g.alpha2
     checks.append(_bound_check(
         "k_d_bound", "k_d > alpha2*k_x*lambda_L^2/2 + lambda_P/alpha2",
         g.k_d, kd_bound))

@@ -24,23 +24,23 @@ string (on a tree, 98 % of P is exactly zero, and a CSR P stores the rest).
 The two CSV files are text from ``_csv_chunks``, whoever formats it, one
 block of rows (``analysis.row_blocks``) at a time.  The certificate and the
 simulation are independent consumers of the graph, so only the Laplacian
-and the integration run before the CSV writer starts.  When the two tables
-hold more than ``FORK_MIN_VALUES`` values and two CPUs are free,
-``_write_csvs`` forks one child as soon as the trajectory exists, and the
-child and this process share trajectory.csv's blocks as a queue: each
-claims the next unclaimed block and formats it.  This process first solves
-the certificate, certifies the gains, computes the metrics and the summary,
-writes both JSON files and formats all of metrics.csv (whose rows do not
-exist when the child is forked), then joins in, and writes trajectory.csv
-from its own blocks and the child's.  If the child fails, this process
-formats the blocks that the child did not report.  The bytes do not depend
-on which process formatted which rows.
+and the integration run before the CSV writer starts.  ``_write_csv``
+writes trajectory.csv.  When the two tables hold more than
+``FORK_MIN_VALUES`` values and two CPUs are free, it forks one child as
+soon as the trajectory exists, and the queue that the child and this
+process share holds trajectory.csv's blocks alone: each claims the next
+unclaimed block and formats it.  Meanwhile this process solves the
+certificate, certifies the gains, computes the metrics and the summary,
+writes both JSON files and writes all of metrics.csv (whose rows do not
+exist when the child is forked) itself, then joins in, and writes
+trajectory.csv from its own blocks and the child's.  If the child fails,
+this process formats the blocks that the child did not report.  The bytes
+do not depend on which process formatted which rows.
 """
 
 from __future__ import annotations
 
 import contextlib
-import itertools
 import json
 import os
 import signal
@@ -49,7 +49,6 @@ import tempfile
 from dataclasses import dataclass
 from functools import cache, partial
 from pathlib import Path
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -208,7 +207,7 @@ def _csv_chunks(header, columns: list, start: int = 0, stop: int | None = None) 
     """CSV text of rows ``start:stop`` as a list of chunks: the header line
     when ``start`` is 0, then one chunk per block of rows.  ``columns`` holds
     1-D and 2-D arrays with one row per CSV line; every value is written with
-    17 significant digits.  Runs in ``_write_csvs``' child too, so it calls
+    17 significant digits.  Runs in ``_write_csv``'s child too, so it calls
     no BLAS: ``np.column_stack``, ``tolist`` and ``%`` only."""
     columns = [c[start:stop] for c in columns]
     chunks = [",".join(header) + "\n"] if start == 0 else []
@@ -222,7 +221,7 @@ def _csv_chunks(header, columns: list, start: int = 0, stop: int | None = None) 
 @cache
 def _trajectory_header(n: int) -> tuple:
     """trajectory.csv's column names for ``n`` agents, spelled once per ``n``
-    although ``_write_csvs`` asks for the text one block of rows at a time."""
+    although ``_write_csv`` asks for the text one block of rows at a time."""
     return ("t", *(f"{s}_{i + 1}" for s in ("x", "y", "dhat") for i in range(n)))
 
 
@@ -234,21 +233,6 @@ def metrics_csv_text(metrics: dict, start: int = 0, stop: int | None = None) -> 
     return _csv_chunks(METRIC_COLUMNS, [metrics[c] for c in METRIC_COLUMNS], start, stop)
 
 
-class _CsvTable(NamedTuple):
-    """A CSV artifact to write: ``text(start, stop)`` gives the chunks of rows
-    ``start:stop``, the header with row 0, of a table of ``n_rows`` rows of
-    ``n_columns`` values."""
-    path: Path
-    text: Callable
-    n_rows: int
-    n_columns: int
-
-
-def _trajectory_table(path: Path, traj: Trajectory) -> _CsvTable:
-    return _CsvTable(path, partial(trajectory_csv_text, traj), traj.times.shape[0],
-                    1 + traj.states.shape[1])
-
-
 def _cpus() -> int:
     """The number of CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -256,79 +240,53 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _format(block) -> list:
-    """The text of one ``(table, rows)`` block, whichever process asks."""
-    table, rows = block
-    return table.text(rows.start, rows.stop)
-
-
-def _table_chunks(table: _CsvTable):
-    """The chunks of a whole table, each block formatted as it is asked for."""
-    span = analysis.row_blocks(table.n_rows, table.n_columns)
+def _table_chunks(text, span, block=None):
+    """The chunks of the table whose rows ``text(start, stop)`` formats, cut
+    into the blocks of ``span``: the header alone when it has no rows, else
+    each block's chunks in order, ``block(k)``'s for block k or, by default,
+    ``text``'s, formatted here as each is asked for."""
     if not span:
-        yield from table.text(0, 0)  # the header alone
-    for rows in span:
-        yield from table.text(rows.start, rows.stop)
+        yield from text(0, 0)  # the header alone
+    for k, rows in enumerate(span):
+        yield from (text(rows.start, rows.stop) if block is None else block(k))
 
 
-def _write_csvs(tables: list, meanwhile=None, later_values: int = 0) -> None:
-    """Write each ``_CsvTable`` atomically, and call ``meanwhile()`` (if
-    given) before any of their rows are formatted here.  ``meanwhile`` may
-    return more tables, which this process formats and writes alone, block
-    after block as each is formatted; ``later_values`` is how many values
-    they hold, since their rows need not exist before ``meanwhile`` runs.
+def _write_csv(path: Path, text, span: list, values: int, meanwhile) -> None:
+    """Write the table whose rows ``text(start, stop)`` formats, cut into the
+    blocks of ``span`` (``analysis.row_blocks``), atomically to ``path``, and
+    call ``meanwhile()`` before any of its rows are formatted here.
 
-    The rows of ``tables`` are cut into the blocks of ``analysis.row_blocks``,
-    table after table, and each block is formatted by one call of its
-    table's ``text``.  When all the tables, ``meanwhile``'s included, hold
-    more than ``FORK_MIN_VALUES`` values, ``os.fork`` exists and this process
-    may run on two CPUs, one forked child (``_fork_formatter``) starts on the
-    blocks of ``tables`` while this process runs ``meanwhile`` and writes
-    the tables it returns.  The two then share the blocks as a queue: each
-    claims the next unclaimed block, formats it and claims again, until none
-    is left.  So whichever process is free formats the next block, and no
-    split has to be guessed beforehand.  As soon as every block of a table
-    is claimed, this process writes it from its own blocks, the child's
-    reported bytes, and its own formatting of any block that the child
-    claimed but never reported (it failed first) or whose bytes cannot be
-    read back whole.  So the first table is written while the child formats
-    the second.  Without a child this process claims every block.  Either
-    way ``text`` formats every block, so the bytes do not depend on who ran
-    it.  On every path the child is reaped (killed first) and the part file
-    removed.
+    When ``values`` (the table's values and those ``meanwhile`` writes)
+    exceeds ``FORK_MIN_VALUES``, ``os.fork`` exists and this process may run
+    on two CPUs, one forked child (``_fork_formatter``) starts on the blocks
+    while this process runs ``meanwhile``.  The two then share the blocks as
+    a queue: each claims the next unclaimed block, formats it and claims
+    again, until none is left.  So whichever process is free formats the
+    next block, and no split has to be guessed beforehand.  This process
+    then writes the table from its own blocks, the child's reported bytes,
+    and its own formatting of any block that the child claimed but never
+    reported (it failed first) or whose bytes cannot be read back whole.
+    Without a child this process formats every block, each as the write
+    asks for it.  Either way ``text`` formats every block, so the bytes do
+    not depend on who ran it.  On every path the child is reaped (killed
+    first) and the part file removed.
     """
-    spans = [analysis.row_blocks(t.n_rows, t.n_columns) for t in tables]
-    blocks = [(table, rows) for table, span in zip(tables, spans) for rows in span]
-    # table t holds blocks stops[t] - len(spans[t]) to stops[t]
-    stops = list(itertools.accumulate(len(span) for span in spans))
-    fork = (sum(t.n_rows * t.n_columns for t in tables) + later_values > FORK_MIN_VALUES
-            and hasattr(os, "fork") and _cpus() >= 2)
-    mine = {}
-
-    def table_text(t):
-        if not spans[t]:
-            yield from tables[t].text(0, 0)  # the header alone
-        for k in range(stops[t] - len(spans[t]), stops[t]):
-            if k in mine:
-                yield from mine.pop(k)
-            elif (data := child.bytes_of(k)) is not None:
-                yield data
-            else:
-                yield from _format(blocks[k])
-
+    fork = values > FORK_MIN_VALUES and hasattr(os, "fork") and _cpus() >= 2
     with contextlib.ExitStack() as cleanup:
-        child = _fork_formatter(blocks, tables[0].path.parent, cleanup) if fork else None
-        alone = meanwhile() if meanwhile is not None else None
-        for table in alone or ():
-            _atomic_write(table.path, _table_chunks(table))
-        written = 0
-        for k in range(len(blocks)) if child is None else _claims(child.queue):
-            mine[k] = _format(blocks[k])
-            while stops[written] <= k:  # every block of table `written` is claimed
-                _atomic_write(tables[written].path, table_text(written))
-                written += 1
-        for t in range(written, len(tables)):
-            _atomic_write(tables[t].path, table_text(t))
+        child = _fork_formatter(text, span, path.parent, cleanup) if fork else None
+        meanwhile()
+        if child is None:
+            _atomic_write(path, _table_chunks(text, span))
+            return
+        mine = {k: text(span[k].start, span[k].stop) for k in _claims(child.queue)}
+
+        def block(k):
+            if k in mine:
+                return mine.pop(k)
+            data = child.bytes_of(k)
+            return text(span[k].start, span[k].stop) if data is None else [data]
+
+        _atomic_write(path, _table_chunks(text, span, block))
 
 
 class _Formatter:
@@ -344,20 +302,20 @@ class _Formatter:
 
     def __init__(self, queue: int, part: int, reports):
         self.queue, self.part, self.reports = queue, part, reports
-        self.reported: dict = {}
 
     def bytes_of(self, k: int):
-        """The child's bytes of block ``k``, waiting for its report if need
-        be: only a block the child claimed is asked for.  None when the
-        child ended without reporting ``k``, or the reported bytes cannot be
-        read back whole."""
-        while k not in self.reported:
-            record = self.reports.read(self.report.size)
-            if len(record) < self.report.size:
-                return None  # every copy of the write end is closed
-            block, offset, length = self.report.unpack(record)
-            self.reported[block] = (offset, length)
-        offset, length = self.reported.pop(k)
+        """The child's bytes of block ``k``, from its next report, waited for
+        if need be.  Only the blocks the child claimed are asked for, in the
+        increasing order in which it claimed, formatted and reported them,
+        so the next report names ``k`` unless the child ended first.  None
+        when no report, or one naming another block, comes, or when the
+        reported bytes cannot be read back whole."""
+        record = self.reports.read(self.report.size)
+        if len(record) < self.report.size:
+            return None  # every copy of the write end is closed
+        block, offset, length = self.report.unpack(record)
+        if block != k:
+            return None
         try:
             data = os.pread(self.part, length, offset)
         except OSError:
@@ -382,14 +340,15 @@ def _write_all(fd: int, data: bytes) -> None:
         view = view[os.write(fd, view):]
 
 
-def _format_claims(blocks: list, queue: int, part: int, reports: int) -> None:
-    """In the forked child: format each block claimed from ``queue`` into
-    the file ``part``, then report its number, offset and length on the
-    pipe ``reports``.  A report follows its bytes, so this process uses no
-    byte that the child wrote after its last report."""
+def _format_claims(text, span: list, queue: int, part: int, reports: int) -> None:
+    """In the forked child: format each block of ``span`` claimed from
+    ``queue`` with ``text`` into the file ``part``, then report its number,
+    offset and length on the pipe ``reports``.  A report follows its bytes,
+    so this process uses no byte that the child wrote after its last
+    report."""
     offset = 0
     for k in _claims(queue):
-        data = "".join(_format(blocks[k])).encode()
+        data = "".join(text(span[k].start, span[k].stop)).encode()
         _write_all(part, data)
         os.write(reports, _Formatter.report.pack(k, offset, len(data)))
         offset += len(data)
@@ -418,13 +377,14 @@ def _make_directory(directory: Path, cleanup: contextlib.ExitStack) -> None:
     cleanup.push(remove)
 
 
-def _fork_formatter(blocks: list, directory: Path, cleanup: contextlib.ExitStack):
-    """Fork the one child that claims and formats ``blocks`` beside this
-    process, and return it as a ``_Formatter``; None when the fork fails, or
-    when ``directory``, the queue, the part file or the pipe cannot be made
-    (an unwritable output directory, say).  Then this process formats every
-    block, and the fault, if it lasts, surfaces in its own writes, after
-    whatever ``_write_csvs``' ``meanwhile`` raises first.
+def _fork_formatter(text, span: list, directory: Path, cleanup: contextlib.ExitStack):
+    """Fork the one child that claims the blocks of ``span`` beside this
+    process and formats them with ``text``, and return it as a
+    ``_Formatter``; None when the fork fails, or when ``directory``, the
+    queue, the part file or the pipe cannot be made (an unwritable output
+    directory, say).  Then this process formats every block, and the fault,
+    if it lasts, surfaces in its own writes, after whatever
+    ``_write_csv``'s ``meanwhile`` raises first.
 
     The queue (an unnamed file of every block number), the part file in
     ``directory`` (prefix ``.``, suffix ``.tmp``, like ``_atomic_write``'s)
@@ -437,7 +397,7 @@ def _fork_formatter(blocks: list, directory: Path, cleanup: contextlib.ExitStack
     try:
         _make_directory(directory, cleanup)
         queue = cleanup.enter_context(tempfile.TemporaryFile(dir=directory, buffering=0)).fileno()
-        _write_all(queue, b"".join(map(_Formatter.token.pack, range(len(blocks)))))
+        _write_all(queue, b"".join(map(_Formatter.token.pack, range(len(span)))))
         os.lseek(queue, 0, os.SEEK_SET)
         part, path = tempfile.mkstemp(dir=directory, prefix=".csv-blocks.", suffix=".tmp")
         cleanup.callback(os.close, part)
@@ -454,7 +414,7 @@ def _fork_formatter(blocks: list, directory: Path, cleanup: contextlib.ExitStack
         if pid == 0:
             code = 1
             try:
-                _format_claims(blocks, queue, part, reports_w)
+                _format_claims(text, span, queue, part, reports_w)
                 code = 0
             finally:
                 os._exit(code)
@@ -464,10 +424,13 @@ def _fork_formatter(blocks: list, directory: Path, cleanup: contextlib.ExitStack
         os.close(reports_w)
 
 
+def _last_switch(sc: Scenario, default: float) -> float:
+    """The last disturbance switch before ``t_final``, else ``default``."""
+    return max([s for s in sc.disturbance.switch_times if s < sc.t_final], default=default)
+
+
 def _orbit_window(sc: Scenario) -> tuple[float, float]:
-    switches = [s for s in sc.disturbance.switch_times if s < sc.t_final]
-    lo = max(switches) if switches else sc.t_final / 2.0
-    return (lo, sc.t_final)
+    return (_last_switch(sc, sc.t_final / 2.0), sc.t_final)
 
 
 def _summary(sc: Scenario, traj: Trajectory, metrics: dict, lap, cert, report) -> dict:
@@ -528,9 +491,9 @@ def _summary(sc: Scenario, traj: Trajectory, metrics: dict, lap, cert, report) -
                 except NoOrbitError as exc:
                     fits.append({"agent": i + 1, "error": str(exc)})
             results["orbit_fits"]["fits"] = fits
-        start = max([s for s in sc.disturbance.switch_times if s < sc.t_final], default=0.0)
         windows = analysis.sync_deviation_windows(traj, lap.v_left, g, sc.disturbance,
-                                                  window_len=SYNC_WINDOW_LEN, start=start)
+                                                  window_len=SYNC_WINDOW_LEN,
+                                                  start=_last_switch(sc, 0.0))
         results["sync_windows"] = windows
         results["late_window_max_deviation"] = windows[-1]["max_deviation"] if windows else None
         results["expected_orbit_frequency"] = float(np.sqrt(g.alpha1))
@@ -572,12 +535,13 @@ def run(sc: Scenario, out_dir) -> RunArtifacts:
 
     The grid is checked and the Laplacian built first, and a graph without
     a spanning tree is rejected before integrating.  Then the closed loop is
-    integrated, and ``_write_csvs`` forks its child, if it forks one, as
-    soon as the trajectory exists.  While the child starts on
-    trajectory.csv's blocks, this process solves the certificate, certifies
+    integrated, and ``_write_csv`` forks its child, if it forks one, as
+    soon as the trajectory exists.  Its fork rule counts the values of both
+    tables, although only trajectory.csv's blocks are queued.  While the
+    child starts on them, this process solves the certificate, certifies
     the gains (failures do not stop the run: the report records them),
     computes the metrics and the summary, writes both JSON files and then
-    formats metrics.csv alone.
+    writes metrics.csv alone, block after block as each is formatted.
 
     The certificate's errors win, as if it came first: when building the
     closed loop or integrating raises, the certificate is solved before the
@@ -610,6 +574,12 @@ def run(sc: Scenario, out_dir) -> RunArtifacts:
             "mode": sc.mode,
         }))
 
+    def write_trajectory(traj, meanwhile, later_columns=0):
+        # the fork rule counts the values of the rows that meanwhile writes
+        rows, columns = traj.times.shape[0], 1 + traj.states.shape[1]
+        _write_csv(arts.trajectory_csv, partial(trajectory_csv_text, traj),
+                   analysis.row_blocks(rows, columns), rows * (columns + later_columns), meanwhile)
+
     try:
         traj = integrate(_closed_loop(sc, lap), z0, params)
     except Exception as exc:
@@ -618,20 +588,19 @@ def run(sc: Scenario, out_dir) -> RunArtifacts:
             if exc.partial is None:
                 write_certification(cert, report)
             else:
-                _write_csvs([_trajectory_table(arts.trajectory_csv, exc.partial)],
-                            partial(write_certification, cert, report))
+                write_trajectory(exc.partial, partial(write_certification, cert, report))
         raise
 
-    def certify_and_write_json():
+    def write_the_rest():
         cert, report = certified()
         metrics = analysis.trajectory_metrics(traj, lap.v_left, sc.gains, sc.disturbance, cert.P)
         _atomic_write(arts.summary_json, _json_chunks(_summary(sc, traj, metrics, lap, cert, report)))
         write_certification(cert, report)
-        return [_CsvTable(arts.metrics_csv, partial(metrics_csv_text, metrics),
-                          metrics["t"].shape[0], len(METRIC_COLUMNS))]
+        _atomic_write(arts.metrics_csv, _table_chunks(
+            partial(metrics_csv_text, metrics),
+            analysis.row_blocks(metrics["t"].shape[0], len(METRIC_COLUMNS))))
 
-    _write_csvs([_trajectory_table(arts.trajectory_csv, traj)], certify_and_write_json,
-                later_values=traj.times.shape[0] * len(METRIC_COLUMNS))
+    write_trajectory(traj, write_the_rest, later_columns=len(METRIC_COLUMNS))
     return arts
 
 

@@ -399,12 +399,40 @@ def test_no_spanning_tree_rejected_before_integrating(tmp_path, capsys, monkeypa
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("weight", [1e154, 1e200])
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_lambda_L_squared_overflow_is_an_input_error(tmp_path, capsys, name, weight):
+    """An edge weight (here of edge 2->5) whose ``lambda_L`` squares past the
+    largest float: the gain bound that holds ``lambda_L^2`` is infinite, and
+    ``simulate``, ``gains certify`` and, in the matched mode, ``gains
+    suggest`` end in exit 2 with one ``error:`` line, not in an
+    ``OverflowError``.  The short run makes no directory."""
+    doc = scenario_to_json(builtin_scenario(name))
+    edge = doc["graph"]["edges"][3]
+    assert (edge["from"], edge["to"]) == (2, 5)
+    edge["w"] = weight
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    commands = [["simulate", str(path), "--t-final", "0.1", "--out", str(out)],
+                ["gains", "certify", str(path)]]
+    if doc["mode"] == "matched":
+        commands.append(["gains", "suggest", str(path)])
+    for argv in commands:
+        rc = cli.main(argv)
+        lines = capsys.readouterr().err.splitlines()
+        assert rc == cli.EXIT_VALIDATION, argv
+        assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
+    assert not out.exists()
+
+
 #: a gain, disturbance entry or edge weight at an edge of its range
 _EXTREMES = st.sampled_from([0.0, -1.0, 1e-300, 1e308])
 
 
 def _graph_edit(draw, edges: list, n: int) -> None:
-    edit = draw(st.sampled_from(["self-loop", "no-root", "id-out-of-range", "duplicate"]))
+    edit = draw(st.sampled_from(["self-loop", "no-root", "id-out-of-range", "duplicate",
+                                 "weight"]))
     if edit == "self-loop":
         agent = draw(st.integers(1, n))
         edges.append({"from": agent, "to": agent, "w": 1.0})
@@ -414,6 +442,8 @@ def _graph_edit(draw, edges: list, n: int) -> None:
         edges.append({"from": draw(st.sampled_from([0, n + 1])), "to": 1, "w": 1.0})
     elif edit == "duplicate":
         edges.append({**draw(st.sampled_from(edges)), "w": draw(_EXTREMES | st.just(2.0))})
+    elif edit == "weight":  # up to where lambda_L^2, and more, overflows
+        draw(st.sampled_from(edges))["w"] = draw(st.floats(1.0, 1e307))
 
 
 @st.composite
@@ -787,7 +817,7 @@ class _WriterSpy(NamedTuple):
 
 def _spy_writer(monkeypatch, in_child=None) -> _WriterSpy:
     """Spies on ``os.fork``, ``runner._csv_chunks`` and the child's bytes as
-    ``runner._write_csvs`` uses them.  The child's own ranges stay in the
+    ``runner._write_csv`` uses them.  The child's own ranges stay in the
     child.  ``in_child``, if given, runs first in the child, which it must
     never leave by returning into pytest."""
     spy = _WriterSpy([], [], [])
@@ -822,7 +852,7 @@ def _spy_writer(monkeypatch, in_child=None) -> _WriterSpy:
 
 def _queue(*tables) -> list:
     """The (columns, start, stop) of each block of tables of (rows, columns),
-    in the order of ``_write_csvs``' queue."""
+    table after table, each cut as ``runner._write_csv`` cuts its queue."""
     return [(n_columns, rows.start, rows.stop) for n_rows, n_columns in tables
             for rows in analysis.row_blocks(n_rows, n_columns)]
 
@@ -847,35 +877,40 @@ def _wait_for_child_exit(spy: _WriterSpy):
     os.waitid(os.P_PID, spy.forks[0], os.WEXITED | os.WNOWAIT)
 
 
+def _write_trajectory(path, traj, meanwhile=None, values=None):
+    """``runner._write_csv`` of ``traj`` as ``runner.run`` calls it, the fork
+    rule counting ``values`` (by default the table's own)."""
+    rows, columns = traj.times.shape[0], 1 + traj.states.shape[1]
+    runner._write_csv(path, partial(runner.trajectory_csv_text, traj),
+                      analysis.row_blocks(rows, columns),
+                      rows * columns if values is None else values, meanwhile or (lambda: None))
+
+
 def test_forked_csv_writer_matches_per_value_writer(tmp_path):
-    """Tables above ``FORK_MIN_VALUES``, of awkward values, written by this
-    process and one child from a queue of blocks: the bytes are the
+    """A table above ``FORK_MIN_VALUES``, of awkward values, written by this
+    process and one child from a queue of its blocks: the bytes are the
     per-value writer's.  The blocks this process formats and the blocks the
     child reports are disjoint and together cover the queue; a ``meanwhile``
     that lasts until the child has exited leaves every block to the child,
     and a child that formats nothing leaves every block to this process.
-    An empty table beside a large one is its header alone."""
+    An empty table, forked for because of the values ``meanwhile`` writes,
+    is its header alone."""
     rng = np.random.default_rng(19)
-    n_rows = 2 * runner.FORK_MIN_VALUES // 24 + 5
-    traj = Trajectory(np.arange(n_rows) * 0.1, _awkward_values(rng, (n_rows, 15)))
-    table = _awkward_values(rng, (n_rows, len(runner.METRIC_COLUMNS)))
-    metrics = {name: table[:, k] for k, name in enumerate(runner.METRIC_COLUMNS)}
-    empty = {name: np.empty(0) for name in runner.METRIC_COLUMNS}
-    assert 24 * n_rows > 2 * runner.FORK_MIN_VALUES
+    n_rows = 2 * runner.FORK_MIN_VALUES // 16 + 5
+    full = Trajectory(np.arange(n_rows) * 0.1, _awkward_values(rng, (n_rows, 15)))
+    empty = Trajectory(np.empty(0), np.empty((0, 15)))
+    assert 16 * n_rows > 2 * runner.FORK_MIN_VALUES
     for case in ("shared", "meanwhile-outlasts-child", "child-formats-nothing"):
-        for sub, met in (("both", metrics), ("empty-metrics", empty)):
+        for sub, traj in (("rows", full), ("empty", empty)):
             out = tmp_path / case / sub
             with pytest.MonkeyPatch.context() as mp:
                 spy = _spy_writer(mp, partial(os._exit, 0) if case == "child-formats-nothing"
                                   else None)
                 meanwhile = partial(_wait_for_child_exit, spy) \
                     if case == "meanwhile-outlasts-child" else None
-                runner._write_csvs([
-                    runner._trajectory_table(out / "trajectory.csv", traj),
-                    runner._CsvTable(out / "metrics.csv", partial(runner.metrics_csv_text, met),
-                                     met["t"].shape[0], len(runner.METRIC_COLUMNS))], meanwhile)
+                _write_trajectory(out / "trajectory.csv", traj, meanwhile, values=16 * n_rows)
             assert len(spy.forks) == 1 and spy.forks[0] > 0
-            queue = _queue((n_rows, 16), (met["t"].shape[0], 8))
+            queue = _queue((traj.times.shape[0], 16))
             here, child = _who_formatted(spy, queue)
             assert not here & child and here | child == set(range(len(queue)))
             if case != "shared":
@@ -883,37 +918,28 @@ def test_forked_csv_writer_matches_per_value_writer(tmp_path):
                         "child-formats-nothing": here}[case] == set(range(len(queue)))
             _assert_same_text((out / "trajectory.csv").read_text(),
                               _reference_trajectory_csv(traj))
-            want = _reference_csv(runner.METRIC_COLUMNS, table if sub == "both" else [])
-            _assert_same_text((out / "metrics.csv").read_text(), want)
-            assert sorted(p.name for p in out.iterdir()) == ["metrics.csv", "trajectory.csv"]
+            assert [p.name for p in out.iterdir()] == ["trajectory.csv"]
             _assert_no_child_left()
 
 
 def test_queue_longer_than_a_pipe(tmp_path, monkeypatch):
-    """With one row per block, the two tables make more blocks than a pipe
-    holds four-byte tokens (64 KiB, 16,384): claiming still never blocks
-    this process, one child is all that is forked, and the bytes are the
+    """With one row per block, the table makes more blocks than a pipe holds
+    four-byte tokens (64 KiB, 16,384): claiming still never blocks this
+    process, one child is all that is forked, and the bytes are the
     per-value writer's."""
     monkeypatch.setattr(analysis, "BLOCK_VALUES", 1)
     rng = np.random.default_rng(23)
-    n_rows = 9_000
+    n_rows = 18_000
     traj = Trajectory(np.arange(n_rows) * 0.1, _awkward_values(rng, (n_rows, 15)))
-    table = _awkward_values(rng, (n_rows, len(runner.METRIC_COLUMNS)))
-    metrics = {name: table[:, k] for k, name in enumerate(runner.METRIC_COLUMNS)}
-    queue = _queue((n_rows, 16), (n_rows, 8))
+    queue = _queue((n_rows, 16))
     assert len(queue) > (64 << 10) // 4
     spy = _spy_writer(monkeypatch)
-    runner._write_csvs([
-        runner._trajectory_table(tmp_path / "trajectory.csv", traj),
-        runner._CsvTable(tmp_path / "metrics.csv", partial(runner.metrics_csv_text, metrics),
-                         n_rows, len(runner.METRIC_COLUMNS))])
+    _write_trajectory(tmp_path / "trajectory.csv", traj)
     assert len(spy.forks) == 1
     here, child = _who_formatted(spy, queue)
     assert not here & child and here | child == set(range(len(queue)))
     _assert_same_text((tmp_path / "trajectory.csv").read_text(), _reference_trajectory_csv(traj))
-    _assert_same_text((tmp_path / "metrics.csv").read_text(),
-                      _reference_csv(runner.METRIC_COLUMNS, table))
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["metrics.csv", "trajectory.csv"]
+    assert [p.name for p in tmp_path.iterdir()] == ["trajectory.csv"]
     _assert_no_child_left()
 
 
@@ -1094,20 +1120,42 @@ def test_child_formats_trajectory_blocks_only(tmp_path, monkeypatch, serial_run_
     queued = []
     real_fork_formatter = runner._fork_formatter
 
-    def fork_formatter(blocks, *args):
-        queued.extend(table.path.name for table, _ in blocks)
-        return real_fork_formatter(blocks, *args)
+    def fork_formatter(text, span, *args):
+        queued.append((text.func, [(16, rows.start, rows.stop) for rows in span]))
+        return real_fork_formatter(text, span, *args)
 
     monkeypatch.setattr(runner, "_fork_formatter", fork_formatter)
     sc = builtin_scenario("paper-unmatched").with_overrides(**_FORKING_RUN)
     arts = runner.run(sc, tmp_path / "out")
     assert [p.read_bytes() for p in arts.paths()] == serial_run_bytes
     trajectory_blocks = _queue((5001, 16))
-    assert queued == ["trajectory.csv"] * len(trajectory_blocks) and len(spy.forks) == 1
+    assert queued == [(runner.trajectory_csv_text, trajectory_blocks)] and len(spy.forks) == 1
     metrics_ranges = [r for r in spy.ranges if r[0] == len(runner.METRIC_COLUMNS)]
     assert metrics_ranges == _queue((5001, len(runner.METRIC_COLUMNS)))
     assert spy.ranges[:len(metrics_ranges)] == metrics_ranges
     assert set(spy.from_child) <= set(range(len(trajectory_blocks)))
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("threshold, forks", [(96_024, 0), (96_023, 1)])
+def test_fork_rule_counts_both_tables(tmp_path, monkeypatch, threshold, forks):
+    """Only trajectory.csv's blocks are queued, but the fork rule compares
+    the values of both tables with ``FORK_MIN_VALUES``: the unmatched
+    builtin sampled every step for 4 s writes 4,001 rows of 16 and of 8
+    values, 96,024 in all and 64,016 in trajectory.csv.  The run forks once
+    when the threshold is one below that, and not at all at 96,024; the
+    bytes are the serial run's either way."""
+    sc = builtin_scenario("paper-unmatched").with_overrides(t_final=4.0, sample_every=1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(runner, "FORK_MIN_VALUES", math.inf)
+        serial = [p.read_bytes() for p in runner.run(sc, tmp_path / "serial").paths()]
+    monkeypatch.setattr(runner, "FORK_MIN_VALUES", threshold)
+    spy = _spy_writer(monkeypatch)
+    arts = runner.run(sc, tmp_path / "out")
+    names, data = runner.read_csv(arts.trajectory_csv)
+    assert data.shape == (4001, 16) and data.size + 4001 * len(runner.METRIC_COLUMNS) == 96_024
+    assert len(spy.forks) == forks
+    assert [p.read_bytes() for p in arts.paths()] == serial
     _assert_no_child_left()
 
 

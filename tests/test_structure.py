@@ -178,5 +178,42 @@ def test_one_fork_whose_child_only_formats_and_exits():
     assert isinstance(last.finalbody[-1], ast.Expr) and _is_call(last.finalbody[-1].value, "os", "_exit")
     reached = _reached([*branch, *(functions["runner.py"][name] for name in
                                    ("trajectory_csv_text", "metrics_csv_text"))], functions)
-    assert {"_format_claims", "_claims", "_format", "_csv_chunks", "row_blocks"} <= set(reached)
+    assert {"_format_claims", "_claims", "_csv_chunks", "row_blocks"} <= set(reached)
     assert [found for node in [*branch, *reached.values()] for found in _blas_calls(node)] == []
+
+
+TRACING = PACKAGE.parents[1] / "perfbench" / "tracing.py"
+
+
+def _traced_spans(targets: str) -> list:
+    """The module attributes that the benchmark's tracer wraps in spans, from
+    its tuple ``targets`` of (attribute, name, kind), read from its source."""
+    tree = ast.parse(TRACING.read_text(), filename=str(TRACING))
+    node = next(node for node in tree.body if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == [targets])
+    return [attr for attr, _name, kind in ast.literal_eval(node.value) if kind == "span"]
+
+
+def test_benchmark_spans_are_looked_up_at_call_time():
+    """The benchmark's tracer times each layer by replacing, for one run, the
+    ``runner`` and ``analysis`` attributes that ``runner.run`` looks up at
+    call time, and it skips a target the program no longer has without an
+    error.  So each span target of ``runner`` is a name that ``runner``'s
+    top level defines or imports and that a function body reads, and each
+    of ``analysis`` is an ``analysis`` function that ``runner`` calls as
+    ``analysis.<name>`` in a function body.  A target bound into an object
+    at import time, or renamed away, would read 0 s."""
+    runner, analysis = TREES["runner.py"], TREES["analysis.py"]
+    top_level = {alias.asname or alias.name for node in runner.body
+                 if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    top_level |= {node.name for node in runner.body if isinstance(node, ast.FunctionDef)}
+    bodies = [sub for node in ast.walk(runner) if isinstance(node, ast.FunctionDef)
+              for sub in ast.walk(node)]
+    read = {node.id for node in bodies if isinstance(node, ast.Name)}
+    spans = _traced_spans("_RUNNER_TARGETS")
+    assert spans and [name for name in spans if name not in top_level & read] == []
+    functions = {node.name for node in analysis.body if isinstance(node, ast.FunctionDef)}
+    called = {node.func.attr for node in bodies if isinstance(node, ast.Call)
+              and _is_call(node, "analysis", getattr(node.func, "attr", None))}
+    spans = _traced_spans("_ANALYSIS_TARGETS")
+    assert spans and [name for name in spans if name not in functions & called] == []
