@@ -38,6 +38,7 @@ from .errors import (
 )
 from .gains import certify_matched, suggest_matched
 from .graph import build_laplacian, graph_from_json
+from .jsontext import indented_json
 from .scenario import BUILTIN_NAMES, align_dt, load_scenario, read_json_file
 from .spectral import solve_P
 
@@ -117,7 +118,7 @@ def _cmd_graph_analyze(args) -> int:
         "L": sparsity.dense(lap.L).tolist(),
     }
     if args.json_out:
-        Path(args.json_out).write_text(json.dumps(out, indent=2, sort_keys=True) + "\n")
+        Path(args.json_out).write_text(indented_json(out) + "\n")
         print(f"analysis written to {args.json_out}")
     return EXIT_OK
 
@@ -130,7 +131,7 @@ def _cmd_gains_certify(args) -> int:
     print(report.table())
     if args.json_out:
         doc = {"scenario": sc.name, "mode": sc.mode, "report": report.to_json()}
-        Path(args.json_out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        Path(args.json_out).write_text(indented_json(doc) + "\n")
         print(f"report written to {args.json_out}")
     return EXIT_OK
 

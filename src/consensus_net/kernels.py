@@ -28,14 +28,15 @@ either loop one of two ways, both built on the same RK4 step
   plain loop, from 40 agents up); set-up costs O((3n)^3) flops.  A CSR
   ``M`` serves graphs that contain a spanning tree, which are typically
   sparse (a tree has n - 1 edges), and so are ``M`` and its first powers:
-  ``_sparse_fold`` forms powers of ``M`` one product at a time while they
-  store at most ``sparsity.SPARSE_MAX_FILL`` (5 %) of the (3n)^2 entries
-  and their set-up stays below the run's block products, and the blocks are
-  stepped one at a time.  On the benchmark's 600-agent tree, ``M`` stores
-  13.7k entries and ``M^5`` 33k to 38k (1.0 to 1.2 %); 1000 steps fold 5 at
-  a time and take about 0.03 s, against 0.12 s for the stage body.  Near
-  overflow (``_TRUSTED_MAGNITUDE``) the stage body replays the chunk, for
-  either storage.
+  ``_sparse_fold`` squares its way towards ``M^fold_length`` and keeps the
+  last power on the way whose exponent divides ``sample_every``, while the
+  powers store at most ``sparsity.SPARSE_MAX_FILL`` (5 %) of the (3n)^2
+  entries and their set-up can still pay for itself in the run's block
+  products, and the blocks are stepped one at a time.  On the benchmark's
+  600-agent tree, ``M`` stores 13.8k entries and ``M^10`` 38k (1.2 %); 1000
+  steps fold 10 at a time, through M^2, M^4 and M^5, and take about 0.015 s,
+  against 0.12 s for the stage body.  Near overflow (``_TRUSTED_MAGNITUDE``)
+  the stage body replays the chunk, for either storage.
 * the stage body (``_rk4_stage``) takes that step once per time step on a
   CSR ``A``, each ``A @ z`` in O(nnz); it runs where even ``M`` stores more
   than ``sparsity.SPARSE_MAX_FILL`` of its entries.
@@ -96,11 +97,12 @@ _MATMUL_FLOP_S = 1.0 / 3e10
 _STAGE_STEP_S = 33e-6
 _SPARSE_FLOP_S = 1.0 / 1e9
 
-#: cost of forming one stored entry of a power of ``M`` (a CSR product and
-#: its block forcing), in units of one stored entry of a block product in
-#: the run: about 42 ns against 2.5 ns with the per-block overhead, measured
-#: on the 600-agent tree, where M^k saturates at 33k entries
-_PRODUCT_ENTRY_COST = 17
+#: cost of forming one stored entry of a power of ``M`` by a CSR product, in
+#: units of one stored entry of a block product in the run: 32 ns against
+#: 1.3 ns, measured on the 600-agent tree over the products M^2, M^4, M^5
+#: and M^10 (135k entries in 4.4 ms) and 100 blocks of M^10 (38k entries,
+#: 50 us each)
+_PRODUCT_ENTRY_COST = 24
 
 #: the recurrence trusts a sample only up to this magnitude, far
 #: below overflow: the RK4 stages of a diverging state overflow before
@@ -142,7 +144,7 @@ def prefer_recurrence(n: int, nnz: int, n_steps: int, sample_every: int,
     faster) and loses for large graphs over short ones (a 600-agent tree over
     1000 steps: set-up about 2 s against 0.12 s for the stage body).  When it
     loses, the recurrence usually runs on a CSR operator, which is cheaper
-    still than the stage body (0.03 s on that tree); the estimate does not
+    still than the stage body (0.015 s on that tree); the estimate does not
     model it.
     """
     N = 3 * n
@@ -226,26 +228,38 @@ def _forced_step(A, columns, scalar, dt):
 def _sparse_fold(M, sample_every, n_steps):
     """Fold length f and ``M^f`` of the recurrence on a CSR ``M``.
 
-    Powers of the CSR ``M`` are formed one product at a time, up to
-    ``fold_length(sample_every)``; the search stops at the first power whose
-    stored entries pass ``sparsity.SPARSE_MAX_FILL`` of N^2, and after the
-    first whose set-up (``_PRODUCT_ENTRY_COST`` per stored entry of every power
-    formed so far) outweighs the run's block products at that fold.  f is
-    the largest divisor of ``sample_every`` not above the last power kept,
-    so samples fall on block boundaries.  Only the current power and
-    ``M^f`` are held.
+    Powers of ``M`` are formed by squaring, from the leading bit of
+    F = ``fold_length(sample_every)`` down: each further bit squares the
+    power, and a set bit then multiplies it by ``M`` (M^10 = ((M^2)^2 M)^2),
+    so no power above F is formed.  The powers whose exponent divides
+    ``sample_every`` are the candidate folds, on whose block boundaries
+    samples fall.  The search moves on from the current fold d to the next
+    candidate d', c products away, only while
+    ``_PRODUCT_ENTRY_COST`` c < n_steps (1/d - 1/d'): M is near the identity,
+    its diagonal nonzero, so each further power stores at least the entries
+    of ``M^d``, and the run's block products save at most n_steps
+    (1/d - 1/d') times that many.  Over 100 steps sampled every 10, the
+    benchmark's warm-up, that keeps the fold 2.  The search stops at the
+    first power whose stored entries pass ``sparsity.SPARSE_MAX_FILL`` of
+    N^2, keeping the fold before it.  Only the current power and ``M^f`` are
+    held.
     """
     cap = sparsity.SPARSE_MAX_FILL * M.shape[0] ** 2
-    f, M_f, power, formed = 1, M, M, 0
-    for k in range(2, fold_length(sample_every) + 1):
-        power = power @ M
-        if power.nnz > cap:
+    exponents = [1]
+    for bit in bin(fold_length(sample_every))[3:]:
+        exponents.append(2 * exponents[-1])
+        if bit == "1":
+            exponents.append(exponents[-1] + 1)
+    # power is M^exponents[at], and M^f the last candidate formed
+    f, M_f, power, at = 1, M, M, 0
+    for i in [i for i, k in enumerate(exponents) if i and sample_every % k == 0]:
+        if _PRODUCT_ENTRY_COST * (i - at) >= n_steps * (1 / f - 1 / exponents[i]):
             break
-        if sample_every % k == 0:
-            f, M_f = k, power
-        formed += power.nnz
-        if _PRODUCT_ENTRY_COST * formed > n_steps / k * power.nnz:
-            break
+        for k in exponents[at + 1:i + 1]:
+            power = power @ (M if k % 2 else power)
+            if power.nnz > cap:
+                return f, M_f
+        f, M_f, at = exponents[i], power, i
     return f, M_f
 
 

@@ -25,6 +25,7 @@ from .dynamics import DisturbanceProfile, profile_from_json, profile_to_json
 from .errors import ValidationError, finite_number
 from .gains import MatchedGains, UnmatchedGains
 from .graph import DirectedGraph, graph_from_json, graph_to_json
+from .jsontext import indented_json
 from .kernels import largest_divisor_at_most
 
 BUILTIN_NAMES = ("paper-matched", "paper-unmatched")
@@ -284,7 +285,7 @@ def read_json_file(path, kind: str):
 
 
 def save_scenario(sc: Scenario, path) -> None:
-    Path(path).write_text(json.dumps(scenario_to_json(sc), indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(indented_json(scenario_to_json(sc)) + "\n")
 
 
 def _as_fraction(x: float) -> Fraction:

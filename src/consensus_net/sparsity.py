@@ -5,7 +5,9 @@
 smallest eigenvalue of a symmetric one.  Dense, each is an O(n^3)
 ``eigvalsh``.  On a sparse matrix Lanczos (ARPACK through
 ``scipy.sparse.linalg.eigsh``) finds one end of the spectrum from
-matrix-vector products, or from solves with one sparse LU factor.
+matrix-vector products, or from solves with one sparse LU factor
+(``symmetric_lu``), ordered by MMD or, for a tree's certificate and gain
+forms, by the tree's deepest-first order.
 ``is_sparse`` is the one rule that picks the regime: at least
 ``SPARSE_MIN_N`` agents, and at most ``SPARSE_MAX_FILL`` of the entries
 nonzero.  Below that the dense regime keeps its arithmetic, so small graphs,
@@ -26,6 +28,8 @@ scipy is imported inside the functions, not at module level: importing
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,46 +77,82 @@ def largest_eigenvalue(A) -> float:
         return_eigenvectors=False)[0])
 
 
-def symmetric_lu(A):
+class SymmetricLU(NamedTuple):
+    """A sparse LU factor of a symmetric A: ``lu`` factors A itself, or
+    A[order][:, order] when an ``order`` of its rows is given, and ``solve``
+    solves with A either way."""
+
+    lu: object
+    order: np.ndarray | None
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        if self.order is None:
+            return self.lu.solve(b)
+        x = np.empty_like(b)
+        x[self.order] = self.lu.solve(b[self.order])
+        return x
+
+
+def symmetric_lu(A, order=None) -> SymmetricLU:
     """Sparse LU factor of the symmetric ``A`` under one symmetric ordering.
 
-    ``MMD_AT_PLUS_A`` orders the graph of A + A^T, and ``SymmetricMode``
-    with ``diag_pivot_thresh=0`` keeps the pivots on the diagonal where they
-    are nonzero.  scipy's default, COLAMD, is a column ordering for
-    unsymmetric matrices: the 600-agent matched form's shift-invert solve took
-    36 ms with it and 14 ms with this one (best of 5)."""
+    Without ``order``, ``MMD_AT_PLUS_A`` orders the graph of A + A^T.  With
+    it, A is permuted symmetrically into that order and factorised in it
+    (``NATURAL``): a spanning tree's deepest-first order
+    (``LyapunovCertificate.elimination_order``) eliminates a pattern of
+    ancestor-descendant pairs without fill, since the later neighbours of
+    an agent are its ancestors, which are all linked with each other.
+    ``SymmetricMode`` with ``diag_pivot_thresh=0`` keeps the pivots on the
+    diagonal where they are nonzero.  scipy's default, COLAMD, is a column
+    ordering for unsymmetric matrices: the 600-agent matched form's
+    shift-invert solve took 36 ms with it and 14 ms with MMD (best of 5)."""
     import scipy.sparse.linalg
 
-    return scipy.sparse.linalg.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                                    diag_pivot_thresh=0, options={"SymmetricMode": True})
+    if order is not None:
+        A = A[order][:, order]
+    return SymmetricLU(scipy.sparse.linalg.splu(
+        A.tocsc(), permc_spec="MMD_AT_PLUS_A" if order is None else "NATURAL",
+        diag_pivot_thresh=0, options={"SymmetricMode": True}), order)
 
 
-def proves_positive_definite(lu) -> bool:
+def block_order(order: np.ndarray | None, blocks: int) -> np.ndarray | None:
+    """The order of a form of ``blocks`` x ``blocks`` blocks of n x n
+    matrices that lists the agents in ``order``, each agent's ``blocks``
+    variables together; None without an ``order``."""
+    if order is None:
+        return None
+    return (order[:, None] + order.size * np.arange(blocks)).ravel()
+
+
+def proves_positive_definite(factor: SymmetricLU) -> bool:
     """Whether the LU factor of a symmetric matrix shows it positive definite.
 
     With equal row and column permutations the factor is of a symmetric
     permutation of the matrix, taken without pivoting, so U = D L^T with D
     the diagonal of U; by Sylvester's law of inertia the matrix is positive
-    definite exactly when every entry of D is positive."""
+    definite exactly when every entry of D is positive.  A symmetric
+    permutation keeps the inertia, so ``factor.order`` changes nothing."""
+    lu = factor.lu
     return bool(np.array_equal(lu.perm_r, lu.perm_c) and (lu.U.diagonal() > 0).all())
 
 
-def nearest_eigenvalue(A, sigma: float, lu) -> float:
+def nearest_eigenvalue(A, sigma: float, factor: SymmetricLU) -> float:
     """Eigenvalue of the symmetric ``A`` nearest ``sigma``, by shift-invert
-    Lanczos on ``lu``, the ``symmetric_lu`` factor of A - sigma I."""
+    Lanczos on ``factor``, the ``symmetric_lu`` factor of A - sigma I."""
     import scipy.sparse.linalg
 
     n = A.shape[0]
-    op = scipy.sparse.linalg.LinearOperator((n, n), matvec=lu.solve, dtype=float)
+    op = scipy.sparse.linalg.LinearOperator((n, n), matvec=factor.solve, dtype=float)
     return float(scipy.sparse.linalg.eigsh(
         A, k=1, sigma=sigma, which="LM", OPinv=op, tol=0, v0=_start_vector(n),
         return_eigenvectors=False)[0])
 
 
-def smallest_eigenvalue(sparse, dense) -> float:
+def smallest_eigenvalue(sparse, dense, order=None) -> float:
     """Smallest eigenvalue of a symmetric form: by shift-invert Lanczos on the
     ``scipy.sparse`` array ``sparse`` when it is given, finite and sparse
-    enough, else (and when that solve fails) ``eigvalsh`` of ``dense()``.
+    enough, its factor taken in ``order`` when given (``symmetric_lu``), else
+    (and when that solve fails) ``eigvalsh`` of ``dense()``.
 
     Every eigenvalue lies at or above the Gershgorin bound
     min_i (N_ii - sum_{j != i} |N_ij|), so with the shift one below it the
@@ -127,8 +167,9 @@ def smallest_eigenvalue(sparse, dense) -> float:
 
             sigma = float((diag + np.abs(diag) - radius).min()) - 1.0
             try:
-                lu = symmetric_lu(sparse - sigma * scipy.sparse.eye_array(sparse.shape[0]))
-                return nearest_eigenvalue(sparse, sigma, lu)
+                factor = symmetric_lu(sparse - sigma * scipy.sparse.eye_array(sparse.shape[0]),
+                                      order)
+                return nearest_eigenvalue(sparse, sigma, factor)
             except RuntimeError:
                 # ARPACK's errors, ArpackNoConvergence among them, and an
                 # exactly singular factor of the shifted form

@@ -67,7 +67,9 @@ regimes, read from the storage of P, which the certificate keeps with L:
   P and L pass ``sparsity.is_sparse``, as for an acyclic graph with a
   two-parent agent): the residual from CSR products, ``lambda_P`` by Lanczos,
   and ``min_eig_P`` by shift-invert Lanczos at 0 on one sparse LU factor of P
-  under a symmetric ordering (``sparsity.symmetric_lu``).  That factor is
+  under a symmetric ordering (``sparsity.symmetric_lu``): the tree's agents
+  deepest first on the tree route, which the certificate carries on for the
+  gain forms (``elimination_order``), and MMD otherwise.  That factor is
   trusted only when it proves P positive definite
   (``sparsity.proves_positive_definite``); otherwise, and should ARPACK fail,
   ``eigvalsh`` answers, so the positive-definiteness gate and its message are
@@ -107,6 +109,10 @@ class LyapunovCertificate:
     the original equation's defect; ``cond_P`` records the conditioning of P
     for diagnostics.  L itself is kept so gain certification needs nothing
     but the certificate.  P and L are both dense or both CSR, as given.
+    ``elimination_order`` lists the agents deepest first when the tree route
+    solved P, an order in which the sparse factors of P and of the gain
+    forms take no fill outside the tree's pattern (``sparsity.symmetric_lu``);
+    None otherwise.
     """
 
     P: np.ndarray
@@ -117,6 +123,7 @@ class LyapunovCertificate:
     lambda_L: float
     min_eig_P: float
     cond_P: float
+    elimination_order: np.ndarray | None = None
 
     @property
     def n_agents(self) -> int:
@@ -173,10 +180,12 @@ def solve_P(lap: LaplacianData, Q: np.ndarray | None = None, alpha: float = 1.0)
     ones = np.ones(n)
     # a CSR L is one that passed the sparse rule, which the tree's P needs too
     tree = None if isinstance(L, np.ndarray) or not q_diagonal else _spanning_tree(L, v)
+    order = None
     if tree is not None and sparsity.is_sparse(n, n + 2 * int(tree.depth.sum()) + L.nnz):
         # Lbar's spectrum is the edge weights and alpha, as diag(r) lists it below
         _require_shifted_spectrum(min(alpha, float(tree.w[tree.depth > 0].min())))
         P = _tree_lyapunov(tree, alpha, q)
+        order = tree.deepest_first()
     else:
         L = sparsity.dense(L)
         Q = np.diag(q) if Q.ndim == 1 else Q
@@ -215,7 +224,7 @@ def solve_P(lap: LaplacianData, Q: np.ndarray | None = None, alpha: float = 1.0)
             f"Lyapunov solve residual {residual:.3e} exceeds tolerance "
             f"{_RESIDUAL_TOL * max(1.0, q_norm):.3e}"
         )
-    p_min, p_max = _extreme_eigenvalues(P)
+    p_min, p_max = _extreme_eigenvalues(P, order)
     if p_min <= 0:
         raise DegenerateSpectrumError(f"solution P is not positive definite, min eig = {p_min:.3e}")
 
@@ -228,24 +237,25 @@ def solve_P(lap: LaplacianData, Q: np.ndarray | None = None, alpha: float = 1.0)
         lambda_L=lap.lambda_L,
         min_eig_P=p_min,
         cond_P=p_max / p_min,
+        elimination_order=order,
     )
 
 
-def _extreme_eigenvalues(P) -> tuple[float, float]:
+def _extreme_eigenvalues(P, order=None) -> tuple[float, float]:
     """Smallest and largest eigenvalue of the symmetric P: by Lanczos on a
-    CSR P whose symmetric LU factor proves it positive definite, else (and
-    should ARPACK fail) from ``eigvalsh``.
+    CSR P whose symmetric LU factor, taken in ``order`` when given, proves it
+    positive definite, else (and should ARPACK fail) from ``eigvalsh``.
 
     The smallest comes from shift-invert at 0 on that factor: about 13 ms on
-    the 600-agent tree of the large-graph benchmark.  A shift at the
+    the 600-agent tree of the large-graph benchmark under MMD.  A shift at the
     Gershgorin bound, as the gain forms take, needs a second factor and took
     1.2 s there, and LOBPCG did not converge in 200 iterations.
     """
     if not isinstance(P, np.ndarray):
         try:
-            lu = sparsity.symmetric_lu(P)
-            if sparsity.proves_positive_definite(lu):
-                return sparsity.nearest_eigenvalue(P, 0.0, lu), sparsity.largest_eigenvalue(P)
+            factor = sparsity.symmetric_lu(P, order)
+            if sparsity.proves_positive_definite(factor):
+                return sparsity.nearest_eigenvalue(P, 0.0, factor), sparsity.largest_eigenvalue(P)
         except RuntimeError:
             # ARPACK's errors and an exactly singular factor
             pass
@@ -289,6 +299,10 @@ class _Tree(NamedTuple):
     parent: np.ndarray
     w: np.ndarray
     depth: np.ndarray
+
+    def deepest_first(self) -> np.ndarray:
+        """The agents deepest first, those of one depth in index order."""
+        return np.argsort(-self.depth, kind="stable")
 
 
 def _spanning_tree(L, v: np.ndarray) -> _Tree | None:
@@ -347,7 +361,7 @@ def _tree_lyapunov(tree: _Tree, alpha: float, q: np.ndarray):
     root, parent, w, depth = tree
     n = parent.size
     # the agents deepest first, so that those of one depth are contiguous
-    order = np.argsort(-depth, kind="stable")
+    order = tree.deepest_first()
     pos = np.empty(n, dtype=np.intp)
     pos[order] = np.arange(n)
     # the pairs of level g join the agents order[:m[g]], those deeper than

@@ -226,3 +226,25 @@ def test_graph_json_validation_paths():
     with pytest.raises(ValidationError, match=r"edges\[1\]\.to"):
         graph_from_json({"n": 2, "edges": [{"from": 1, "to": 2, "w": 1.0},
                                            {"from": 1, "to": 5, "w": 1.0}]})
+
+
+@given(st.sampled_from(GRAPH_FAMILIES), st.integers(min_value=200, max_value=400),
+       st.integers(min_value=0, max_value=2 ** 32 - 1))
+@settings(max_examples=20, deadline=None)
+def test_sparse_laplacian_is_csr_of_dense_laplacian(family, n, seed):
+    """In the sparse regime the CSR L, built from the weights' nonzeros,
+    stores the entries of ``csr_array`` of the dense L: the same index
+    arrays, their type included, and the same bits, also where an agent
+    listens to no one and its row holds no diagonal entry."""
+    import scipy.sparse
+
+    rng = np.random.default_rng(seed)
+    w = random_family_graph(rng, n, family).weights.copy()
+    w[rng.integers(0, n)] = 0.0
+    L = build_laplacian(DirectedGraph(w)).L
+    expected = scipy.sparse.csr_array(np.diag(w.sum(axis=1)) - w)
+    assert isinstance(L, scipy.sparse.csr_array)
+    for name in ("indptr", "indices"):
+        got, want = getattr(L, name), getattr(expected, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert np.array_equal(L.data.view(np.int64), expected.data.view(np.int64))

@@ -489,6 +489,83 @@ def test_generated_scenarios_end_in_a_documented_exit_code(doc):
             assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
+def _tree_document(mode: str, rng, n: int, hubs: int) -> dict:
+    """The builtin document of ``mode`` on a random tree of ``n`` agents,
+    labels shuffled, in which each agent listens to one of the first
+    ``hubs`` agents before it, with random disturbance bases and initial
+    positions."""
+    doc = scenario_to_json(builtin_scenario(f"paper-{mode}"))
+    perm = rng.permutation(n)
+    doc["graph"] = {"n": n, "edges": [
+        {"from": int(perm[rng.integers(0, min(child, hubs))]) + 1, "to": int(perm[child]) + 1,
+         "w": float(rng.uniform(0.5, 2.0))} for child in range(1, n)]}
+    for segment in doc["disturbance"]["segments"]:
+        segment["base"] = rng.uniform(-0.3, 0.3, n).tolist()
+    doc["initial"] = {"x": rng.uniform(-1.0, 1.0, n).tolist(), "y": [0.0] * n,
+                      "delta_hat": [0.0] * n}
+    return doc
+
+
+def _simulate_document(doc: dict) -> tuple[int, list, object]:
+    """``simulate`` of ``doc`` in this process: its exit code, its standard
+    error's lines and, after exit 0, which wrote the four artifacts, the P
+    of certification.json (else None)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        path.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main(["simulate", str(path), "--out", str(Path(tmp) / "out")])
+        P = None
+        if rc == cli.EXIT_OK:
+            assert sorted(p.name for p in (Path(tmp) / "out").iterdir()) == _ARTIFACTS
+            P = json.loads((Path(tmp) / "out" / "certification.json").read_text())["certificate"]["P"]
+    return rc, err.getvalue().splitlines(), P
+
+
+@st.composite
+def _sparse_tree_documents(draw):
+    """A 200-agent random tree in either mode, over 1 to 300 steps of the
+    builtin's step sampled every 1 or 10 steps, with one edge weight drawn
+    from 1 to 1e307.  One to 30 hubs: a few make a shallow tree whose P
+    takes the tree route, its deepest-first factors and the entries form
+    of certification.json; more make a deeper tree whose P is dense."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    doc = _tree_document(draw(st.sampled_from(["matched", "unmatched"])), rng, 200,
+                         draw(st.integers(1, 30)))
+    draw(st.sampled_from(doc["graph"]["edges"]))["w"] = draw(st.floats(1.0, 1e307))
+    doc["sim"].update(t_final=draw(st.integers(1, 300)) * doc["sim"]["dt"],
+                      sample_every=draw(st.sampled_from([1, 10])))
+    return doc
+
+
+@given(doc=_sparse_tree_documents())
+@settings(max_examples=25, deadline=None)
+def test_generated_sparse_trees_end_in_a_documented_exit_code(doc):
+    """The sparse regime's sibling of the test above: every generated tree
+    ends in exit code 0, 2, 3 or 4, 2 with exactly one ``error:`` line."""
+    rc, lines, P = _simulate_document(doc)
+    event(f"exit {rc}" + ("" if P is None else ", P as entries" if "values" in P else ", P as rows"))
+    assert rc in (cli.EXIT_OK, cli.EXIT_VALIDATION, cli.EXIT_DIVERGED, cli.EXIT_IO)
+    if rc == cli.EXIT_VALIDATION:
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+@pytest.mark.parametrize("mode", ["matched", "unmatched"])
+@pytest.mark.parametrize("weight, code", [(1e150, 3), (1e200, 2), (1e307, 2)])
+def test_heavy_edge_on_600_agent_tree_exit_code(mode, weight, code):
+    """A 600-agent random tree, the size of the large-graph benchmark, with
+    one edge weight of 1e150 diverges at once (exit 3); from 1e154 on,
+    lambda_L^2 overflows a gain bound (exit 2, one ``error:`` line)."""
+    doc = _tree_document(mode, np.random.default_rng(600), 600, 600)
+    doc["graph"]["edges"][17]["w"] = weight
+    doc["sim"].update(t_final=0.05, sample_every=10)
+    rc, lines, _ = _simulate_document(doc)
+    assert rc == code
+    if rc == cli.EXIT_VALIDATION:
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
 def test_cli_align_dt(tmp_path):
     # 0.003 does not divide the 50 s switch; --align-dt shrinks it until it does
     out = tmp_path / "aligned"
@@ -1224,21 +1301,43 @@ def _csr_copies(P):
             for mask in (np.ones(P.shape, dtype=bool), P.view(np.int64) != 0)]
 
 
+def _assert_entries_form(csr, name="writer"):
+    """A CSR P is spelled as its stored entries: the certification text is
+    the indented, key-sorted dump of the document whose P is
+    ``{"shape", "rows", "cols", "values"}``, one entry per stored entry,
+    0-based and in row-major order, from which ``csr_array`` rebuilds P bit
+    for bit, explicit zeros of both signs and subnormals included."""
+    doc = _certification_doc(csr, name)
+    text = "".join(runner.certification_json_text(doc))
+    entries = json.loads(text)["certificate"]["P"]
+    assert sorted(entries) == ["cols", "rows", "shape", "values"]
+    spelled = {**doc, "certificate": {**doc["certificate"], "P": entries}}
+    _assert_same_text(text, json.dumps(spelled, indent=2, sort_keys=True) + "\n")
+    rows, cols = np.array(entries["rows"], dtype=int), np.array(entries["cols"], dtype=int)
+    assert entries["shape"] == list(csr.shape) and rows.size == csr.nnz
+    assert (np.diff(rows * csr.shape[1] + cols) > 0).all()
+    rebuilt = scipy.sparse.csr_array((entries["values"], (rows, cols)), shape=entries["shape"])
+    assert np.array_equal(rebuilt.indptr, csr.indptr)
+    assert np.array_equal(rebuilt.indices, csr.indices)
+    assert np.array_equal(rebuilt.data.view(np.int64), csr.data.view(np.int64))
+
+
 @pytest.mark.parametrize("case", ["n1", "n2", "n600", *_WRITER_CASES])
 def test_certification_json_is_the_indented_dump(case):
-    """The spliced certification text is the indented, key-sorted dump,
-    character for character, also when the scenario is named like the
-    placeholder that stands in for P; P given as rows of floats, as an
-    array and as CSR arrays with explicit zeros (as ``runner.run`` passes a
-    certificate's P) give the same bytes."""
+    """A dense P gives the indented, key-sorted dump, character for
+    character, given as rows of floats or as an array, also when the
+    scenario is named "P rows", like the placeholder an earlier writer
+    spliced; a CSR P (``runner.run`` passes a certificate's P as stored),
+    with explicit zeros or without, gives its stored entries
+    (``_assert_entries_form``)."""
     P = _writer_P(case)
-    for name in ("writer", runner._P_SLOT):
+    for name in ("writer", "P rows"):
         doc = _certification_doc(P, name)
         text = "".join(runner.certification_json_text(doc))
         _assert_same_text(text, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        for stored in (np.array(P), *_csr_copies(P)):
-            stored_doc = _certification_doc(stored, name)
-            assert "".join(runner.certification_json_text(stored_doc)) == text
+        assert "".join(runner.certification_json_text(_certification_doc(np.array(P), name))) == text
+        for csr in _csr_copies(P):
+            _assert_entries_form(csr, name)
 
 
 #: few values, so that draws repeat them; both zeros, so that a writer that
@@ -1250,13 +1349,15 @@ _P_POOL = (0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e300, 1e16, 0.1, 1.0, -2.0, 3.0,
     st.lists(st.sampled_from(_P_POOL), min_size=n, max_size=n), min_size=n, max_size=n)))
 @settings(max_examples=100, deadline=None)
 def test_certification_json_of_any_square_P(P):
-    """Any square P, symmetric or not, with repeated values: the spliced
-    text is the indented, key-sorted dump, also from P's CSR copies."""
+    """Any square P, symmetric or not, with repeated values: dense, the
+    text is the indented, key-sorted dump, from rows or an array; its CSR
+    copies give their stored entries."""
     doc = _certification_doc(P)
     text = "".join(runner.certification_json_text(doc))
     _assert_same_text(text, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    assert "".join(runner.certification_json_text(_certification_doc(np.array(P)))) == text
     for csr in _csr_copies(P):
-        assert "".join(runner.certification_json_text(_certification_doc(csr))) == text
+        _assert_entries_form(csr)
 
 
 @pytest.mark.parametrize("name", ["paper-matched", "paper-unmatched"])

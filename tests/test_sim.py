@@ -649,6 +649,42 @@ def test_600_agent_tree_takes_sparse_recurrence(monkeypatch):
     assert np.abs(out - csr).max() <= 1e-12 * np.abs(csr).max()
 
 
+class _TrackedPower:
+    """A power M^k of a CSR ``M`` whose products record, in ``formed``, the
+    exponent of each power they form."""
+
+    def __init__(self, M, k, formed):
+        self.M, self.k, self.formed = M, k, formed
+        self.shape, self.nnz = M.shape, M.nnz
+
+    def __matmul__(self, other):
+        self.formed.append(self.k + other.k)
+        return _TrackedPower(self.M @ other.M, self.k + other.k, self.formed)
+
+
+@pytest.mark.parametrize("n_steps, formed", [(1000, [2, 4, 5, 10]), (100, [2])])
+def test_sparse_fold_forms_only_powers_toward_a_fold(n_steps, formed):
+    """On a 600-agent tree, the benchmark's large graph, sampled every 10
+    steps: over its 1000 steps the fold squares its way to M^10 through M^2,
+    M^4 and M^5 = M^4 M, every power a candidate fold (a divisor of 10) but
+    M^4, the square that M^5 needs, and none above the fold.  Formed one
+    product at a time, the powers went up to M^9, and M^6 ... M^9 can never
+    be a fold.  Over the benchmark's 100-step warm-up the cost stop keeps
+    the shallow fold 2.  The fold is M^f within rounding."""
+    rng = np.random.default_rng(4)
+    lap = build_laplacian(random_tree_graph(rng, 600))
+    profile, _ = _two_segment_case(lap, rng, 0.05)
+    C_L, C_I, _ = _loop("matched", lap, profile).blocks()
+    M = kernels._step_operator(kernels._csr_system(C_L, C_I, lap.L), 1e-3)
+    exponents = []
+    f, M_f = kernels._sparse_fold(_TrackedPower(M, 1, exponents), 10, n_steps)
+    assert exponents == formed and f == M_f.k == formed[-1]
+    power = M
+    for _ in range(f - 1):
+        power = power @ M
+    assert abs(M_f.M - power).max() <= 1e-13 * abs(power).max()
+
+
 class _PoisonedBlock:
     """``M^f`` whose product goes NaN at one block, as an overflow would."""
 

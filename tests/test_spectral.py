@@ -13,8 +13,9 @@ import scipy.sparse.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from consensus_net import graph, sparsity, spectral
+from consensus_net import gains, graph, sparsity, spectral
 from consensus_net.errors import ConsensusNetError, DegenerateSpectrumError, ValidationError
+from consensus_net.gains import MatchedGains, UnmatchedGains
 from consensus_net.graph import DirectedGraph, build_laplacian
 from consensus_net.scenario import builtin_scenario
 from consensus_net.spectral import (
@@ -711,3 +712,90 @@ def test_indefinite_sparse_P_fails_inertia_check():
     assert verdicts == [False]
     assert errors["sparse"] == errors["dense"] == (
         "solution P is not positive definite, min eig = -1.000e+00")
+
+
+#: gains whose forms the tree-order oracle factorises
+_ORDER_MATCHED = MatchedGains(gamma1=6.0, gamma2=17.0, gamma3=4.0, gamma4=25.8)
+_ORDER_UNMATCHED = UnmatchedGains(k_x=3.4, k_d=7.5, k_s=5.0, alpha1=7.5, nu=3.0)
+
+
+def _sparse_forms(P, L):
+    """The matched form, the unmatched form and its Schur test matrix of P
+    and L, as CSC arrays, each with the number of its blocks per side."""
+    I = scipy.sparse.eye_array(P.shape[0], format="csr")
+
+    def join(blocks):
+        return scipy.sparse.block_array(blocks, format="csc")
+
+    M, D = gains._unmatched_forms(_ORDER_UNMATCHED, P, L, I, join)
+    return [(gains._matched_form(_ORDER_MATCHED, P, L, I, join), 3), (M, 2), (D.tocsc(), 1)]
+
+
+@given(st.sampled_from(("random", "path", "star")), st.integers(min_value=200, max_value=800),
+       st.integers(min_value=0, max_value=2 ** 32 - 1))
+@settings(max_examples=10, deadline=None)
+@example(shape="path", n=800, seed=3)
+@example(shape="star", n=800, seed=4)
+def test_tree_order_factors_match_mmd(shape, n, seed):
+    """The deepest-first order of a tree, shuffled labels and all, gives
+    P's factor and the three gain forms' factors the MMD route's answers:
+    min_eig_P and each form's smallest eigenvalue within 1e-12 relative,
+    and the same verdict of ``proves_positive_definite``.  P comes from the
+    tree solver whatever the fill rule says, and the forms take the sparse
+    regime whatever their fill; a path's P is dense, so its forms are
+    factorised up to 400 agents (a path of 800 took 4.7 s)."""
+    rng = np.random.default_rng(seed)
+    g, _ = _shuffled_tree(rng, n, shape)
+    lap = build_laplacian(g)
+    tree = spectral._spanning_tree(lap.L, lap.v_left)
+    order = tree.deepest_first()
+    assert np.all(np.diff(tree.depth[order]) <= 0)
+    P = spectral._tree_lyapunov(tree, 1.0, rng.uniform(0.5, 2.0, n))
+    assert (sparsity.proves_positive_definite(sparsity.symmetric_lu(P, order))
+            == sparsity.proves_positive_definite(sparsity.symmetric_lu(P)))
+    (p_min, p_max), (mmd_min, mmd_max) = (spectral._extreme_eigenvalues(P, o) for o in (order, None))
+    assert _close(p_min, mmd_min) and p_max == mmd_max
+    if shape == "path" and n > 400:
+        return
+
+    def dense():
+        raise AssertionError("the sparse regime did not answer")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sparsity, "SPARSE_MAX_FILL", 1.0)
+        for form, blocks in _sparse_forms(P, lap.L):
+            tree_min = sparsity.smallest_eigenvalue(form, dense, sparsity.block_order(order, blocks))
+            assert _close(tree_min, sparsity.smallest_eigenvalue(form, dense)), blocks
+
+
+def _splu_orderings(run):
+    """The ``permc_spec`` of every sparse LU factor that ``run()`` takes."""
+    specs = []
+    real = scipy.sparse.linalg.splu
+
+    def spy(A, permc_spec=None, **kwargs):
+        specs.append(permc_spec)
+        return real(A, permc_spec=permc_spec, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scipy.sparse.linalg, "splu", spy)
+        run()
+    return specs
+
+
+def test_tree_order_only_on_the_tree_route():
+    """A 600-agent tree's certificate carries its deepest-first order, and
+    min_eig_P and every gain form factorise in it; the same tree with one
+    agent given a second parent takes the Schur route, its P and forms stay
+    sparse, and every factor keeps MMD."""
+    for g, spec in ((random_tree_graph(np.random.default_rng(602), 600), "NATURAL"),
+                    (_two_parent_tree(np.random.default_rng(602), 600), "MMD_AT_PLUS_A")):
+        lap = build_laplacian(g)
+        certs = []
+        specs = _splu_orderings(lambda: certs.append(solve_P(lap)))
+        cert, = certs
+        assert isinstance(cert.P, scipy.sparse.csr_array)
+        assert (cert.elimination_order is None) == (spec != "NATURAL")
+        specs += _splu_orderings(lambda: (gains.certify_matched(_ORDER_MATCHED, cert),
+                                          gains.certify_unmatched(_ORDER_UNMATCHED, cert)))
+        assert specs == [spec] * 4

@@ -217,3 +217,17 @@ def test_benchmark_spans_are_looked_up_at_call_time():
               and _is_call(node, "analysis", getattr(node.func, "attr", None))}
     spans = _traced_spans("_ANALYSIS_TARGETS")
     assert spans and [name for name in spans if name not in functions & called] == []
+
+
+def test_one_home_for_indented_json():
+    """The ``indent=2`` layout is written once, in ``jsontext``: no module
+    of the package calls ``json.dumps`` or ``json.dump`` with ``indent``,
+    and every JSON file it writes goes through ``jsontext.indented_json``."""
+    found = [(module, node.lineno) for module, tree in TREES.items() for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in ("dumps", "dump")
+             and any(keyword.arg == "indent" for keyword in node.keywords)]
+    assert found == []
+    users = {module for module, tree in TREES.items() for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id == "indented_json"}
+    assert users == {"cli.py", "runner.py", "scenario.py"}
