@@ -15,7 +15,9 @@ directory.  Exit codes: 0 success, 2 invalid input (bad data, a graph whose
 spectrum cannot be certified, infeasible gains, values so extreme that a
 matrix routine or the certificate's arithmetic fails, a grid of more than
 2**53 steps, arrays that cannot be allocated, a plot range that overflows),
-3 numerical divergence, 4 I/O failure.
+3 numerical divergence, 4 I/O failure.  An error exit prints its own lines
+on stderr alone; after exit 0 each warning the command raised is one
+``warning: <message>`` line there.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -243,8 +246,20 @@ def _cmd_plot(args) -> int:
 # numpy's warnings would only add source lines to stderr
 @np.errstate(all="ignore")
 def main(argv=None) -> int:
+    """Run one command and return its exit code.  The warnings it raises are
+    recorded: after exit 0 each is printed as one ``warning:`` line on
+    stderr, and an error exit prints its own line alone."""
     parser = _build_parser()
     args = parser.parse_args(argv)
+    with warnings.catch_warnings(record=True) as caught:
+        code = _run(parser, args)
+    if code == EXIT_OK:
+        for warning in caught:
+            print(f"warning: {warning.message}", file=sys.stderr)
+    return code
+
+
+def _run(parser, args) -> int:
     try:
         if args.command == "graph":
             return _cmd_graph_analyze(args)

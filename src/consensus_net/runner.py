@@ -20,11 +20,12 @@ indented-JSON writer, ``jsontext.indented_json``.  ``run`` hands
 is written as its rows, a CSR P (a tree's, on which 98 % of P is exactly
 zero) as its stored entries.
 
-The two CSV files are text from ``_csv_chunks``, whoever formats it, one
-block of rows (``analysis.row_blocks``) at a time.  The certificate and the
-simulation are independent consumers of the graph, so only the Laplacian
-and the integration run before the CSV writer starts.  ``_write_csv``
-writes trajectory.csv.  When the two tables hold more than
+The two CSV files are bytes from ``_csv_chunks``, whoever formats them, one
+block of rows (``analysis.row_blocks``) at a time: one call per block of
+``csvtext.rows_text``, the package's one CSV number formatter.  The
+certificate and the simulation are independent consumers of the graph, so
+only the Laplacian and the integration run before the CSV writer starts.
+``_write_csv`` writes trajectory.csv.  When the two tables hold more than
 ``FORK_MIN_VALUES`` values and two CPUs are free, it forks one child as
 soon as the trajectory exists, and the queue that the child and this
 process share holds trajectory.csv's blocks alone: each claims the next
@@ -50,7 +51,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis
+from . import analysis, csvtext
 from .dynamics import MatchedLoop, UnmatchedLoop
 from .errors import IntegrationDivergedError, NoOrbitError, SignalFitError, ValidationError
 from .gains import certify_matched, certify_unmatched, is_S_hurwitz
@@ -74,9 +75,12 @@ SYNC_WINDOW_LEN = 5.0
 METRIC_COLUMNS = ("t", "ex_norm", "ey_norm", "ed_norm", "x_m", "y_m", "delta_m", "lyap")
 
 #: CSV tables of more than this many values in all are formatted on two
-#: CPUs.  On a 2-vCPU x86 VM the fork, the child's start and exit and the
-#: part files cost about what the second CPU saved between 25k and 100k
-#: values, and the fork won clearly from 200k (90-100 ms against 130-140 ms)
+#: CPUs.  On a 2-vCPU x86 VM (the unmatched builtin sampled every step,
+#: medians of 11-15 alternating runs of ``run``) the fork, the child's start
+#: and exit and the part files cost more than the second CPU saved up to
+#: 100k values (25k: 27 against 14 ms; 50k: 31 against 21 ms; 100k: 45-57
+#: against 43 ms), and the fork won from 125k (45 against 60 ms) and at 200k
+#: (96-104 against 111-117 ms)
 FORK_MIN_VALUES = 100_000
 
 
@@ -137,17 +141,16 @@ def certification_json_text(doc: dict) -> list:
 
 
 def _csv_chunks(header, columns: list, start: int = 0, stop: int | None = None) -> list:
-    """CSV text of rows ``start:stop`` as a list of chunks: the header line
-    when ``start`` is 0, then one chunk per block of rows.  ``columns`` holds
-    1-D and 2-D arrays with one row per CSV line; every value is written with
-    17 significant digits.  Runs in ``_write_csv``'s child too, so it calls
-    no BLAS: ``np.column_stack``, ``tolist`` and ``%`` only."""
+    """CSV text of rows ``start:stop`` as a list of bytes chunks: the header
+    line when ``start`` is 0, then one chunk per block of rows.  ``columns``
+    holds 1-D and 2-D arrays with one row per CSV line; every value is
+    written with 17 significant digits by ``csvtext.rows_text``, one call per
+    block.  Runs in ``_write_csv``'s child too, so it calls no BLAS:
+    ``np.column_stack`` and ``csvtext`` only."""
     columns = [c[start:stop] for c in columns]
-    chunks = [",".join(header) + "\n"] if start == 0 else []
-    row_format = ",".join(["%.17g"] * len(header)) + "\n"
+    chunks = [(",".join(header) + "\n").encode()] if start == 0 else []
     for rows in analysis.row_blocks(columns[0].shape[0], len(header)):
-        block = np.column_stack([c[rows] for c in columns])
-        chunks.append((row_format * block.shape[0]) % tuple(block.ravel().tolist()))
+        chunks.append(csvtext.rows_text(np.column_stack([c[rows] for c in columns])))
     return chunks
 
 
@@ -281,7 +284,7 @@ def _format_claims(text, span: list, queue: int, part: int, reports: int) -> Non
     report."""
     offset = 0
     for k in _claims(queue):
-        data = "".join(text(span[k].start, span[k].stop)).encode()
+        data = b"".join(text(span[k].start, span[k].stop))
         _write_all(part, data)
         os.write(reports, _Formatter.report.pack(k, offset, len(data)))
         offset += len(data)

@@ -9,6 +9,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import warnings
 from functools import partial
 from pathlib import Path
 from typing import NamedTuple
@@ -346,6 +347,65 @@ def test_cli_validation_exit_code(tmp_path, capsys):
     rc = cli.main(["simulate", str(bad), "--out", str(tmp_path / "o")])
     assert rc == cli.EXIT_VALIDATION
     assert "error" in capsys.readouterr().err
+
+
+def _warning_tree_document() -> dict:
+    """The paper-matched document on a 200-agent tree of seed 1, in which
+    each agent listens to one of the first 10-30 agents, with one edge weight
+    of 1e100: its Lyapunov solve warns of a near-zero eigenvalue sum, then
+    fails its residual check."""
+    doc = scenario_to_json(builtin_scenario("paper-matched"))
+    rng = np.random.default_rng(1)
+    n = 200
+    hubs = rng.integers(10, 31)
+    edges = [{"from": int(rng.integers(0, min(child, hubs))) + 1, "to": child + 1,
+              "w": float(rng.uniform(0.5, 2.0))} for child in range(1, n)]
+    edges[rng.integers(0, n - 1)]["w"] = 1e100
+    doc["graph"] = {"n": n, "edges": edges}
+    for segment in doc["disturbance"]["segments"]:
+        segment["base"] = [0.1] * n
+    doc["initial"] = {"x": [0.0] * n, "y": [0.0] * n, "delta_hat": [0.0] * n}
+    doc["sim"].update(t_final=0.1, sample_every=10)
+    return doc
+
+
+def test_cli_error_exit_prints_its_line_alone_in_a_real_process(tmp_path):
+    """A ``simulate`` process whose certificate warns before it fails prints
+    one ``error:`` line on stderr and nothing else.  A real process, since
+    pytest records the warnings of the commands it runs in process."""
+    doc = _warning_tree_document()
+    with pytest.warns(RuntimeWarning, match="eigenvalue pair"), \
+            pytest.raises(DegenerateSpectrumError, match="residual"):
+        runner.certificate(scenario_from_json(doc))
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-m", "consensus_net.cli", "simulate", str(path),
+                           "--out", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == cli.EXIT_VALIDATION
+    assert proc.stderr.splitlines() == [
+        "error: Lyapunov solve residual 2.000e+00 exceeds tolerance 1.000e-08"]
+
+
+def test_cli_success_prints_each_warning_as_one_line(tmp_path, capsys, monkeypatch):
+    """After exit 0 each warning the command raised is one ``warning:``
+    line on stderr, in the order raised, with nothing else there."""
+    real_run = runner.run
+
+    def run(sc, out_dir):
+        warnings.warn("the first warning", RuntimeWarning)
+        arts = real_run(sc, out_dir)
+        warnings.warn("the second warning", UserWarning)
+        return arts
+
+    monkeypatch.setattr(runner, "run", run)
+    rc = cli.main(["simulate", "paper-matched", "--t-final", "1", "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_OK
+    assert capsys.readouterr().err.splitlines() == ["warning: the first warning",
+                                                    "warning: the second warning"]
 
 
 def test_cli_divergence_exit_code(tmp_path, capsys):
@@ -860,20 +920,20 @@ def test_csv_blocks_match_per_value_writer():
     # 16 columns: two full blocks and a partial one
     n_rows = 2 * (BLOCK_VALUES // 16) + 7
     traj = Trajectory(np.arange(n_rows) * 0.1, _awkward_values(rng, (n_rows, 15)))
-    _assert_same_text("".join(runner.trajectory_csv_text(traj)), _reference_trajectory_csv(traj))
+    _assert_same_text(b"".join(runner.trajectory_csv_text(traj)).decode(), _reference_trajectory_csv(traj))
     # a row wider than a block: one row per block
     wide = Trajectory([0.0, 0.5, 1.0], _awkward_values(rng, (3, 3 * (BLOCK_VALUES // 3 + 1))))
     assert wide.states.shape[1] + 1 > BLOCK_VALUES
     chunks = runner.trajectory_csv_text(wide)
     assert len(chunks) == 1 + 3
-    _assert_same_text("".join(chunks), _reference_trajectory_csv(wide))
+    _assert_same_text(b"".join(chunks).decode(), _reference_trajectory_csv(wide))
     n_rows = BLOCK_VALUES // len(runner.METRIC_COLUMNS) + 3
     table = _awkward_values(rng, (n_rows, len(runner.METRIC_COLUMNS)))
     metrics = {name: table[:, k] for k, name in enumerate(runner.METRIC_COLUMNS)}
-    _assert_same_text("".join(runner.metrics_csv_text(metrics)),
+    _assert_same_text(b"".join(runner.metrics_csv_text(metrics)).decode(),
                       _reference_csv(runner.METRIC_COLUMNS, table))
     empty = Trajectory(np.empty(0), np.empty((0, 3)))
-    _assert_same_text("".join(runner.trajectory_csv_text(empty)), _reference_trajectory_csv(empty))
+    _assert_same_text(b"".join(runner.trajectory_csv_text(empty)).decode(), _reference_trajectory_csv(empty))
 
 
 def test_run_writes_reference_bytes(tmp_path):

@@ -133,22 +133,31 @@ def _blas_calls(node) -> list:
     return found
 
 
+#: the sibling modules whose functions ``runner`` calls as ``<module>.<name>``
+#: on the way to a CSV table's text
+_CSV_MODULES = ("analysis", "csvtext")
+
+
 def _reached(start: list, functions: dict) -> dict:
-    """The functions that the nodes ``start`` reach by name, transitively:
-    a bare name of a ``runner`` function, or ``analysis.<name>``."""
-    reached, pending = {}, list(start)
+    """The functions that the ``runner`` nodes ``start`` reach by name,
+    transitively, keyed by (module, name): a bare name of a function of the
+    module the calling code is in, or ``analysis.<name>`` or
+    ``csvtext.<name>``."""
+    reached, pending = {}, [("runner.py", node) for node in start]
     while pending:
-        for sub in ast.walk(pending.pop()):
+        module, node = pending.pop()
+        for sub in ast.walk(node):
             if isinstance(sub, ast.Name):
-                found = functions["runner.py"].get(sub.id)
+                key = (module, sub.id)
             elif (isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
-                  and sub.value.id == "analysis"):
-                found = functions["analysis.py"].get(sub.attr)
+                  and sub.value.id in _CSV_MODULES):
+                key = (sub.value.id + ".py", sub.attr)
             else:
                 continue
-            if found is not None and found.name not in reached:
-                reached[found.name] = found
-                pending.append(found)
+            found = functions[key[0]].get(key[1])
+            if found is not None and key not in reached:
+                reached[key] = found
+                pending.append((key[0], found))
     return reached
 
 
@@ -159,8 +168,9 @@ def test_one_fork_whose_child_only_formats_and_exits():
     BLAS threads do not exist in the child, so nothing the branch reaches
     may reach BLAS: its claim loop (``_format_claims``, ``_claims``), and
     the CSV writer that a table's ``text`` is (``trajectory_csv_text``,
-    ``metrics_csv_text``), with whatever they call in ``runner`` and
-    ``analysis``."""
+    ``metrics_csv_text``), with whatever they call in ``runner``,
+    ``analysis`` and ``csvtext``, the number formatter, and whatever that
+    calls in turn."""
     forks = [(module, node) for module, tree in TREES.items() for node in ast.walk(tree)
              if _is_call(node, "os", "fork")]
     assert [module for module, _ in forks] == ["runner.py"]
@@ -178,7 +188,9 @@ def test_one_fork_whose_child_only_formats_and_exits():
     assert isinstance(last.finalbody[-1], ast.Expr) and _is_call(last.finalbody[-1].value, "os", "_exit")
     reached = _reached([*branch, *(functions["runner.py"][name] for name in
                                    ("trajectory_csv_text", "metrics_csv_text"))], functions)
-    assert {"_format_claims", "_claims", "_csv_chunks", "row_blocks"} <= set(reached)
+    assert {("runner.py", "_format_claims"), ("runner.py", "_claims"),
+            ("runner.py", "_csv_chunks"), ("analysis.py", "row_blocks"),
+            ("csvtext.py", "rows_text"), ("csvtext.py", "_decimal")} <= set(reached)
     assert [found for node in [*branch, *reached.values()] for found in _blas_calls(node)] == []
 
 
@@ -231,3 +243,17 @@ def test_one_home_for_indented_json():
     users = {module for module, tree in TREES.items() for node in ast.walk(tree)
              if isinstance(node, ast.Name) and node.id == "indented_json"}
     assert users == {"cli.py", "runner.py", "scenario.py"}
+
+
+def test_one_home_for_the_csv_number_format():
+    """``%.17g``, the CSV files' number format, is spelled in one module,
+    ``csvtext``, the package's one CSV number formatter: no other module
+    holds it, or the ``.17g`` of a format spec, in a string or bytes."""
+    def spelled(module):
+        return [node.lineno for node in ast.walk(TREES[module])
+                if isinstance(node, ast.Constant) and isinstance(node.value, (str, bytes))
+                and ".17g" in str(node.value)]
+
+    assert spelled("csvtext.py")
+    assert [(module, spelled(module)) for module in TREES
+            if module != "csvtext.py" and spelled(module)] == []
