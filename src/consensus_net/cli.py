@@ -15,9 +15,9 @@ directory.  Exit codes: 0 success, 2 invalid input (bad data, a graph whose
 spectrum cannot be certified, infeasible gains, values so extreme that a
 matrix routine or the certificate's arithmetic fails, a grid of more than
 2**53 steps, arrays that cannot be allocated, a plot range that overflows),
-3 numerical divergence, 4 I/O failure.  An error exit prints its own lines
-on stderr alone; after exit 0 each warning the command raised is one
-``warning: <message>`` line there.
+3 numerical divergence, 4 I/O failure.  An error exit prints one
+``error: <message>`` line on stderr and nothing else there; after exit 0
+each warning the command raised is one ``warning: <message>`` line there.
 """
 
 from __future__ import annotations
@@ -173,9 +173,8 @@ def _cmd_simulate(args) -> int:
     try:
         arts = runner.run(sc, out_dir)
     except IntegrationDivergedError as exc:
-        print(f"integration diverged: state non-finite after t = {exc.last_time}",
-              file=sys.stderr)
-        print(f"partial trajectory retained in {out_dir}", file=sys.stderr)
+        print(f"error: integration diverged: state non-finite after t = {exc.last_time}; "
+              f"partial trajectory retained in {out_dir}", file=sys.stderr)
         return EXIT_DIVERGED
     summary = json.loads(arts.summary_json.read_text())
     results = summary["results"]
@@ -284,7 +283,7 @@ def _run(parser, args) -> int:
         print(f"error: not enough memory for this input: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
+        print(f"error: i/o failed: {exc}", file=sys.stderr)
         return EXIT_IO
     return EXIT_OK
 

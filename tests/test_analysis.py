@@ -2,6 +2,7 @@
 reduced models."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from consensus_net import runner
 from consensus_net.analysis import (
     MeanField,
+    OrbitFit,
     averaged_model_matched,
     averaged_model_unmatched,
     consensus_errors,
@@ -24,6 +26,7 @@ from consensus_net.analysis import (
     row_blocks,
     sync_deviation_windows,
     trajectory_metrics,
+    window_mask,
 )
 from consensus_net.dynamics import (
     DisturbanceProfile,
@@ -169,6 +172,195 @@ def test_fit_orbit_rejects_aperiodic():
     t = np.linspace(0.0, 10.0, 501)
     with pytest.raises(NoOrbitError):
         fit_orbit(t, np.exp(0.3 * t), (0.0, 10.0))
+
+
+def _reference_seed(times, values, window) -> tuple:
+    """fit_orbit's window samples, the RMS of their detrended signal and the
+    frequency seeded from its zero crossings."""
+    times = np.asarray(times, dtype=float)
+    values = np.asarray(values, dtype=float)
+    mask = window_mask(times, window)
+    t = times[mask]
+    sig = values[mask]
+    centered = sig - sig.mean()
+    rms = float(np.sqrt(np.mean(centered ** 2)))
+    if rms == 0.0:
+        raise NoOrbitError("signal is constant over the window; no orbit to fit")
+    sgn = np.sign(centered)
+    crossings = np.flatnonzero(sgn[:-1] * sgn[1:] < 0)
+    if crossings.size < 3:
+        raise NoOrbitError(
+            f"only {crossings.size} zero crossings in the window; no oscillation detected")
+    tc = t[crossings] - centered[crossings] * (t[crossings + 1] - t[crossings]) \
+        / (centered[crossings + 1] - centered[crossings])
+    return t, sig, rms, math.pi * (tc.size - 1) / (tc[-1] - tc[0])
+
+
+def _reference_fit_orbit(times, values, window) -> OrbitFit:
+    """The oracle: the same seed, refined by Gauss-Newton on all four
+    parameters, each step a column-wise ``lstsq`` of the full Jacobian."""
+    t, sig, rms, w = _reference_seed(times, values, window)
+    s, co = np.sin(w * t), np.cos(w * t)
+    abc, *_ = np.linalg.lstsq(np.column_stack([s, co, np.ones_like(t)]), sig, rcond=None)
+    params = np.array([abc[0], abc[1], abc[2], w])
+    for _ in range(60):
+        a, b, c, w = params
+        r = a * s + b * co + c - sig
+        J = np.column_stack([s, co, np.ones_like(t), (a * co - b * s) * t])
+        try:
+            step, *_ = np.linalg.lstsq(J, -r, rcond=None)
+        except np.linalg.LinAlgError:
+            break
+        params = params + step
+        s, co = np.sin(params[3] * t), np.cos(params[3] * t)
+        if np.abs(step).max() < 1e-12 * max(1.0, np.abs(params).max()):
+            break
+    a, b, c, w = params
+    model = a * s + b * co + c
+    residual = float(np.sqrt(np.mean((model - sig) ** 2)))
+    ratio = residual / rms
+    if not (w > 0) or ratio > 0.5:
+        raise NoOrbitError(
+            f"sinusoid fit explains the signal poorly (residual {ratio:.1%} of RMS)")
+    return OrbitFit(float(w), float(math.hypot(a, b)), float(math.atan2(b, a)), float(c),
+                    residual, float(ratio))
+
+
+def _outcome(fit, *args):
+    """``fit(*args)``'s OrbitFit, or the type and message of what it raised."""
+    try:
+        return fit(*args)
+    except (NoOrbitError, SignalFitError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_matches_reference(times, values, window):
+    got = _outcome(fit_orbit, times, values, window)
+    ref = _outcome(_reference_fit_orbit, times, values, window)
+    if not isinstance(ref, OrbitFit):
+        assert got == ref
+        return
+    assert isinstance(got, OrbitFit), got
+    scale = 1e-9 * ref.amplitude
+    assert abs(got.angular_frequency - ref.angular_frequency) <= 1e-9 * ref.angular_frequency
+    assert abs(got.amplitude - ref.amplitude) <= scale
+    assert abs(got.offset - ref.offset) <= scale
+    assert abs(got.residual - ref.residual) <= scale
+    turn = (got.phase - ref.phase) % (2.0 * math.pi)
+    assert min(turn, 2.0 * math.pi - turn) <= 1e-9
+
+
+def test_fit_orbit_matches_reference_on_paper_unmatched():
+    """Every agent's position over the builtin's orbit window."""
+    sc = builtin_scenario("paper-unmatched")
+    *_, loop = runner.prepare(sc)
+    params = SimParams(t_final=sc.t_final, dt=sc.dt, sample_every=sc.sample_every)
+    traj = integrate(loop, np.concatenate([sc.x0, sc.y0, sc.delta_hat0]), params)
+    for i in range(traj.n_agents):
+        _assert_matches_reference(traj.times, traj.x[:, i], runner._orbit_window(sc))
+
+
+@st.composite
+def _noisy_sinusoids(draw):
+    """(times, values, window, w): a sinusoid of frequency w with an offset,
+    a linear drift and Gaussian noise, over 3 to 40 periods of at least 8
+    samples each, in a window that starts up to one window length after
+    t = 0 (as the builtin's (20, 40) does)."""
+    periods = draw(st.floats(3.0, 40.0))
+    per_period = draw(st.integers(8, 64))
+    w = draw(st.floats(0.05, 50.0))
+    amplitude = draw(st.floats(1e-3, 1e3))
+    span = periods * 2.0 * math.pi / w
+    t0 = span * draw(st.floats(0.0, 1.0))
+    t = t0 + np.linspace(0.0, span, int(periods * per_period) + 1)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    values = (amplitude * np.sin(w * t + draw(st.floats(-math.pi, math.pi)))
+              + amplitude * draw(st.floats(-5.0, 5.0))
+              + amplitude * draw(st.floats(-0.5, 0.5)) * (t - t0) / span
+              + amplitude * draw(st.floats(0.0, 0.2)) * rng.standard_normal(t.size))
+    return t, values, (t0, t[-1]), w
+
+
+@given(case=_noisy_sinusoids())
+@settings(max_examples=200, deadline=None)
+def test_fit_orbit_matches_reference_on_noisy_sinusoids(case):
+    """The oracle holds wherever the zero-crossing seed lies within the
+    drawn frequency's main lobe, pi / (window length).  Noise that adds
+    crossings can push the seed past it; from there both refinements
+    wander, each to its own alias or to none, and fit_orbit must still end
+    in a fit or NoOrbitError."""
+    times, values, window, w = case
+    got = _outcome(fit_orbit, times, values, window)
+    assert isinstance(got, OrbitFit) or got[0] is NoOrbitError
+    try:
+        seed = _reference_seed(times, values, window)[3]
+    except NoOrbitError:
+        seed = w
+    if abs(seed - w) < math.pi / (window[1] - window[0]):
+        _assert_matches_reference(times, values, window)
+
+
+@pytest.mark.parametrize("values", [
+    np.ones(201),
+    np.exp(0.3 * np.linspace(0.0, 10.0, 201)),
+    np.sin(np.linspace(0.0, 1.5 * math.pi, 201)),
+], ids=["constant", "aperiodic", "two-crossings"])
+def test_fit_orbit_errors_match_reference(values):
+    _assert_matches_reference(np.linspace(0.0, 10.0, 201), values, (0.0, 10.0))
+
+
+_DEGENERATE_T = np.linspace(0.0, 40.0, 4001)
+
+
+@pytest.mark.parametrize("times, values, fits", [
+    (_DEGENERATE_T, np.sign(np.sin(1.3 * _DEGENERATE_T) + 1e-9), True),
+    (np.arange(200) * 0.1, np.cos(math.pi * np.arange(200)), True),
+    (np.arange(4.0), np.array([1.0, -1.0, 1.0, -1.0]), True),
+    (_DEGENERATE_T, np.random.default_rng(0).standard_normal(_DEGENERATE_T.size), False),
+    (_DEGENERATE_T, np.sin(0.05 * _DEGENERATE_T ** 2), False),
+], ids=["square-wave", "nyquist-cosine", "four-samples", "white-noise", "chirp"])
+def test_fit_orbit_degenerate_windows(times, values, fits):
+    """Degenerate windows end in the reference's outcome class, a fit or
+    NoOrbitError, and warn nothing.  The Nyquist-rate cosine's basis is
+    rank deficient (sin(wt) vanishes at every sample): its fit still gives
+    the unit amplitude."""
+    window = (times[0], times[-1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _outcome(fit_orbit, times, values, window)
+        ref = _outcome(_reference_fit_orbit, times, values, window)
+    assert isinstance(got, OrbitFit) == isinstance(ref, OrbitFit) == fits
+    if fits:
+        assert got.residual_ratio < 0.5
+        assert got.amplitude == pytest.approx(ref.amplitude, rel=1e-6)
+    else:
+        assert got[0] is NoOrbitError
+
+
+@pytest.mark.parametrize("first", [0, 1, 2, 3])
+@pytest.mark.parametrize("persists", [False, True], ids=["once", "from-then-on"])
+def test_fit_orbit_survives_failed_solves(monkeypatch, first, persists):
+    """A 3x3 solve that raises LinAlgError, at the seed or later, once or
+    from then on, ends the refinement: the fit keeps the last projection it
+    had, and with none at all it is the zero model, which explains nothing."""
+    t = np.linspace(0.0, 30.0, 3001)
+    sig = 2.5 * np.sin(1.7 * t + 0.6) - 0.8 + 0.05 * np.sin(5.3 * t)
+    lstsq, calls = np.linalg.lstsq, []
+
+    def failing(*args, **kwargs):
+        calls.append(None)
+        if len(calls) - 1 == first or (persists and len(calls) - 1 > first):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", failing)
+    if first == 0:
+        with pytest.raises(NoOrbitError, match="explains the signal poorly"):
+            fit_orbit(t, sig, (0.0, 30.0))
+        return
+    fit = fit_orbit(t, sig, (0.0, 30.0))
+    assert fit.residual_ratio < 0.5
+    assert fit.angular_frequency == pytest.approx(1.7, rel=1e-2)
 
 
 def test_averaged_matched_equilibrium():

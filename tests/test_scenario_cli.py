@@ -379,15 +379,59 @@ def test_cli_error_exit_prints_its_line_alone_in_a_real_process(tmp_path):
         runner.certificate(scenario_from_json(doc))
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc))
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    proc = subprocess.run([sys.executable, "-m", "consensus_net.cli", "simulate", str(path),
-                           "--out", str(tmp_path / "out")],
-                          env=env, capture_output=True, text=True, timeout=120)
+    proc = _cli_process("simulate", path, "--out", tmp_path / "out")
     assert proc.returncode == cli.EXIT_VALIDATION
     assert proc.stderr.splitlines() == [
         "error: Lyapunov solve residual 2.000e+00 exceeds tolerance 1.000e-08"]
+
+
+def _cli_process(*args) -> subprocess.CompletedProcess:
+    """``python -m consensus_net.cli *args`` in a process of its own, with
+    this checkout's ``src`` on its path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, "-m", "consensus_net.cli", *map(str, args)],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+def _no_tree_arguments(tmp_path) -> list:
+    doc = scenario_to_json(builtin_scenario("paper-matched"))
+    doc["graph"]["edges"] = []
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    return [path, "--out", tmp_path / "out"]
+
+
+def _diverging_arguments(tmp_path) -> list:
+    path = tmp_path / "blowup.json"
+    path.write_text(json.dumps(_diverging_scenario_doc()))
+    return [path, "--out", tmp_path / "out"]
+
+
+def _out_below_a_file_arguments(tmp_path) -> list:
+    (tmp_path / "file").write_text("")
+    return ["paper-matched", "--out", tmp_path / "file" / "out"]
+
+
+@pytest.mark.parametrize("arguments, code, line", [
+    (_no_tree_arguments, cli.EXIT_VALIDATION,
+     "error: solve_P: graph has no directed spanning tree"),
+    (_diverging_arguments, cli.EXIT_DIVERGED,
+     "error: integration diverged: state non-finite after t = "),
+    (_out_below_a_file_arguments, cli.EXIT_IO, "error: i/o failed: "),
+], ids=["exit-2", "exit-3", "exit-4"])
+def test_cli_error_exit_prints_one_error_line_in_a_real_process(tmp_path, arguments, code,
+                                                                line):
+    """Exits 2 (no spanning tree), 3 (divergence) and 4 (an ``--out`` below
+    a regular file) each print exactly one line on stderr: ``error: ...``."""
+    args = arguments(tmp_path)
+    proc = _cli_process("simulate", *args)
+    assert proc.returncode == code
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(line), lines
+    if code == cli.EXIT_DIVERGED:
+        assert lines[0].endswith(f"; partial trajectory retained in {args[-1]}")
 
 
 def test_cli_success_prints_each_warning_as_one_line(tmp_path, capsys, monkeypatch):
@@ -533,7 +577,8 @@ def _scenario_documents(draw):
 def test_generated_scenarios_end_in_a_documented_exit_code(doc):
     """Every generated document, run by ``simulate`` in this process, ends in
     exit code 0, 2, 3 or 4, never in an exception: 0 with the four
-    artifacts, 2 with exactly one ``error:`` line."""
+    artifacts and only ``warning:`` lines on stderr, any other with exactly
+    one line there, ``error: ...``."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "scenario.json"
         path.write_text(json.dumps(doc))
@@ -542,10 +587,11 @@ def test_generated_scenarios_end_in_a_documented_exit_code(doc):
             rc = cli.main(["simulate", str(path), "--out", str(Path(tmp) / "out")])
         event(f"exit {rc}")
         assert rc in (cli.EXIT_OK, cli.EXIT_VALIDATION, cli.EXIT_DIVERGED, cli.EXIT_IO)
+        lines = err.getvalue().splitlines()
         if rc == cli.EXIT_OK:
             assert sorted(p.name for p in (Path(tmp) / "out").iterdir()) == _ARTIFACTS
-        if rc == cli.EXIT_VALIDATION:
-            lines = err.getvalue().splitlines()
+            assert all(line.startswith("warning: ") for line in lines), lines
+        else:
             assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
