@@ -178,20 +178,21 @@ def fit_exponential_decay(times: np.ndarray, values: np.ndarray, window) -> floa
     return float(-slope)
 
 
-def _solve3(gram: np.ndarray, rhs: np.ndarray):
-    """The minimum-norm least-squares solution of a 3x3 normal system (the
-    answer of a rank-deficient basis too), or None when the solve fails."""
+def _solve3(gram: np.ndarray, rhs: np.ndarray) -> tuple:
+    """The minimum-norm least-squares solution of a 3x3 normal system (a
+    rank-deficient one's too) and its rank; (None, 0) when the solve fails."""
     try:
-        return np.linalg.lstsq(gram, rhs, rcond=None)[0]
+        x, _, rank, _ = np.linalg.lstsq(gram, rhs, rcond=None)
     except np.linalg.LinAlgError:
-        return None
+        return None, 0
+    return x, rank
 
 
 def _project(t: np.ndarray, sig: np.ndarray, w: float) -> tuple:
-    """(sin(wt), cos(wt), the basis' 3x3 Gram matrix, (a, b, c)): the
-    least-squares a*sin(wt) + b*cos(wt) + c of ``sig`` from the normal
-    equations of [sin(wt), cos(wt), 1]; (a, b, c) is None when the solve
-    fails.
+    """(sin(wt), cos(wt), the basis' 3x3 Gram matrix, (a, b, c), the Gram
+    matrix's rank): the least-squares a*sin(wt) + b*cos(wt) + c of ``sig``
+    from the normal equations of [sin(wt), cos(wt), 1]; (a, b, c) is None
+    when the solve fails.
 
     The dot products here and in fit_orbit are ``_dot``'s, not BLAS ``@``:
     OpenBLAS splits a long dot product (a window of 20,001 samples) across
@@ -203,7 +204,7 @@ def _project(t: np.ndarray, sig: np.ndarray, w: float) -> tuple:
     s, co = np.sin(wt), np.cos(wt)
     s1, c1, sc = s.sum(), co.sum(), _dot(s, co)
     gram = np.array([[_dot(s, s), sc, s1], [sc, _dot(co, co), c1], [s1, c1, t.size]])
-    return s, co, gram, _solve3(gram, np.array([_dot(s, sig), _dot(co, sig), sig.sum()]))
+    return s, co, gram, *_solve3(gram, np.array([_dot(s, sig), _dot(co, sig), sig.sum()]))
 
 
 def fit_orbit(times: np.ndarray, values: np.ndarray, window) -> OrbitFit:
@@ -214,8 +215,10 @@ def fit_orbit(times: np.ndarray, values: np.ndarray, window) -> OrbitFit:
     1973): Gauss-Newton on the frequency alone, with Kaufman's Jacobian.
     At each frequency, the reported one included, (A cos(phi), A sin(phi),
     offset) solve the 3x3 normal equations of the basis [sin(wt), cos(wt), 1].
-    Raises NoOrbitError when fewer than three crossings exist or the final
-    residual exceeds half the detrended signal RMS.
+    A crossing counts once the signal swings half its RMS past zero on the
+    other side, so noise chatter near a crossing counts once; a rank-deficient
+    basis stops the refinement.  Raises NoOrbitError when fewer than three
+    crossings exist or the final residual exceeds half the detrended signal RMS.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -229,27 +232,36 @@ def fit_orbit(times: np.ndarray, values: np.ndarray, window) -> OrbitFit:
 
     sgn = np.sign(centered)
     crossings = np.flatnonzero(sgn[:-1] * sgn[1:] < 0)
-    if crossings.size < 3:
-        raise NoOrbitError(
-            f"only {crossings.size} zero crossings in the window; no oscillation detected")
     # linear interpolation of each crossing instant
     tc = t[crossings] - centered[crossings] * (t[crossings + 1] - t[crossings]) \
         / (centered[crossings + 1] - centered[crossings])
+    # a stretch between two crossings that swings half the RMS ends a burst,
+    # which counts once if it changes sides and not at all if it does not
+    swung = np.maximum.reduceat(np.abs(centered), crossings + 1)[:-1] >= 0.5 * rms
+    first = np.flatnonzero(np.r_[crossings.size > 0, swung])
+    last = np.flatnonzero(np.r_[swung, crossings.size > 0])
+    flips = sgn[crossings[first]] != sgn[crossings[last] + 1]
+    tc = np.add.reduceat(tc, first)[flips] / (last - first + 1)[flips]
+    if tc.size < 3:
+        raise NoOrbitError(
+            f"only {tc.size} zero crossings in the window; no oscillation detected")
     w = math.pi * (tc.size - 1) / (tc[-1] - tc[0])
 
     # Gauss-Newton on w alone: (a, b, c) is the projection of sig on the
     # basis [sin(wt), cos(wt), 1] at each w, and the step uses the basis'
     # complement of the model's w-derivative (Kaufman's Jacobian).  The
     # derivative's t is centred, as its mid-window part lies in the basis' span
-    s, co, gram, abc = _project(t, sig, w)
-    if abc is None:  # the zero model: it explains nothing, and its g = 0 stops the loop
+    s, co, gram, abc, rank = _project(t, sig, w)
+    if abc is None:  # the zero model: it explains nothing, and its rank 0 stops the loop
         abc = np.zeros(3)
     t_centered = t - 0.5 * (t[0] + t[-1])
     for _ in range(60):
+        if rank < 3:
+            break
         a, b, c = abc
         g = (a * co - b * s) * t_centered
         rg = np.array([_dot(s, g), _dot(co, g), g.sum()])
-        k = _solve3(gram, rg)
+        k = _solve3(gram, rg)[0]
         if k is None:
             break
         curvature = _dot(g, g) - rg @ k
@@ -260,7 +272,7 @@ def fit_orbit(times: np.ndarray, values: np.ndarray, window) -> OrbitFit:
         if projection[3] is None:
             break
         w += dw
-        s, co, gram, abc = projection
+        s, co, gram, abc, rank = projection
         if abs(dw) < 1e-12 * max(1.0, abs(w)):
             break
     a, b, c = abc

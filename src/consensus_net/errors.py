@@ -2,6 +2,7 @@
 across the package."""
 
 import math
+import numbers
 
 
 class ConsensusNetError(Exception):
@@ -59,7 +60,10 @@ class NoOrbitError(SignalFitError):
 def finite_number(value, kind=float):
     """``value`` as a finite float, or as an int when ``kind`` is int, which
     must equal ``value`` (5 and 5.0 pass, 5.7 does not).  Raises ValueError
-    otherwise, or TypeError for a value that is not a number at all."""
+    otherwise, or TypeError for a value that is not a number at all (a bool,
+    which Python counts as an int, or a string)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"not a number: {value!r}")
     try:
         number = kind(value)
     except OverflowError:

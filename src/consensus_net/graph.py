@@ -25,7 +25,7 @@ regimes, picked by ``sparsity.is_sparse`` from n and L's nonzeros:
   document (seed 3, best of 3, 2-vCPU x86 VM with OpenBLAS) the spectral
   norm took 12 ms against 0.69 s dense, and the spectrum 0.2 ms against
   0.12 s, with the same eigenvalues.  Should ARPACK fail, the dense spectral
-  norm answers.  The root component is found from the index arrays of the
+  norm answers.  The root component is found from the stored entries of the
   CSR L and its transpose (``_root_component``), sliced into neighbour
   lists as Python lists.  ``DirectedGraph`` itself stays a dense n x n
   array of weights.
@@ -251,16 +251,13 @@ def has_spanning_tree(g: DirectedGraph) -> bool:
 
 
 def _neighbours(m) -> list:
-    """Column indices of the nonzero entries of each row of ``m``: a numpy
-    array, or a ``scipy.sparse`` array, whose CSR form lists them.  One list
-    of all the indices is sliced row by row."""
-    if isinstance(m, np.ndarray):
-        rows, cols = np.divmod(np.flatnonzero(m != 0), m.shape[1])
-        bounds = np.searchsorted(rows, np.arange(m.shape[0] + 1))
-    else:
-        m = m.tocsr()
-        cols, bounds = m.indices, m.indptr
-    cols, bounds = cols.tolist(), bounds.tolist()
+    """Column indices of the nonzero entries of each row of ``m``, a numpy
+    or a ``scipy.sparse`` array: ``nonzero()`` of either, sorted stably by
+    row into one list of all the indices, which is sliced row by row."""
+    rows, cols = m.nonzero()
+    by_row = np.argsort(rows, kind="stable")
+    bounds = np.searchsorted(rows[by_row], np.arange(m.shape[0] + 1))
+    cols, bounds = cols[by_row].tolist(), bounds.tolist()
     return [cols[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
@@ -269,17 +266,17 @@ def _root_component(listens) -> np.ndarray | None:
 
     ``listens[i, j]`` nonzero means the edge j -> i (a nonzero diagonal is a
     self loop, which changes no reachability); ``listens`` is a numpy array,
-    or, on a sparse graph, the CSR Laplacian, whose index arrays and its
+    or, on a sparse graph, the CSR Laplacian, whose stored entries and its
     transpose's give the neighbours without a scan over all n^2 entries.
     Found with three reachability passes (the mother-vertex argument).  The
     first sweeps all agents, starting a new search from each agent not yet
     reached; if any agent reaches everyone, so does the last start of that
     sweep, because an earlier search that reached such an agent would have
-    reached every later start too.  The second pass searches from that last start alone.  The third,
-    against the edges, finds the agents that reach it: exactly those that
-    reach everyone.  They form the root component, a strongly connected set
-    that listens to no agent outside it, so the left null vector of the
-    Laplacian is zero off it.
+    reached every later start too.  The second pass searches from that last
+    start alone.  The third, against the edges, finds the agents that reach
+    it: exactly those that reach everyone.  They form the root component, a
+    strongly connected set that listens to no agent outside it, so the left
+    null vector of the Laplacian is zero off it.
     """
     n = listens.shape[0]
     succ, pred = _neighbours(listens.T), _neighbours(listens)

@@ -24,8 +24,8 @@ either loop one of two ways, both built on the same RK4 step
   block-Toeplitz matrix of its powers give every superblock of K blocks its
   local part, Python loops once per superblock to carry the start state,
   and products with its powers give every block end.  ``_scan_length``
-  picks K from the unit costs below (K = 12 on the builtins, K = 1, the
-  plain loop, from 40 agents up); set-up costs O((3n)^3) flops.  A CSR
+  picks K from a size bound (K = 12 on the builtins, K = 1, the plain
+  loop, from 31 agents up); set-up costs O((3n)^3) flops.  A CSR
   ``M`` serves graphs that contain a spanning tree, which are typically
   sparse (a tree has n - 1 edges), and so are ``M`` and its first powers:
   ``_sparse_fold`` squares its way towards ``M^fold_length`` and keeps the
@@ -274,12 +274,11 @@ def _block_seconds(N, K):
 
 
 def _scan_length(N):
-    """Blocks per superblock of the dense recurrence's scan: the K that
-    minimises ``_block_seconds``, with ``T``, (K N)^2 entries, at most
-    ``_SCAN_MAX_BYTES``.  At N = 15 (the builtins) the size binds: K = 12
-    against 17 for the cost alone, which the estimate puts 5 % apart."""
-    return min(range(1, max(1, math.isqrt(_SCAN_MAX_BYTES // 8) // N) + 1),
-               key=lambda K: _block_seconds(N, K))
+    """Blocks per superblock of the dense recurrence's scan: the most K with
+    ``T``, (K N)^2 entries, at most ``_SCAN_MAX_BYTES`` (12 at the builtins'
+    N = 15, 1 from N = 93 up).  ``_block_seconds`` is lowest at this bound
+    for every N from 3 to 6,000, so no cost search is made."""
+    return max(1, math.isqrt(_SCAN_MAX_BYTES // 8) // N)
 
 
 def _scan_operators(M_block, K):

@@ -157,12 +157,15 @@ def _vector(doc: dict, path: str, key: str, n: int) -> np.ndarray:
     loc = f"{path}.{key}"
     if key not in doc:
         raise ValidationError(f"{loc}: missing")
-    try:
-        arr = np.asarray(doc[key], dtype=float)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{loc}: expected a numeric vector") from None
-    if arr.shape != (n,):
-        raise ValidationError(f"{loc}: expected length {n}, got shape {arr.shape}")
+    values = doc[key]
+    if not isinstance(values, list) or len(values) != n:
+        raise ValidationError(f"{loc}: expected a list of {n} numbers")
+    arr = np.empty(n)
+    for k, value in enumerate(values):
+        try:
+            arr[k] = finite_number(value)
+        except (TypeError, ValueError):
+            raise ValidationError(f"{loc}[{k}]: expected a finite float, got {value!r}") from None
     return arr
 
 

@@ -194,12 +194,12 @@ def solve_P(lap: LaplacianData, Q: np.ndarray | None = None, alpha: float = 1.0)
             _require_shifted_spectrum(float(np.linalg.eigvals(L_shift).real.min()))
             P = _kron_lyapunov(L_shift, Q)
         else:
-            r, u = _shifted_schur(L, v, alpha)
+            r, perm, core, u_c = _shifted_schur(L, v, alpha)
             # in the standardised real Schur form a 2x2 block's diagonal holds
             # the real part of its eigenvalue pair, so diag(r) lists every real
             # part of -Lbar^T's spectrum
             _require_shifted_spectrum(-float(np.diag(r).max()))
-            P = _lyapunov_from_schur(r, u, -Q)
+            P = _lyapunov_from_schur(r, perm, core, u_c, -Q)
         P = (P + P.T) / 2.0
         if sparsity.is_sparse(n, int(np.count_nonzero(P) + np.count_nonzero(L))):
             import scipy.sparse
@@ -421,7 +421,9 @@ def _tree_lyapunov(tree: _Tree, alpha: float, q: np.ndarray):
 
 
 def _shifted_schur(L: np.ndarray, v: np.ndarray, alpha: float):
-    """Real Schur form ``(r, u)`` of -Lbar^T, with Lbar = L + alpha 1 v^T.
+    """Real Schur form of -Lbar^T, with Lbar = L + alpha 1 v^T, as
+    ``(r, perm, core, u_c)``: -Lbar^T = u r u^T with u = p diag(I, u_c, I)
+    and p[perm[j], j] = 1.
 
     P Lbar + Lbar^T P = Q is the Lyapunov equation (-Lbar^T) P + P (-Lbar) = -Q,
     whose Bartels-Stewart solution starts from this factorisation.
@@ -432,20 +434,10 @@ def _shifted_schur(L: np.ndarray, v: np.ndarray, alpha: float):
     (``dgebal``, Parlett and Reinsch 1969) finds such an order, leaving
     a = p^T (-Lbar^T) p = [[t1, x, y], [0, c, z], [0, 0, t2]] with t1, t2
     upper triangular and the core c, which no permutation reduces further, in
-    rows ``lo:hi+1``.  Only c is factorised, c = u_c r_c u_c^T, and then
-    r = [[t1, x u_c, y], [0, r_c, u_c^T z], [0, 0, t2]] and u = p diag(I, u_c, I).
-    For an acyclic graph the core is one row and u the permutation p, which
-    is returned as a ``scipy.sparse`` array, so that transforming with it
-    gathers rather than multiplies: on the 600-agent tree of the large-graph
-    benchmark the two transforms of ``_lyapunov_from_schur`` took about 4 ms
-    against 33 ms dense.  Trees whose P passes the sparse rule take
-    ``_tree_lyapunov`` instead, so this branch serves acyclic graphs with
-    an agent of two or more parents, trees whose P is dense, such as a long
-    path, and trees with a non-diagonal Q.  A larger core gives a sparse u,
-    the permutation and the core's orthogonal block, where
-    ``sparsity.is_sparse`` takes its entries for sparse, and a dense u
-    otherwise; for a strongly connected graph nothing is permuted and this
-    is the full factorisation.
+    rows ``core``.  Only c is factorised, c = u_c r_c u_c^T, and then
+    r = [[t1, x u_c, y], [0, r_c, u_c^T z], [0, 0, t2]].  An acyclic graph's
+    core is one row, which needs no factorisation (u_c = [[1]]); a strongly
+    connected graph's is the whole matrix.
 
     ``scipy.linalg`` is imported here and in ``_lyapunov_from_schur``, not at
     module level: the import costs about 0.2 s and 25 MiB per process, and
@@ -458,40 +450,27 @@ def _shifted_schur(L: np.ndarray, v: np.ndarray, alpha: float):
         -(L + alpha * np.outer(np.ones(n), v)).T, scale=0, permute=1)
     if info < 0:
         raise ValueError(f"?GEBAL: illegal value in argument number {-info}")
-    # p as a gather: a = (-Lbar^T)[perm][:, perm].  LAPACK swapped row and
-    # column pivscale[j] with j, first for j = n-1 down to hi + 1, then for
-    # j = 0 up to lo - 1 (the decoding of scipy.linalg.matrix_balance)
+    # LAPACK swapped row and column pivscale[j] with j, first for j = n-1
+    # down to hi + 1, then for j = 0 up to lo - 1 (the decoding of
+    # scipy.linalg.matrix_balance)
     swaps = pivscale.astype(int) - 1
     perm = np.arange(n)
     for j in [*range(n - 1, hi, -1), *range(lo)]:
         perm[[j, swaps[j]]] = perm[[swaps[j], j]]
-    if hi == lo:
-        import scipy.sparse
-
-        return r, scipy.sparse.csr_array((np.ones(n), (perm, np.arange(n))), shape=(n, n))
     core = slice(lo, hi + 1)
+    if hi == lo:
+        return r, perm, core, np.ones((1, 1))
     r_c, u_c = scipy.linalg.schur(r[core, core], output="real")
     r[core, core] = r_c
     r[:lo, core] = r[:lo, core] @ u_c
     r[core, hi + 1:] = u_c.T @ r[core, hi + 1:]
-    m = hi + 1 - lo
-    if sparsity.is_sparse(n, n - m + m * m):
-        import scipy.sparse
-
-        outside = np.r_[:lo, hi + 1:n]
-        rows = np.concatenate([perm[outside], np.repeat(perm[core], m)])
-        cols = np.concatenate([outside, np.tile(np.arange(lo, hi + 1), m)])
-        data = np.concatenate([np.ones(n - m), u_c.ravel()])
-        return r, scipy.sparse.csr_array((data, (rows, cols)), shape=(n, n))
-    u = np.zeros((n, n))
-    u[perm, np.arange(n)] = 1.0
-    u[perm[core], core] = u_c
-    return r, u
+    return r, perm, core, u_c
 
 
-def _lyapunov_from_schur(r: np.ndarray, u, q: np.ndarray) -> np.ndarray:
-    """Solve a X + X a^T = q given the real Schur form a = u r u^T, u a numpy
-    or a ``scipy.sparse`` array.
+def _lyapunov_from_schur(r: np.ndarray, perm, core, u_c, q: np.ndarray) -> np.ndarray:
+    """Solve a X + X a^T = q given ``_shifted_schur``'s form a = u r u^T,
+    applying u, never formed, as a gather by ``perm`` and products of the
+    ``core`` rows and columns with u_c.
 
     The triangular equation is solved by ``_lyapunov_blocked``, which up to
     ``_TRSYL_BLOCK`` rows is one LAPACK ``dtrsyl`` call.  Should any of its
@@ -501,7 +480,9 @@ def _lyapunov_from_schur(r: np.ndarray, u, q: np.ndarray) -> np.ndarray:
     """
     import scipy.linalg
 
-    f = u.T @ (q @ u)
+    f = q[np.ix_(perm, perm)]
+    f[core] = u_c.T @ f[core]
+    f[:, core] = f[:, core] @ u_c
     try:
         y = _lyapunov_blocked(r, f)
     except _Rescaled:
@@ -515,7 +496,10 @@ def _lyapunov_from_schur(r: np.ndarray, u, q: np.ndarray) -> np.ndarray:
                           "close to or exactly zero; the solution is obtained by perturbing "
                           "the coefficients", RuntimeWarning, stacklevel=3)
         y *= scale
-    return u @ y @ u.T
+    y[:, core] = y[:, core] @ u_c.T
+    y[core] = u_c @ y[core]
+    y[np.ix_(perm, perm)] = y.copy()  # X = p y p^T
+    return y
 
 
 class _Rescaled(Exception):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from consensus_net import runner
+from consensus_net import analysis, runner
 from consensus_net.analysis import (
     MeanField,
     OrbitFit,
@@ -335,6 +335,51 @@ def test_fit_orbit_degenerate_windows(times, values, fits):
         assert got.amplitude == pytest.approx(ref.amplitude, rel=1e-6)
     else:
         assert got[0] is NoOrbitError
+
+
+def _recorded_noisy_window():
+    """(times, values, window, w): a window like one that a survey of the
+    oracle family recorded, 1,065 samples over 21.3 periods of w = 17.07
+    with an offset, a drift and Gaussian noise at 20 % of the amplitude.
+    The noise adds sign changes near the true crossings, so the raw count
+    seeds w at about twice the drawn frequency."""
+    w = 17.07
+    span = 21.3 * 2.0 * math.pi / w
+    rng = np.random.default_rng(1762)
+    t0 = span * rng.uniform()
+    t = t0 + np.linspace(0.0, span, 1065)
+    values = (np.sin(w * t + rng.uniform(-math.pi, math.pi)) + rng.uniform(-5.0, 5.0)
+              + rng.uniform(-0.5, 0.5) * (t - t0) / span + 0.2 * rng.standard_normal(t.size))
+    return t, values, (t0, t[-1]), w
+
+
+def test_fit_orbit_counts_a_noisy_crossing_once(monkeypatch):
+    """A burst of crossings near one true crossing counts once, so the seed
+    lies within the drawn frequency's main lobe, pi / (window length),
+    where the raw count's seed does not, and the fit agrees with the
+    reference Gauss-Newton, which happens to recover from the raw seed."""
+    times, values, window, w = _recorded_noisy_window()
+    lobe = math.pi / (window[1] - window[0])
+    assert abs(_reference_seed(times, values, window)[3] - w) > lobe
+    seeds, project = [], analysis._project
+    monkeypatch.setattr(analysis, "_project", lambda t, sig, w: seeds.append(w) or project(t, sig, w))
+    fit = fit_orbit(times, values, window)
+    assert abs(seeds[0] - w) < lobe and abs(fit.angular_frequency - w) < lobe
+    _assert_matches_reference(times, values, window)
+
+
+@pytest.mark.parametrize("n", [4, 200, 20_000])
+def test_fit_orbit_stops_on_a_rank_deficient_basis(monkeypatch, n):
+    """A cosine sampled at twice its frequency seeds w at the alias, where
+    sin(wt) vanishes at every sample and the Gram matrix has rank 2: the
+    refinement stops at the seed's projection, whose cosine column alone
+    fits the samples, rather than wander for 60 steps."""
+    k = np.arange(n)
+    calls, project = [], analysis._project
+    monkeypatch.setattr(analysis, "_project", lambda *args: calls.append(args) or project(*args))
+    fit = fit_orbit(0.1 * k, np.cos(math.pi * k), (0.0, 0.1 * (n - 1)))
+    assert len(calls) <= 3
+    assert fit.amplitude == pytest.approx(1.0, abs=1e-12) and fit.residual_ratio < 1e-12
 
 
 @pytest.mark.parametrize("first", [0, 1, 2, 3])

@@ -227,10 +227,11 @@ for name in ("paper-matched", "paper-unmatched"):
 with contextlib.redirect_stdout(io.StringIO()):
     rc = cli.main(["simulate", "paper-matched", "--out", sys.argv[1] + "/cli", "--t-final", "1.0"])
 print(rc, "scipy" in sys.modules, "scipy.linalg" in sys.modules)
-# a chain one agent above the threshold takes the Schur path, which does import it
+# a chain one agent above the threshold takes the Schur path, which does
+# import it, but not scipy.sparse: the balancing permutation is a gather
 n = _KRON_MAX_N + 1
 solve_P(build_laplacian(DirectedGraph(np.diag(np.ones(n - 1), -1))))
-print("scipy.linalg" in sys.modules)
+print("scipy.linalg" in sys.modules, "scipy.sparse" in sys.modules)
 """
 
 _AVERAGED_MODEL_PROBE = """
@@ -282,8 +283,10 @@ def test_builtin_runs_do_not_import_scipy_linalg(tmp_path):
     numpy, so a builtin run, through runner.run or the CLI, never loads scipy;
     importing scipy.linalg would add about 0.2 s and 25 MiB to the process.
     Larger graphs load it inside their first solve_P, and the averaged models,
-    which import it inside the call, still run in a fresh process."""
-    assert _fresh_interpreter(_LINALG_IMPORT_PROBE, tmp_path) == ["0", "False", "False", "True"]
+    which import it inside the call, still run in a fresh process.  The
+    Schur route of a small chain loads no scipy.sparse."""
+    assert (_fresh_interpreter(_LINALG_IMPORT_PROBE, tmp_path)
+            == ["0", "False", "False", "True", "False"])
     for fn, name in (("averaged_model_matched", "paper-matched"),
                      ("averaged_model_unmatched", "paper-unmatched")):
         assert _fresh_interpreter(_AVERAGED_MODEL_PROBE, fn, name) == ["True", "True"]
@@ -799,36 +802,44 @@ def _unmatched(change):
     return apply
 
 
-@pytest.mark.parametrize("change", [
-    _set(["lyapunov"], 3),
-    _set(["disturbance"], {"segments": 5}),
-    _set(["initial"], {"seed": -1}),
-    _set(["initial"], {"seed": 1, "x_high": math.inf}),
-    _set(["disturbance", "segments", 1, "t_start"], 1e308),
-    _set(["disturbance", "segments", 1, "t_start"], math.inf),
-    _set(["lyapunov", "alpha"], math.inf),
-    _set(["lyapunov", "q_scale"], math.inf),
-    _set(["gains", "gamma1"], 1e308),
-    _set(["sim"], "fast"),
-    _set(["sim", "sample_every"], 2.5),
-    _set(["graph", "n"], 5.7),
+@pytest.mark.parametrize("change, says", [
+    (_set(["lyapunov"], 3), "lyapunov:"),
+    (_set(["disturbance"], {"segments": 5}), "disturbance:"),
+    (_set(["initial"], {"seed": -1}), "initial.seed:"),
+    (_set(["initial"], {"seed": 1, "x_high": math.inf}), "initial.x_high:"),
+    (_set(["disturbance", "segments", 1, "t_start"], 1e308), "disturbance switch"),
+    (_set(["disturbance", "segments", 1, "t_start"], math.inf), "disturbance.segments[1]:"),
+    (_set(["lyapunov", "alpha"], math.inf), "lyapunov.alpha:"),
+    (_set(["lyapunov", "q_scale"], math.inf), "lyapunov.q_scale:"),
+    (_set(["gains", "gamma1"], 1e308), "gamma2_bound:"),
+    (_set(["sim"], "fast"), "sim:"),
+    (_set(["sim", "sample_every"], 2.5), "sim.sample_every:"),
+    (_set(["graph", "n"], 5.7), "n:"),
     # finite gains whose unmatched coefficient blocks overflow
-    _unmatched(_set(["gains", "nu"], 1e308)),
-    _unmatched(_set(["gains", "k_s"], 1e308)),
+    (_unmatched(_set(["gains", "nu"], 1e308)), "unmatched loop:"),
+    (_unmatched(_set(["gains", "k_s"], 1e308)), "unmatched loop:"),
     # more steps than a float counts, checked before the certificate
-    _set(["sim", "dt"], 1e-320),
-    _set(["sim", "t_final"], 1e308),
+    (_set(["sim", "dt"], 1e-320), "t_final:"),
+    (_set(["sim", "t_final"], 1e308), "t_final:"),
     # finite inputs whose certificate arithmetic overflows
-    _set(["lyapunov", "q_scale"], 1e154),
-    _unmatched(_set(["gains", "alpha2"], 1e308)),
+    (_set(["lyapunov", "q_scale"], 1e154), "b_bound:"),
+    (_unmatched(_set(["gains", "alpha2"], 1e308)), "W_positive:"),
+    # JSON booleans and strings are not numbers, although Python counts
+    # True as 1 and numpy reads "1" as 1.0
+    (_set(["graph", "edges", 0], {"from": True, "to": 2, "w": True}), "edges[0]:"),
+    (_set(["sim", "sample_every"], True), "sim.sample_every:"),
+    (_set(["gains", "mu"], True), "gains.mu:"),
+    (_set(["initial", "x"], ["1"] * 5), "initial.x[0]:"),
 ], ids=["lyapunov-not-object", "segments-not-list", "negative-seed", "infinite-x-high",
         "huge-switch", "infinite-switch", "infinite-alpha", "infinite-q-scale", "huge-gain",
         "sim-not-object", "fractional-sample-every", "fractional-n", "huge-nu", "huge-k-s",
-        "tiny-dt", "huge-t-final", "huge-q-scale", "huge-alpha2"])
+        "tiny-dt", "huge-t-final", "huge-q-scale", "huge-alpha2", "true-edge",
+        "true-sample-every", "true-gain", "string-initial-x"])
 @pytest.mark.filterwarnings("error")
-def test_cli_malformed_scenario_exit_2(tmp_path, capsys, change):
+def test_cli_malformed_scenario_exit_2(tmp_path, capsys, change, says):
     """Every malformed field of a scenario is invalid input: exit code 2 and
-    one error line, never a traceback, a warning or a silently altered value."""
+    one error line that names the field, never a traceback, a warning or a
+    silently altered value."""
     doc = scenario_to_json(builtin_scenario("paper-matched"))
     doc["sim"]["t_final"] = 1.0
     change(doc)
@@ -838,6 +849,7 @@ def test_cli_malformed_scenario_exit_2(tmp_path, capsys, change):
     assert rc == cli.EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert says in err
     assert "Traceback" not in err
 
 

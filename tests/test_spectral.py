@@ -48,6 +48,25 @@ def full_shifted_schur(L, v, alpha):
     return scipy.linalg.schur(-L_shift.T, output="real")
 
 
+def full_schur_P(lap, alpha, q):
+    """P solved from the oracle's factorisation: no permutation, and the
+    whole matrix as the core."""
+    n = lap.n_agents
+    r, u = full_shifted_schur(sparsity.dense(lap.L), lap.v_left, alpha)
+    P = spectral._lyapunov_from_schur(r, np.arange(n), slice(0, n), u, -q)
+    return (P + P.T) / 2.0
+
+
+def dense_u(perm, core, u_c):
+    """u = p diag(I, u_c, I) of ``_shifted_schur``'s form, which the solve
+    never forms."""
+    n = perm.size
+    u = np.zeros((n, n))
+    u[perm, np.arange(n)] = 1.0
+    u[perm[core], core] = u_c
+    return u
+
+
 def test_scalar_case():
     lap = build_laplacian(DirectedGraph(np.zeros((1, 1))))
     cert = solve_P(lap, Q=np.eye(1), alpha=1.0)
@@ -187,7 +206,7 @@ def test_certificate_property(family, n, seed, alpha):
         with pytest.raises(ValidationError, match="spanning tree"):
             solve_P(lap, alpha=alpha)
         return
-    r, _ = _shifted_schur(lap.L, lap.v_left, alpha)
+    r = _shifted_schur(lap.L, lap.v_left, alpha)[0]
     L_shift = lap.L + alpha * np.outer(np.ones(n), lap.v_left)
     # both values are exact for matrices within a small multiple of
     # n eps ||L_shift|| of L_shift, so they may differ by that times the
@@ -385,7 +404,8 @@ def test_balanced_schur_matches_full_schur(family, n, seed):
     from the full factorisation."""
     lap = build_laplacian(random_family_graph(np.random.default_rng(seed), n, family))
     a = -(lap.L + np.outer(np.ones(n), lap.v_left)).T
-    r, u = _shifted_schur(lap.L, lap.v_left, 1.0)
+    form = _shifted_schur(lap.L, lap.v_left, 1.0)
+    r, perm, core, u_c = form
     assert not np.any(np.tril(r, -2))
     sub = np.flatnonzero(np.diag(r, -1))
     assert not np.any(np.diff(sub) == 1), "overlapping 2x2 blocks"
@@ -394,16 +414,18 @@ def test_balanced_schur_matches_full_schur(family, n, seed):
     # backward stable to a small multiple of n eps: on 300 graphs of 13-39
     # agents both errors stayed below 2 n eps
     tol = 8 * n * np.finfo(float).eps
+    u = dense_u(perm, core, u_c)
     assert np.abs(u.T @ u - np.eye(n)).max() <= tol
     assert np.abs(u @ r @ u.T - a).max() <= tol * np.abs(a).max()
     # solved from each form directly, as solve_P takes the tree regime on a
     # large enough tree
-    r_full, u_full = full_shifted_schur(lap.L, lap.v_left, 1.0)
-    P = spectral._lyapunov_from_schur(r, u, -np.eye(n))
-    P_full = spectral._lyapunov_from_schur(r_full, u_full, -np.eye(n))
-    assert np.abs(P - P_full).max() <= 1e-12 * np.abs(P_full).max()
+    P = spectral._lyapunov_from_schur(*form, -np.eye(n))
+    P_full = full_schur_P(lap, 1.0, np.eye(n))
+    assert np.abs((P + P.T) / 2.0 - P_full).max() <= 1e-12 * np.abs(P_full).max()
     if np.all(lap.v_left > 0):
-        assert np.array_equal(r, r_full) and np.array_equal(u, u_full)
+        r_full, u_full = full_shifted_schur(lap.L, lap.v_left, 1.0)
+        assert np.array_equal(perm, np.arange(n)) and core == slice(0, n)
+        assert np.array_equal(r, r_full) and np.array_equal(u_c, u_full)
 
 
 def test_tree_certificate_needs_no_schur_factorisation():
@@ -434,26 +456,34 @@ def _two_cycle_root_tree(rng, n):
     return DirectedGraph(w[np.ix_(perm, perm)])
 
 
-def test_two_cycle_root_gives_sparse_schur_factor():
-    """Above SPARSE_MIN_N agents a tree with a 2-cycle root balances to a
-    two-row core, and u is the permutation plus the core's 2x2 orthogonal
-    block, stored sparse; the certificate agrees with the dense-u solve."""
+def _strongly_connected(rng, n):
+    """A random strongly connected graph on ``n`` agents: a weighted cycle
+    through all of them plus n chords."""
+    w = np.zeros((n, n))
+    w[(np.arange(n) + 1) % n, np.arange(n)] = rng.uniform(0.5, 2.0, n)
+    i, j = rng.integers(0, n, (2, n))
+    w[i[i != j], j[i != j]] = rng.uniform(0.5, 2.0, np.count_nonzero(i != j))
+    return DirectedGraph(w)
+
+
+@pytest.mark.parametrize("case, core_rows", [("dag", 1), ("two-cycle-root", 2),
+                                             ("strongly-connected", None)],
+                         ids=["dag", "two-cycle-root", "strongly-connected"])
+def test_schur_core_matches_full_schur(case, core_rows):
+    """Above SPARSE_MIN_N agents an acyclic graph (a tree with one agent given
+    a second parent) balances to a one-row core, a tree with a 2-cycle root
+    to a two-row core, and a strongly connected graph to all of it; on each,
+    solve_P's P agrees with the one solved from the full factorisation."""
     n = sparsity.SPARSE_MIN_N + 40
-    lap = build_laplacian(_two_cycle_root_tree(np.random.default_rng(21), n))
-    r, u = _shifted_schur(lap.L, lap.v_left, 1.0)
-    assert scipy.sparse.issparse(u) and u.nnz == n + 2
-    a = -(lap.L + np.outer(np.ones(n), lap.v_left)).T
-    assert np.abs(u @ r @ u.T - a).max() <= 8 * n * np.finfo(float).eps * np.abs(a).max()
-
-    def dense_u(*args):
-        r, u = _shifted_schur(*args)
-        return r, u.toarray()
-
-    P = solve_P(lap).P
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spectral, "_shifted_schur", dense_u)
-        P_dense_u = solve_P(lap).P
-    assert np.abs(P - P_dense_u).max() <= 1e-12 * np.abs(P_dense_u).max()
+    rng = np.random.default_rng(21)
+    graph_ = {"dag": _two_parent_tree, "two-cycle-root": _two_cycle_root_tree,
+              "strongly-connected": _strongly_connected}[case](rng, n)
+    lap = build_laplacian(graph_)
+    _, perm, core, u_c = _shifted_schur(sparsity.dense(lap.L), lap.v_left, 1.0)
+    assert u_c.shape == 2 * (core_rows or n,) and core.stop - core.start == u_c.shape[0]
+    P = sparsity.dense(solve_P(lap).P)
+    P_full = full_schur_P(lap, 1.0, np.eye(n))
+    assert np.abs(P - P_full).max() <= 1e-12 * np.abs(P_full).max()
 
 
 def _shuffled_tree(rng, n, shape):
@@ -606,11 +636,10 @@ def test_sparse_setup_matches_dense_setup(n, extra, seed):
     and solve_P reports the dense regime's facts: the same spanning-tree and
     right-half-plane flags, neighbour lists and root component, spectrum and
     left null vector, the same L, stored as CSR, P within 1e-12 of its
-    largest entry (the Schur factor u is sparse in one regime and dense in
-    the other), and lambda_L, lambda_P,
-    min_eig_P and cond_P within 1e-12 relative; its residual passes the
-    gate.  The certificate's P and L are CSR exactly when the sparse rule
-    passes on P and L, and dense in the dense regime."""
+    largest entry, and lambda_L, lambda_P, min_eig_P and cond_P within 1e-12
+    relative; its residual passes the gate.  The certificate's P and L are
+    CSR exactly when the sparse rule passes on P and L, and dense in the
+    dense regime."""
     g = random_tree_graph(np.random.default_rng(seed), n, extra_edges=extra)
     facts = {}
     for regime in ("sparse", "dense"):
@@ -701,7 +730,7 @@ def test_indefinite_sparse_P_fails_inertia_check():
     for regime in ("sparse", "dense"):
         with _regime(regime) as shapes, pytest.MonkeyPatch.context() as mp:
             # whichever solver the tree takes
-            mp.setattr(spectral, "_lyapunov_from_schur", lambda r, u, q: indefinite.copy())
+            mp.setattr(spectral, "_lyapunov_from_schur", lambda *args: indefinite.copy())
             mp.setattr(spectral, "_tree_lyapunov", lambda tree, alpha, q: indefinite.copy())
             mp.setattr(spectral, "_RESIDUAL_TOL", math.inf)
             mp.setattr(sparsity, "proves_positive_definite", spy)

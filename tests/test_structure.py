@@ -92,6 +92,36 @@ def test_sparse_rule_applied_only_where_storage_is_decided():
     assert callers == {"graph.py", "spectral.py", "sparsity.py"}
 
 
+def _reaches_scipy_sparse(node) -> list:
+    """(line, what) of every import of ``scipy.sparse``, ``sparse`` attribute
+    and ``is_sparse`` call under ``node``."""
+    found = []
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Import):
+            found += [(sub.lineno, alias.name) for alias in sub.names
+                      if alias.name.startswith("scipy.sparse")]
+        elif isinstance(sub, ast.ImportFrom) and (
+                (sub.module or "").startswith("scipy.sparse")
+                or (sub.module == "scipy" and "sparse" in [a.name for a in sub.names])):
+            found.append((sub.lineno, sub.module))
+        elif isinstance(sub, ast.Attribute) and sub.attr in ("sparse", "is_sparse"):
+            found.append((sub.lineno, sub.attr))
+        elif isinstance(sub, ast.Name) and sub.id == "is_sparse":
+            found.append((sub.lineno, sub.id))
+    return found
+
+
+def test_schur_route_reaches_no_scipy_sparse():
+    """The Schur route applies the balancing permutation by indexing:
+    ``spectral._shifted_schur`` and ``_lyapunov_from_schur``, and every
+    function of ``spectral`` or ``sparsity`` they reach, import no
+    ``scipy.sparse`` and ask no ``is_sparse`` about the factor."""
+    start = [FUNCTIONS["spectral.py"][name] for name in ("_shifted_schur", "_lyapunov_from_schur")]
+    reached = _reached("spectral.py", start, siblings=("sparsity",))
+    assert {("spectral.py", "_lyapunov_blocked"), ("spectral.py", "_trsyl")} <= set(reached)
+    assert [found for node in [*start, *reached.values()] for found in _reaches_scipy_sparse(node)] == []
+
+
 def test_gain_fields_named_only_in_gains():
     """The gain dataclasses are the one statement of the gain names: the
     scenario codec, the CLI and the positivity checks read them with
@@ -138,23 +168,28 @@ def _blas_calls(node) -> list:
 _CSV_MODULES = ("analysis", "csvtext")
 
 
-def _reached(start: list, functions: dict) -> dict:
-    """The functions that the ``runner`` nodes ``start`` reach by name,
+#: every function of the package, by module and name
+FUNCTIONS = {module: {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+             for module, tree in TREES.items()}
+
+
+def _reached(module: str, start: list, siblings=_CSV_MODULES) -> dict:
+    """The functions that the nodes ``start`` of ``module`` reach by name,
     transitively, keyed by (module, name): a bare name of a function of the
-    module the calling code is in, or ``analysis.<name>`` or
-    ``csvtext.<name>``."""
-    reached, pending = {}, [("runner.py", node) for node in start]
+    module the calling code is in, or ``<sibling>.<name>`` for a module of
+    ``siblings``."""
+    reached, pending = {}, [(module, node) for node in start]
     while pending:
         module, node = pending.pop()
         for sub in ast.walk(node):
             if isinstance(sub, ast.Name):
                 key = (module, sub.id)
             elif (isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
-                  and sub.value.id in _CSV_MODULES):
+                  and sub.value.id in siblings):
                 key = (sub.value.id + ".py", sub.attr)
             else:
                 continue
-            found = functions[key[0]].get(key[1])
+            found = FUNCTIONS[key[0]].get(key[1])
             if found is not None and key not in reached:
                 reached[key] = found
                 pending.append((key[0], found))
@@ -174,10 +209,7 @@ def test_one_fork_whose_child_only_formats_and_exits():
     forks = [(module, node) for module, tree in TREES.items() for node in ast.walk(tree)
              if _is_call(node, "os", "fork")]
     assert [module for module, _ in forks] == ["runner.py"]
-    functions = {module: {node.name: node for node in ast.walk(tree)
-                          if isinstance(node, ast.FunctionDef)}
-                 for module, tree in TREES.items()}
-    forking = functions["runner.py"]["_fork_formatter"]
+    forking = FUNCTIONS["runner.py"]["_fork_formatter"]
     assign = next(node for node in ast.walk(forking)
                   if isinstance(node, ast.Assign) and node.value is forks[0][1])
     pid = assign.targets[0].id
@@ -186,8 +218,8 @@ def test_one_fork_whose_child_only_formats_and_exits():
     last = branch[-1]
     assert isinstance(last, ast.Try) and last.finalbody
     assert isinstance(last.finalbody[-1], ast.Expr) and _is_call(last.finalbody[-1].value, "os", "_exit")
-    reached = _reached([*branch, *(functions["runner.py"][name] for name in
-                                   ("trajectory_csv_text", "metrics_csv_text"))], functions)
+    reached = _reached("runner.py", [*branch, *(FUNCTIONS["runner.py"][name] for name in
+                                                ("trajectory_csv_text", "metrics_csv_text"))])
     assert {("runner.py", "_format_claims"), ("runner.py", "_claims"),
             ("runner.py", "_csv_chunks"), ("analysis.py", "row_blocks"),
             ("csvtext.py", "rows_text"), ("csvtext.py", "_decimal")} <= set(reached)
