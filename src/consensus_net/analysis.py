@@ -180,9 +180,14 @@ def fit_exponential_decay(times: np.ndarray, values: np.ndarray, window) -> floa
 
 def _solve3(gram: np.ndarray, rhs: np.ndarray) -> tuple:
     """The minimum-norm least-squares solution of a 3x3 normal system (a
-    rank-deficient one's too) and its rank; (None, 0) when the solve fails."""
+    rank-deficient one's too) and its rank; (None, 0) when the solve fails.
+    A singular value below sqrt(eps) of the largest counts as zero: a Gram
+    matrix squares its basis' condition number, so a basis that is
+    rank-deficient to rounding (a cosine sampled at twice its frequency,
+    seeded just off the alias) reads about 1e-10 here, where ``lstsq``'s
+    default cut would still call it rank 3."""
     try:
-        x, _, rank, _ = np.linalg.lstsq(gram, rhs, rcond=None)
+        x, _, rank, _ = np.linalg.lstsq(gram, rhs, rcond=np.sqrt(np.finfo(float).eps))
     except np.linalg.LinAlgError:
         return None, 0
     return x, rank
@@ -363,11 +368,17 @@ def estimation_limits(traj: Trajectory, profile: DisturbanceProfile, g: MatchedG
     return EstimationLimits(t=t, delta_hat=traj.delta_hat[-1].copy(), predicted=d / g.gamma3)
 
 
+def _sync_deviation(y: np.ndarray, d: np.ndarray, delta_m: np.ndarray) -> np.ndarray:
+    """max_i |y_i + d_i - delta_m| of each row of a block of states."""
+    return np.abs(y + d - delta_m[:, None]).max(axis=1)
+
+
 def trajectory_metrics(traj: Trajectory, v: np.ndarray, gains, profile: DisturbanceProfile,
                        P) -> dict:
     """Per-sample metric arrays: error norms, mean field, Lyapunov value, and
     ``projector_residual``, the largest |v.e| over the three errors (zero up
-    to rounding).
+    to rounding); for unmatched gains also ``sync_deviation``, the output
+    synchronization measure that ``sync_deviation_windows`` windows.
 
     Disturbance values use the active segment at each sample time
     (right-continuous), matching what the controller experienced.  The
@@ -377,8 +388,9 @@ def trajectory_metrics(traj: Trajectory, v: np.ndarray, gains, profile: Disturba
     lyapunov = _lyapunov_matched if isinstance(gains, MatchedGains) else _lyapunov_unmatched
     n_samples = traj.times.shape[0]
     out = {"t": traj.times.copy()}
+    unmatched = isinstance(gains, UnmatchedGains)
     for name in ("ex_norm", "ey_norm", "ed_norm", "x_m", "y_m", "delta_m", "lyap",
-                 "projector_residual"):
+                 "projector_residual", *("sync_deviation",) * unmatched):
         out[name] = np.empty(n_samples)
     for rows in row_blocks(n_samples, traj.states.shape[1]):
         d = profile.at(traj.times[rows])
@@ -390,6 +402,8 @@ def trajectory_metrics(traj: Trajectory, v: np.ndarray, gains, profile: Disturba
             out[name][rows] = m
         out["lyap"][rows] = lyapunov(*errs, gains, P)
         out["projector_residual"][rows] = np.max([np.abs(e @ v) for e in errs], axis=0)
+        if unmatched:
+            out["sync_deviation"][rows] = _sync_deviation(traj.y[rows], d, means[2])
     return out
 
 
@@ -415,20 +429,24 @@ def first_settling_time(times: np.ndarray, values: np.ndarray, threshold: float,
 
 def sync_deviation_windows(traj: Trajectory, v: np.ndarray, g: UnmatchedGains,
                            profile: DisturbanceProfile, window_len: float = 5.0,
-                           start: float = 0.0) -> list:
+                           start: float = 0.0, *, deviations=None) -> list:
     """Max deviation |y_i + d_i - delta_m| per consecutive window.
 
     This is the output-orbit synchronization measure: every agent's
     disturbance-shifted velocity should approach the common average of the
-    shifted integral states.
+    shifted integral states.  ``deviations``, when given, is its per-sample
+    maximum over the agents as ``trajectory_metrics`` returns it
+    (``sync_deviation``), which is then not computed again.
     """
     times = traj.times
-    devs = np.empty(times.shape[0])
-    for rows in row_blocks(times.shape[0], traj.states.shape[1]):
-        d = profile.at(times[rows])
-        y, delta_hat = traj.y[rows], traj.delta_hat[rows]
-        delta_m = _coordinates(g, traj.x[rows], y, delta_hat, d)[2] @ v
-        devs[rows] = np.abs(y + d - delta_m[:, None]).max(axis=1)
+    devs = deviations
+    if devs is None:
+        devs = np.empty(times.shape[0])
+        for rows in row_blocks(times.shape[0], traj.states.shape[1]):
+            d = profile.at(times[rows])
+            y, delta_hat = traj.y[rows], traj.delta_hat[rows]
+            delta_m = _coordinates(g, traj.x[rows], y, delta_hat, d)[2] @ v
+            devs[rows] = _sync_deviation(y, d, delta_m)
     windows = []
     lo = start
     while lo + window_len <= times[-1] + 1e-9:

@@ -26,16 +26,18 @@ block of rows (``analysis.row_blocks``) at a time: one call per block of
 certificate and the simulation are independent consumers of the graph, so
 only the Laplacian and the integration run before the CSV writer starts.
 ``_write_csv`` writes trajectory.csv.  When the two tables hold more than
-``FORK_MIN_VALUES`` values and two CPUs are free, it forks one child as
-soon as the trajectory exists, and the queue that the child and this
-process share holds trajectory.csv's blocks alone: each claims the next
-unclaimed block and formats it.  Meanwhile this process solves the
-certificate, certifies the gains, computes the metrics and the summary,
-writes both JSON files and writes all of metrics.csv (whose rows do not
-exist when the child is forked) itself, then joins in, and writes
-trajectory.csv from its own blocks and the child's.  If the child fails,
-this process formats the blocks that the child did not report.  The bytes
-do not depend on which process formatted which rows.
+``FORK_MIN_VALUES`` values and two CPUs are free, it opens trajectory.csv's
+temporary file and forks one child as soon as the trajectory exists.  The
+two share trajectory.csv's blocks through a claim file of one byte per
+block, read from both ends: the child claims blocks from the first, this
+process from the last.  The child writes its blocks straight into the
+temporary file, in order, and reports by its exit status alone.
+Meanwhile this process solves the certificate, certifies the gains,
+computes the metrics and the summary, writes both JSON files and writes
+all of metrics.csv (whose rows do not exist when the child is forked)
+itself, then joins in.  Once the child has exited 0 it appends its own
+blocks; if the child failed, it empties the file and formats every block.
+The bytes do not depend on which process formatted which rows.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from __future__ import annotations
 import contextlib
 import os
 import signal
-import struct
 import tempfile
 from dataclasses import dataclass
 from functools import cache, partial
@@ -77,10 +78,12 @@ METRIC_COLUMNS = ("t", "ex_norm", "ey_norm", "ed_norm", "x_m", "y_m", "delta_m",
 #: CSV tables of more than this many values in all are formatted on two
 #: CPUs.  On a 2-vCPU x86 VM (the unmatched builtin sampled every step,
 #: medians of 11-15 alternating runs of ``run``) the fork, the child's start
-#: and exit and the part files cost more than the second CPU saved up to
-#: 100k values (25k: 27 against 14 ms; 50k: 31 against 21 ms; 100k: 45-57
-#: against 43 ms), and the fork won from 125k (45 against 60 ms) and at 200k
-#: (96-104 against 111-117 ms)
+#: and exit and the part files that the child then wrote cost more than the
+#: second CPU saved up to 100k values (25k: 27 against 14 ms; 50k: 31
+#: against 21 ms; 100k: 45-57 against 43 ms), and the fork won from 125k (45
+#: against 60 ms) and at 200k (96-104 against 111-117 ms).  The child now
+#: writes the table's own temporary file, with no part file to read back;
+#: the threshold was kept, not measured again.
 FORK_MIN_VALUES = 100_000
 
 
@@ -96,19 +99,30 @@ class RunArtifacts:
                 self.certification_json)
 
 
-def _atomic_write(path: Path, chunks) -> None:
-    """Write ``chunks``, each text (as UTF-8) or bytes, to ``path``: into a
-    temporary file beside it, renamed over it once complete."""
+@contextlib.contextmanager
+def _atomic_file(path: Path):
+    """The descriptor of a temporary file beside ``path``, renamed over it
+    when the block exits, and removed when the block raises."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.writelines(c if isinstance(c, bytes) else c.encode() for c in chunks)
+        try:
+            yield fd
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _atomic_write(path: Path, chunks) -> None:
+    """Write ``chunks``, each text (as UTF-8) or bytes, to ``path`` through
+    ``_atomic_file``."""
+    with _atomic_file(path) as fd:
+        for chunk in chunks:
+            _write_all(fd, chunk if isinstance(chunk, bytes) else chunk.encode())
 
 
 def _json_chunks(doc) -> list:
@@ -176,15 +190,12 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _table_chunks(text, span, block=None):
-    """The chunks of the table whose rows ``text(start, stop)`` formats, cut
-    into the blocks of ``span``: the header alone when it has no rows, else
-    each block's chunks in order, ``block(k)``'s for block k or, by default,
-    ``text``'s, formatted here as each is asked for."""
-    if not span:
-        yield from text(0, 0)  # the header alone
-    for k, rows in enumerate(span):
-        yield from (text(rows.start, rows.stop) if block is None else block(k))
+def _table_chunks(text, span):
+    """The chunks of the table whose rows ``text(start, stop)`` formats, block
+    after block of ``span``, each formatted as it is asked for; a table
+    without rows is its header alone."""
+    for rows in span or [slice(0, 0)]:
+        yield from text(rows.start, rows.stop)
 
 
 def _write_csv(path: Path, text, span: list, values: int, meanwhile) -> None:
@@ -194,80 +205,53 @@ def _write_csv(path: Path, text, span: list, values: int, meanwhile) -> None:
 
     When ``values`` (the table's values and those ``meanwhile`` writes)
     exceeds ``FORK_MIN_VALUES``, ``os.fork`` exists and this process may run
-    on two CPUs, one forked child (``_fork_formatter``) starts on the blocks
-    while this process runs ``meanwhile``.  The two then share the blocks as
-    a queue: each claims the next unclaimed block, formats it and claims
-    again, until none is left.  So whichever process is free formats the
-    next block, and no split has to be guessed beforehand.  This process
-    then writes the table from its own blocks, the child's reported bytes,
-    and its own formatting of any block that the child claimed but never
-    reported (it failed first) or whose bytes cannot be read back whole.
-    Without a child this process formats every block, each as the write
-    asks for it.  Either way ``text`` formats every block, so the bytes do
-    not depend on who ran it.  On every path the child is reaped (killed
-    first) and the part file removed.
+    on two CPUs, one forked child (``_fork_writer``) starts on the blocks
+    while this process runs ``meanwhile``.  The two claim blocks by reading
+    one byte at a time from a claim file of one byte per block, whose offset
+    they share: the child's i-th read claims block i, this process's j-th
+    block N-1-j.  So whichever process is free formats the next block, no
+    split is guessed beforehand, and the child's blocks are a prefix
+    0..c-1, which it writes straight into ``path``'s temporary file, in
+    order.  Its exit status is its only report: when it exits 0, this
+    process appends its own blocks c..N-1; otherwise it empties the file and
+    formats every block.  Without a child this process formats every block
+    as the write asks for it.  Either way ``text`` formats every block, so
+    the bytes do not depend on who ran it, and on every path the child is
+    reaped (killed first if it still runs).
     """
+    span = span or [slice(0, 0)]  # a table without rows is one block: its header
     fork = values > FORK_MIN_VALUES and hasattr(os, "fork") and _cpus() >= 2
     with contextlib.ExitStack() as cleanup:
-        child = _fork_formatter(text, span, path.parent, cleanup) if fork else None
+        child = _fork_writer(text, span, path, cleanup) if fork else None
         meanwhile()
         if child is None:
             _atomic_write(path, _table_chunks(text, span))
             return
-        mine = {k: text(span[k].start, span[k].stop) for k in _claims(child.queue)}
-
-        def block(k):
-            if k in mine:
-                return mine.pop(k)
-            data = child.bytes_of(k)
-            return text(span[k].start, span[k].stop) if data is None else [data]
-
-        _atomic_write(path, _table_chunks(text, span, block))
-
-
-class _Formatter:
-    """The child that ``_fork_formatter`` forked, as this process sees it:
-    the queue of block numbers that the two share, the part file the child
-    writes, and the pipe on which it reports each block it formatted."""
-
-    #: a block number in the queue
-    token = struct.Struct("=I")
-    #: a block the child formatted: its number, then its offset and length
-    #: in the part file
-    report = struct.Struct("=3Q")
-
-    def __init__(self, queue: int, part: int, reports):
-        self.queue, self.part, self.reports = queue, part, reports
-
-    def bytes_of(self, k: int):
-        """The child's bytes of block ``k``, from its next report, waited for
-        if need be.  Only the blocks the child claimed are asked for, in the
-        increasing order in which it claimed, formatted and reported them,
-        so the next report names ``k`` unless the child ended first.  None
-        when no report, or one naming another block, comes, or when the
-        reported bytes cannot be read back whole."""
-        record = self.reports.read(self.report.size)
-        if len(record) < self.report.size:
-            return None  # every copy of the write end is closed
-        block, offset, length = self.report.unpack(record)
-        if block != k:
-            return None
-        try:
-            data = os.pread(self.part, length, offset)
-        except OSError:
-            return None
-        return data if len(data) == length else None
+        pid, claims, out = child
+        n = len(span)
+        mine = {k: text(span[k].start, span[k].stop) for k in _claims(claims, reversed(range(n)))}
+        first = n - len(mine)  # the child claimed blocks 0..first-1
+        if os.waitpid(pid, 0)[1] != 0:  # it failed, perhaps halfway through a block
+            os.ftruncate(out, 0)
+            os.lseek(out, 0, os.SEEK_SET)
+            first = 0
+        for k in range(first, n):
+            for chunk in mine[k] if k in mine else text(span[k].start, span[k].stop):
+                _write_all(out, chunk)
 
 
-def _claims(queue: int):
-    """The numbers of the blocks this process claims, in order, until none is
-    left: each is the next token read from the file ``queue``, whose open
-    file description both processes share.  Reads that share one move its
-    offset atomically, so each token is read by one process alone.  A read
-    of a regular file never blocks, however many tokens it holds, where a
-    pipe would hold 64 KiB of them and block the one who fills it."""
-    while token := os.read(queue, _Formatter.token.size):
-        yield _Formatter.token.unpack(token)[0]
+def _claims(claims: int, blocks):
+    """The blocks of ``blocks`` that this process claims, in that order,
+    until none is left: one per byte read from the file ``claims``, whose
+    open file description both processes share.  Reads that share one move
+    its offset atomically, so each byte is read by one process alone, and
+    what it holds means nothing.  A read of a regular file never blocks,
+    however many bytes it holds, where a pipe would hold 64 KiB of them and
+    block the one who fills it."""
+    for k in blocks:
+        if not os.read(claims, 1):
+            return
+        yield k
 
 
 def _write_all(fd: int, data: bytes) -> None:
@@ -276,24 +260,13 @@ def _write_all(fd: int, data: bytes) -> None:
         view = view[os.write(fd, view):]
 
 
-def _format_claims(text, span: list, queue: int, part: int, reports: int) -> None:
-    """In the forked child: format each block of ``span`` claimed from
-    ``queue`` with ``text`` into the file ``part``, then report its number,
-    offset and length on the pipe ``reports``.  A report follows its bytes,
-    so this process uses no byte that the child wrote after its last
-    report."""
-    offset = 0
-    for k in _claims(queue):
-        data = b"".join(text(span[k].start, span[k].stop))
-        _write_all(part, data)
-        os.write(reports, _Formatter.report.pack(k, offset, len(data)))
-        offset += len(data)
-
-
 def _reap(pid: int) -> None:
-    """Kill the child, whatever it still does, and wait for it."""
-    os.kill(pid, signal.SIGKILL)
-    os.waitpid(pid, 0)
+    """Kill the child if it still runs, and wait for it, unless it was
+    waited for already."""
+    with contextlib.suppress(ChildProcessError):
+        if os.waitpid(pid, os.WNOHANG)[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _make_directory(directory: Path, cleanup: contextlib.ExitStack) -> None:
@@ -313,51 +286,45 @@ def _make_directory(directory: Path, cleanup: contextlib.ExitStack) -> None:
     cleanup.push(remove)
 
 
-def _fork_formatter(text, span: list, directory: Path, cleanup: contextlib.ExitStack):
-    """Fork the one child that claims the blocks of ``span`` beside this
-    process and formats them with ``text``, and return it as a
-    ``_Formatter``; None when the fork fails, or when ``directory``, the
-    queue, the part file or the pipe cannot be made (an unwritable output
-    directory, say).  Then this process formats every block, and the fault,
-    if it lasts, surfaces in its own writes, after whatever
-    ``_write_csv``'s ``meanwhile`` raises first.
+def _fork_writer(text, span: list, path: Path, cleanup: contextlib.ExitStack):
+    """Fork the one child that claims blocks of ``span`` beside this process
+    and writes each, formatted with ``text``, into ``path``'s temporary file,
+    and return ``(pid, claims, out)``: the child, the claim file's and the
+    temporary file's descriptors.  None when ``path``'s directory, the
+    temporary file, the claim file or the fork cannot be made (an unwritable
+    output directory, say), and then nothing made here is left.  Then this
+    process formats every block, and the fault, if it lasts, surfaces in its
+    own writes, after whatever ``_write_csv``'s ``meanwhile`` raises first.
 
-    The queue (an unnamed file of every block number), the part file in
-    ``directory`` (prefix ``.``, suffix ``.tmp``, like ``_atomic_write``'s)
-    and the report pipe are made before the fork, and ``cleanup`` closes
-    them, removes the part and reaps the child.  The child only formats,
-    since numpy's BLAS threads do not exist in it.  It ends in
-    ``os._exit``, so it never returns into the caller nor flushes the stdio
-    buffers it inherited.  This process closes its copy of the pipe's write
-    end, so that the child's exit ends the reports."""
+    The temporary file is ``_atomic_file``'s, which ``cleanup`` renames over
+    ``path`` when it exits cleanly; the claim file is an unnamed file of one
+    byte per block.  Both are made before the fork, and ``cleanup`` reaps
+    the child first, then closes them.  The child only formats and writes,
+    since numpy's BLAS threads do not exist in it.  It ends in ``os._exit``,
+    so it never returns into the caller nor flushes the stdio buffers it
+    inherited."""
     try:
-        _make_directory(directory, cleanup)
-        queue = cleanup.enter_context(tempfile.TemporaryFile(dir=directory, buffering=0)).fileno()
-        _write_all(queue, b"".join(map(_Formatter.token.pack, range(len(span)))))
-        os.lseek(queue, 0, os.SEEK_SET)
-        part, path = tempfile.mkstemp(dir=directory, prefix=".csv-blocks.", suffix=".tmp")
-        cleanup.callback(os.close, part)
-        cleanup.callback(Path(path).unlink, missing_ok=True)
-        reports_r, reports_w = os.pipe()
+        with contextlib.ExitStack() as made:
+            _make_directory(path.parent, made)
+            out = made.enter_context(_atomic_file(path))
+            claims = made.enter_context(
+                tempfile.TemporaryFile(dir=path.parent, buffering=0)).fileno()
+            _write_all(claims, bytes(len(span)))
+            os.lseek(claims, 0, os.SEEK_SET)
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    for k in _claims(claims, range(len(span))):
+                        _write_all(out, b"".join(text(span[k].start, span[k].stop)))
+                    code = 0
+                finally:
+                    os._exit(code)
+            made.callback(_reap, pid)
+            cleanup.push(made.pop_all())
     except OSError:
         return None
-    reports = cleanup.enter_context(os.fdopen(reports_r, "rb"))
-    try:
-        try:
-            pid = os.fork()
-        except OSError:
-            return None
-        if pid == 0:
-            code = 1
-            try:
-                _format_claims(text, span, queue, part, reports_w)
-                code = 0
-            finally:
-                os._exit(code)
-        cleanup.callback(_reap, pid)
-        return _Formatter(queue, part, reports)
-    finally:
-        os.close(reports_w)
+    return pid, claims, out
 
 
 def _last_switch(sc: Scenario, default: float) -> float:
@@ -429,7 +396,8 @@ def _summary(sc: Scenario, traj: Trajectory, metrics: dict, lap, cert, report) -
             results["orbit_fits"]["fits"] = fits
         windows = analysis.sync_deviation_windows(traj, lap.v_left, g, sc.disturbance,
                                                   window_len=SYNC_WINDOW_LEN,
-                                                  start=_last_switch(sc, 0.0))
+                                                  start=_last_switch(sc, 0.0),
+                                                  deviations=metrics["sync_deviation"])
         results["sync_windows"] = windows
         results["late_window_max_deviation"] = windows[-1]["max_deviation"] if windows else None
         results["expected_orbit_frequency"] = float(np.sqrt(g.alpha1))

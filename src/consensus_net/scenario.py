@@ -187,11 +187,11 @@ def scenario_from_json(doc: dict) -> Scenario:
 
     gdoc = _section(doc, "gains", required=True)
     gains_cls = _GAINS_BY_MODE[mode]
+    # a gain is required when its field has no default; _get names its field
+    values = {f.name: _get(gdoc, "gains", f.name, float)
+              for f in fields(gains_cls) if f.name in gdoc or f.default is MISSING}
     try:
-        # a gain is required when its field has no default
-        gains = gains_cls(**{f.name: _get(gdoc, "gains", f.name, float)
-                             for f in fields(gains_cls)
-                             if f.name in gdoc or f.default is MISSING})
+        gains = gains_cls(**values)
     except ValidationError as exc:
         # gain positivity failures surface with the gains. prefix
         raise ValidationError(f"gains: {exc}") from None

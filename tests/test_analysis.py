@@ -368,18 +368,22 @@ def test_fit_orbit_counts_a_noisy_crossing_once(monkeypatch):
     _assert_matches_reference(times, values, window)
 
 
-@pytest.mark.parametrize("n", [4, 200, 20_000])
+@pytest.mark.parametrize("n", [4, 200, 20_000, 5, 17, 101, 2_001, 20_001])
 def test_fit_orbit_stops_on_a_rank_deficient_basis(monkeypatch, n):
     """A cosine sampled at twice its frequency seeds w at the alias, where
     sin(wt) vanishes at every sample and the Gram matrix has rank 2: the
     refinement stops at the seed's projection, whose cosine column alone
-    fits the samples, rather than wander for 60 steps."""
+    fits the samples, rather than wander for 60 steps.  An odd number of
+    samples detrends to a seed just off the alias, where the Gram matrix is
+    rank 2 to rounding (singular-value ratio about 1e-10): a few steps reach
+    it, and the refinement stops there too."""
     k = np.arange(n)
     calls, project = [], analysis._project
     monkeypatch.setattr(analysis, "_project", lambda *args: calls.append(args) or project(*args))
     fit = fit_orbit(0.1 * k, np.cos(math.pi * k), (0.0, 0.1 * (n - 1)))
-    assert len(calls) <= 3
-    assert fit.amplitude == pytest.approx(1.0, abs=1e-12) and fit.residual_ratio < 1e-12
+    most_calls, tol = (15, 1e-8) if n % 2 else (3, 1e-12)
+    assert len(calls) <= most_calls
+    assert fit.amplitude == pytest.approx(1.0, abs=tol) and fit.residual_ratio < tol
 
 
 @pytest.mark.parametrize("first", [0, 1, 2, 3])
@@ -670,6 +674,11 @@ def _check_against_reference(traj, v, gains, profile, P):
             mask = (traj.times >= w["window"][0]) & (traj.times <= w["window"][1])
             np.testing.assert_allclose(w["max_deviation"], devs[mask].max(),
                                        rtol=ORACLE_RTOL, atol=ORACLE_ATOL)
+        # the metrics pass's deviations give the same windows, bit for bit
+        assert sync_deviation_windows(traj, v, gains, profile, window_len=0.25,
+                                      deviations=metrics["sync_deviation"]) == windows
+    else:
+        assert "sync_deviation" not in metrics
 
 
 @pytest.mark.parametrize("name", ["paper-matched", "paper-unmatched"])

@@ -1,6 +1,7 @@
 """Scenario documents, the run pipeline, and the command-line interface."""
 
 import contextlib
+import fnmatch
 import io
 import json
 import math
@@ -9,10 +10,10 @@ import signal
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from functools import partial
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -830,16 +831,19 @@ def _unmatched(change):
     (_set(["sim", "sample_every"], True), "sim.sample_every:"),
     (_set(["gains", "mu"], True), "gains.mu:"),
     (_set(["initial", "x"], ["1"] * 5), "initial.x[0]:"),
+    # a gain that is no float is named once, not prefixed by its section again
+    (_set(["gains", "gamma1"], True), "error: gains.gamma1: expected a finite float, got True\n"),
 ], ids=["lyapunov-not-object", "segments-not-list", "negative-seed", "infinite-x-high",
         "huge-switch", "infinite-switch", "infinite-alpha", "infinite-q-scale", "huge-gain",
         "sim-not-object", "fractional-sample-every", "fractional-n", "huge-nu", "huge-k-s",
         "tiny-dt", "huge-t-final", "huge-q-scale", "huge-alpha2", "true-edge",
-        "true-sample-every", "true-gain", "string-initial-x"])
+        "true-sample-every", "true-gain", "string-initial-x", "true-gamma1"])
 @pytest.mark.filterwarnings("error")
 def test_cli_malformed_scenario_exit_2(tmp_path, capsys, change, says):
     """Every malformed field of a scenario is invalid input: exit code 2 and
     one error line that names the field, never a traceback, a warning or a
-    silently altered value."""
+    silently altered value.  Where ``says`` is a whole line, it is the
+    line."""
     doc = scenario_to_json(builtin_scenario("paper-matched"))
     doc["sim"]["t_final"] = 1.0
     change(doc)
@@ -849,7 +853,7 @@ def test_cli_malformed_scenario_exit_2(tmp_path, capsys, change, says):
     assert rc == cli.EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert says in err
+    assert says in err and (err == says or not says.startswith("error: "))
     assert "Traceback" not in err
 
 
@@ -1001,23 +1005,36 @@ def test_run_writes_reference_bytes(tmp_path):
     _assert_same_text(arts.trajectory_csv.read_bytes().decode(), _reference_csv(names, data))
 
 
-class _WriterSpy(NamedTuple):
-    """What ``_spy_writer`` sees in this process: the pids forked, the
-    (columns, start, stop) of every row range formatted here, and the
-    numbers of the blocks whose bytes came from the child."""
-    forks: list
-    ranges: list
-    from_child: list
+class _WriterSpy:
+    """What ``_spy_writer`` sees: the pids forked; the (columns, start, stop)
+    of every row range formatted in this process, in order; and the status
+    of the child as this process waited for it.  The child's own ranges, in
+    order, are appended to ``log``, a file this process reads back."""
+
+    def __init__(self):
+        self.forks, self.ranges, self.statuses = [], [], []
+        self.parent = os.getpid()
+        self.log = tempfile.TemporaryFile(buffering=0)
+
+    def child_ranges(self) -> list:
+        """The ranges the child has formatted so far, read without moving
+        the offset that its writes share."""
+        text = os.pread(self.log.fileno(), 1 << 24, 0).decode()
+        return [tuple(map(int, r.split(","))) for r in text.split()]
+
+    def from_child(self) -> list:
+        """The ranges whose bytes came from the child: those it formatted when
+        it exited 0, else none."""
+        return self.child_ranges() if self.statuses == [0] else []
 
 
 def _spy_writer(monkeypatch, in_child=None) -> _WriterSpy:
-    """Spies on ``os.fork``, ``runner._csv_chunks`` and the child's bytes as
-    ``runner._write_csv`` uses them.  The child's own ranges stay in the
-    child.  ``in_child``, if given, runs first in the child, which it must
-    never leave by returning into pytest."""
-    spy = _WriterSpy([], [], [])
-    real_fork, real_chunks = os.fork, runner._csv_chunks
-    real_bytes_of = runner._Formatter.bytes_of
+    """Spies on ``os.fork``, ``os.waitpid`` and ``runner._csv_chunks`` as
+    ``runner._write_csv`` uses them, in this process and in the child.
+    ``in_child``, if given, runs first in the child, which it must never
+    leave by returning into pytest."""
+    spy = _WriterSpy()
+    real_fork, real_waitpid, real_chunks = os.fork, os.waitpid, runner._csv_chunks
 
     def fork():
         pid = real_fork()
@@ -1029,19 +1046,22 @@ def _spy_writer(monkeypatch, in_child=None) -> _WriterSpy:
         spy.forks.append(pid)
         return pid
 
+    def waitpid(pid, options):
+        waited, status = real_waitpid(pid, options)
+        if spy.forks and waited == spy.forks[0]:
+            spy.statuses.append(status)
+        return waited, status
+
     def chunks(header, columns, start=0, stop=None):
-        spy.ranges.append((len(header), start, stop))
+        if os.getpid() == spy.parent:
+            spy.ranges.append((len(header), start, stop))
+        else:  # FileIO.write, not os.write, which some cases count in the child
+            spy.log.write(f"{len(header)},{start},{stop} ".encode())
         return real_chunks(header, columns, start, stop)
 
-    def bytes_of(self, k):
-        data = real_bytes_of(self, k)
-        if data is not None:
-            spy.from_child.append(k)
-        return data
-
     monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "waitpid", waitpid)
     monkeypatch.setattr(runner, "_csv_chunks", chunks)
-    monkeypatch.setattr(runner._Formatter, "bytes_of", bytes_of)
     return spy
 
 
@@ -1054,12 +1074,31 @@ def _queue(*tables) -> list:
 
 def _who_formatted(spy: _WriterSpy, queue: list) -> tuple:
     """The sets of blocks this process formatted and whose bytes came from
-    the child.  Each block was formatted here at most once, and the ranges
-    formatted here are blocks of the queue (or an empty table's header)."""
+    the child.  Each block was formatted at most once in each process, and
+    the ranges formatted are blocks of the queue (or an empty table's
+    header)."""
     position = {block: k for k, block in enumerate(queue)}
     here = [position[r] for r in spy.ranges if r[1] != r[2]]
-    assert len(here) == len(set(here)) and len(spy.from_child) == len(set(spy.from_child))
-    return set(here), set(spy.from_child)
+    child = [position[r] for r in spy.from_child() if r[1] != r[2]]
+    assert len(here) == len(set(here)) and len(child) == len(set(child))
+    return set(here), set(child)
+
+
+def _assert_claims_split(spy: _WriterSpy, blocks: list) -> None:
+    """The claims of the table whose blocks are ``blocks`` split as
+    ``runner._write_csv`` says.  When the child exits 0, it formatted blocks
+    0..c-1 in order and this process c..N-1, claimed from the end.  Else
+    this process formatted every block: its claims from the end, then the
+    child's, in order."""
+    position = {block: k for k, block in enumerate(blocks)}
+    here = [position[r] for r in spy.ranges if r in position]
+    n = len(blocks)
+    if spy.statuses == [0]:
+        c = n - len(here)
+        assert here == list(range(n - 1, c - 1, -1))
+        assert [position[r] for r in spy.child_ranges() if r in position] == list(range(c))
+    else:
+        assert any(here == [*range(n - 1, c - 1, -1), *range(c)] for c in range(n + 1))
 
 
 def _assert_no_child_left():
@@ -1085,11 +1124,11 @@ def test_forked_csv_writer_matches_per_value_writer(tmp_path):
     """A table above ``FORK_MIN_VALUES``, of awkward values, written by this
     process and one child from a queue of its blocks: the bytes are the
     per-value writer's.  The blocks this process formats and the blocks the
-    child reports are disjoint and together cover the queue; a ``meanwhile``
-    that lasts until the child has exited leaves every block to the child,
-    and a child that formats nothing leaves every block to this process.
-    An empty table, forked for because of the values ``meanwhile`` writes,
-    is its header alone."""
+    child writes are disjoint and together cover the queue, split as the
+    claims say; a ``meanwhile`` that lasts until the child has exited leaves
+    every block to the child, and a child that formats nothing leaves every
+    block to this process.  An empty table, forked for because of the values
+    ``meanwhile`` writes, is its header alone."""
     rng = np.random.default_rng(19)
     n_rows = 2 * runner.FORK_MIN_VALUES // 16 + 5
     full = Trajectory(np.arange(n_rows) * 0.1, _awkward_values(rng, (n_rows, 15)))
@@ -1104,10 +1143,11 @@ def test_forked_csv_writer_matches_per_value_writer(tmp_path):
                 meanwhile = partial(_wait_for_child_exit, spy) \
                     if case == "meanwhile-outlasts-child" else None
                 _write_trajectory(out / "trajectory.csv", traj, meanwhile, values=16 * n_rows)
-            assert len(spy.forks) == 1 and spy.forks[0] > 0
+            assert len(spy.forks) == 1 and spy.forks[0] > 0 and spy.statuses == [0]
             queue = _queue((traj.times.shape[0], 16))
             here, child = _who_formatted(spy, queue)
             assert not here & child and here | child == set(range(len(queue)))
+            _assert_claims_split(spy, queue or [(16, 0, 0)])
             if case != "shared":
                 assert {"meanwhile-outlasts-child": child,
                         "child-formats-nothing": here}[case] == set(range(len(queue)))
@@ -1117,22 +1157,79 @@ def test_forked_csv_writer_matches_per_value_writer(tmp_path):
             _assert_no_child_left()
 
 
+def test_this_process_claims_from_the_end(tmp_path, monkeypatch):
+    """A child that sleeps after each block it formats keeps few of the
+    blocks: this process, once its ``meanwhile`` has seen the child's first
+    block, claims the rest from the end, so its blocks, in the order it
+    formats them, are N-1, N-2, ..., c for some c >= 1, and the child's are
+    0..c-1.  The bytes are the per-value writer's."""
+    rng = np.random.default_rng(29)
+    n_rows = 12 * (BLOCK_VALUES // 16)
+    traj = Trajectory(np.arange(n_rows) * 0.1, rng.normal(size=(n_rows, 15)))
+
+    def slow():
+        chunks = runner._csv_chunks
+
+        def slow_chunks(*args):
+            text = chunks(*args)
+            time.sleep(0.02)
+            return text
+
+        runner._csv_chunks = slow_chunks
+
+    spy = _spy_writer(monkeypatch, slow)
+
+    def meanwhile():
+        deadline = time.monotonic() + 60.0
+        while not spy.child_ranges():
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+
+    _write_trajectory(tmp_path / "trajectory.csv", traj, meanwhile, values=math.inf)
+    blocks = _queue((n_rows, 16))
+    here = [blocks.index(r) for r in spy.ranges]
+    c = len(blocks) - len(here)
+    assert len(blocks) == 12 and c >= 1 and spy.statuses == [0]
+    assert here == list(range(len(blocks) - 1, c - 1, -1))
+    assert [blocks.index(r) for r in spy.child_ranges()] == list(range(c))
+    _assert_same_text((tmp_path / "trajectory.csv").read_text(), _reference_trajectory_csv(traj))
+    _assert_no_child_left()
+
+
+def test_child_writes_into_the_tables_temporary_file(tmp_path, monkeypatch):
+    """While the child writes, the output directory holds one temporary
+    file, trajectory.csv's own, which becomes trajectory.csv."""
+    rng = np.random.default_rng(31)
+    n_rows = 3 * (BLOCK_VALUES // 16)
+    traj = Trajectory(np.arange(n_rows) * 0.1, rng.normal(size=(n_rows, 15)))
+    spy = _spy_writer(monkeypatch)
+    seen = []
+    _write_trajectory(tmp_path / "trajectory.csv", traj,
+                      lambda: seen.extend(p.name for p in tmp_path.iterdir()), values=math.inf)
+    assert len(spy.forks) == 1
+    assert len(seen) == 1 and fnmatch.fnmatch(seen[0], "trajectory.csv.*.tmp")
+    assert [p.name for p in tmp_path.iterdir()] == ["trajectory.csv"]
+    _assert_same_text((tmp_path / "trajectory.csv").read_text(), _reference_trajectory_csv(traj))
+    _assert_no_child_left()
+
+
 def test_queue_longer_than_a_pipe(tmp_path, monkeypatch):
     """With one row per block, the table makes more blocks than a pipe holds
-    four-byte tokens (64 KiB, 16,384): claiming still never blocks this
+    one-byte claims (64 KiB, 65,536): claiming still never blocks this
     process, one child is all that is forked, and the bytes are the
     per-value writer's."""
     monkeypatch.setattr(analysis, "BLOCK_VALUES", 1)
     rng = np.random.default_rng(23)
-    n_rows = 18_000
-    traj = Trajectory(np.arange(n_rows) * 0.1, _awkward_values(rng, (n_rows, 15)))
-    queue = _queue((n_rows, 16))
-    assert len(queue) > (64 << 10) // 4
+    n_rows = 66_000
+    traj = Trajectory(np.arange(n_rows) * 0.1, _awkward_values(rng, (n_rows, 3)))
+    queue = _queue((n_rows, 4))
+    assert len(queue) > 64 << 10
     spy = _spy_writer(monkeypatch)
-    _write_trajectory(tmp_path / "trajectory.csv", traj)
+    _write_trajectory(tmp_path / "trajectory.csv", traj, values=math.inf)
     assert len(spy.forks) == 1
     here, child = _who_formatted(spy, queue)
     assert not here & child and here | child == set(range(len(queue)))
+    _assert_claims_split(spy, queue)
     _assert_same_text((tmp_path / "trajectory.csv").read_text(), _reference_trajectory_csv(traj))
     assert [p.name for p in tmp_path.iterdir()] == ["trajectory.csv"]
     _assert_no_child_left()
@@ -1169,18 +1266,15 @@ def _fail_formatting():
     runner._csv_chunks = boom
 
 
-def _kill_self_at_write(n: int, share: float, cut_parts_in=None):
+def _kill_self_at_write(n: int, share: float):
     """In the child: die by a signal in its ``n``-th ``os.write``, once
-    ``share`` of its bytes are written, after emptying the part files in
-    ``cut_parts_in`` (if given).  The child's writes alternate: a block's
-    bytes into the part, then the block's report."""
+    ``share`` of its bytes are written.  The child's writes are its blocks'
+    bytes, one block each, into trajectory.csv's temporary file."""
     real, calls = os.write, []
 
     def write(fd, data):
         calls.append(fd)
         if len(calls) == n:
-            for part in cut_parts_in.glob(".*.tmp") if cut_parts_in else ():
-                os.truncate(part, 0)
             real(fd, data[:int(share * len(data))])
             _kill_self()
         return real(fd, data)
@@ -1190,31 +1284,30 @@ def _kill_self_at_write(n: int, share: float, cut_parts_in=None):
 
 #: how many blocks of ``_FORKING_QUEUE`` each case takes from the child
 _FROM_CHILD = {"child-exits-1": 0, "child-killed": 0, "child-formats-nothing": 0,
-               "child-killed-after-first-part": 1, "child-killed-mid-block": 1,
-               "part-unreadable": 0, "part-cut-short": 0, "fork-fails": 0}
+               "child-killed-after-first-part": 0, "child-killed-mid-block": 0,
+               "fork-fails": 0}
 
 
 @pytest.mark.parametrize("case", ["forked", *_FROM_CHILD])
 def test_run_bytes_do_not_depend_on_who_formats(tmp_path, monkeypatch, serial_run_bytes, case):
     """A run large enough to fork writes the serial run's bytes, whoever
     formats which block: the child and this process sharing the queue; and,
-    formatting what the child did not report, when the child exits 1, dies
-    by a signal (before any block, after reporting its first, or halfway
-    through writing its second, so that its part holds bytes past its last
-    report), formats nothing, or empties its part before its first report
-    and dies; when the part cannot be read; or when the fork fails.  This
-    process and the child never both format a block, and together they
-    format every one.  Either way no child is left unreaped, and the output
-    directory holds the four artifacts alone.  The forked trajectory is also
-    the per-value writer's text.  Where the child is made to end early, this
-    process waits for that before its summary, so that the child gets as far
-    as the case says however the two are scheduled."""
+    formatting every block itself, when the child exits 1, dies by a signal
+    (before any block, after writing its first whole, or halfway through
+    writing its second, so that the file holds bytes of a block never
+    finished), formats nothing and exits 0, or when the fork fails.  This
+    process and the child never both format a block whose bytes are used,
+    and together they format every one, split as the claims say.  Either way
+    no child is left unreaped, and the output directory holds the four
+    artifacts alone.  The forked trajectory is also the per-value writer's
+    text.  Where the child is made to end early, this process waits for
+    that before its summary, so that the child gets as far as the case says
+    however the two are scheduled."""
     out = tmp_path / "out"
     in_child = {"child-exits-1": _fail_formatting, "child-killed": _kill_self,
                 "child-formats-nothing": partial(os._exit, 0),
-                "child-killed-after-first-part": partial(_kill_self_at_write, 2, 1.0),
-                "child-killed-mid-block": partial(_kill_self_at_write, 3, 0.5),
-                "part-cut-short": partial(_kill_self_at_write, 2, 1.0, out)}.get(case)
+                "child-killed-after-first-part": partial(_kill_self_at_write, 2, 0.0),
+                "child-killed-mid-block": partial(_kill_self_at_write, 2, 0.5)}.get(case)
     spy = _spy_writer(monkeypatch, in_child)
     if in_child is not None:
         real_summary = runner._summary
@@ -1224,11 +1317,6 @@ def test_run_bytes_do_not_depend_on_who_formats(tmp_path, monkeypatch, serial_ru
             return real_summary(*args)
 
         monkeypatch.setattr(runner, "_summary", summary)
-    if case == "part-unreadable":
-        def pread(*args):
-            raise OSError("part unreadable")
-
-        monkeypatch.setattr(os, "pread", pread)
     if case == "fork-fails":
         def fork():
             raise OSError("fork refused")
@@ -1240,8 +1328,12 @@ def test_run_bytes_do_not_depend_on_who_formats(tmp_path, monkeypatch, serial_ru
     assert len(spy.forks) == (0 if case == "fork-fails" else 1)
     here, child = _who_formatted(spy, _FORKING_QUEUE)
     assert not here & child and here | child == set(range(len(_FORKING_QUEUE)))
+    _assert_claims_split(spy, _queue((5001, 16)))
     if case != "forked":
         assert len(child) == _FROM_CHILD[case]
+    if case.startswith("child-killed"):
+        assert [os.waitstatus_to_exitcode(s) for s in spy.statuses] == [-signal.SIGKILL]
+        assert len(spy.child_ranges()) == (0 if case == "child-killed" else 2)
     assert sorted(p.name for p in out.iterdir()) == _ARTIFACTS
     _assert_no_child_left()
     if case == "forked":
@@ -1253,21 +1345,27 @@ def test_run_bytes_do_not_depend_on_who_formats(tmp_path, monkeypatch, serial_ru
 def test_parent_failure_reaps_child_and_removes_parts(tmp_path, monkeypatch, failing):
     """When this process raises while the child formats (solving the
     certificate, in the summary, or writing ``summary.json``) or after the
-    blocks are claimed (writing ``trajectory.csv``), the child is reaped,
-    killed first if it still runs, and no part file is left.  A certificate
-    that fails after the fork leaves no artifact and no output directory,
-    as it did when it was solved before the integration; here the fork
-    threshold is 0, so a short run forks too."""
+    blocks are claimed (renaming trajectory.csv's temporary file into
+    place), the child is reaped, killed first if it still runs, and no
+    temporary file is left.  A certificate that fails after the fork leaves
+    no artifact and no output directory, as it did when it was solved
+    before the integration; here the fork threshold is 0, so a short run
+    forks too."""
     spy = _spy_writer(monkeypatch)
-    real_write = runner._atomic_write
+    real_write, real_replace = runner._atomic_write, os.replace
 
     def fail(*args, **kwargs):
-        if failing == "table-write" and args[0].name != "trajectory.csv":
-            return real_write(*args)
         raise OSError(f"{failing} failed")
 
-    monkeypatch.setattr(runner, "_atomic_write" if failing in ("_atomic_write", "table-write")
-                        else failing, fail)
+    def replace(src, dst):
+        if Path(dst).name == "trajectory.csv":
+            fail()
+        return real_replace(src, dst)
+
+    if failing == "table-write":
+        monkeypatch.setattr(os, "replace", replace)
+    else:
+        monkeypatch.setattr(runner, failing, fail)
     overrides = _FORKING_RUN
     if failing == "solve_P":
         monkeypatch.setattr(runner, "FORK_MIN_VALUES", 0)
@@ -1284,11 +1382,11 @@ def test_parent_failure_reaps_child_and_removes_parts(tmp_path, monkeypatch, fai
 
 
 def test_unwritable_output_directory_keeps_the_certificate_error(tmp_path, monkeypatch):
-    """The child's queue and part file cannot be made where the output
-    directory cannot be: no child is forked, and the certificate's error,
-    not the directory's, is what the run raises (exit 2, not 4).  With a
-    sound certificate the directory's error follows, from the first
-    write."""
+    """trajectory.csv's temporary file and the claim file cannot be made
+    where the output directory cannot be: no child is forked, and the
+    certificate's error, not the directory's, is what the run raises (exit
+    2, not 4).  With a sound certificate the directory's error follows, from
+    the first write."""
     monkeypatch.setattr(runner, "FORK_MIN_VALUES", 0)
     spy = _spy_writer(monkeypatch)
     (tmp_path / "file").write_text("")
@@ -1313,13 +1411,13 @@ def test_child_formats_trajectory_blocks_only(tmp_path, monkeypatch, serial_run_
     trajectory.csv; the bytes are the serial run's."""
     spy = _spy_writer(monkeypatch)
     queued = []
-    real_fork_formatter = runner._fork_formatter
+    real_fork_writer = runner._fork_writer
 
-    def fork_formatter(text, span, *args):
+    def fork_writer(text, span, *args):
         queued.append((text.func, [(16, rows.start, rows.stop) for rows in span]))
-        return real_fork_formatter(text, span, *args)
+        return real_fork_writer(text, span, *args)
 
-    monkeypatch.setattr(runner, "_fork_formatter", fork_formatter)
+    monkeypatch.setattr(runner, "_fork_writer", fork_writer)
     sc = builtin_scenario("paper-unmatched").with_overrides(**_FORKING_RUN)
     arts = runner.run(sc, tmp_path / "out")
     assert [p.read_bytes() for p in arts.paths()] == serial_run_bytes
@@ -1328,7 +1426,7 @@ def test_child_formats_trajectory_blocks_only(tmp_path, monkeypatch, serial_run_
     metrics_ranges = [r for r in spy.ranges if r[0] == len(runner.METRIC_COLUMNS)]
     assert metrics_ranges == _queue((5001, len(runner.METRIC_COLUMNS)))
     assert spy.ranges[:len(metrics_ranges)] == metrics_ranges
-    assert set(spy.from_child) <= set(range(len(trajectory_blocks)))
+    assert set(spy.child_ranges()) <= set(trajectory_blocks)
     _assert_no_child_left()
 
 
@@ -1370,6 +1468,7 @@ def test_divergence_partial_goes_through_the_writer(tmp_path, monkeypatch):
     queue = _queue(data.shape)
     here, child = _who_formatted(spy, queue)
     assert not here & child and here | child == set(range(len(queue)))
+    _assert_claims_split(spy, queue)
     _assert_same_text((out / "trajectory.csv").read_text(), _reference_csv(names, data))
     assert sorted(p.name for p in out.iterdir()) == ["certification.json", "trajectory.csv"]
     _assert_no_child_left()

@@ -197,11 +197,12 @@ def _reached(module: str, start: list, siblings=_CSV_MODULES) -> dict:
 
 
 def test_one_fork_whose_child_only_formats_and_exits():
-    """``os.fork`` is called in one place, ``runner._fork_formatter``.  Its
+    """``os.fork`` is called in one place, ``runner._fork_writer``.  Its
     child branch (``if pid == 0``) ends in a ``try`` whose ``finally`` ends
     in ``os._exit``, so the child never returns into the caller.  numpy's
     BLAS threads do not exist in the child, so nothing the branch reaches
-    may reach BLAS: its claim loop (``_format_claims``, ``_claims``), and
+    may reach BLAS: its claim loop (``_claims``) and writes (``_write_all``),
+    and
     the CSV writer that a table's ``text`` is (``trajectory_csv_text``,
     ``metrics_csv_text``), with whatever they call in ``runner``,
     ``analysis`` and ``csvtext``, the number formatter, and whatever that
@@ -209,7 +210,7 @@ def test_one_fork_whose_child_only_formats_and_exits():
     forks = [(module, node) for module, tree in TREES.items() for node in ast.walk(tree)
              if _is_call(node, "os", "fork")]
     assert [module for module, _ in forks] == ["runner.py"]
-    forking = FUNCTIONS["runner.py"]["_fork_formatter"]
+    forking = FUNCTIONS["runner.py"]["_fork_writer"]
     assign = next(node for node in ast.walk(forking)
                   if isinstance(node, ast.Assign) and node.value is forks[0][1])
     pid = assign.targets[0].id
@@ -220,10 +221,24 @@ def test_one_fork_whose_child_only_formats_and_exits():
     assert isinstance(last.finalbody[-1], ast.Expr) and _is_call(last.finalbody[-1].value, "os", "_exit")
     reached = _reached("runner.py", [*branch, *(FUNCTIONS["runner.py"][name] for name in
                                                 ("trajectory_csv_text", "metrics_csv_text"))])
-    assert {("runner.py", "_format_claims"), ("runner.py", "_claims"),
+    assert {("runner.py", "_claims"), ("runner.py", "_write_all"),
             ("runner.py", "_csv_chunks"), ("analysis.py", "row_blocks"),
             ("csvtext.py", "rows_text"), ("csvtext.py", "_decimal")} <= set(reached)
     assert [found for node in [*branch, *reached.values()] for found in _blas_calls(node)] == []
+
+
+def test_forked_writer_has_no_report_channel():
+    """The CSV child writes trajectory.csv's temporary file itself and
+    reports by its exit status alone: ``runner`` packs no binary records
+    (no ``struct``), opens no pipe and reads no bytes back by offset."""
+    tree = TREES["runner.py"]
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names} | {node.module for node in ast.walk(tree)
+                                            if isinstance(node, ast.ImportFrom)}
+    assert "struct" not in imported
+    assert [node.lineno for node in ast.walk(tree)
+            if _is_call(node, "os", "pipe") or _is_call(node, "os", "pread")] == []
 
 
 TRACING = PACKAGE.parents[1] / "perfbench" / "tracing.py"
