@@ -38,10 +38,11 @@ class IntegrationDivergedError(ConsensusNetError, RuntimeError):
     """The integrator produced a non-finite state.
 
     ``last_time`` is the last sample time with finite values and ``partial``
-    holds the trajectory up to that sample (may be None for generic fields).
+    holds the trajectory up to that sample, which starts with the initial
+    state: every stepping path writes it first.
     """
 
-    def __init__(self, message, last_time, partial=None):
+    def __init__(self, message, last_time, partial):
         super().__init__(message)
         self.last_time = last_time
         self.partial = partial

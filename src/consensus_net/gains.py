@@ -96,8 +96,8 @@ class MatchedGains:
     def with_substitutions(cls, gamma1, gamma2, gamma3, mu=1.0, b=10.0) -> "MatchedGains":
         """Fill gamma4, rho, epsilon from the stability-analysis substitutions
         (the defaults of rho and epsilon are two of them)."""
-        gamma4 = 2.0 * gamma3 * (1.0 + mu / b) + gamma2
-        return cls(gamma1, gamma2, gamma3, gamma4, mu=mu, b=b)
+        return cls(gamma1, gamma2, gamma3, _gamma4_substitution(gamma2, gamma3, mu, b),
+                   mu=mu, b=b)
 
 
 @dataclass(frozen=True)
@@ -196,6 +196,21 @@ def _bound_check(name, requirement, left, right) -> Check:
     return Check(name, requirement, float(left), float(right), float(left) - float(right))
 
 
+# the matched analysis' gamma4 substitution and its gamma2 and b lower bounds,
+# which certify_matched checks and suggest_matched and with_substitutions fill
+def _gamma4_substitution(gamma2, gamma3, mu, b) -> float:
+    return 2.0 * gamma3 * (1.0 + mu / b) + gamma2
+
+
+def _gamma2_bound(gamma1, gamma3, mu, b, cert: LyapunovCertificate) -> float:
+    return (cert.lambda_P + 2.0 * gamma3 * (mu + b)) / (2.0 * mu + b) \
+        + 0.5 * gamma1 * (2.0 * mu + b) * (cert.lambda_L * cert.lambda_L)
+
+
+def _b_bound(gamma1, gamma3, cert: LyapunovCertificate) -> float:
+    return (gamma3 / gamma1) * (cert.lambda_P * cert.lambda_P)
+
+
 def is_S_hurwitz(g: MatchedGains) -> bool:
     """Stability of the 2x2 averaged (velocity, integral) subsystem.
 
@@ -215,28 +230,24 @@ def certify_matched(g: MatchedGains, cert: LyapunovCertificate) -> Certification
     substitutions, the gamma2 lower bound, the b lower bound, and finally the
     smallest eigenvalue of the assembled 3n x 3n quadratic-form matrix.
     """
-    lam_P = cert.lambda_P
-    lam_L = cert.lambda_L
     checks = []
 
     checks.append(_bound_check(
         "H_positive", "sqrt(2*rho*mu/lambda_P) > epsilon",
-        math.sqrt(2.0 * g.rho * g.mu / lam_P), g.epsilon))
+        math.sqrt(2.0 * g.rho * g.mu / cert.lambda_P), g.epsilon))
     checks.append(_equality_check(
         "gamma4_substitution", "gamma4 = 2*gamma3*(1 + mu/b) + gamma2",
-        g.gamma4, 2.0 * g.gamma3 * (1.0 + g.mu / g.b) + g.gamma2))
+        g.gamma4, _gamma4_substitution(g.gamma2, g.gamma3, g.mu, g.b)))
     checks.append(_equality_check(
         "epsilon_substitution", "epsilon = rho/gamma2", g.epsilon, g.rho / g.gamma2))
     checks.append(_equality_check("rho_substitution", "rho = gamma2", g.rho, g.gamma2))
-    gamma2_bound = (lam_P + 2.0 * g.gamma3 * (g.mu + g.b)) / (2.0 * g.mu + g.b) \
-        + 0.5 * g.gamma1 * (2.0 * g.mu + g.b) * (lam_L * lam_L)
     checks.append(_bound_check(
         "gamma2_bound",
         "gamma2 > (lambda_P + 2*gamma3*(mu+b))/(2*mu+b) + gamma1*(2*mu+b)*lambda_L^2/2",
-        g.gamma2, gamma2_bound))
+        g.gamma2, _gamma2_bound(g.gamma1, g.gamma3, g.mu, g.b, cert)))
     checks.append(_bound_check(
         "b_bound", "b >= (gamma3/gamma1)*lambda_P^2",
-        g.b, (g.gamma3 / g.gamma1) * (lam_P * lam_P)))
+        g.b, _b_bound(g.gamma1, g.gamma3, cert)))
 
     sparse = _sparse_operands(cert)
     min_eig = sparsity.smallest_eigenvalue(
@@ -299,13 +310,11 @@ def suggest_matched(gamma1: float, gamma3: float, mu: float, b: float,
     for name, value in (("gamma1", gamma1), ("gamma3", gamma3), ("mu", mu), ("b", b)):
         if not (value > 0 and math.isfinite(value)):
             raise ValidationError(f"{name}: must be a positive finite number, got {value}")
-    b_min = (gamma3 / gamma1) * (cert.lambda_P * cert.lambda_P)
+    b_min = _b_bound(gamma1, gamma3, cert)
     if b < b_min:
         raise InfeasibleGainError(
             f"b = {b} is below the minimal admissible value {b_min}", minimal_value=b_min)
-    gamma2_bound = (cert.lambda_P + 2.0 * gamma3 * (mu + b)) / (2.0 * mu + b) \
-        + 0.5 * gamma1 * (2.0 * mu + b) * (cert.lambda_L * cert.lambda_L)
-    gamma2 = 1.05 * gamma2_bound
+    gamma2 = 1.05 * _gamma2_bound(gamma1, gamma3, mu, b, cert)
     for _ in range(200):
         gains = MatchedGains.with_substitutions(gamma1, gamma2, gamma3, mu=mu, b=b)
         if certify_matched(gains, cert).passed:

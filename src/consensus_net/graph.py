@@ -12,8 +12,10 @@ on.
 ``build_laplacian`` stores L and finds the spectral facts in one of two
 regimes, picked by ``sparsity.is_sparse`` from n and L's nonzeros:
 
-* dense, L a numpy array: ``eigvals`` of all of L for the simple-zero and
-  right-half-plane checks, and ``eigvalsh`` of L^T L for the spectral norm;
+* dense, L a numpy array: ``eigvals`` of all of L for the simple-zero check
+  and the smallest real part of the nonzero eigenvalues, which
+  ``spectral.solve_P``'s shifted-spectrum gate reads, and ``eigvalsh`` of
+  L^T L for the spectral norm, at every size;
 * sparse (200 agents or more, at most 5 % nonzeros), L a CSR array, built
   from the weights' nonzeros without a dense L (``_csr_laplacian``), which
   every later layer reads as it is: ordered by its strongly connected
@@ -46,11 +48,6 @@ _SIMPLE_ZERO_TOL = 1e-8
 
 #: tolerance on the left-eigenvector residual ||v^T L||_inf
 _LEFT_RESIDUAL_TOL = 1e-10
-
-#: largest agent count whose spectral norm comes from all singular values.
-#: They take microseconds there, and the two routes differ in the last bit,
-#: which the builtin scenarios' certification.json records
-_SVD_MAX_N = 12
 
 
 def _freeze(arr):
@@ -100,14 +97,18 @@ class LaplacianData:
     ``L`` is a read-only numpy array, or a CSR array in the sparse regime.
     ``v_left`` is None when the graph has no spanning tree (the left null
     space is then not one-dimensional).  ``lambda_L`` bounds the spectral
-    norm of L (tight: it equals it).
+    norm of L (tight: it equals it).  ``min_nonzero_real_part`` is the
+    smallest real part of L's spectrum once its (simple) zero eigenvalue is
+    set aside: inf for one agent, None without a spanning tree.  The shifted
+    matrix L + alpha 1 v^T of ``spectral.solve_P`` has that spectrum plus
+    alpha, so its gate reads this number.
     """
 
     L: np.ndarray
     has_spanning_tree: bool
     v_left: np.ndarray | None
     lambda_L: float
-    nonzero_eigenvalue_real_parts_positive: bool
+    min_nonzero_real_part: float | None
 
     def __post_init__(self):
         if isinstance(self.L, np.ndarray):
@@ -119,6 +120,11 @@ class LaplacianData:
     def n_agents(self) -> int:
         return self.L.shape[0]
 
+    @property
+    def nonzero_eigenvalue_real_parts_positive(self) -> bool:
+        """Whether L's nonzero eigenvalues lie in the open right half plane."""
+        return self.min_nonzero_real_part is not None and self.min_nonzero_real_part > 0
+
 
 def build_laplacian(g: DirectedGraph) -> LaplacianData:
     """Assemble L from the weights and record its relevant spectral facts.
@@ -127,10 +133,11 @@ def build_laplacian(g: DirectedGraph) -> LaplacianData:
     L @ ones == 0 holds by construction.  The spanning-tree flag, the left
     eigenvector of the zero eigenvalue and the spectral-norm bound are
     computed here once and carried along with the matrix: one spectrum of L
-    (``_eigenvalues``) serves the simple-zero and right-half-plane checks,
-    ``_spectral_norm`` gives the spectral norm, and the left null vector
-    comes from the SVD of the root component's block alone
-    (``_left_null_vector``), with exact zeros everywhere else.
+    (``_eigenvalues``) serves the simple-zero check and gives the smallest
+    real part of the nonzero eigenvalues, the second smallest of all (the
+    smallest is the zero one's), ``_spectral_norm`` gives the spectral norm,
+    and the left null vector comes from the SVD of the root component's
+    block alone (``_left_null_vector``), with exact zeros everywhere else.
     """
     w = g.weights
     n = w.shape[0]
@@ -143,21 +150,17 @@ def build_laplacian(g: DirectedGraph) -> LaplacianData:
     else:
         L = np.diag(degree) - w
     root = _root_component(L)
+    v = real_min = None
     if root is not None:
         eigs = _eigenvalues(L)
         v = _left_null_vector(L, eigs, root)
-        # all eigenvalues except the (simple) zero one must sit strictly in
-        # the right half plane
-        rhp = n == 1 or bool(np.sort(eigs.real)[1] > 0)
-    else:
-        v = None
-        rhp = False
+        real_min = np.inf if n == 1 else float(np.partition(eigs.real, 1)[1])
     return LaplacianData(
         L=L,
         has_spanning_tree=root is not None,
         v_left=v,
         lambda_L=_spectral_norm(L),
-        nonzero_eigenvalue_real_parts_positive=rhp,
+        min_nonzero_real_part=real_min,
     )
 
 
@@ -208,18 +211,14 @@ def _eigenvalues(L) -> np.ndarray:
 
 
 def _spectral_norm(L) -> float:
-    """Largest singular value of L.
-
-    Above ``_SVD_MAX_N`` agents it is the square root of the largest
-    eigenvalue of L^T L: on a 600-agent tree a third of the cost of all of
-    L's singular values, and within 1e-15 relative of them.  L is first
-    divided by the power of two just above its largest magnitude, which is
-    exact and keeps L^T L from overflowing or underflowing; the factor is put
-    back after the square root.  For a CSR L that eigenvalue comes from
-    Lanczos on the CSR L^T L, and from ``eigvalsh`` should ARPACK fail.
+    """Largest singular value of L: the square root of the largest eigenvalue
+    of L^T L, on a 600-agent tree a third of the cost of all of L's singular
+    values, and within 1e-15 relative of them.  L is first divided by the
+    power of two just above its largest magnitude, which is exact and keeps
+    L^T L from overflowing or underflowing; the factor is put back after the
+    square root.  For a CSR L that eigenvalue comes from Lanczos on the CSR
+    L^T L, and from ``eigvalsh`` should ARPACK fail.
     """
-    if L.shape[0] <= _SVD_MAX_N:
-        return float(np.linalg.svd(L.T, compute_uv=False)[0])
     scale = np.ldexp(1.0, np.frexp(abs(L).max())[1])
     if not isinstance(L, np.ndarray):
         Ls = L / scale

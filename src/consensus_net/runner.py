@@ -76,14 +76,13 @@ SYNC_WINDOW_LEN = 5.0
 METRIC_COLUMNS = ("t", "ex_norm", "ey_norm", "ed_norm", "x_m", "y_m", "delta_m", "lyap")
 
 #: CSV tables of more than this many values in all are formatted on two
-#: CPUs.  On a 2-vCPU x86 VM (the unmatched builtin sampled every step,
-#: medians of 11-15 alternating runs of ``run``) the fork, the child's start
-#: and exit and the part files that the child then wrote cost more than the
-#: second CPU saved up to 100k values (25k: 27 against 14 ms; 50k: 31
-#: against 21 ms; 100k: 45-57 against 43 ms), and the fork won from 125k (45
-#: against 60 ms) and at 200k (96-104 against 111-117 ms).  The child now
-#: writes the table's own temporary file, with no part file to read back;
-#: the threshold was kept, not measured again.
+#: CPUs.  On a 2-vCPU x86 VM (the unmatched builtin sampled every step, the
+#: median of 15 runs of ``run`` in a fresh process per side, four alternating
+#: pairs) the fork lost every pair at 25k values (11-12 against 9-10 ms) and
+#: at 30k (11.6-12.1 against 11.4-11.5 ms), and won every pair from 40k
+#: (13.2-13.5 against 13.6-21 ms), at 100k (22-24 against 27-28 ms) and at
+#: 200k (41-43 against 58-60 ms).  The threshold sits above that crossover;
+#: every benchmark workload counts at least 182k values and forks either way.
 FORK_MIN_VALUES = 100_000
 
 
@@ -489,10 +488,7 @@ def run(sc: Scenario, out_dir) -> RunArtifacts:
     except Exception as exc:
         cert, report = certified()
         if isinstance(exc, IntegrationDivergedError):
-            if exc.partial is None:
-                write_certification(cert, report)
-            else:
-                write_trajectory(exc.partial, partial(write_certification, cert, report))
+            write_trajectory(exc.partial, partial(write_certification, cert, report))
         raise
 
     def write_the_rest():

@@ -186,7 +186,7 @@ def integrate(loop_or_field, x0, params: SimParams) -> Trajectory:
 
     if written < params.n_samples:
         partial = Trajectory(times[:written], out[:written].copy())
-        last_t = float(times[written - 1]) if written > 0 else 0.0
+        last_t = float(times[written - 1])
         raise IntegrationDivergedError(
             f"state became non-finite after t = {last_t}", last_time=last_t, partial=partial)
     return Trajectory(times, out)

@@ -13,8 +13,7 @@ entirely in the open right half plane.  The dense equation is solved in one
 of three regimes, picked from the agent count n, the graph's structure and Q:
 
 * n <= ``_KRON_MAX_N`` (12): the vectorised system
-  (Lbar^T (x) I + I (x) Lbar^T) vec P = vec Q, n^2 x n^2, by ``np.linalg.solve``,
-  with the shifted spectrum's real parts from ``np.linalg.eigvals(Lbar)``.
+  (Lbar^T (x) I + I (x) Lbar^T) vec P = vec Q, n^2 x n^2, by ``np.linalg.solve``.
   This keeps scipy out of the process for the small graphs of the builtin
   scenarios: importing ``scipy.linalg`` costs more than the whole solve.
 * a spanning tree (``_spanning_tree``, from a CSR L: every agent but the root
@@ -28,19 +27,18 @@ of three regimes, picked from the agent count n, the graph's structure and Q:
   The non-root pairs are solved in descending wavefronts of 2 depth(j) - g, g
   the distance from j up to a, each a few vectorised steps that read only the
   wavefront before; then the root's pairs, deepest first; and the root's
-  diagonal last.  Lbar's spectrum is the edge weights and alpha.  On the
-  600-agent tree of the large-graph document (seed 18301, best of 5, 2-vCPU
-  x86 VM with OpenBLAS) the tree check and solve took 3 ms against 83 ms for
-  the Schur route below, and at 2,000 agents 26 ms against 0.77 s.  A long
-  path fails the fill rule: its P is dense, and the wavefronts, two per agent,
-  lose to the blocked solve.
-* any other graph: Bartels-Stewart on a real Schur form of -Lbar^T, which also
-  yields the shifted spectrum's real parts.  The Kronecker system grows as n^4
-  in memory and n^6 in time, so it cannot serve here.  Both run on a dense L,
-  built from a CSR one where needed.  The form comes from the graph's
-  structure (``_shifted_schur``): v is exactly zero off the root component, so
-  LAPACK's permutation balancing ``dgebal`` orders -Lbar^T block triangular,
-  and ``scipy.linalg.schur`` factorises only the core that balancing leaves:
+  diagonal last.  On the 600-agent tree of the large-graph document (seed
+  18301, best of 5, 2-vCPU x86 VM with OpenBLAS) the tree check and solve
+  took 3 ms against 83 ms for the Schur route below, and at 2,000 agents
+  26 ms against 0.77 s.  A long path fails the fill rule: its P is dense,
+  and the wavefronts, two per agent, lose to the blocked solve.
+* any other graph: Bartels-Stewart on a real Schur form of -Lbar^T.  The
+  Kronecker system grows as n^4 in memory and n^6 in time, so it cannot
+  serve here.  Both run on a dense L, built from a CSR one where needed.
+  The form comes from the graph's structure (``_shifted_schur``): v is
+  exactly zero off the root component, so LAPACK's permutation balancing
+  ``dgebal`` orders -Lbar^T block triangular, and ``scipy.linalg.schur``
+  factorises only the core that balancing leaves:
   the agents on cycles (the root component among them) and those ordered
   between them.  An acyclic graph's core is one row and needs no
   factorisation; a strongly connected graph's is the whole matrix.
@@ -55,8 +53,11 @@ of three regimes, picked from the agent count n, the graph's structure and Q:
 
 An eigendecomposition of Lbar would be cheaper than any of these but is not
 safe: L can be defective (the builtin graph's L has a size-3 Jordan block).
-All paths apply the same gates (shifted spectrum, residual of the original
-form, positive definiteness of P) with the same messages.
+Before it picks a route, ``solve_P`` gates the shifted spectrum once: its
+smallest real part is min(alpha, ``lap.min_nonzero_real_part``), which
+``graph.build_laplacian`` read from the spectrum of L it computed for the
+simple-zero check.  All paths then apply the same gates (residual of the
+original form, positive definiteness of P) with the same messages.
 
 The gates and the scalars of the certificate are found in one of two
 regimes, read from the storage of P, which the certificate keeps with L:
@@ -175,6 +176,12 @@ def solve_P(lap: LaplacianData, Q: np.ndarray | None = None, alpha: float = 1.0)
     q_eigs = np.sort(q) if q_diagonal else np.linalg.eigvalsh((Q + Q.T) / 2)
     if q_eigs[0] <= 0:
         raise ValidationError(f"Q: must be positive definite, min eig = {q_eigs[0]:.3e}")
+    # Lbar's spectrum is L's nonzero spectrum plus alpha
+    shift_min = min(alpha, lap.min_nonzero_real_part)
+    if shift_min < 1e-9:
+        raise DegenerateSpectrumError(
+            "shifted Laplacian has an eigenvalue with real part "
+            f"{shift_min:.3e}; alpha too small or upstream invariant violated")
 
     v = lap.v_left
     ones = np.ones(n)
@@ -182,24 +189,15 @@ def solve_P(lap: LaplacianData, Q: np.ndarray | None = None, alpha: float = 1.0)
     tree = None if isinstance(L, np.ndarray) or not q_diagonal else _spanning_tree(L, v)
     order = None
     if tree is not None and sparsity.is_sparse(n, n + 2 * int(tree.depth.sum()) + L.nnz):
-        # Lbar's spectrum is the edge weights and alpha, as diag(r) lists it below
-        _require_shifted_spectrum(min(alpha, float(tree.w[tree.depth > 0].min())))
         P = _tree_lyapunov(tree, alpha, q)
         order = tree.deepest_first()
     else:
         L = sparsity.dense(L)
         Q = np.diag(q) if Q.ndim == 1 else Q
         if n <= _KRON_MAX_N:
-            L_shift = L + alpha * np.outer(ones, v)
-            _require_shifted_spectrum(float(np.linalg.eigvals(L_shift).real.min()))
-            P = _kron_lyapunov(L_shift, Q)
+            P = _kron_lyapunov(L + alpha * np.outer(ones, v), Q)
         else:
-            r, perm, core, u_c = _shifted_schur(L, v, alpha)
-            # in the standardised real Schur form a 2x2 block's diagonal holds
-            # the real part of its eigenvalue pair, so diag(r) lists every real
-            # part of -Lbar^T's spectrum
-            _require_shifted_spectrum(-float(np.diag(r).max()))
-            P = _lyapunov_from_schur(r, perm, core, u_c, -Q)
+            P = _lyapunov_from_schur(*_shifted_schur(L, v, alpha), -Q)
         P = (P + P.T) / 2.0
         if sparsity.is_sparse(n, int(np.count_nonzero(P) + np.count_nonzero(L))):
             import scipy.sparse
@@ -261,15 +259,6 @@ def _extreme_eigenvalues(P, order=None) -> tuple[float, float]:
             pass
     p_eigs = np.linalg.eigvalsh(sparsity.dense(P))
     return float(p_eigs[0]), float(p_eigs[-1])
-
-
-def _require_shifted_spectrum(shift_min: float) -> None:
-    """Raise unless every eigenvalue of Lbar has real part >= 1e-9."""
-    if shift_min < 1e-9:
-        raise DegenerateSpectrumError(
-            "shifted Laplacian has an eigenvalue with real part "
-            f"{shift_min:.3e}; alpha too small or upstream invariant violated"
-        )
 
 
 def _kron_lyapunov(L_shift: np.ndarray, Q: np.ndarray) -> np.ndarray:

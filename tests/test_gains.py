@@ -10,7 +10,7 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from consensus_net import sparsity
+from consensus_net import gains, sparsity
 from consensus_net.errors import InfeasibleGainError, ValidationError
 from consensus_net.gains import (
     MatchedGains,
@@ -148,6 +148,37 @@ def test_suggest_infeasible_b(default_cert):
     with pytest.raises(InfeasibleGainError) as exc_info:
         suggest_matched(6.0, 4.0, 1.0, 0.9 * b_min, default_cert)
     assert exc_info.value.minimal_value == pytest.approx(b_min, rel=1e-12)
+
+
+def test_suggested_gamma2_starts_at_the_certified_bound(default_cert):
+    """suggest_matched's first candidate gamma2 is 1.05 times the right side
+    of the gamma2_bound that certify_matched reports for it, and its gamma4
+    the substitution certify_matched checks, bit for bit: both read the one
+    statement of each."""
+    tried = []
+
+    def spy(g, cert):
+        tried.append((g, certify_matched(g, cert)))
+        return tried[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gains, "certify_matched", spy)
+        suggest_matched(6.0, 4.0, 1.0, 10.0, default_cert)
+    first, report = tried[0]
+    assert first.gamma2 == 1.05 * report.check("gamma2_bound").right
+    check = report.check("gamma4_substitution")
+    assert first.gamma4 == check.left == check.right
+
+
+def test_infeasible_b_reports_the_certified_b_bound(default_cert):
+    """InfeasibleGainError's minimal_value is the right side of the b_bound
+    that certify_matched reports, bit for bit."""
+    b = 0.5 * (4.0 / 6.0) * default_cert.lambda_P ** 2
+    with pytest.raises(InfeasibleGainError) as exc_info:
+        suggest_matched(6.0, 4.0, 1.0, b, default_cert)
+    report = certify_matched(MatchedGains.with_substitutions(6.0, 17.0, 4.0, mu=1.0, b=b),
+                             default_cert)
+    assert exc_info.value.minimal_value == report.check("b_bound").right
 
 
 def test_scalar_bounds_not_sufficient_regression(default_cert):

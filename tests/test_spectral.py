@@ -2,7 +2,6 @@
 
 import contextlib
 import math
-import re
 
 import numpy as np
 import pytest
@@ -197,10 +196,11 @@ def test_spectral_norm_examples():
 # computations differ by 1.2e-10
 @example(family="tree", n=17, seed=789, alpha=1.0)
 def test_certificate_property(family, n, seed, alpha):
-    """The Schur factorisation that solve_P shares, above _KRON_MAX_N agents,
-    between the shifted-spectrum check and the solve reports the spectrum
-    eigvals reports, and the certificate solve_P yields meets the residual
-    bound and is positive definite."""
+    """The smallest real part of the shifted spectrum that solve_P gates on,
+    min(alpha, lap.min_nonzero_real_part), and the one on the diagonal of
+    the Schur factor that solve_P solves from above _KRON_MAX_N agents are
+    the one eigvals reports for the shifted matrix, and the certificate
+    solve_P yields meets the residual bound and is positive definite."""
     lap = build_laplacian(random_family_graph(np.random.default_rng(seed), n, family))
     if not lap.has_spanning_tree:
         with pytest.raises(ValidationError, match="spanning tree"):
@@ -217,7 +217,9 @@ def test_certificate_property(family, n, seed, alpha):
     y, x = left[:, i], right[:, i]
     kappa = np.linalg.norm(y) * np.linalg.norm(x) / abs(y.conj() @ x)
     bound = 4 * n * np.finfo(float).eps * np.linalg.norm(L_shift, 2) * kappa
-    assert abs(-np.diag(r).max() - np.linalg.eigvals(L_shift).real.min()) <= bound
+    shift_min = np.linalg.eigvals(L_shift).real.min()
+    assert abs(min(alpha, lap.min_nonzero_real_part) - shift_min) <= bound
+    assert abs(-np.diag(r).max() - shift_min) <= bound
     cert = solve_P(lap, alpha=alpha)
     assert cert.residual < 1e-8
     assert np.linalg.eigvalsh(cert.P)[0] > 0
@@ -251,13 +253,11 @@ def test_small_path_matches_schur_path(family, n, seed, alpha):
         assert type(kron) is type(schur) is ValidationError
         return
     assert np.abs(kron.P - schur.P).max() <= 1e-12 * np.abs(schur.P).max()
-    # the shifted minimum each path read, as its error reports it (the Schur
-    # diagonal against eigvals at any alpha is test_certificate_property's)
+    # the shifted minimum that each path's error reports (the gate's number
+    # against eigvals at any alpha is test_certificate_property's)
     tiny = [_solve_on_path(lap, 1e-10, schur) for schur in (False, True)]
     assert [type(exc) for exc in tiny] == [DegenerateSpectrumError] * 2
-    shift_kron, shift_schur = (float(re.search(r"real part (\S+);", str(exc)).group(1))
-                               for exc in tiny)
-    assert abs(shift_kron - shift_schur) <= 1e-12
+    assert str(tiny[0]) == str(tiny[1])
 
 
 @pytest.mark.parametrize("name", ["paper-matched", "paper-unmatched"])
@@ -599,6 +599,33 @@ def test_other_graphs_keep_their_route(case):
     assert balanced == ([] if case == "small" else [(n, n)])
     assert cert.residual < spectral._RESIDUAL_TOL
     assert cert.min_eig_P > 0
+
+
+@pytest.mark.parametrize("route", ["kronecker", "tree", "schur"])
+def test_shifted_spectrum_gated_before_the_route(route):
+    """solve_P gates the shifted spectrum once, before it picks a route: at
+    alpha = 1e-10 the 5-agent builtin graph (Kronecker system), a 600-agent
+    random tree, the order of the large-graph benchmark (tree route), and a
+    20-agent graph with a 2-cycle root (Schur route) report the same real
+    part, and no solver runs; at alpha = 1 each graph takes its route."""
+    rng = np.random.default_rng(31)
+    lap = build_laplacian({"kronecker": lambda: builtin_scenario("paper-matched").graph,
+                           "tree": lambda: _shuffled_tree(rng, 600, "random")[0],
+                           "schur": lambda: _two_cycle_root_tree(rng, 20)}[route]())
+    solvers = {"kronecker": "_kron_lyapunov", "tree": "_tree_lyapunov",
+               "schur": "_lyapunov_from_schur"}
+    ran = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in solvers.values():
+            mp.setattr(spectral, name, lambda *args, _name=name, _solve=getattr(spectral, name):
+                       ran.append(_name) or _solve(*args))
+        with pytest.raises(DegenerateSpectrumError) as exc_info:
+            solve_P(lap, alpha=1e-10)
+        assert ran == []
+        solve_P(lap)
+    assert ran == [solvers[route]]
+    assert str(exc_info.value) == ("shifted Laplacian has an eigenvalue with real part "
+                                   "1.000e-10; alpha too small or upstream invariant violated")
 
 
 @contextlib.contextmanager

@@ -278,6 +278,22 @@ def test_benchmark_spans_are_looked_up_at_call_time():
     assert spans and [name for name in spans if name not in functions & called] == []
 
 
+def _calls_named(node, name: str) -> list:
+    """Lines of every call of ``<anything>.name(...)`` or ``name(...)`` under
+    ``node``."""
+    return [sub.lineno for sub in ast.walk(node) if isinstance(sub, ast.Call)
+            and name in (getattr(sub.func, "attr", None), getattr(sub.func, "id", None))]
+
+
+def test_one_home_for_the_spectrum_and_the_norm():
+    """L's spectrum is computed once, by ``graph.build_laplacian``, and
+    ``spectral.solve_P``'s shifted-spectrum gate reads the smallest real part
+    it recorded: ``spectral`` calls no ``eigvals``.  The spectral norm of L
+    has one route at every size: ``graph._spectral_norm`` calls no ``svd``."""
+    assert _calls_named(TREES["spectral.py"], "eigvals") == []
+    assert _calls_named(FUNCTIONS["graph.py"]["_spectral_norm"], "svd") == []
+
+
 def test_one_home_for_indented_json():
     """The ``indent=2`` layout is written once, in ``jsontext``: no module
     of the package calls ``json.dumps`` or ``json.dump`` with ``indent``,
