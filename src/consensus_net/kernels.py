@@ -22,10 +22,12 @@ either loop one of two ways, both built on the same RK4 step
   only the fold.  A dense ``M`` folds ``fold_length`` steps, and its blocks
   are stepped as a blocked scan (``_scan_blocks``): products with a
   block-Toeplitz matrix of its powers give every superblock of K blocks its
-  local part, Python loops once per superblock to carry the start state,
-  and products with its powers give every block end.  ``_scan_length``
-  picks K from a size bound (K = 12 on the builtins, K = 1, the plain
-  loop, from 31 agents up); set-up costs O((3n)^3) flops.  A CSR
+  local part, the superblock starts are carried by the same scan over
+  ``M^(fK)`` (and its own starts over ``M^(fK^2)``, while a chunk holds more
+  than K superblocks at a level), and products with its powers give every
+  block end.  ``_scan_length`` picks K from a size bound (K = 12 on the
+  builtins, K = 1, the plain loop, from 31 agents up); set-up costs
+  O((3n)^3) flops a level.  A CSR
   ``M`` serves graphs that contain a spanning tree, which are typically
   sparse (a tree has n - 1 edges), and so are ``M`` and its first powers:
   ``_sparse_fold`` squares its way towards ``M^fold_length`` and keeps the
@@ -70,8 +72,8 @@ MAX_FOLD = 100
 #: the builtins' peak RSS by about 1 MiB
 _CHUNK_STEPS = 2048
 
-#: numpy calls per block of the recurrence's plain loop, and per superblock
-#: of its scan
+#: numpy calls per block of the recurrence's plain loop; the estimate
+#: charges as many per superblock of its scan (``_block_seconds``)
 _BLOCK_CALLS = 4
 
 #: largest size in bytes of the dense scan's block-Toeplitz operator ``T``:
@@ -134,10 +136,12 @@ def prefer_recurrence(n: int, nnz: int, n_steps: int, sample_every: int,
     * recurrence set-up, in matrix-product flops: one RK4 step on N identity
       and m + 3 forcing columns, m = ``segments`` (8 N^2 (N + m + 3)),
       f - 1 products for the block forcing (2 N^2 (m + 3) each), M^f by
-      squaring (4 N^3 log2 f) and the scan's K powers of M^f (2 N^3 K);
+      squaring (4 N^3 log2 f) and the scan's K powers of M^f (2 N^3 K;
+      each carry level of ``_scan_blocks`` adds as many, not counted: two
+      levels, 0.16 Mflop, on the builtins sampled every step);
     * recurrence, per block: ``_block_seconds(N, K)``, the scan's products
-      and its loop's calls shared by K blocks; per step, 6 N + 30 flops for
-      the vanishing terms and their block forcing.
+      and the carry of its superblock starts shared by K blocks; per step,
+      6 N + 30 flops for the vanishing terms and their block forcing.
 
     The set-up grows as n^3 and the stage body as nnz per step, so the
     recurrence wins for small graphs over long horizons (the builtins: 100x
@@ -268,7 +272,21 @@ def _block_seconds(N, K):
     block operator, stepped by the scan over K blocks at a time: per block,
     2 K N^2 matrix-product flops for ``T`` and 2 N^2 for ``P``, and per
     superblock ``_BLOCK_CALLS`` calls and one matrix-vector product.  K = 1
-    is the plain block loop, which costs just the latter per block."""
+    is the plain block loop, which costs just the latter per block.
+
+    With K > 1 the per-superblock term is the step of the loop that once
+    carried the superblock starts, kept as a bound on the carry levels that
+    replaced it.  Level l scans one block per K^(l-1) superblocks at the
+    2 (K + 1) N^2 flops a block above, so the levels' products cost
+    2 (K + 1) K / (K - 1) N^2 matrix-product flops a superblock: at most
+    41 % of the term at every N with K > 1 (at N = 90).  The rest covers
+    each level's one or two scan calls, made only over more than K
+    superblocks.  A chunk
+    of 2040 one-step blocks at N = 15 is scanned in 0.43 ms against 0.77 ms
+    by the loop, and estimated at 1.1 ms.  Timed over whole chunks for N
+    from 6 to 90 and f from 1 to 100, every scan stayed within the estimate
+    but the fewest superblocks that build a level (6 at K = 3, N = 60,
+    f = 100), 7 % above it."""
     loop = _BLOCK_CALLS * _CALL_S + 2 * N * N * _MATVEC_FLOP_S
     return loop if K == 1 else loop / K + 2 * (K + 1) * N * N * _MATMUL_FLOP_S
 
@@ -311,17 +329,22 @@ def _matmul_rows(a, b, out=None):
     return out
 
 
-def _scan_blocks(T, P, F, z):
+def _scan_blocks(scans, F, z):
     """Overwrite each row of ``F`` (one per block) with the block end of
     ``z_(i+1) = M_block z_i + F[i]`` from ``z_0 = z``, by a blocked scan over
-    superblocks of K blocks (K and ``M_block`` as in ``T`` and ``P``).
+    superblocks of K blocks.  ``scans[0]`` is ``(T, P)`` of ``M_block`` over
+    K blocks (``_scan_operators``), and ``scans[l]`` that of
+    ``M_block^(K^l)``.
 
     Products with ``T`` give every superblock's local part (its block ends
-    from a zero start), a loop over superblocks carries the start state
-    from one to the next (``M_block^K z + last local end``), and products
-    with ``P`` give each start's contribution to every block end.  Blocks
-    left over after the last full superblock form one short superblock,
-    scanned with the leading blocks of ``T`` and ``P``."""
+    from a zero start).  The superblock starts follow the same recurrence,
+    ``s_(j+1) = M_block^K s_j + last local end of j``, so ``scans[1:]``
+    scan them in turn; with no level left, a loop over the superblocks
+    carries them, fewer than K when the levels span the chunk.  Products
+    with ``P`` then give each start's contribution to every block end.
+    Blocks left over after the last full superblock form one short
+    superblock, scanned with the leading blocks of ``T`` and ``P``."""
+    T, P = scans[0]
     B, N = F.shape
     K = min(P.shape[1] // N, B)
     ns = B // K
@@ -330,12 +353,16 @@ def _scan_blocks(T, P, F, z):
     local = _matmul_rows(ends, T[:K * N, :K * N])
     starts = np.empty((ns, N))
     starts[0] = z
-    for s in range(ns - 1):
-        starts[s + 1] = starts[s] @ P_K[:, -N:] + local[s, -N:]
+    starts[1:] = local[:-1, -N:]
+    if ns > 1 and len(scans) > 1:
+        _scan_blocks(scans[1:], starts[1:], z)
+    else:
+        for s in range(1, ns):
+            starts[s] += starts[s - 1] @ P_K[:, -N:]
     _matmul_rows(starts, P_K, out=ends)
     ends += local
     if ns * K < B:
-        _scan_blocks(T, P, F[ns * K:], F[ns * K - 1])
+        _scan_blocks(scans[:1], F[ns * K:], F[ns * K - 1])
 
 
 def _rk4_recurrence(A, M, c_E, z0, profile, dt, n_steps, sample_every, out):
@@ -378,8 +405,12 @@ def _rk4_recurrence(A, M, c_E, z0, profile, dt, n_steps, sample_every, out):
     chunk = K * max(1, _CHUNK_STEPS // (f * K))
     with np.errstate(over="ignore", invalid="ignore"):
         if K > 1:
-            # powers of a diverging M^f may overflow: their chunk replays
-            T, P = _scan_operators(M_f, K)
+            # powers of a diverging M^f may overflow: their chunk replays.
+            # Level l, of M^(f K^l), carries the starts of level l - 1's
+            # superblocks while a chunk holds more than K of them
+            scans = [_scan_operators(M_f, K)]
+            while min(chunk, n_blocks) // K ** len(scans) > K:
+                scans.append(_scan_operators(scans[-1][1][:, -N:].T, K))
         for b0 in range(0, n_blocks, chunk):
             b1 = min(b0 + chunk, n_blocks)
             z_start = z
@@ -394,7 +425,7 @@ def _rk4_recurrence(A, M, c_E, z0, profile, dt, n_steps, sample_every, out):
                 F[i] = w
             # block ends overwrite the forcing
             if K > 1:
-                _scan_blocks(T, P, F, z)
+                _scan_blocks(scans, F, z)
                 z = F[-1].copy()
             else:
                 for i in range(b1 - b0):

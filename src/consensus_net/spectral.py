@@ -156,18 +156,21 @@ def solve_P(lap: LaplacianData, Q: np.ndarray | None = None, alpha: float = 1.0)
     Q is an n x n matrix, or a length-n vector that stands for the diagonal
     Q with those entries (no n x n array is built unless a dense route
     runs); it defaults to the identity.  Fails when the graph has no
-    spanning tree, when Q is not symmetric positive definite, or when the
-    shifted matrix is numerically degenerate (an eigenvalue with real part
-    below 1e-9, meaning alpha is too small relative to rounding).
+    spanning tree, when alpha is not finite and positive, when Q is not
+    finite, symmetric and positive definite, or when the shifted matrix is
+    numerically degenerate (an eigenvalue with real part below 1e-9, meaning
+    alpha is too small relative to rounding).
     """
     require_spanning_tree(lap)
-    if alpha <= 0:
-        raise ValidationError(f"alpha: must be > 0, got {alpha}")
+    if not 0 < alpha < np.inf:
+        raise ValidationError(f"alpha: must be finite and > 0, got {alpha}")
     L = lap.L
     n = lap.n_agents
     Q = np.ones(n) if Q is None else np.asarray(Q, dtype=float)
     if Q.shape not in ((n,), (n, n)):
         raise ValidationError(f"Q: expected shape {(n,)} or {(n, n)}, got {Q.shape}")
+    if not np.isfinite(Q).all():
+        raise ValidationError("Q: must be finite")
     q = Q if Q.ndim == 1 else np.diag(Q)
     # a diagonal Q, such as the default, is symmetric, its eigenvalues on it
     q_diagonal = Q.ndim == 1 or np.count_nonzero(Q) == np.count_nonzero(q)

@@ -353,6 +353,85 @@ def test_scan_agrees_with_block_loop(monkeypatch, mode, sample_every):
     assert np.abs(scan - loop).max() <= 1e-12 * np.abs(loop).max()
 
 
+def _spy_scans(monkeypatch, after_chunk=None):
+    """Wrap ``kernels._scan_blocks`` so that each call records, on entry,
+    (depth, levels, blocks): the scan's own calls, for its carry levels and
+    short superblocks, come through the wrapper too, one level deeper.
+    ``after_chunk(F, i)`` runs after the recurrence's call for chunk i."""
+    real, calls, depth = kernels._scan_blocks, [], []
+
+    def spy(scans, F, z):
+        calls.append((len(depth), len(scans), len(F)))
+        depth.append(None)
+        real(scans, F, z)
+        depth.pop()
+        if after_chunk and not depth:
+            after_chunk(F, sum(d == 0 for d, _, _ in calls) - 1)
+    monkeypatch.setattr(kernels, "_scan_blocks", spy)
+    return calls
+
+
+@pytest.mark.parametrize("mode", ["matched", "unmatched"])
+@pytest.mark.parametrize("sample_every", [1, 10])
+def test_scan_carry_levels_agree_with_block_loop(monkeypatch, mode, sample_every):
+    """With K = 3 a chunk (2046 blocks of one step, 204 of ten) spans four
+    to six scan levels, each carrying the superblock starts of the one
+    below, and several end in a short superblock: the samples agree with
+    the plain block loop's within 1e-12 of max|z|."""
+    A, c_E, profile, z0, params = _three_agent_case(mode, sample_every)
+    monkeypatch.setattr(kernels, "_scan_length", lambda N: 3)
+    calls = _spy_scans(monkeypatch)
+    w_scan, scan = _run_recurrence(A, c_E, profile, z0, params)
+    assert max(levels for _, levels, _ in calls) >= 4
+    assert any(depth > 1 and blocks < 3 for depth, _, blocks in calls)
+    monkeypatch.setattr(kernels, "_scan_length", lambda N: 1)
+    w_loop, loop = _run_recurrence(A, c_E, profile, z0, params)
+    assert w_scan == w_loop == params.n_samples
+    assert np.abs(scan - loop).max() <= 1e-12 * np.abs(loop).max()
+
+
+def test_scan_carries_starts_by_one_product_per_level(monkeypatch):
+    """A chunk of 2046 one-step blocks at K = 3 is 682 superblocks.  Their
+    starts are carried by one scan call per level, not one product per
+    superblock: six levels, of M, M^3, ..., M^243 (the largest power formed,
+    M^729, within the chunk), each call one product by ``T`` and one by
+    ``P``.  The deepest level's 6 blocks are 2 superblocks, so its loop
+    makes one step, and the three short superblocks are under K blocks."""
+    A, c_E, profile, z0, params = _three_agent_case("unmatched", 1)
+    monkeypatch.setattr(kernels, "_scan_length", lambda N: 3)
+    operators = _spy(monkeypatch, "_scan_operators")
+    calls = _spy_scans(monkeypatch)
+    products = _spy(monkeypatch, "_matmul_rows")
+    _run_recurrence(A, c_E, profile, z0, params)
+    first = calls[:[depth for depth, _, _ in calls].index(0, 1)]
+    assert [(levels, blocks) for _, levels, blocks in first if blocks >= 3] == [
+        (6, 2046), (5, 681), (4, 226), (3, 74), (2, 23), (1, 6)]
+    assert len(first) == 9 and sum(blocks < 3 for _, _, blocks in first) == 3
+    # the chunks' forcing and two products per scan call
+    assert len(products) == sum(depth == 0 for depth, _, _ in calls) + 2 * len(calls)
+    M = kernels._step_operator(A, params.dt)
+    assert len(operators) == 6
+    for level, ((M_block, K), _, _) in enumerate(operators):
+        power = np.linalg.matrix_power(M, 3 ** level)
+        assert K == 3 and np.abs(M_block - power).max() <= 1e-12 * np.abs(power).max()
+
+
+def test_scan_levels_stop_at_the_run(monkeypatch):
+    """A run shorter than a chunk builds only the levels its blocks need:
+    100 one-step blocks at K = 3 are 33 superblocks, whose starts are
+    carried over 11 and then 3, so three levels, not a full chunk's six."""
+    A, c_E, profile, z0, params = _three_agent_case("unmatched", 1)
+    params = replace(params, t_final=0.1)
+    monkeypatch.setattr(kernels, "_scan_length", lambda N: 3)
+    operators = _spy(monkeypatch, "_scan_operators")
+    written, scan = _run_recurrence(A, c_E, profile, z0, params)
+    assert len(operators) == 3
+    monkeypatch.setattr(kernels, "_scan_length", lambda N: 1)
+    _, loop = _run_recurrence(A, c_E, profile, z0, params)
+    assert written == params.n_samples == 101
+    assert np.abs(scan - loop).max() <= 1e-12 * np.abs(loop).max()
+
+
 def test_path_choice_estimate():
     for name, sample_every in (("paper-matched", None), ("paper-unmatched", None),
                                ("paper-unmatched", 1)):
@@ -716,19 +795,16 @@ def _poisoned_run(monkeypatch, storage, fold=1):
         chunks = [kernels._CHUNK_STEPS]
     else:
         A, c_E, profile, z0, params = _three_agent_case("unmatched", fold)
-        real_scan, chunks = kernels._scan_blocks, []
 
-        def poisoned(T, P, F, z):
-            # the first chunk is whole superblocks, so the second call is the
-            # second chunk's, not a short superblock's
-            chunks.append(len(F) * fold)
-            real_scan(T, P, F, z)
-            if len(chunks) == 2:
+        def poison(F, chunk):
+            if chunk == 1:
                 F[100] = np.nan
-        monkeypatch.setattr(kernels, "_scan_blocks", poisoned)
+        scans = _spy_scans(monkeypatch, poison)
     direct = _run(kernels._rk4_stage, A, c_E, profile, z0, params)
     stage = _spy(monkeypatch, "_rk4_stage")
     run = _run_recurrence(A, c_E, profile, z0, params)
+    if storage != "csr":
+        chunks = [blocks * fold for depth, _, blocks in scans if depth == 0]
     return stage, run, direct, params, chunks[0]
 
 

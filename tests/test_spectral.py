@@ -159,6 +159,22 @@ def test_rejects_bad_inputs(default_lap):
         solve_P(default_lap, Q=np.array([1.0, 2.0, 0.0, 1.0, 1.0]))
 
 
+@pytest.mark.parametrize("alpha", [math.nan, math.inf])
+def test_rejects_non_finite_alpha(default_lap, alpha):
+    """A NaN alpha passes ``alpha <= 0`` and an infinite one any lower
+    bound; both ended in numpy's "Eigenvalues did not converge"."""
+    with pytest.raises(ValidationError, match="alpha: must be finite"):
+        solve_P(default_lap, alpha=alpha)
+
+
+@pytest.mark.parametrize("form", ["vector", "matrix"])
+def test_rejects_nan_Q(default_lap, form):
+    """A NaN passes the positive-definite check (``nan <= 0`` is False)."""
+    q = np.array([1.0, math.nan, 1.0, 1.0, 1.0])
+    with pytest.raises(ValidationError, match="Q: must be finite"):
+        solve_P(default_lap, Q=q if form == "vector" else np.diag(q))
+
+
 @pytest.mark.parametrize("case", ["paper-matched", "tree-600", "two-parents-40"])
 def test_vector_Q_is_its_diagonal_matrix(case):
     """A 1-D Q stands for the diagonal matrix with those entries: the same P,
