@@ -436,8 +436,14 @@ def sync_deviation_windows(traj: Trajectory, v: np.ndarray, g: UnmatchedGains,
     disturbance-shifted velocity should approach the common average of the
     shifted integral states.  ``deviations``, when given, is its per-sample
     maximum over the agents as ``trajectory_metrics`` returns it
-    (``sync_deviation``), which is then not computed again.
+    (``sync_deviation``), which is then not computed again.  The windows
+    advance from ``start``, so it must be finite and ``window_len`` finite,
+    positive and large enough to move it.
     """
+    if not (window_len > 0 and math.isfinite(window_len)):
+        raise ValidationError(f"window_len: must be finite and > 0, got {window_len}")
+    if not (math.isfinite(start) and start + window_len > start):
+        raise ValidationError(f"start: must be finite and moved by window_len, got {start}")
     times = traj.times
     devs = deviations
     if devs is None:

@@ -9,28 +9,23 @@ the open right half plane, and a nonnegative left null vector exists; that
 vector (normalized to sum 1) defines the weighted average the network agrees
 on.
 
-``build_laplacian`` stores L and finds the spectral facts in one of two
-regimes, picked by ``sparsity.is_sparse`` from n and L's nonzeros:
-
-* dense, L a numpy array: ``eigvals`` of all of L for the simple-zero check
-  and the smallest real part of the nonzero eigenvalues, which
-  ``spectral.solve_P``'s shifted-spectrum gate reads, and ``eigvalsh`` of
-  L^T L for the spectral norm, at every size;
-* sparse (200 agents or more, at most 5 % nonzeros), L a CSR array, built
-  from the weights' nonzeros without a dense L (``_csr_laplacian``), which
-  every later layer reads as it is: ordered by its strongly connected
-  components, L is block triangular, so its spectrum is the union of its
-  diagonal blocks' spectra.  ``scipy.sparse.csgraph`` finds the
-  components; a one-agent block's eigenvalue is its diagonal entry, and only
-  larger blocks go to ``eigvals``.  The spectral norm comes from Lanczos on
-  the CSR L^T L.  On the random 2,000-agent tree of the large-graph
-  document (seed 3, best of 3, 2-vCPU x86 VM with OpenBLAS) the spectral
-  norm took 12 ms against 0.69 s dense, and the spectrum 0.2 ms against
-  0.12 s, with the same eigenvalues.  Should ARPACK fail, the dense spectral
-  norm answers.  The root component is found from the stored entries of the
-  CSR L and its transpose (``_root_component``), sliced into neighbour
-  lists as Python lists.  ``DirectedGraph`` itself stays a dense n x n
-  array of weights.
+``build_laplacian`` stores L in one of two storages, picked by
+``sparsity.is_sparse`` from n and L's nonzeros: a numpy array, or (200
+agents or more, at most 5 % nonzeros) a CSR array built from the weights'
+nonzeros without a dense L (``_csr_laplacian``), which every later layer
+reads as it is.  ``DirectedGraph`` itself stays a dense n x n array of
+weights.  Both storages find the graph facts the same way.  One labelling
+of the strongly connected components (``_components``, Kosaraju's two
+passes over neighbour lists read from L's stored entries) gives the root
+component, and L's spectrum: ordered by its components, L is block
+triangular, so its spectrum is the union of its diagonal blocks' spectra.
+A one-agent block's eigenvalue is its diagonal entry, and only larger
+blocks go to ``eigvals``; the smallest real part of the nonzero
+eigenvalues, which ``spectral.solve_P``'s shifted-spectrum gate reads,
+comes from them.  The spectral norm is ``eigvalsh`` of L^T L, or Lanczos
+on a CSR L^T L: 12 ms against 0.69 s dense on the random 2,000-agent tree
+of the large-graph document (seed 3, best of 3, 2-vCPU x86 VM with
+OpenBLAS); should ARPACK fail, the dense spectral norm answers.
 """
 
 from __future__ import annotations
@@ -96,16 +91,16 @@ class LaplacianData:
 
     ``L`` is a read-only numpy array, or a CSR array in the sparse regime.
     ``v_left`` is None when the graph has no spanning tree (the left null
-    space is then not one-dimensional).  ``lambda_L`` bounds the spectral
-    norm of L (tight: it equals it).  ``min_nonzero_real_part`` is the
-    smallest real part of L's spectrum once its (simple) zero eigenvalue is
-    set aside: inf for one agent, None without a spanning tree.  The shifted
-    matrix L + alpha 1 v^T of ``spectral.solve_P`` has that spectrum plus
-    alpha, so its gate reads this number.
+    space is then not one-dimensional), so ``has_spanning_tree`` reads it.
+    ``lambda_L`` bounds the spectral norm of L (tight: it equals it).
+    ``min_nonzero_real_part`` is the smallest real part of L's spectrum once
+    its (simple) zero eigenvalue is set aside: inf for one agent, None
+    without a spanning tree.  The shifted matrix L + alpha 1 v^T of
+    ``spectral.solve_P`` has that spectrum plus alpha, so its gate reads this
+    number.  ``build_laplacian`` is the one constructor.
     """
 
     L: np.ndarray
-    has_spanning_tree: bool
     v_left: np.ndarray | None
     lambda_L: float
     min_nonzero_real_part: float | None
@@ -121,6 +116,11 @@ class LaplacianData:
         return self.L.shape[0]
 
     @property
+    def has_spanning_tree(self) -> bool:
+        """Whether some agent reaches every agent along transmit direction."""
+        return self.v_left is not None
+
+    @property
     def nonzero_eigenvalue_real_parts_positive(self) -> bool:
         """Whether L's nonzero eigenvalues lie in the open right half plane."""
         return self.min_nonzero_real_part is not None and self.min_nonzero_real_part > 0
@@ -130,14 +130,17 @@ def build_laplacian(g: DirectedGraph) -> LaplacianData:
     """Assemble L from the weights and record its relevant spectral facts.
 
     Row i has diagonal entry sum_k w_ik and off-diagonal entries -w_ij, so
-    L @ ones == 0 holds by construction.  The spanning-tree flag, the left
-    eigenvector of the zero eigenvalue and the spectral-norm bound are
-    computed here once and carried along with the matrix: one spectrum of L
-    (``_eigenvalues``) serves the simple-zero check and gives the smallest
-    real part of the nonzero eigenvalues, the second smallest of all (the
-    smallest is the zero one's), ``_spectral_norm`` gives the spectral norm,
-    and the left null vector comes from the SVD of the root component's
-    block alone (``_left_null_vector``), with exact zeros everywhere else.
+    L @ ones == 0 holds by construction.  The left eigenvector of the zero
+    eigenvalue, whose presence is the spanning-tree flag, and the
+    spectral-norm bound are computed here once and carried along with the
+    matrix.  One labelling of L's strongly connected components
+    (``_components``) gives the root component and L's spectrum block by
+    block (``_eigenvalues``); that spectrum serves the simple-zero check and
+    gives the smallest real part of the nonzero eigenvalues, the second
+    smallest of all (the smallest is the zero one's).  ``_spectral_norm``
+    gives the spectral norm, and the left null vector comes from the SVD of
+    the root component's block alone (``_left_null_vector``), with exact
+    zeros everywhere else.
     """
     w = g.weights
     n = w.shape[0]
@@ -149,45 +152,34 @@ def build_laplacian(g: DirectedGraph) -> LaplacianData:
         L = _csr_laplacian(w, degree, edges)
     else:
         L = np.diag(degree) - w
-    root = _root_component(L)
+    labels, root = _components(L)
     v = real_min = None
     if root is not None:
-        eigs = _eigenvalues(L)
+        eigs = _eigenvalues(L, labels)
         v = _left_null_vector(L, eigs, root)
         real_min = np.inf if n == 1 else float(np.partition(eigs.real, 1)[1])
-    return LaplacianData(
-        L=L,
-        has_spanning_tree=root is not None,
-        v_left=v,
-        lambda_L=_spectral_norm(L),
-        min_nonzero_real_part=real_min,
-    )
+    return LaplacianData(L=L, v_left=v, lambda_L=_spectral_norm(L), min_nonzero_real_part=real_min)
 
 
 def _csr_laplacian(w: np.ndarray, degree: np.ndarray, edges: np.ndarray):
     """``np.diag(degree) - w`` as a CSR array, from the row-major flat
     indices ``edges`` of w's nonzeros and the nonzero entries of ``degree``,
-    w's row sums: the entries, their order and their bits of
-    ``scipy.sparse.csr_array`` of the dense L, without building it.  The
-    diagonal (w's is zero) goes where it sorts within its row."""
+    w's row sums, without building the dense L: scipy's constructor sorts
+    the entries into rows.  The indices take scipy's rule for a dense L, 32
+    bits where the count of rows and of entries fits."""
     import scipy.sparse
 
     n = w.shape[0]
     diagonal = np.flatnonzero(degree)
-    keys = np.concatenate([edges, diagonal * (n + 1)])
-    entries = np.argsort(keys, kind="stable")
-    data = np.concatenate([-w.ravel()[edges], degree[diagonal]])[entries]
-    # scipy's index type: 32 bits where the count of rows and of entries fits
-    index = np.int32 if max(n, keys.size) <= np.iinfo(np.int32).max else np.int64
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // n, minlength=n))])
-    return scipy.sparse.csr_array((data, (keys[entries] % n).astype(index), indptr.astype(index)),
-                                  shape=(n, n))
+    index = np.int32 if max(n, edges.size + diagonal.size) <= np.iinfo(np.int32).max else np.int64
+    rows, cols = (np.concatenate([part, diagonal]).astype(index) for part in np.divmod(edges, n))
+    data = np.concatenate([-w.ravel()[edges], degree[diagonal]])
+    return scipy.sparse.csr_array((data, (rows, cols)), shape=(n, n))
 
 
-def _eigenvalues(L) -> np.ndarray:
-    """Eigenvalues of L, in no particular order: from ``eigvals`` of all of a
-    dense L, or block by block over the strongly connected components of a
-    CSR L.
+def _eigenvalues(L, labels: np.ndarray) -> np.ndarray:
+    """Eigenvalues of L, dense or CSR, in no particular order, block by block
+    over the strongly connected components that ``labels`` numbers.
 
     An edge runs only from an earlier component to a later one in a
     topological order of the components, so in that order L is block
@@ -196,17 +188,11 @@ def _eigenvalues(L) -> np.ndarray:
     by ``eigvals`` one block at a time.  A strongly connected graph is one
     block, which is all of L.
     """
-    if isinstance(L, np.ndarray):
-        return np.linalg.eigvals(L)
-    from scipy.sparse.csgraph import connected_components
-
-    count, labels = connected_components(L, directed=True, connection="strong")
-    sizes = np.bincount(labels, minlength=count)
-    single = sizes[labels] == 1
-    eigs = [L.diagonal()[single]]
+    sizes = np.bincount(labels)
+    eigs = [L.diagonal()[sizes[labels] == 1]]
     for label in np.flatnonzero(sizes > 1):
         idx = np.flatnonzero(labels == label)
-        eigs.append(np.linalg.eigvals(L[np.ix_(idx, idx)].toarray()))
+        eigs.append(np.linalg.eigvals(sparsity.dense(L[np.ix_(idx, idx)])))
     return np.concatenate(eigs)
 
 
@@ -230,23 +216,12 @@ def _spectral_norm(L) -> float:
     return float(scale * np.sqrt(np.linalg.eigvalsh(Ls.T @ Ls)[-1]))
 
 
-def _reach(succ: list, root: int, seen: np.ndarray) -> None:
-    """Mark in ``seen`` every agent reachable from ``root`` through unseen agents."""
-    seen[root] = True
-    frontier = [root]
-    while frontier:
-        for i in succ[frontier.pop()]:
-            if not seen[i]:
-                seen[i] = True
-                frontier.append(i)
-
-
 def has_spanning_tree(g: DirectedGraph) -> bool:
     """True iff some root agent reaches every agent along transmit direction.
 
     Transmit direction: j -> i exists when weights[i, j] > 0.
     """
-    return _root_component(g.weights > 0) is not None
+    return _components(g.weights)[1] is not None
 
 
 def _neighbours(m) -> list:
@@ -260,38 +235,59 @@ def _neighbours(m) -> list:
     return [cols[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
-def _root_component(listens) -> np.ndarray | None:
-    """Mask of the agents that reach every agent, or None when none does.
+def _components(listens) -> tuple[np.ndarray, np.ndarray | None]:
+    """Strongly connected component of each agent, and the mask of the root
+    component, the agents that reach every agent, or None when none does.
 
     ``listens[i, j]`` nonzero means the edge j -> i (a nonzero diagonal is a
     self loop, which changes no reachability); ``listens`` is a numpy array,
     or, on a sparse graph, the CSR Laplacian, whose stored entries and its
     transpose's give the neighbours without a scan over all n^2 entries.
-    Found with three reachability passes (the mother-vertex argument).  The
-    first sweeps all agents, starting a new search from each agent not yet
-    reached; if any agent reaches everyone, so does the last start of that
-    sweep, because an earlier search that reached such an agent would have
-    reached every later start too.  The second pass searches from that last
-    start alone.  The third, against the edges, finds the agents that reach
-    it: exactly those that reach everyone.  They form the root component, a
-    strongly connected set that listens to no agent outside it, so the left
-    null vector of the Laplacian is zero off it.
+    Found by Kosaraju's two passes (Sharir 1981), both iterative.  The first
+    searches the edges depth first and lists the agents as their searches
+    finish.  The second takes the agents in the reverse of that list and
+    gathers, against the edges, the unlabelled agents that reach each one:
+    one component each time, numbered in a topological order of the
+    components, so an edge j -> i between components has
+    ``labels[j] < labels[i]``.  Component 0 is a source.  It is the root
+    component when every other component hears from another one; it then
+    listens to no agent outside it, so the left null vector of the
+    Laplacian is zero off it.
     """
     n = listens.shape[0]
     succ, pred = _neighbours(listens.T), _neighbours(listens)
-    seen = np.zeros(n, dtype=bool)
-    last = 0
-    for root in range(n):
-        if not seen[root]:
-            last = root
-            _reach(succ, root, seen)
-    seen[:] = False
-    _reach(succ, last, seen)
-    if not seen.all():
-        return None
-    seen[:] = False
-    _reach(pred, last, seen)
-    return seen
+    finished, seen = [], [False] * n
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        stack = [(start, iter(succ[start]))]
+        while stack:
+            agent, rest = stack[-1]
+            for i in rest:
+                if not seen[i]:
+                    seen[i] = True
+                    stack.append((i, iter(succ[i])))
+                    break
+            else:
+                stack.pop()
+                finished.append(agent)
+    labels, count, sources = [-1] * n, 0, 0
+    for start in reversed(finished):
+        if labels[start] >= 0:
+            continue
+        labels[start], frontier, heard = count, [start], False
+        while frontier:
+            for i in pred[frontier.pop()]:
+                if labels[i] < 0:
+                    labels[i] = count
+                    frontier.append(i)
+                elif labels[i] != count:
+                    heard = True
+        sources += not heard
+        count += 1
+    labels = np.array(labels)
+    return labels, (labels == 0 if sources == 1 else None)
 
 
 def left_eigenvector(L: np.ndarray) -> np.ndarray:
@@ -305,7 +301,8 @@ def left_eigenvector(L: np.ndarray) -> np.ndarray:
     negative entries (>= -1e-12) are clamped to zero.
     """
     L = np.asarray(L, dtype=float)
-    return _left_null_vector(L, np.linalg.eigvals(L), _root_component(L))
+    labels, root = _components(L)
+    return _left_null_vector(L, _eigenvalues(L, labels), root)
 
 
 def _left_null_vector(L, eigs: np.ndarray, root: np.ndarray | None) -> np.ndarray:

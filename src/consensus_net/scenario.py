@@ -182,7 +182,9 @@ def scenario_from_json(doc: dict) -> Scenario:
     if "graph" not in doc:
         raise ValidationError("graph: missing")
     graph = graph_from_json(doc["graph"])
-    fig1 = bool(doc["graph"].get("fig1_substitute", False))
+    fig1 = doc["graph"].get("fig1_substitute", False)
+    if not isinstance(fig1, bool):
+        raise ValidationError(f"graph.fig1_substitute: expected true or false, got {fig1!r}")
     n = graph.n_agents
 
     gdoc = _section(doc, "gains", required=True)
@@ -302,8 +304,9 @@ def aligned_dt(sc: Scenario, requested_dt: float) -> float:
     Exact rational arithmetic on the decimal representations keeps the result
     reproducible; returns a float that satisfies the integrator's grid check.
     """
-    if requested_dt <= 0:
-        raise ValidationError(f"dt: must be > 0, got {requested_dt}")
+    for name, value in (("t_final", sc.t_final), ("dt", requested_dt)):
+        if not (value > 0 and math.isfinite(value)):
+            raise ValidationError(f"{name}: must be finite and > 0, got {value}")
     anchors = [_as_fraction(sc.t_final)]
     anchors += [_as_fraction(s) for s in sc.disturbance.switch_times]
     g = anchors[0]

@@ -47,7 +47,7 @@ from consensus_net.gains import (
 )
 from consensus_net.graph import DirectedGraph, build_laplacian
 from consensus_net.scenario import builtin_scenario
-from consensus_net.sim import SimParams, integrate
+from consensus_net.sim import SimParams, Trajectory, integrate
 from consensus_net.spectral import solve_P
 
 from conftest import random_tree_graph
@@ -748,3 +748,22 @@ def test_profile_at_rejects_negative_time():
     profile = DisturbanceProfile.constant([0.1, 0.2])
     with pytest.raises(ValidationError, match="t: must be >= 0"):
         profile.at([0.0, -1e-300])
+
+
+@pytest.mark.parametrize("window_len, start, field", [
+    (0.0, 0.05, "window_len"), (0.0, 0.1, "window_len"), (-0.5, 0.0, "window_len"),
+    (math.inf, 0.0, "window_len"), (math.nan, 0.0, "window_len"),
+    (0.25, -math.inf, "start"), (0.25, math.inf, "start"), (0.25, math.nan, "start"),
+    (0.25, -1e300, "start"),
+], ids=["zero-off-grid", "zero-on-grid", "negative", "inf", "nan",
+        "start-minus-inf", "start-inf", "start-nan", "start-not-moved"])
+def test_sync_windows_reject_windows_that_never_advance(window_len, start, field):
+    """A window that is not finite and positive, or a start it cannot move,
+    would leave the windows where they are, and the loop over them would never
+    end; each raises ValidationError naming its argument instead."""
+    times = np.linspace(0.0, 1.0, 11)
+    traj = Trajectory(times, np.zeros((11, 6)))
+    with pytest.raises(ValidationError, match=f"^{field}: "):
+        sync_deviation_windows(traj, np.array([0.5, 0.5]), UNMATCHED,
+                               DisturbanceProfile.constant([0.1, 0.2]), window_len=window_len,
+                               start=start, deviations=np.zeros(11))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from consensus_net import graph
 from consensus_net.errors import DegenerateSpectrumError, ValidationError
 from consensus_net.graph import (
     DirectedGraph,
@@ -115,6 +116,48 @@ def test_laplacian_facts_property(family, n, seed):
         assert lap.nonzero_eigenvalue_real_parts_positive
     else:
         assert lap.v_left is None
+
+
+def check_components(w):
+    """The component labelling of the Laplacian of weights ``w``, read from
+    a dense and from a CSR L, against the Warshall closure: the labels are
+    the mutual-reachability classes, numbered 0, 1, ... so that every edge
+    between classes runs from a smaller label to a larger one; the root
+    mask is the agents that reach everyone, or None when there are none;
+    and the spectrum taken block by block is ``eigvals`` of all of L."""
+    import scipy.sparse
+
+    L = np.diag(w.sum(axis=1)) - w
+    reach = _reachability_closure(w.T > 0)
+    brute_root = reach.all(axis=1)
+    to, fro = np.nonzero(w)
+    full, lambda_L = np.linalg.eigvals(L), np.linalg.norm(L, 2)
+    for stored in (L, scipy.sparse.csr_array(L)):
+        labels, root = graph._components(stored)
+        assert np.array_equal(np.unique(labels), np.arange(labels.max() + 1))
+        assert np.array_equal(labels[:, None] == labels[None, :], reach & reach.T)
+        cross = labels[fro] != labels[to]
+        assert np.all(labels[fro][cross] < labels[to][cross])
+        if brute_root.any():
+            assert np.array_equal(root, brute_root)
+        else:
+            assert root is None
+        blocks = graph._eigenvalues(stored, labels)
+        for part in (np.real, np.imag):
+            assert np.abs(np.sort(part(blocks)) - np.sort(part(full))).max() <= 1e-8 * lambda_L
+
+
+@given(st.sampled_from(GRAPH_FAMILIES), st.integers(min_value=2, max_value=60),
+       st.integers(min_value=0, max_value=2 ** 32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_components_match_reachability_oracle(family, n, seed):
+    check_components(random_family_graph(np.random.default_rng(seed), n, family).weights)
+
+
+def test_components_of_one_agent():
+    check_components(np.zeros((1, 1)))
+    labels, root = graph._components(np.zeros((1, 1)))
+    assert labels.tolist() == [0] and root.tolist() == [True]
 
 
 def full_svd_left_null_vector(L):

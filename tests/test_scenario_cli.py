@@ -273,10 +273,12 @@ def test_sparse_setup_scalars_are_deterministic():
     lambda_L, lambda_P, min_eig_P and min_eig_form are the same bits in two
     calls in one process and in two fresh interpreters.  That the start is
     not the ones vector, which L^T L annihilates, is checked on every solve
-    of test_spectral's sparse-regime oracle."""
+    of test_spectral's sparse-regime oracle.  The graph's components come
+    from graph's own labelling, so the sparse set-up never loads
+    scipy.sparse.csgraph."""
     first, second = _fresh_interpreter(_SPARSE_SETUP_PROBE), _fresh_interpreter(_SPARSE_SETUP_PROBE)
     assert first == second
-    assert first[0] == first[1] and first[2] == "True"
+    assert first[0] == first[1] and first[2] == "False"
 
 
 def test_builtin_runs_do_not_import_scipy_linalg(tmp_path):
@@ -833,11 +835,17 @@ def _unmatched(change):
     (_set(["initial", "x"], ["1"] * 5), "initial.x[0]:"),
     # a gain that is no float is named once, not prefixed by its section again
     (_set(["gains", "gamma1"], True), "error: gains.gamma1: expected a finite float, got True\n"),
+    # the topology flag is a JSON boolean, not a truthy value
+    (_set(["graph", "fig1_substitute"], "false"),
+     "error: graph.fig1_substitute: expected true or false, got 'false'\n"),
+    (_set(["graph", "fig1_substitute"], 1), "graph.fig1_substitute: expected true or false"),
+    (_set(["graph", "fig1_substitute"], None), "graph.fig1_substitute: expected true or false"),
 ], ids=["lyapunov-not-object", "segments-not-list", "negative-seed", "infinite-x-high",
         "huge-switch", "infinite-switch", "infinite-alpha", "infinite-q-scale", "huge-gain",
         "sim-not-object", "fractional-sample-every", "fractional-n", "huge-nu", "huge-k-s",
         "tiny-dt", "huge-t-final", "huge-q-scale", "huge-alpha2", "true-edge",
-        "true-sample-every", "true-gain", "string-initial-x", "true-gamma1"])
+        "true-sample-every", "true-gain", "string-initial-x", "true-gamma1",
+        "string-fig1", "number-fig1", "null-fig1"])
 @pytest.mark.filterwarnings("error")
 def test_cli_malformed_scenario_exit_2(tmp_path, capsys, change, says):
     """Every malformed field of a scenario is invalid input: exit code 2 and
@@ -897,6 +905,21 @@ def test_cli_aligned_horizon_too_many_steps_exit_2(tmp_path, capsys, grid):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "2**53 steps" in err
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--dt", "nan"), ("--dt", "inf"), ("--t-final", "nan"), ("--t-final", "inf"),
+])
+def test_cli_aligned_non_finite_grid_exit_2(tmp_path, capsys, option, value):
+    """--align-dt with a non-finite dt or t_final, which has no decimal form
+    to align in rationals, exits 2 with one error line naming the field,
+    never a ValueError traceback, and writes nothing."""
+    out = tmp_path / "out"
+    rc = cli.main(["simulate", "paper-matched", option, value, "--align-dt", "--out", str(out)])
+    assert rc == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {option[2:].replace('-', '_')}: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("artifact, text, series, says", [

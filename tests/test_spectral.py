@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
-import scipy.sparse.csgraph
 import scipy.sparse.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -707,8 +706,9 @@ def test_sparse_setup_matches_dense_setup(n, extra, seed):
     # root component; the spectrum from the components is eigvals' spectrum
     for m, m_d in ((lap.L, lap_d.L), (lap.L.T, lap_d.L.T)):
         assert [sorted(row) for row in graph._neighbours(m)] == graph._neighbours(m_d != 0)
-    assert np.array_equal(graph._root_component(lap.L), graph._root_component(lap_d.L != 0))
-    blocks = graph._eigenvalues(lap.L)
+    (labels, root), (labels_d, root_d) = graph._components(lap.L), graph._components(lap_d.L != 0)
+    assert np.array_equal(labels, labels_d) and np.array_equal(root, root_d)
+    blocks = graph._eigenvalues(lap.L, labels)
     full = np.linalg.eigvals(lap_d.L)
     for part in (np.real, np.imag):
         assert np.abs(np.sort(part(blocks)) - np.sort(part(full))).max() <= 1e-8 * lap.lambda_L
@@ -729,16 +729,16 @@ def test_strongly_connected_graph_answers_dense():
     w[(np.arange(n) + 1) % n, np.arange(n)] = rng.uniform(0.5, 2.0, n)
     g = DirectedGraph(w)
     counts, blocks, eigvalsh = [], [], []
-    real_cc = scipy.sparse.csgraph.connected_components
+    real_components = graph._components
     real_eigvals, real_eigvalsh = np.linalg.eigvals, np.linalg.eigvalsh
 
-    def spy_cc(*args, **kwargs):
-        count, labels = real_cc(*args, **kwargs)
-        counts.append(count)
-        return count, labels
+    def spy_components(listens):
+        labels, root = real_components(listens)
+        counts.append(labels.max() + 1)
+        return labels, root
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(scipy.sparse.csgraph, "connected_components", spy_cc)
+        mp.setattr(graph, "_components", spy_components)
         mp.setattr(np.linalg, "eigvals", lambda A: blocks.append(A.shape) or real_eigvals(A))
         lap = build_laplacian(g)
         mp.setattr(np.linalg, "eigvalsh", lambda A: eigvalsh.append(A.shape) or real_eigvalsh(A))
