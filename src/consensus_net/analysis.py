@@ -438,7 +438,11 @@ def sync_deviation_windows(traj: Trajectory, v: np.ndarray, g: UnmatchedGains,
     maximum over the agents as ``trajectory_metrics`` returns it
     (``sync_deviation``), which is then not computed again.  The windows
     advance from ``start``, so it must be finite and ``window_len`` finite,
-    positive and large enough to move it.
+    positive and large enough to move it, and make no more windows than the
+    trajectory has samples.  Each bound is the one before plus
+    ``window_len``, rounded as it is added; the windows end at the last
+    bound within ``times[-1] + 1e-9``, and each takes the samples within
+    its closed interval.
     """
     if not (window_len > 0 and math.isfinite(window_len)):
         raise ValidationError(f"window_len: must be finite and > 0, got {window_len}")
@@ -453,12 +457,14 @@ def sync_deviation_windows(traj: Trajectory, v: np.ndarray, g: UnmatchedGains,
             y, delta_hat = traj.y[rows], traj.delta_hat[rows]
             delta_m = _coordinates(g, traj.x[rows], y, delta_hat, d)[2] @ v
             devs[rows] = _sync_deviation(y, d, delta_m)
-    windows = []
-    lo = start
-    while lo + window_len <= times[-1] + 1e-9:
-        hi = lo + window_len
-        mask = (times >= lo) & (times <= hi)
-        if mask.any():
-            windows.append({"window": [lo, hi], "max_deviation": float(devs[mask].max())})
-        lo = hi
-    return windows
+    # one bound more than a window per sample, so that too many windows show
+    bounds = np.add.accumulate(np.r_[start, np.full(times.shape[0] + 1, window_len)])
+    count = int(np.searchsorted(bounds[1:], times[-1] + 1e-9, side="right"))
+    if count > times.shape[0]:
+        raise ValidationError(f"window_len: makes more windows than the trajectory's "
+                              f"{times.shape[0]} samples, got {window_len}")
+    first = np.searchsorted(times, bounds[:count], side="left")
+    last = np.searchsorted(times, bounds[1:count + 1], side="right")
+    bounds = bounds[:count + 1].tolist()
+    return [{"window": bounds[k:k + 2], "max_deviation": float(devs[first[k]:last[k]].max())}
+            for k in range(count) if first[k] < last[k]]

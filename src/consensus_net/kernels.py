@@ -19,15 +19,12 @@ either loop one of two ways, both built on the same RK4 step
   of ``A``, and ``Cb base`` and ``c*`` from applying it to zero columns
   under the forcing ``E base`` of each segment and ``E 1``; f steps are
   folded into one block operator ``M^f``.  The storage of ``A`` decides
-  only the fold.  A dense ``M`` folds ``fold_length`` steps, and its blocks
-  are stepped as a blocked scan (``_scan_blocks``): products with a
-  block-Toeplitz matrix of its powers give every superblock of K blocks its
-  local part, the superblock starts are carried by the same scan over
-  ``M^(fK)`` (and its own starts over ``M^(fK^2)``, while a chunk holds more
-  than K superblocks at a level), and products with its powers give every
-  block end.  ``_scan_length`` picks K from a size bound (K = 12 on the
-  builtins, K = 1, the plain loop, from 31 agents up); set-up costs
-  O((3n)^3) flops a level.  A CSR
+  only the fold.  A dense ``M`` folds ``fold_length`` steps, and up to
+  ``_DOUBLING_MAX_N`` states (30 agents) a chunk of its blocks is stepped by
+  recursive doubling (``_double_blocks``): ceil(log2 B) products with the
+  powers ``M^f``, ``M^(2f)``, ``M^(4f)``, ... give all B block ends; above
+  it the blocks are stepped one at a time.  Set-up costs O((3n)^3) flops a
+  power.  A CSR
   ``M`` serves graphs that contain a spanning tree, which are typically
   sparse (a tree has n - 1 edges), and so are ``M`` and its first powers:
   ``_sparse_fold`` squares its way towards ``M^fold_length`` and keeps the
@@ -67,24 +64,26 @@ from . import sparsity
 MAX_FOLD = 100
 
 #: steps whose disturbance terms are evaluated together; bounds the
-#: transient arrays of all paths to a few MiB.  The dense scan holds a
-#: chunk's forcing and its local parts at once: at 4096 steps that raised
-#: the builtins' peak RSS by about 1 MiB
+#: transient arrays of all paths to a few MiB (4096 steps raised the
+#: builtins' peak RSS by about 1 MiB)
 _CHUNK_STEPS = 2048
 
 #: numpy calls per block of the recurrence's plain loop; the estimate
-#: charges as many per superblock of its scan (``_block_seconds``)
+#: charges as many per pass of its doubling (``_block_seconds``)
 _BLOCK_CALLS = 4
 
-#: largest size in bytes of the dense scan's block-Toeplitz operator ``T``:
-#: about one chunk's forcing at n = 5, so ``T`` adds no more than a chunk does
-_SCAN_MAX_BYTES = 2 ** 18
+#: the most states N = 3n whose dense recurrence steps its blocks by
+#: doubling (``_double_blocks``); above it the blocks are stepped one at a
+#: time.  A chunk there holds under 65 blocks (``_chunk_blocks``), and at
+#: N = 120 (36 blocks) doubling and loop took the same time
+_DOUBLING_MAX_N = 90
 
 #: most multiply-adds (m n k) of one matrix product of the recurrence
-#: (``_matmul_rows``).  OpenBLAS runs products this small on one thread;
-#: larger ones are split across its thread pool, and on a 2-vCPU host such a
-#: product can stall about 16 ms per call (a 170 x 180 by 180 x 180 product:
-#: 16 ms in some processes against 0.2 ms in others)
+#: (``_matmul_rows``, and each pass of the doubling).  OpenBLAS runs
+#: products this small on one thread; larger ones are split across its
+#: thread pool, and on a 2-vCPU host such a product can stall about 16 ms
+#: per call (a 170 x 180 by 180 x 180 product: 16 ms in some processes
+#: against 0.2 ms in others)
 _GEMM_MAX_MNK = 2 ** 19
 
 #: unit costs of the estimate in seconds, measured on a 2-core x86 host
@@ -128,7 +127,8 @@ def prefer_recurrence(n: int, nnz: int, n_steps: int, sample_every: int,
     """Whether the recurrence is estimated to run faster than the stage body.
 
     The estimate weighs numpy calls and flops with the unit costs above.
-    With N = 3n, f = ``fold_length(sample_every)`` and K = ``_scan_length(N)``:
+    With N = 3n, f = ``fold_length(sample_every)`` and B the blocks of one
+    chunk (``_chunk_blocks``, at most the run's n_steps / f):
 
     * stage body, per step: ``_STAGE_STEP_S`` and four sparse products with
       ``A``, 8 (2 nnz + 7 n) flops (``nnz`` counts the stored entries of L;
@@ -136,12 +136,10 @@ def prefer_recurrence(n: int, nnz: int, n_steps: int, sample_every: int,
     * recurrence set-up, in matrix-product flops: one RK4 step on N identity
       and m + 3 forcing columns, m = ``segments`` (8 N^2 (N + m + 3)),
       f - 1 products for the block forcing (2 N^2 (m + 3) each), M^f by
-      squaring (4 N^3 log2 f) and the scan's K powers of M^f (2 N^3 K;
-      each carry level of ``_scan_blocks`` adds as many, not counted: two
-      levels, 0.16 Mflop, on the builtins sampled every step);
-    * recurrence, per block: ``_block_seconds(N, K)``, the scan's products
-      and the carry of its superblock starts shared by K blocks; per step,
-      6 N + 30 flops for the vanishing terms and their block forcing.
+      squaring (4 N^3 log2 f) and 2 N^3 for each power of M^f that steps
+      the blocks (the doubling's ceil(log2 B), the loop's M^f alone);
+    * recurrence, per block: ``_block_seconds(N, B)``; per step, 6 N + 30
+      flops for the vanishing terms and their block forcing.
 
     The set-up grows as n^3 and the stage body as nnz per step, so the
     recurrence wins for small graphs over long horizons (the builtins: 100x
@@ -153,11 +151,13 @@ def prefer_recurrence(n: int, nnz: int, n_steps: int, sample_every: int,
     """
     N = 3 * n
     f = fold_length(sample_every)
-    K = _scan_length(N)
+    doubling = N <= _DOUBLING_MAX_N
+    B = min(n_steps // f, _chunk_blocks(N, f, doubling))
+    powers = max(1, doubling * (B - 1).bit_length())
     stage = n_steps * (_STAGE_STEP_S + 8 * (2 * nnz + 7 * n) * _SPARSE_FLOP_S)
     setup_flops = 8 * N * N * (N + segments + 3) + 2 * N * N * (segments + 3) * (f - 1) \
-        + 4 * N ** 3 * math.log2(f) + 2 * N ** 3 * K
-    recurrence = setup_flops * _MATMUL_FLOP_S + (n_steps // f) * _block_seconds(N, K) \
+        + 4 * N ** 3 * math.log2(f) + 2 * N ** 3 * powers
+    recurrence = setup_flops * _MATMUL_FLOP_S + (n_steps // f) * _block_seconds(N, B) \
         + n_steps * (6 * N + 30) * _MATVEC_FLOP_S
     return recurrence < stage
 
@@ -267,55 +267,42 @@ def _sparse_fold(M, sample_every, n_steps):
     return f, M_f
 
 
-def _block_seconds(N, K):
+def _chunk_blocks(N, f, doubling):
+    """Blocks per chunk of the recurrence on N states folding f steps: those
+    of ``_CHUNK_STEPS`` steps, and where the doubling steps them at most
+    ``_GEMM_MAX_MNK // N^2``, so that each of its passes is one product
+    (2,048 blocks on the builtins sampled every step, 64 at N = 90)."""
+    blocks = max(1, _CHUNK_STEPS // f)
+    return min(blocks, _GEMM_MAX_MNK // (N * N)) if doubling else blocks
+
+
+def _block_seconds(N, B):
     """Estimated seconds per block of the dense recurrence on an N x N
-    block operator, stepped by the scan over K blocks at a time: per block,
-    2 K N^2 matrix-product flops for ``T`` and 2 N^2 for ``P``, and per
-    superblock ``_BLOCK_CALLS`` calls and one matrix-vector product.  K = 1
-    is the plain block loop, which costs just the latter per block.
-
-    With K > 1 the per-superblock term is the step of the loop that once
-    carried the superblock starts, kept as a bound on the carry levels that
-    replaced it.  Level l scans one block per K^(l-1) superblocks at the
-    2 (K + 1) N^2 flops a block above, so the levels' products cost
-    2 (K + 1) K / (K - 1) N^2 matrix-product flops a superblock: at most
-    41 % of the term at every N with K > 1 (at N = 90).  The rest covers
-    each level's one or two scan calls, made only over more than K
-    superblocks.  A chunk
-    of 2040 one-step blocks at N = 15 is scanned in 0.43 ms against 0.77 ms
-    by the loop, and estimated at 1.1 ms.  Timed over whole chunks for N
-    from 6 to 90 and f from 1 to 100, every scan stayed within the estimate
-    but the fewest superblocks that build a level (6 at K = 3, N = 60,
-    f = 100), 7 % above it."""
-    loop = _BLOCK_CALLS * _CALL_S + 2 * N * N * _MATVEC_FLOP_S
-    return loop if K == 1 else loop / K + 2 * (K + 1) * N * N * _MATMUL_FLOP_S
+    block operator over chunks of B blocks.  The plain block loop costs
+    ``_BLOCK_CALLS`` calls and one matrix-vector product a block.  Up to
+    ``_DOUBLING_MAX_N`` the doubling costs, per chunk, ``_BLOCK_CALLS``
+    calls for the chunk's start and ceil(log2 B) passes, each of as many
+    calls, at most 2 B N^2 matrix-product flops and 4 B N elementwise ones
+    (the product's rows written, then added).  Timed over whole chunks of
+    random M near the identity (best of 30, N from 6 to 90, f from 1 to
+    100, three processes on a shared 2-vCPU host), the doubling took 0.44
+    to 1.04 times its estimate and the plain loop 0.35 to 0.87 times its
+    own; the doubling ran 1.3 (N = 90) to 35 (N = 6, 2,048 blocks) times
+    faster than the loop."""
+    if N > _DOUBLING_MAX_N:
+        return _BLOCK_CALLS * _CALL_S + 2 * N * N * _MATVEC_FLOP_S
+    passes = (B - 1).bit_length()
+    pass_s = _BLOCK_CALLS * _CALL_S + B * N * (2 * N * _MATMUL_FLOP_S + 4 * _MATVEC_FLOP_S)
+    return (_BLOCK_CALLS * _CALL_S + passes * pass_s) / B
 
 
-def _scan_length(N):
-    """Blocks per superblock of the dense recurrence's scan: the most K with
-    ``T``, (K N)^2 entries, at most ``_SCAN_MAX_BYTES`` (12 at the builtins'
-    N = 15, 1 from N = 93 up).  ``_block_seconds`` is lowest at this bound
-    for every N from 3 to 6,000, so no cost search is made."""
-    return max(1, math.isqrt(_SCAN_MAX_BYTES // 8) // N)
-
-
-def _scan_operators(M_block, K):
-    """``T`` and ``P`` of the scan over K blocks, both acting on row vectors.
-
-    ``T`` is the lower block-Toeplitz (K N) x (K N) matrix whose block (j, k)
-    is ``(M_block^(k-j))^T`` for j <= k, and ``P`` the N x (K N) row
-    ``[(M_block^1)^T ... (M_block^K)^T]``.  The leading K' blocks of both are
-    the operators over K' < K blocks.  Powers are formed one product at a
-    time."""
-    N = M_block.shape[0]
-    powers = np.empty((K + 1, N, N))
-    powers[0] = np.eye(N)
-    for k in range(K):
-        powers[k + 1] = M_block @ powers[k]
-    T = np.zeros((K, N, K, N))
-    for j in range(K):
-        T[j, :, j:] = powers[:K - j].transpose(2, 0, 1)
-    return T.reshape(K * N, K * N), powers[1:].transpose(2, 0, 1).reshape(N, K * N)
+def _doubling_powers(M_block, B):
+    """``(M_block^d)^T`` for d = 1, 2, 4, ... below B (d = 1 alone for one
+    block), each the square of the one before."""
+    powers = [M_block.T]
+    for _ in range(1, (B - 1).bit_length()):
+        powers.append(powers[-1] @ powers[-1])
+    return powers
 
 
 def _matmul_rows(a, b, out=None):
@@ -329,40 +316,19 @@ def _matmul_rows(a, b, out=None):
     return out
 
 
-def _scan_blocks(scans, F, z):
+def _double_blocks(powers, F, z):
     """Overwrite each row of ``F`` (one per block) with the block end of
-    ``z_(i+1) = M_block z_i + F[i]`` from ``z_0 = z``, by a blocked scan over
-    superblocks of K blocks.  ``scans[0]`` is ``(T, P)`` of ``M_block`` over
-    K blocks (``_scan_operators``), and ``scans[l]`` that of
-    ``M_block^(K^l)``.
-
-    Products with ``T`` give every superblock's local part (its block ends
-    from a zero start).  The superblock starts follow the same recurrence,
-    ``s_(j+1) = M_block^K s_j + last local end of j``, so ``scans[1:]``
-    scan them in turn; with no level left, a loop over the superblocks
-    carries them, fewer than K when the levels span the chunk.  Products
-    with ``P`` then give each start's contribution to every block end.
-    Blocks left over after the last full superblock form one short
-    superblock, scanned with the leading blocks of ``T`` and ``P``."""
-    T, P = scans[0]
-    B, N = F.shape
-    K = min(P.shape[1] // N, B)
-    ns = B // K
-    ends = F[:ns * K].reshape(ns, K * N)
-    P_K = P[:, :K * N]
-    local = _matmul_rows(ends, T[:K * N, :K * N])
-    starts = np.empty((ns, N))
-    starts[0] = z
-    starts[1:] = local[:-1, -N:]
-    if ns > 1 and len(scans) > 1:
-        _scan_blocks(scans[1:], starts[1:], z)
-    else:
-        for s in range(1, ns):
-            starts[s] += starts[s - 1] @ P_K[:, -N:]
-    _matmul_rows(starts, P_K, out=ends)
-    ends += local
-    if ns * K < B:
-        _scan_blocks(scans[:1], F[ns * K:], F[ns * K - 1])
+    ``z_(i+1) = M_block z_i + F[i]`` from ``z_0 = z``, by recursive doubling
+    (Kogge & Stone 1973); ``powers`` are ``_doubling_powers`` of ``M_block``
+    over at least len(F) blocks.  With ``M_block z`` added to F[0], row i is
+    the sum of ``M_block^(i-j) F[j]`` over rows j <= i; after the pass with
+    d = 1, 2, 4, ... each row holds that sum over its last 2d rows, so
+    ceil(log2 len(F)) passes complete it."""
+    F[0] += z @ powers[0]
+    for k, P in enumerate(powers):
+        if 1 << k >= len(F):
+            break
+        F[1 << k:] += F[:-(1 << k)] @ P
 
 
 def _rk4_recurrence(A, M, c_E, z0, profile, dt, n_steps, sample_every, out):
@@ -374,9 +340,10 @@ def _rk4_recurrence(A, M, c_E, z0, profile, dt, n_steps, sample_every, out):
     with ``D`` one step from zero columns forced by ``E base`` of each
     segment and by ``E 1`` (``_forced_step``), ``e_j`` the unit vector of
     step j's segment and ``s_j`` its three vanishing terms.  The storage
-    decides only the fold: a dense ``M`` folds ``fold_length`` steps and its
-    blocks are stepped by the scan over ``_scan_length`` blocks at a time; a
-    CSR ``M`` folds as ``_sparse_fold`` finds, one block at a time.  On the
+    decides only the fold: a dense ``M`` folds ``fold_length`` steps, and
+    up to ``_DOUBLING_MAX_N`` states its blocks are stepped by doubling
+    (``_double_blocks``); a CSR ``M`` folds as ``_sparse_fold`` finds.  Other
+    blocks are stepped one at a time.  On the
     first chunk with a sample that is non-finite or above
     ``_TRUSTED_MAGNITUDE``, the stage body replays the run from that chunk's
     first step and its count is returned: the RK4 stages can overflow where
@@ -385,10 +352,10 @@ def _rk4_recurrence(A, M, c_E, z0, profile, dt, n_steps, sample_every, out):
     N = M.shape[0]
     m = len(profile.bases)
     if isinstance(M, np.ndarray):
-        f, K = fold_length(sample_every), _scan_length(N)
+        f, doubling = fold_length(sample_every), N <= _DOUBLING_MAX_N
         M_f = np.linalg.matrix_power(M, f)
     else:
-        (f, M_f), K = _sparse_fold(M, sample_every, n_steps), 1
+        (f, M_f), doubling = _sparse_fold(M, sample_every, n_steps), False
     D = _forced_step(A, _segment_forcing(c_E, profile).T, np.repeat(c_E, profile.n_agents), dt)
     blocks_per_sample = sample_every // f
     n_blocks = n_steps // f
@@ -402,15 +369,11 @@ def _rk4_recurrence(A, M, c_E, z0, profile, dt, n_steps, sample_every, out):
 
     z = z0.copy()
     out[0] = z
-    chunk = K * max(1, _CHUNK_STEPS // (f * K))
+    chunk = _chunk_blocks(N, f, doubling)
     with np.errstate(over="ignore", invalid="ignore"):
-        if K > 1:
-            # powers of a diverging M^f may overflow: their chunk replays.
-            # Level l, of M^(f K^l), carries the starts of level l - 1's
-            # superblocks while a chunk holds more than K of them
-            scans = [_scan_operators(M_f, K)]
-            while min(chunk, n_blocks) // K ** len(scans) > K:
-                scans.append(_scan_operators(scans[-1][1][:, -N:].T, K))
+        if doubling:
+            # powers of a diverging M^f may overflow: their chunk replays
+            powers = _doubling_powers(M_f, min(chunk, n_blocks))
         for b0 in range(0, n_blocks, chunk):
             b1 = min(b0 + chunk, n_blocks)
             z_start = z
@@ -424,8 +387,8 @@ def _rk4_recurrence(A, M, c_E, z0, profile, dt, n_steps, sample_every, out):
                     w = M @ w + D @ np.concatenate([np.arange(m) == seg[i, j], s[i * f + j]])
                 F[i] = w
             # block ends overwrite the forcing
-            if K > 1:
-                _scan_blocks(scans, F, z)
+            if doubling:
+                _double_blocks(powers, F, z)
                 z = F[-1].copy()
             else:
                 for i in range(b1 - b0):

@@ -69,7 +69,8 @@ DECAY_FIT_WINDOW = (0.5, 2.5)
 SETTLE_THRESHOLD = 1e-3
 SETTLE_HOLD = 10.0
 
-#: length of the output-synchronization windows
+#: length of the output-synchronization windows, unless the samples are
+#: too far apart for it (``_summary``)
 SYNC_WINDOW_LEN = 5.0
 
 #: metrics.csv columns, in order
@@ -393,10 +394,18 @@ def _summary(sc: Scenario, traj: Trajectory, metrics: dict, lap, cert, report) -
                 except NoOrbitError as exc:
                     fits.append({"agent": i + 1, "error": str(exc)})
             results["orbit_fits"]["fits"] = fits
-        windows = analysis.sync_deviation_windows(traj, lap.v_left, g, sc.disturbance,
-                                                  window_len=SYNC_WINDOW_LEN,
-                                                  start=_last_switch(sc, 0.0),
-                                                  deviations=metrics["sync_deviation"])
+
+        def sync_windows(window_len):
+            return analysis.sync_deviation_windows(traj, lap.v_left, g, sc.disturbance,
+                                                   window_len=window_len,
+                                                   start=_last_switch(sc, 0.0),
+                                                   deviations=metrics["sync_deviation"])
+        try:
+            windows = sync_windows(window_len=SYNC_WINDOW_LEN)
+        except ValidationError:
+            # samples so far apart that the windows outnumber them: one
+            # window per sample spacing, which never does
+            windows = sync_windows(window_len=sc.dt * sc.sample_every)
         results["sync_windows"] = windows
         results["late_window_max_deviation"] = windows[-1]["max_deviation"] if windows else None
         results["expected_orbit_frequency"] = float(np.sqrt(g.alpha1))

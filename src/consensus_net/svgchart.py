@@ -2,11 +2,14 @@
 
 Polylines, axis ticks and a legend are all the figures need; output is a
 single self-contained SVG file with deterministic bytes for fixed input.
+Text (the title, the axis labels and the series labels, which may be CSV
+column names) is escaped, so any label gives well-formed XML.
 """
 
 from __future__ import annotations
 
 import math
+from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -92,7 +95,7 @@ def write_line_chart(path, title: str, x_label: str, y_label: str,
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<text x="{_WIDTH / 2:.1f}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="16">{title}</text>',
+        f'font-family="sans-serif" font-size="16">{escape(title)}</text>',
     ]
     # axes box
     parts.append(
@@ -113,10 +116,12 @@ def write_line_chart(path, title: str, x_label: str, y_label: str,
         parts.append(f'<line x1="{_MARGIN_LEFT}" y1="{yp:.2f}" x2="{_MARGIN_LEFT + plot_w}" '
                      f'y2="{yp:.2f}" stroke="#eee"/>')
     parts.append(f'<text x="{_MARGIN_LEFT + plot_w / 2:.1f}" y="{_HEIGHT - 12}" '
-                 f'text-anchor="middle" font-family="sans-serif" font-size="13">{x_label}</text>')
+                 f'text-anchor="middle" font-family="sans-serif" font-size="13">'
+                 f'{escape(x_label)}</text>')
     parts.append(f'<text x="18" y="{_MARGIN_TOP + plot_h / 2:.1f}" text-anchor="middle" '
                  f'font-family="sans-serif" font-size="13" '
-                 f'transform="rotate(-90 18 {_MARGIN_TOP + plot_h / 2:.1f})">{y_label}</text>')
+                 f'transform="rotate(-90 18 {_MARGIN_TOP + plot_h / 2:.1f})">'
+                 f'{escape(y_label)}</text>')
 
     for idx, (label, values) in enumerate(series):
         values = np.asarray(values, dtype=float)
@@ -129,7 +134,7 @@ def write_line_chart(path, title: str, x_label: str, y_label: str,
         parts.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" '
                      f'stroke="{color}" stroke-width="2"/>')
         parts.append(f'<text x="{lx + 28}" y="{ly}" font-family="sans-serif" '
-                     f'font-size="12">{label}</text>')
+                     f'font-size="12">{escape(label)}</text>')
 
     parts.append("</svg>")
     with open(path, "w", newline="\n") as fh:

@@ -759,11 +759,74 @@ def test_profile_at_rejects_negative_time():
         "start-minus-inf", "start-inf", "start-nan", "start-not-moved"])
 def test_sync_windows_reject_windows_that_never_advance(window_len, start, field):
     """A window that is not finite and positive, or a start it cannot move,
-    would leave the windows where they are, and the loop over them would never
-    end; each raises ValidationError naming its argument instead."""
+    would leave the windows where they are, so that they would never end;
+    each raises ValidationError naming its argument instead."""
     times = np.linspace(0.0, 1.0, 11)
     traj = Trajectory(times, np.zeros((11, 6)))
     with pytest.raises(ValidationError, match=f"^{field}: "):
         sync_deviation_windows(traj, np.array([0.5, 0.5]), UNMATCHED,
                                DisturbanceProfile.constant([0.1, 0.2]), window_len=window_len,
                                start=start, deviations=np.zeros(11))
+
+
+def _reference_sync_windows(times, devs, window_len, start):
+    """The windows as ``sync_deviation_windows`` once found them, one Python
+    step and one mask over all samples per window; None once they outnumber
+    the samples."""
+    windows, count = [], 0
+    lo = start
+    while lo + window_len <= times[-1] + 1e-9:
+        count += 1
+        if count > times.shape[0]:
+            return None
+        hi = lo + window_len
+        mask = (times >= lo) & (times <= hi)
+        if mask.any():
+            windows.append({"window": [lo, hi], "max_deviation": float(devs[mask].max())})
+        lo = hi
+    return windows
+
+
+def test_sync_windows_reject_more_windows_than_samples():
+    """1e6 windows of 1e-6 s over an 11-sample, 1 s trajectory raise at once,
+    naming ``window_len``, where one step per window took seconds."""
+    traj = Trajectory(np.linspace(0.0, 1.0, 11), np.zeros((11, 6)))
+    with pytest.raises(ValidationError, match="^window_len: makes more windows than"):
+        sync_deviation_windows(traj, np.array([0.5, 0.5]), UNMATCHED,
+                               DisturbanceProfile.constant([0.1, 0.2]), window_len=1e-6,
+                               deviations=np.zeros(11))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 120), q=st.integers(0, 6), m=st.integers(0, 8),
+       k=st.integers(1, 64), j=st.integers(-64, 256), seed=st.integers(0, 2 ** 32 - 1))
+def test_sync_windows_match_reference_on_dyadic_windows(n, q, m, k, j, seed):
+    """Windows of k / 2^m s from j / 2^m s over n samples 2^-q s apart, so
+    that bounds fall on samples: the same windows, bit for bit, as the
+    one-step-per-window loop, or ValidationError where that loop makes more
+    windows than there are samples."""
+    times = np.arange(n) * 2.0 ** -q
+    devs = np.random.default_rng(seed).uniform(0.0, 1.0, n)
+    window_len, start = k * 2.0 ** -m, j * 2.0 ** -m
+    expected = _reference_sync_windows(times, devs, window_len, start)
+    args = (Trajectory(times, np.zeros((n, 6))), np.array([0.5, 0.5]), UNMATCHED,
+            DisturbanceProfile.constant([0.1, 0.2]))
+    if expected is None:
+        with pytest.raises(ValidationError, match="^window_len: "):
+            sync_deviation_windows(*args, window_len=window_len, start=start, deviations=devs)
+    else:
+        assert sync_deviation_windows(*args, window_len=window_len, start=start,
+                                      deviations=devs) == expected
+
+
+@pytest.mark.parametrize("window_len, start", [(0.01, 0.3), (0.1, 0.0), (0.07, 0.013)])
+def test_sync_windows_match_reference_on_decimal_windows(window_len, start):
+    """Bounds that round as they accumulate (``start`` plus k windows is not
+    ``start + k window_len``) are those of the one-step-per-window loop, bit
+    for bit, and so are the samples each window takes."""
+    times = np.arange(1001) * 1e-3
+    devs = np.random.default_rng(5).uniform(0.0, 1.0, 1001)
+    windows = sync_deviation_windows(Trajectory(times, np.zeros((1001, 6))), np.array([0.5, 0.5]),
+                                     UNMATCHED, DisturbanceProfile.constant([0.1, 0.2]),
+                                     window_len=window_len, start=start, deviations=devs)
+    assert windows == _reference_sync_windows(times, devs, window_len, start)

@@ -14,6 +14,7 @@ import time
 import warnings
 from functools import partial
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -876,6 +877,17 @@ def test_plot_empty_trajectory(tmp_path):
     assert rc == cli.EXIT_VALIDATION
 
 
+def test_plot_escapes_its_text(tmp_path, capsys):
+    """Column names with ``&`` and ``<`` are escaped in the SVG: it parses as
+    XML, and its text reads back the title, the axis labels and the column
+    names as written."""
+    (tmp_path / "trajectory.csv").write_text("t,x_a&b,x_<2>\n0,1,2\n0.5,3,4\n")
+    assert cli.main(["plot", str(tmp_path), "--series", "x"]) == cli.EXIT_OK
+    texts = [el.text for el in ElementTree.parse(tmp_path / "x.svg").iter()
+             if el.tag.endswith("}text")]
+    assert {"positions", "time [s]", "x", "x_a&b", "x_<2>"} <= set(texts)
+
+
 def test_cli_horizon_too_long_for_memory_exit_2(tmp_path, capsys):
     """A 1 s horizon at dt = 1e-15 has 1e14 samples, a 728 TiB time grid: more
     than the x86-64 user address space, so the allocation fails at once under
@@ -1598,6 +1610,21 @@ def test_certification_json_of_any_square_P(P):
     assert "".join(runner.certification_json_text(_certification_doc(np.array(P)))) == text
     for csr in _csr_copies(P):
         _assert_entries_form(csr)
+
+
+@pytest.mark.parametrize("sample_every, windows", [
+    (10000, [[20.0, 25.0], [25.0, 30.0], [30.0, 35.0], [35.0, 40.0]]),
+    (20000, [[20.0, 40.0]]),
+], ids=["5-samples", "3-samples"])
+def test_run_sync_windows_on_sparse_samples(tmp_path, sample_every, windows):
+    """The unmatched builtin sampled every 10 s keeps its 5 s windows after
+    the switch at 20 s.  Sampled every 20 s, its 3 samples are fewer than
+    those 4 windows, which ``sync_deviation_windows`` rejects; the run then
+    takes one window per sample spacing and still exits 0."""
+    sc = builtin_scenario("paper-unmatched").with_overrides(sample_every=sample_every)
+    runner.run(sc, tmp_path / "run")
+    results = json.loads((tmp_path / "run" / "summary.json").read_text())["results"]
+    assert [w["window"] for w in results["sync_windows"]] == windows
 
 
 @pytest.mark.parametrize("name", ["paper-matched", "paper-unmatched"])

@@ -7,6 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from consensus_net.dynamics import (
     DisturbanceProfile,
@@ -334,101 +336,89 @@ def _three_agent_case(mode, sample_every):
 @pytest.mark.parametrize("mode", ["matched", "unmatched"])
 @pytest.mark.parametrize("sample_every", [1, 10, 200])
 def test_scan_agrees_with_block_loop(monkeypatch, mode, sample_every):
-    """The dense recurrence's blocked scan against its plain block loop
-    (K = 1) within 1e-12 of max|z|: n_steps above ``_CHUNK_STEPS`` and not
-    a multiple of K f, so the last chunk ends in a short superblock
-    (sample_every 1 and 10) or is shorter than K (200, two blocks per
-    sample)."""
+    """The dense recurrence's scan by recursive doubling against its plain
+    block loop (``_DOUBLING_MAX_N`` patched to 0) within 1e-12 of max|z|:
+    n_steps above ``_CHUNK_STEPS``, so the last chunk is shorter than the
+    others, and its blocks are no power of two (514, 53 and 6 blocks for
+    sample_every 1, 10 and 200)."""
     A, c_E, profile, z0, params = _three_agent_case(mode, sample_every)
     f = kernels.fold_length(sample_every)
-    K = kernels._scan_length(A.shape[0])
-    assert K > 1 and params.n_steps > kernels._CHUNK_STEPS and params.n_steps % (K * f)
+    assert A.shape[0] <= kernels._DOUBLING_MAX_N and params.n_steps > kernels._CHUNK_STEPS
     assert 2555 % f or f == 1
-    scans = _spy(monkeypatch, "_scan_blocks")
+    scans = _spy(monkeypatch, "_double_blocks")
     w_scan, scan = _run_recurrence(A, c_E, profile, z0, params)
     assert scans
-    monkeypatch.setattr(kernels, "_scan_length", lambda N: 1)
+    monkeypatch.setattr(kernels, "_DOUBLING_MAX_N", 0)
     w_loop, loop = _run_recurrence(A, c_E, profile, z0, params)
     assert w_scan == w_loop == params.n_samples
     assert np.abs(scan - loop).max() <= 1e-12 * np.abs(loop).max()
 
 
-def _spy_scans(monkeypatch, after_chunk=None):
-    """Wrap ``kernels._scan_blocks`` so that each call records, on entry,
-    (depth, levels, blocks): the scan's own calls, for its carry levels and
-    short superblocks, come through the wrapper too, one level deeper.
-    ``after_chunk(F, i)`` runs after the recurrence's call for chunk i."""
-    real, calls, depth = kernels._scan_blocks, [], []
-
-    def spy(scans, F, z):
-        calls.append((len(depth), len(scans), len(F)))
-        depth.append(None)
-        real(scans, F, z)
-        depth.pop()
-        if after_chunk and not depth:
-            after_chunk(F, sum(d == 0 for d, _, _ in calls) - 1)
-    monkeypatch.setattr(kernels, "_scan_blocks", spy)
-    return calls
-
-
-@pytest.mark.parametrize("mode", ["matched", "unmatched"])
-@pytest.mark.parametrize("sample_every", [1, 10])
-def test_scan_carry_levels_agree_with_block_loop(monkeypatch, mode, sample_every):
-    """With K = 3 a chunk (2046 blocks of one step, 204 of ten) spans four
-    to six scan levels, each carrying the superblock starts of the one
-    below, and several end in a short superblock: the samples agree with
-    the plain block loop's within 1e-12 of max|z|."""
-    A, c_E, profile, z0, params = _three_agent_case(mode, sample_every)
-    monkeypatch.setattr(kernels, "_scan_length", lambda N: 3)
-    calls = _spy_scans(monkeypatch)
-    w_scan, scan = _run_recurrence(A, c_E, profile, z0, params)
-    assert max(levels for _, levels, _ in calls) >= 4
-    assert any(depth > 1 and blocks < 3 for depth, _, blocks in calls)
-    monkeypatch.setattr(kernels, "_scan_length", lambda N: 1)
-    w_loop, loop = _run_recurrence(A, c_E, profile, z0, params)
-    assert w_scan == w_loop == params.n_samples
-    assert np.abs(scan - loop).max() <= 1e-12 * np.abs(loop).max()
-
-
-def test_scan_carries_starts_by_one_product_per_level(monkeypatch):
-    """A chunk of 2046 one-step blocks at K = 3 is 682 superblocks.  Their
-    starts are carried by one scan call per level, not one product per
-    superblock: six levels, of M, M^3, ..., M^243 (the largest power formed,
-    M^729, within the chunk), each call one product by ``T`` and one by
-    ``P``.  The deepest level's 6 blocks are 2 superblocks, so its loop
-    makes one step, and the three short superblocks are under K blocks."""
-    A, c_E, profile, z0, params = _three_agent_case("unmatched", 1)
-    monkeypatch.setattr(kernels, "_scan_length", lambda N: 3)
-    operators = _spy(monkeypatch, "_scan_operators")
-    calls = _spy_scans(monkeypatch)
-    products = _spy(monkeypatch, "_matmul_rows")
-    _run_recurrence(A, c_E, profile, z0, params)
-    first = calls[:[depth for depth, _, _ in calls].index(0, 1)]
-    assert [(levels, blocks) for _, levels, blocks in first if blocks >= 3] == [
-        (6, 2046), (5, 681), (4, 226), (3, 74), (2, 23), (1, 6)]
-    assert len(first) == 9 and sum(blocks < 3 for _, _, blocks in first) == 3
-    # the chunks' forcing and two products per scan call
-    assert len(products) == sum(depth == 0 for depth, _, _ in calls) + 2 * len(calls)
-    M = kernels._step_operator(A, params.dt)
-    assert len(operators) == 6
-    for level, ((M_block, K), _, _) in enumerate(operators):
-        power = np.linalg.matrix_power(M, 3 ** level)
-        assert K == 3 and np.abs(M_block - power).max() <= 1e-12 * np.abs(power).max()
+@settings(max_examples=60, deadline=None)
+@given(N=st.integers(1, 12), B=st.integers(1, 300), seed=st.integers(0, 2 ** 32 - 1),
+       norm=st.floats(0.0, 0.999))
+@example(N=15, B=1, seed=0, norm=0.999)
+@example(N=15, B=256, seed=1, norm=0.999)
+@example(N=15, B=257, seed=2, norm=0.999)
+@example(N=3, B=300, seed=3, norm=0.5)
+def test_doubling_agrees_with_plain_loop(N, B, seed, norm):
+    """``_double_blocks`` over B blocks of a random M whose 2-norm is
+    ``norm`` < 1 gives the block ends of ``z_(i+1) = M z_i + F[i]`` within
+    1e-12 of their largest magnitude, for B a power of two or not."""
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((N, N))
+    M *= norm / max(np.linalg.norm(M, 2), 1e-300)
+    F, z = rng.standard_normal((B, N)), rng.standard_normal(N)
+    loop, w = np.empty_like(F), z
+    for i in range(B):
+        w = loop[i] = M @ w + F[i]
+    kernels._double_blocks(kernels._doubling_powers(M, B), F, z)
+    assert np.abs(F - loop).max() <= 1e-12 * np.abs(loop).max()
 
 
 def test_scan_levels_stop_at_the_run(monkeypatch):
-    """A run shorter than a chunk builds only the levels its blocks need:
-    100 one-step blocks at K = 3 are 33 superblocks, whose starts are
-    carried over 11 and then 3, so three levels, not a full chunk's six."""
+    """A run shorter than a chunk squares only the powers its blocks need:
+    100 one-step blocks take the doubling's passes with M, M^2, ..., M^64,
+    so 7 powers, not a full chunk's 11 (up to M^1024 for 2,048 blocks)."""
     A, c_E, profile, z0, params = _three_agent_case("unmatched", 1)
+    powers = _spy(monkeypatch, "_doubling_powers")
+    _run_recurrence(A, c_E, profile, z0, params)
+    (_, _, full), = powers
+    assert len(full) == 11
+    powers.clear()
     params = replace(params, t_final=0.1)
-    monkeypatch.setattr(kernels, "_scan_length", lambda N: 3)
-    operators = _spy(monkeypatch, "_scan_operators")
     written, scan = _run_recurrence(A, c_E, profile, z0, params)
-    assert len(operators) == 3
-    monkeypatch.setattr(kernels, "_scan_length", lambda N: 1)
+    (_, _, run), = powers
+    assert len(run) == 7
+    M = kernels._step_operator(A, params.dt)
+    for k, power in enumerate(run):
+        expected = np.linalg.matrix_power(M, 2 ** k).T
+        assert np.abs(power - expected).max() <= 1e-12 * np.abs(expected).max()
+    monkeypatch.setattr(kernels, "_DOUBLING_MAX_N", 0)
     _, loop = _run_recurrence(A, c_E, profile, z0, params)
     assert written == params.n_samples == 101
+    assert np.abs(scan - loop).max() <= 1e-12 * np.abs(loop).max()
+
+
+def test_doubling_chunk_keeps_each_pass_one_product(monkeypatch):
+    """At 30 agents (N = 90, the largest N the doubling steps) a chunk is
+    ``_GEMM_MAX_MNK // N^2`` = 64 one-step blocks, so that no pass's product
+    exceeds ``_GEMM_MAX_MNK`` multiply-adds: 200 steps take chunks of 64, 64,
+    64 and 8 blocks, whose samples agree with the plain loop's within 1e-12
+    of max|z|."""
+    lap, rng = _large_shuffled_lap(3, n=30)
+    profile, z0 = _two_segment_case(lap, rng, 0.1)
+    C_L, C_I, c_E = _loop("unmatched", lap, profile).blocks()
+    A = kernels._dense_system(C_L, C_I, lap.L)
+    params = SimParams(t_final=0.2, dt=1e-3, sample_every=1)
+    assert A.shape[0] == kernels._DOUBLING_MAX_N == 90
+    chunks = _spy(monkeypatch, "_double_blocks")
+    written, scan = _run_recurrence(A, c_E, profile, z0, params)
+    assert [len(F) for (_, F, _), _, _ in chunks] == [64, 64, 64, 8]
+    assert 64 * 90 * 90 <= kernels._GEMM_MAX_MNK < 65 * 90 * 90
+    monkeypatch.setattr(kernels, "_DOUBLING_MAX_N", 0)
+    _, loop = _run_recurrence(A, c_E, profile, z0, params)
+    assert written == params.n_samples
     assert np.abs(scan - loop).max() <= 1e-12 * np.abs(loop).max()
 
 
@@ -441,8 +431,6 @@ def test_path_choice_estimate():
         assert kernels.prefer_recurrence(sc.n_agents, nnz, n_steps,
                                          sample_every or sc.sample_every,
                                          len(sc.disturbance.bases))
-    # the builtins' 15 states scan 12 blocks at a time
-    assert kernels._scan_length(15) == 12
     # a 600-agent tree (599 edges, 599 nonzero diagonal entries) over 1000
     # steps: the O(n^3) set-up outweighs the steps
     assert not kernels.prefer_recurrence(600, 1198, 1000, 10, 2)
@@ -782,8 +770,8 @@ def _poisoned_run(monkeypatch, storage, fold=1):
     the number of steps in the first chunk.
 
     CSR: a 20-agent tree whose ``M^f`` goes NaN at one block.  Dense: the
-    unmatched ``_three_agent_case``, every step sampled, whose scan returns
-    NaN at one block of its second chunk."""
+    unmatched ``_three_agent_case``, every step sampled, whose doubling
+    returns NaN at one block of its second chunk."""
     if storage == "csr":
         n_steps = kernels._CHUNK_STEPS + 500
         monkeypatch.setattr(kernels, "_sparse_fold", lambda M, se, steps: (
@@ -795,16 +783,17 @@ def _poisoned_run(monkeypatch, storage, fold=1):
         chunks = [kernels._CHUNK_STEPS]
     else:
         A, c_E, profile, z0, params = _three_agent_case("unmatched", fold)
+        real, chunks = kernels._double_blocks, []
 
-        def poison(F, chunk):
-            if chunk == 1:
+        def poison(powers, F, z):
+            real(powers, F, z)
+            chunks.append(len(F) * fold)
+            if len(chunks) == 2:
                 F[100] = np.nan
-        scans = _spy_scans(monkeypatch, poison)
+        monkeypatch.setattr(kernels, "_double_blocks", poison)
     direct = _run(kernels._rk4_stage, A, c_E, profile, z0, params)
     stage = _spy(monkeypatch, "_rk4_stage")
     run = _run_recurrence(A, c_E, profile, z0, params)
-    if storage != "csr":
-        chunks = [blocks * fold for depth, _, blocks in scans if depth == 0]
     return stage, run, direct, params, chunks[0]
 
 
