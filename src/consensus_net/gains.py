@@ -305,24 +305,28 @@ def suggest_matched(gamma1: float, gamma3: float, mu: float, b: float,
     escalated geometrically until certification passes; this terminates
     because the b bound keeps a factor-2 reserve on the remaining coupling.
     Raises InfeasibleGainError (carrying the minimal admissible b) when b is
-    below (gamma3/gamma1)*lambda_P^2.
+    below (gamma3/gamma1)*lambda_P^2, and ValidationError naming the inputs
+    when the gamma2 bound, or gamma2 as it is escalated, is not finite.
     """
     for name, value in (("gamma1", gamma1), ("gamma3", gamma3), ("mu", mu), ("b", b)):
         if not (value > 0 and math.isfinite(value)):
             raise ValidationError(f"{name}: must be a positive finite number, got {value}")
+    given = f"gamma1 = {gamma1}, gamma3 = {gamma3}, mu = {mu}, b = {b}"
     b_min = _b_bound(gamma1, gamma3, cert)
     if b < b_min:
         raise InfeasibleGainError(
             f"b = {b} is below the minimal admissible value {b_min}", minimal_value=b_min)
     gamma2 = 1.05 * _gamma2_bound(gamma1, gamma3, mu, b, cert)
+    if not math.isfinite(gamma2):
+        raise ValidationError(f"the gamma2 bound of {given} is not finite ({gamma2})")
     for _ in range(200):
+        if not math.isfinite(gamma2):
+            raise ValidationError(f"gamma2 overflowed while escalating for {given}")
         gains = MatchedGains.with_substitutions(gamma1, gamma2, gamma3, mu=mu, b=b)
         if certify_matched(gains, cert).passed:
             return gains
         gamma2 *= 1.25
-    raise InfeasibleGainError(
-        f"could not certify any gamma2 for gamma1={gamma1}, gamma3={gamma3}, mu={mu}, b={b}",
-        minimal_value=b_min)
+    raise InfeasibleGainError(f"could not certify any gamma2 for {given}", minimal_value=b_min)
 
 
 def unmatched_form_matrices(g: UnmatchedGains,

@@ -164,11 +164,19 @@ def prefer_recurrence(n: int, nnz: int, n_steps: int, sample_every: int,
 
 def _step_terms(profile, dt, k0, k1):
     """Segment index of steps k0 .. k1-1 (the switching rule) and the scalar
-    vanishing term at each step's start, midpoint and end, one row per step."""
+    vanishing term at each step's start, midpoint and end, one row per step.
+    The times are filled column by column, and a chunk that crosses no
+    switch passes its one segment as a scalar, so that each elementwise
+    pass of ``vanishing`` runs over whole arrays, not one short row at a
+    time; the bits are those of broadcasting ``t[:, None]`` and
+    ``seg[:, None]``."""
     t = np.arange(k0, k1) * dt
     seg = np.searchsorted(profile.starts[1:] - 0.25 * dt, t, side="right")
-    ts = t[:, None] + np.array([0.0, 0.5, 1.0]) * dt
-    return seg, profile.vanishing(ts, seg[:, None])
+    ts = np.empty((t.shape[0], 3))
+    for column, offset in enumerate((0.0, 0.5, 1.0)):
+        np.add(t, offset * dt, out=ts[:, column])
+    one = seg.size and seg[0] == seg[-1]  # seg never decreases
+    return seg, profile.vanishing(ts, seg[0] if one else seg[:, None])
 
 
 def _linear_rk4_step(A, Z, F0, Fh, F1, h):

@@ -23,32 +23,52 @@ zero) as its stored entries.
 The two CSV files are bytes from ``_csv_chunks``, whoever formats them, one
 block of rows (``analysis.row_blocks``) at a time: one call per block of
 ``csvtext.rows_text``, the package's one CSV number formatter.  The
-certificate and the simulation are independent consumers of the graph, so
-only the Laplacian and the integration run before the CSV writer starts.
-``_write_csv`` writes trajectory.csv.  When the two tables hold more than
-``FORK_MIN_VALUES`` values and two CPUs are free, it opens trajectory.csv's
-temporary file and forks one child as soon as the trajectory exists.  The
-two share trajectory.csv's blocks through a claim file of one byte per
-block, read from both ends: the child claims blocks from the first, this
-process from the last.  The child writes its blocks straight into the
-temporary file, in order, and reports by its exit status alone.
-Meanwhile this process solves the certificate, certifies the gains,
-computes the metrics and the summary, writes both JSON files and writes
-all of metrics.csv (whose rows do not exist when the child is forked)
-itself, then joins in.  Once the child has exited 0 it appends its own
-blocks; if the child failed, it empties the file and formats every block.
-The bytes do not depend on which process formatted which rows.
+certificate and the simulation are independent consumers of the graph.
+When the two tables hold more than ``FORK_MIN_VALUES`` values and two CPUs
+are free, one child is forked beside this process, and the storage of L
+that ``build_laplacian`` chose picks when:
+
+* Dense L (the builtins among such graphs): the closed loop is integrated
+  here, and ``_write_csv`` opens trajectory.csv's temporary file and forks
+  the child as soon as the trajectory exists.
+* CSR L (the sparse regime; ``large-graph`` among such graphs): ``run``
+  checks ``integrate``'s inputs here, maps the trajectory into a shared
+  anonymous ``mmap`` and forks first.  The child integrates into it and
+  sends its sample count, one integer of 8 bytes, through a pipe.  A short
+  count is a divergence: this process copies the finite rows and writes the
+  partial artifacts.  A pipe that ends without a count means the child
+  died: this process integrates itself.  On dense graphs this layout lost
+  (+5 to +17 % run time on the builtins): their 2.5 ms certificate cannot
+  pay for the copy-on-write faults and the first touch of the shared pages,
+  where on ``large-graph`` ``solve_P`` and ``certify`` (19 ms) outlast the
+  12.5 ms integration they overlap.
+
+Either way the two then share trajectory.csv's blocks through a claim file
+of one byte per block, read from both ends: the child claims blocks from
+the first, this process from the last.  The child writes its blocks
+straight into the temporary file, in order, and otherwise reports by its
+exit status alone.  Meanwhile this process solves the certificate,
+certifies the gains, computes the metrics and the summary, writes both JSON
+files and writes all of metrics.csv (whose rows do not exist when the child
+is forked) itself, then joins in.  Once the child has exited 0 it appends
+its own blocks; if the child failed, it empties the file and formats every
+block.  The bytes do not depend on which process integrated, or formatted
+which rows.
 """
 
 from __future__ import annotations
 
 import contextlib
+import errno
+import math
+import mmap
 import os
 import signal
 import tempfile
 from dataclasses import dataclass
 from functools import cache, partial
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,7 +79,7 @@ from .gains import certify_matched, certify_unmatched, is_S_hurwitz
 from .graph import build_laplacian
 from .jsontext import indented_json
 from .scenario import Scenario, scenario_to_json
-from .sim import SimParams, Trajectory, integrate
+from .sim import SimParams, Trajectory, check_inputs, integrate, sampled
 from .spectral import require_spanning_tree, solve_P
 
 #: decay-rate fit window for the average-velocity signal
@@ -198,46 +218,66 @@ def _table_chunks(text, span):
         yield from text(rows.start, rows.stop)
 
 
+def _forks(values: int) -> bool:
+    """The fork rule: more than ``FORK_MIN_VALUES`` values to write,
+    ``os.fork`` and two CPUs to run on."""
+    return values > FORK_MIN_VALUES and hasattr(os, "fork") and _cpus() >= 2
+
+
+def _trajectory_table(traj: Trajectory) -> tuple:
+    """``(text, span)`` of trajectory.csv for ``traj``: the formatter of its
+    rows and their blocks (``analysis.row_blocks``)."""
+    rows, columns = traj.times.shape[0], 1 + traj.states.shape[1]
+    return partial(trajectory_csv_text, traj), analysis.row_blocks(rows, columns)
+
+
 def _write_csv(path: Path, text, span: list, values: int, meanwhile) -> None:
     """Write the table whose rows ``text(start, stop)`` formats, cut into the
     blocks of ``span`` (``analysis.row_blocks``), atomically to ``path``, and
     call ``meanwhile()`` before any of its rows are formatted here.
 
     When ``values`` (the table's values and those ``meanwhile`` writes)
-    exceeds ``FORK_MIN_VALUES``, ``os.fork`` exists and this process may run
-    on two CPUs, one forked child (``_fork_writer``) starts on the blocks
-    while this process runs ``meanwhile``.  The two claim blocks by reading
-    one byte at a time from a claim file of one byte per block, whose offset
-    they share: the child's i-th read claims block i, this process's j-th
-    block N-1-j.  So whichever process is free formats the next block, no
-    split is guessed beforehand, and the child's blocks are a prefix
-    0..c-1, which it writes straight into ``path``'s temporary file, in
-    order.  Its exit status is its only report: when it exits 0, this
-    process appends its own blocks c..N-1; otherwise it empties the file and
-    formats every block.  Without a child this process formats every block
-    as the write asks for it.  Either way ``text`` formats every block, so
-    the bytes do not depend on who ran it, and on every path the child is
-    reaped (killed first if it still runs).
+    passes the fork rule (``_forks``), one forked child (``_fork_writer``)
+    starts on the blocks while this process runs ``meanwhile``, and
+    ``_join`` shares the rest; else this process formats every block as the
+    write asks for it.
     """
     span = span or [slice(0, 0)]  # a table without rows is one block: its header
-    fork = values > FORK_MIN_VALUES and hasattr(os, "fork") and _cpus() >= 2
     with contextlib.ExitStack() as cleanup:
-        child = _fork_writer(text, span, path, cleanup) if fork else None
+        child = _fork_writer(text, span, path, cleanup) if _forks(values) else None
         meanwhile()
-        if child is None:
-            _atomic_write(path, _table_chunks(text, span))
-            return
-        pid, claims, out = child
-        n = len(span)
-        mine = {k: text(span[k].start, span[k].stop) for k in _claims(claims, reversed(range(n)))}
-        first = n - len(mine)  # the child claimed blocks 0..first-1
-        if os.waitpid(pid, 0)[1] != 0:  # it failed, perhaps halfway through a block
-            os.ftruncate(out, 0)
-            os.lseek(out, 0, os.SEEK_SET)
-            first = 0
-        for k in range(first, n):
-            for chunk in mine[k] if k in mine else text(span[k].start, span[k].stop):
-                _write_all(out, chunk)
+        _join(path, child, text, span)
+
+
+def _join(path: Path, child, text, span: list) -> None:
+    """Write the table of ``text`` and ``span`` to ``path``, with ``child``
+    (``_fork_writer``'s) if there is one, else alone and atomically.
+
+    The two claim blocks by reading one byte at a time from a claim file of
+    one byte per block, whose offset they share: the child's i-th read
+    claims block i, this process's j-th block N-1-j.  So whichever process
+    is free formats the next block, no split is guessed beforehand, and the
+    child's blocks are a prefix 0..c-1, which it writes straight into
+    ``path``'s temporary file, in order.  Its exit status says whether they
+    stand: when it exits 0, this process appends its own blocks c..N-1;
+    otherwise it empties the file and formats every block.  Either way
+    ``text`` formats every block, so the bytes do not depend on who ran it,
+    and on every path the child is reaped (killed first if it still runs)
+    when ``_fork_writer``'s ``cleanup`` exits.
+    """
+    if child is None:
+        _atomic_write(path, _table_chunks(text, span))
+        return
+    n = len(span)
+    mine = {k: text(span[k].start, span[k].stop) for k in _claims(child.claims, reversed(range(n)))}
+    first = n - len(mine)  # the child claimed blocks 0..first-1
+    if os.waitpid(child.pid, 0)[1] != 0:  # it failed, perhaps halfway through a block
+        os.ftruncate(child.out, 0)
+        os.lseek(child.out, 0, os.SEEK_SET)
+        first = 0
+    for k in range(first, n):
+        for chunk in mine[k] if k in mine else text(span[k].start, span[k].stop):
+            _write_all(child.out, chunk)
 
 
 def _claims(claims: int, blocks):
@@ -286,23 +326,40 @@ def _make_directory(directory: Path, cleanup: contextlib.ExitStack) -> None:
     cleanup.push(remove)
 
 
-def _fork_writer(text, span: list, path: Path, cleanup: contextlib.ExitStack):
+class _Child(NamedTuple):
+    """A forked CSV writer: its pid; the descriptors of the claim file and
+    of the table's temporary file; and, in the sparse layout, of the pipe
+    that carries its one report, else None."""
+
+    pid: int
+    claims: int
+    out: int
+    report: int | None
+
+
+def _fork_writer(text, span: list, path: Path, cleanup: contextlib.ExitStack,
+                 integrated=None) -> _Child | None:
     """Fork the one child that claims blocks of ``span`` beside this process
     and writes each, formatted with ``text``, into ``path``'s temporary file,
-    and return ``(pid, claims, out)``: the child, the claim file's and the
-    temporary file's descriptors.  None when ``path``'s directory, the
-    temporary file, the claim file or the fork cannot be made (an unwritable
-    output directory, say), and then nothing made here is left.  Then this
-    process formats every block, and the fault, if it lasts, surfaces in its
-    own writes, after whatever ``_write_csv``'s ``meanwhile`` raises first.
+    and return it as a ``_Child``.  None when ``path``'s directory, the
+    temporary file, the claim file, the pipe or the fork cannot be made (an
+    unwritable output directory, say), and then nothing made here is left.
+    Then this process integrates, if ``integrated`` is given, and formats
+    every block, and the fault, if it lasts, surfaces in its own writes,
+    after whatever the certificate raises first.
+
+    With ``integrated`` (the sparse layout of ``run``), the child first
+    calls it, which integrates the trajectory whose table ``text`` and
+    ``span`` are, and ``_report`` then sends the sample count through a
+    pipe and leaves the child the table of the rows it got: a diverged run
+    has fewer.
 
     The temporary file is ``_atomic_file``'s, which ``cleanup`` renames over
     ``path`` when it exits cleanly; the claim file is an unnamed file of one
-    byte per block.  Both are made before the fork, and ``cleanup`` reaps
-    the child first, then closes them.  The child only formats and writes,
-    since numpy's BLAS threads do not exist in it.  It ends in ``os._exit``,
-    so it never returns into the caller nor flushes the stdio buffers it
-    inherited."""
+    byte per block.  Both, and the pipe, are made before the fork, and
+    ``cleanup`` reaps the child first, then closes them.  The child ends in
+    ``os._exit``, so it never returns into the caller nor flushes the stdio
+    buffers it inherited."""
     try:
         with contextlib.ExitStack() as made:
             _make_directory(path.parent, made)
@@ -311,20 +368,66 @@ def _fork_writer(text, span: list, path: Path, cleanup: contextlib.ExitStack):
                 tempfile.TemporaryFile(dir=path.parent, buffering=0)).fileno()
             _write_all(claims, bytes(len(span)))
             os.lseek(claims, 0, os.SEEK_SET)
+            report = sent = None
+            if integrated is not None:
+                ends = os.pipe()
+                report = made.enter_context(open(ends[0], "rb", buffering=0))
+                sent = made.enter_context(open(ends[1], "wb", buffering=0))
             pid = os.fork()
             if pid == 0:
                 code = 1
                 try:
+                    if integrated is not None:
+                        text, span = _report(integrated(), claims, sent.fileno())
                     for k in _claims(claims, range(len(span))):
                         _write_all(out, b"".join(text(span[k].start, span[k].stop)))
                     code = 0
                 finally:
                     os._exit(code)
             made.callback(_reap, pid)
+            if sent is not None:
+                sent.close()  # the child's end: its exit shows as end of file here
             cleanup.push(made.pop_all())
     except OSError:
         return None
-    return pid, claims, out
+    return _Child(pid, claims, out, None if report is None else report.fileno())
+
+
+def _report(traj: Trajectory, claims: int, sent: int) -> tuple:
+    """In the sparse layout's child, once it has integrated ``traj``: cut
+    the claim file to the blocks of ``traj``'s table, send its sample count
+    as 8 bytes on ``sent``, and return that table.  Neither process claims
+    a block before the count is sent, so both claim from the blocks of this
+    table: fewer than the full table's when the run diverged."""
+    text, span = _trajectory_table(traj)
+    os.ftruncate(claims, len(span))
+    _write_all(sent, traj.times.shape[0].to_bytes(8, "little"))
+    return text, span
+
+
+def _reported(report: int) -> int | None:
+    """The sample count the child sent on ``report``, or None when it ended
+    without sending one.  A write of 8 bytes to a pipe is atomic, so one
+    read returns all of them or, at the end of the file, none."""
+    data = os.read(report, 8)
+    return int.from_bytes(data, "little") if data else None
+
+
+def _shared_array(shape: tuple) -> np.ndarray:
+    """A float64 array of ``shape`` in an anonymous mapping that the children
+    forked after it share with this process.  MemoryError, as for any array
+    the input makes too large, when the mapping does not fit: ``mmap``
+    reports that as ``OSError(ENOMEM)``, or ``OverflowError`` past the
+    largest size it takes."""
+    try:
+        mapping = mmap.mmap(-1, 8 * math.prod(shape))
+    except OverflowError as exc:
+        raise MemoryError(f"cannot map {shape} floats: {exc}") from None
+    except OSError as exc:
+        if exc.errno != errno.ENOMEM:
+            raise
+        raise MemoryError(f"cannot map {shape} floats: {exc.strerror}") from None
+    return np.frombuffer(mapping, dtype=np.float64).reshape(shape)
 
 
 def _last_switch(sc: Scenario, default: float) -> float:
@@ -446,21 +549,28 @@ def run(sc: Scenario, out_dir) -> RunArtifacts:
     """Execute a scenario and write all four artifacts into ``out_dir``.
 
     The grid is checked and the Laplacian built first, and a graph without
-    a spanning tree is rejected before integrating.  Then the closed loop is
-    integrated, and ``_write_csv`` forks its child, if it forks one, as
-    soon as the trajectory exists.  Its fork rule counts the values of both
-    tables, although only trajectory.csv's blocks are queued.  While the
-    child starts on them, this process solves the certificate, certifies
-    the gains (failures do not stop the run: the report records them),
-    computes the metrics and the summary, writes both JSON files and then
-    writes metrics.csv alone, block after block as each is formatted.
+    a spanning tree is rejected before integrating.  The certificate and the
+    simulation are independent consumers of the graph, and a fork lets them
+    run side by side.  Its rule (``_forks``) counts the values of both CSV
+    tables, although only trajectory.csv's blocks are queued for the child.
+    When L is stored dense (the builtins among such graphs), the closed loop
+    is integrated here, and ``_write_csv`` forks its child, if it forks one,
+    as soon as the trajectory exists.  When ``build_laplacian`` stored L as
+    CSR and the rule holds, ``integrate``'s checks run here, and the child
+    is forked first: it integrates into a shared mapping and sends its
+    sample count (``_fork_writer``).  Either way, while the child works,
+    this process solves the certificate, certifies the gains (failures do
+    not stop the run: the report records them), computes the metrics and
+    the summary, writes both JSON files and then writes metrics.csv alone,
+    block after block as each is formatted, before it joins the queue.
 
     The certificate's errors win, as if it came first: when building the
-    closed loop or integrating raises, the certificate is solved before the
-    error is handled, and its own error, if any, is raised instead.  A
-    certificate that fails after the fork leaves no artifact and no new
-    directory.  Numerical divergence writes the partial trajectory and
-    certification artifacts, then re-raises IntegrationDivergedError.
+    closed loop, checking its inputs or integrating raises, the certificate
+    is solved before the error is handled, and its own error, if any, is
+    raised instead.  A certificate that fails after the fork leaves no
+    artifact and no new directory.  Numerical divergence writes the partial
+    trajectory and certification artifacts, then re-raises
+    IntegrationDivergedError.
     """
     out = Path(out_dir)
     params = SimParams(t_final=sc.t_final, dt=sc.dt, sample_every=sc.sample_every)
@@ -473,6 +583,9 @@ def run(sc: Scenario, out_dir) -> RunArtifacts:
         certification_json=out / "certification.json",
     )
     z0 = np.concatenate([sc.x0, sc.y0, sc.delta_hat0])
+    rows, columns = params.n_samples, 1 + z0.shape[0]
+    # the sparse layout: the child integrates beside the certificate
+    beside = not isinstance(lap.L, np.ndarray) and _forks(rows * (columns + len(METRIC_COLUMNS)))
 
     def certified():
         cert = _solve_P(sc, lap)
@@ -486,22 +599,7 @@ def run(sc: Scenario, out_dir) -> RunArtifacts:
             "mode": sc.mode,
         }))
 
-    def write_trajectory(traj, meanwhile, later_columns=0):
-        # the fork rule counts the values of the rows that meanwhile writes
-        rows, columns = traj.times.shape[0], 1 + traj.states.shape[1]
-        _write_csv(arts.trajectory_csv, partial(trajectory_csv_text, traj),
-                   analysis.row_blocks(rows, columns), rows * (columns + later_columns), meanwhile)
-
-    try:
-        traj = integrate(_closed_loop(sc, lap), z0, params)
-    except Exception as exc:
-        cert, report = certified()
-        if isinstance(exc, IntegrationDivergedError):
-            write_trajectory(exc.partial, partial(write_certification, cert, report))
-        raise
-
-    def write_the_rest():
-        cert, report = certified()
+    def write_the_rest(traj, cert, report):
         metrics = analysis.trajectory_metrics(traj, lap.v_left, sc.gains, sc.disturbance, cert.P)
         _atomic_write(arts.summary_json, _json_chunks(_summary(sc, traj, metrics, lap, cert, report)))
         write_certification(cert, report)
@@ -509,7 +607,55 @@ def run(sc: Scenario, out_dir) -> RunArtifacts:
             partial(metrics_csv_text, metrics),
             analysis.row_blocks(metrics["t"].shape[0], len(METRIC_COLUMNS))))
 
-    write_trajectory(traj, write_the_rest, later_columns=len(METRIC_COLUMNS))
+    def write_trajectory(traj, meanwhile, later_columns=0):
+        # the fork rule counts the values of the rows that meanwhile writes
+        text, span = _trajectory_table(traj)
+        _write_csv(arts.trajectory_csv, text, span,
+                   traj.times.shape[0] * (columns + later_columns), meanwhile)
+
+    try:
+        loop = _closed_loop(sc, lap)
+        if beside:
+            check_inputs(loop, z0, params)
+            times, shared = params.sample_times(), _shared_array((rows, z0.shape[0]))
+        else:
+            traj = integrate(loop, z0, params)
+    except Exception as exc:
+        cert, report = certified()
+        if isinstance(exc, IntegrationDivergedError):
+            write_trajectory(exc.partial, partial(write_certification, cert, report))
+        raise
+    if not beside:
+        write_trajectory(traj, lambda: write_the_rest(traj, *certified()),
+                         later_columns=len(METRIC_COLUMNS))
+        return arts
+
+    def integrated():
+        try:
+            return integrate(loop, z0, params, out=shared)
+        except IntegrationDivergedError as exc:
+            return exc.partial
+
+    diverged = None
+    with contextlib.ExitStack() as cleanup:
+        text, span = _trajectory_table(Trajectory(times, shared))
+        child = _fork_writer(text, span, arts.trajectory_csv, cleanup, integrated)
+        cert, report = certified()
+        count = None if child is None else _reported(child.report)
+        try:
+            # the child's rows, or, if it ended before it sent their count,
+            # this process's own integration
+            traj = integrate(loop, z0, params) if count is None else sampled(times, shared, count)
+        except IntegrationDivergedError as exc:
+            traj, diverged = exc.partial, exc
+            write_certification(cert, report)
+        else:
+            write_the_rest(traj, cert, report)
+        # a child that sent no count claims no block: this process claims
+        # them all, however many bytes the claim file holds past them
+        _join(arts.trajectory_csv, child, *_trajectory_table(traj))
+    if diverged is not None:
+        raise diverged
     return arts
 
 

@@ -78,6 +78,10 @@ class SimParams:
     def sample_dt(self) -> float:
         return self.dt * self.sample_every
 
+    def sample_times(self) -> np.ndarray:
+        """The times of the samples, ``sample_dt`` apart from 0."""
+        return np.arange(self.n_samples) * self.sample_dt
+
 
 @dataclass
 class Trajectory:
@@ -152,39 +156,62 @@ def _as_initial_vector(x0) -> np.ndarray:
     return z0
 
 
-def integrate(loop_or_field, x0, params: SimParams) -> Trajectory:
-    """Run classical RK4 over the horizon and return the sampled trajectory.
-
-    ``loop_or_field`` is either a ``ClosedLoop`` (fast path, disturbance
-    switches validated against the grid and its coefficient blocks checked
-    finite; ``kernels`` describes its two paths and the switching rule) or a
-    callable ``f(t, z) -> dz`` (plain path; the field must be smooth over the
-    horizon).
-
-    A non-finite state aborts with IntegrationDivergedError carrying the
-    partial trajectory up to the last finite sample, and that sample's time.
-    """
+def check_inputs(loop_or_field, x0, params: SimParams) -> np.ndarray:
+    """``integrate``'s checks of its inputs, and the initial state vector
+    they pass.  Raises ValidationError for a non-finite initial state and,
+    for a ``ClosedLoop``, for a state of the wrong size, a disturbance
+    switch off the step grid or a non-finite coefficient block.
+    ``integrate`` runs them first; a caller that integrates in another
+    process runs them here beforehand, so that the integration there can
+    only finish, diverge or fail for want of resources."""
     z0 = _as_initial_vector(x0)
-    times = np.arange(params.n_samples) * params.sample_dt
-    out = np.empty((params.n_samples, z0.shape[0]))
-
     if isinstance(loop_or_field, ClosedLoop):
         loop = loop_or_field
         if z0.shape[0] != 3 * loop.n_agents:
             raise ValidationError(
                 f"initial state: expected {3 * loop.n_agents} entries, got {z0.shape[0]}")
         _check_switches_on_grid(loop.profile, params)
-        blocks = loop.blocks()
-        if not all(np.isfinite(block).all() for block in blocks):
+        if not all(np.isfinite(block).all() for block in loop.blocks()):
             raise ValidationError(
                 f"{loop.mode} loop: the gains give non-finite system coefficients")
-        written = kernels.rk4_closed_loop(*blocks, loop.lap.L, z0, loop.profile,
+    return z0
+
+
+def integrate(loop_or_field, x0, params: SimParams, out=None) -> Trajectory:
+    """Run classical RK4 over the horizon and return the sampled trajectory.
+
+    ``loop_or_field`` is either a ``ClosedLoop`` (fast path, inputs checked
+    by ``check_inputs``; ``kernels`` describes its two paths and the
+    switching rule) or a callable ``f(t, z) -> dz`` (plain path; the field
+    must be smooth over the horizon).
+
+    ``out``, if given, is the float64 array of (samples, state entries) that
+    the samples are written into, in place of a new one: a shared mapping,
+    say, that another process reads (``runner``).  The returned states are
+    ``out`` itself.
+
+    A non-finite state aborts with IntegrationDivergedError carrying the
+    partial trajectory up to the last finite sample, and that sample's time.
+    """
+    z0 = check_inputs(loop_or_field, x0, params)
+    times = params.sample_times()
+    if out is None:
+        out = np.empty((params.n_samples, z0.shape[0]))
+    if isinstance(loop_or_field, ClosedLoop):
+        loop = loop_or_field
+        written = kernels.rk4_closed_loop(*loop.blocks(), loop.lap.L, z0, loop.profile,
                                           params.dt, params.n_steps, params.sample_every, out)
     else:
-        field_fn = loop_or_field
-        written = _rk4_generic(field_fn, z0, params, out)
+        written = _rk4_generic(loop_or_field, z0, params, out)
+    return sampled(times, out, written)
 
-    if written < params.n_samples:
+
+def sampled(times: np.ndarray, out: np.ndarray, written: int) -> Trajectory:
+    """The trajectory at ``times`` of the first ``written`` samples that
+    ``integrate`` wrote into ``out``: all of them, with ``out`` itself as
+    the states, or else IntegrationDivergedError carrying a copy of the
+    finite ones."""
+    if written < times.shape[0]:
         partial = Trajectory(times[:written], out[:written].copy())
         last_t = float(times[written - 1])
         raise IntegrationDivergedError(

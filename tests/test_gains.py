@@ -170,6 +170,28 @@ def test_suggested_gamma2_starts_at_the_certified_bound(default_cert):
     assert first.gamma4 == check.left == check.right
 
 
+def test_suggest_names_the_inputs_when_gamma2_overflows(default_cert, monkeypatch):
+    """A gamma2 bound that overflows, or a gamma2 escalated past the largest
+    float while certification keeps failing, raises ValidationError naming
+    the four inputs, never the non-finite gamma2 that ``MatchedGains``
+    would reject.  Here ``certify_matched`` fails every candidate, and
+    gamma1 = 1e305 puts the first within 20 escalations of overflow."""
+    with pytest.raises(ValidationError, match=r"gamma2 bound of gamma1 = 1e\+307, gamma3 = 4.0, "
+                                              r"mu = 1.0, b = 10.0 is not finite \(inf\)"):
+        suggest_matched(1e307, 4.0, 1.0, 10.0, default_cert)
+    tried = []
+
+    def never(g, cert):
+        tried.append(g.gamma2)
+        return replace(certify_matched(BENCHMARK_MATCHED, cert), passed=False)
+
+    monkeypatch.setattr(gains, "certify_matched", never)
+    with pytest.raises(ValidationError, match=r"gamma2 overflowed while escalating for "
+                                              r"gamma1 = 1e\+305, gamma3 = 4.0, mu = 1.0, b = 10.0"):
+        suggest_matched(1e305, 4.0, 1.0, 10.0, default_cert)
+    assert 1 < len(tried) < 200 and all(math.isfinite(g) for g in tried)
+
+
 def test_infeasible_b_reports_the_certified_b_bound(default_cert):
     """InfeasibleGainError's minimal_value is the right side of the b_bound
     that certify_matched reports, bit for bit."""

@@ -1,6 +1,7 @@
 """Scenario documents, the run pipeline, and the command-line interface."""
 
 import contextlib
+import errno
 import fnmatch
 import io
 import json
@@ -758,6 +759,21 @@ def test_cli_gains_suggest_ignores_the_scenario_gains(tmp_path, capsys):
     assert "certified: PASSED" in out
 
 
+@pytest.mark.parametrize("given, says", [
+    (["--gamma1", "1e307"], "gamma1 = 1e+307"),
+    (["--mu", "1e308", "--b", "1e308"], "mu = 1e+308, b = 1e+308"),
+], ids=["gamma1", "mu-and-b"])
+def test_cli_gains_suggest_names_the_given_inputs_when_gamma2_overflows(capsys, given, says):
+    """A given gamma1 of 1e307 overflows the gamma2 bound to inf, and mu and
+    b of 1e308 make it nan: exit 2 and one ``error:`` line that names the
+    inputs given, not the gamma2 the user never gave."""
+    rc = cli.main(["gains", "suggest", "paper-matched", *given])
+    assert rc == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: the gamma2 bound of ") and err.count("\n") == 1
+    assert says in err and "gamma2: must be" not in err
+
+
 def _write_uncertifiable_inputs(tmp_path):
     """paper-unmatched with one edge weight at 1e-300: the graph keeps its
     spanning tree, but the zero eigenvalue of L is numerically not simple."""
@@ -1506,6 +1522,344 @@ def test_divergence_partial_goes_through_the_writer(tmp_path, monkeypatch):
     _assert_claims_split(spy, queue)
     _assert_same_text((out / "trajectory.csv").read_text(), _reference_csv(names, data))
     assert sorted(p.name for p in out.iterdir()) == ["certification.json", "trajectory.csv"]
+    _assert_no_child_left()
+
+
+def _sparse_document(mode: str, sample_every: int = 1, n: int = 250) -> dict:
+    """A ``_tree_document`` of ``n`` agents over 200 samples, one every
+    ``sample_every`` steps: L is stored as CSR, and its two tables hold
+    more than ``runner.FORK_MIN_VALUES`` values (201 rows of 3n + 1 and of
+    8), so ``runner.run`` takes the sparse layout."""
+    doc = _tree_document(mode, np.random.default_rng(n), n, n)
+    doc["sim"].update(t_final=200 * sample_every * doc["sim"]["dt"], sample_every=sample_every)
+    assert 201 * (3 * n + 1 + len(runner.METRIC_COLUMNS)) > runner.FORK_MIN_VALUES
+    return doc
+
+
+def _spy_layout(monkeypatch) -> list:
+    """The calls of a run that returned in this process, in order:
+    "integrated" for ``runner.integrate``, "forked" for a fork, "mapped"
+    for an ``mmap.mmap`` and "piped" for an ``os.pipe``.  Install it after
+    ``_spy_writer``, whose fork it wraps."""
+    events, parent = [], os.getpid()
+
+    def spy(module, name, event):
+        real = getattr(module, name)
+
+        def spied(*args, **kwargs):
+            result = real(*args, **kwargs)
+            if os.getpid() == parent:
+                events.append(event)
+            return result
+
+        monkeypatch.setattr(module, name, spied)
+
+    spy(runner, "integrate", "integrated")
+    spy(os, "fork", "forked")
+    spy(runner.mmap, "mmap", "mapped")
+    spy(os, "pipe", "piped")
+    return events
+
+
+def _run_bytes(doc: dict, out: Path) -> list:
+    """The four artifacts of ``runner.run`` of ``doc`` into ``out``."""
+    return [p.read_bytes() for p in runner.run(scenario_from_json(doc), out).paths()]
+
+
+def _serial_bytes(doc: dict, out: Path) -> list:
+    """``_run_bytes`` with no fork: in this process alone."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(runner, "FORK_MIN_VALUES", math.inf)
+        return _run_bytes(doc, out)
+
+
+@pytest.mark.parametrize("sample_every", [1, 10])
+@pytest.mark.parametrize("mode", ["matched", "unmatched"])
+def test_sparse_layout_writes_the_serial_bytes(tmp_path, monkeypatch, mode, sample_every):
+    """On a 250-agent tree whose tables fork, the child is forked before
+    anything is integrated, into a shared mapping, with a pipe for its
+    report; this process never integrates.  The four artifacts are those of
+    the run in this process alone, and trajectory.csv is the per-value
+    writer's text.  The blocks are split as the claims say, and no child is
+    left."""
+    doc = _sparse_document(mode, sample_every)
+    serial = _serial_bytes(doc, tmp_path / "serial")
+    spy = _spy_writer(monkeypatch)
+    events = _spy_layout(monkeypatch)
+    arts = runner.run(scenario_from_json(doc), tmp_path / "out")
+    assert [p.read_bytes() for p in arts.paths()] == serial
+    assert events == ["mapped", "piped", "forked"] and spy.statuses == [0]
+    queue = _queue((201, 751), (201, 8))
+    here, child = _who_formatted(spy, queue)
+    assert not here & child and here | child == set(range(len(queue)))
+    _assert_claims_split(spy, _queue((201, 751)))
+    names, data = runner.read_csv(arts.trajectory_csv)
+    _assert_same_text(arts.trajectory_csv.read_text(), _reference_csv(names, data))
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("mode", ["matched", "unmatched"])
+def test_sparse_layout_divergence_writes_the_serial_partial(tmp_path, monkeypatch, capsys, mode):
+    """The 600-agent tree with one edge of weight 1e150 diverges at once.
+    Sampled every step for 0.1 s its tables fork, and the child integrates
+    and sends a short count: this process copies the finite rows and, as in
+    this process alone, writes the partial trajectory.csv and
+    certification.json alone and exits 3 with the same ``error:`` line."""
+    doc = _tree_document(mode, np.random.default_rng(600), 600, 600)
+    doc["graph"]["edges"][17]["w"] = 1e150
+    doc["sim"].update(t_final=0.1, sample_every=1)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+
+    def simulate(out, forks):
+        with pytest.MonkeyPatch.context() as mp:
+            if not forks:
+                mp.setattr(runner, "FORK_MIN_VALUES", math.inf)
+            rc = cli.main(["simulate", str(path), "--out", str(tmp_path / out)])
+        err = capsys.readouterr().err.replace(str(tmp_path / out), "<out>")
+        return rc, err, {p.name: p.read_bytes() for p in (tmp_path / out).iterdir()}
+
+    serial = simulate("serial", forks=False)
+    spy = _spy_writer(monkeypatch)
+    events = _spy_layout(monkeypatch)
+    assert simulate("forked", forks=True) == serial
+    rc, err, files = serial
+    assert rc == cli.EXIT_DIVERGED and err.startswith("error: integration diverged")
+    assert err.count("\n") == 1 and sorted(files) == ["certification.json", "trajectory.csv"]
+    assert events == ["mapped", "piped", "forked"] and spy.statuses == [0]
+    assert 1 < files["trajectory.csv"].count(b"\n") < 102
+    _assert_no_child_left()
+
+
+def _fail_integrating():
+    def fail(*args, **kwargs):
+        raise RuntimeError("integration failed in the child")
+
+    runner.integrate = fail
+
+
+#: how the sparse layout's child is made to end, run in it right after the
+#: fork, and whether it sends its count first.  Its first ``os.write`` is
+#: the count, so the third is its second block.
+_SPARSE_CHILD_ENDS = {
+    "child-exits-1": (_fail_formatting, True),
+    "child-killed": (_kill_self, False),
+    "child-formats-nothing": (partial(os._exit, 0), False),
+    "child-killed-after-first-part": (partial(_kill_self_at_write, 3, 0.0), True),
+    "child-killed-mid-block": (partial(_kill_self_at_write, 3, 0.5), True),
+    "child-fails-integrating": (_fail_integrating, False),
+}
+
+
+@pytest.mark.parametrize("case", [*_SPARSE_CHILD_ENDS, "fork-fails"])
+def test_sparse_layout_bytes_do_not_depend_on_how_the_child_ends(tmp_path, monkeypatch, case):
+    """The sparse layout writes the serial run's bytes however its child
+    ends: when it fails to format after its report (exit 1), is killed or
+    fails to integrate before it reports, exits 0 without a report, is
+    killed after writing its first block or halfway through its second, and
+    when the fork fails.  A child that ends without a report leaves the
+    integration to this process, which then claims every block; one that
+    sent its count leaves this process none to integrate.  This process
+    formats every block whose child's bytes are not used, the claims split
+    as they say, no child is left, and the output directory holds the four
+    artifacts alone."""
+    doc = _sparse_document("matched")
+    serial = _serial_bytes(doc, tmp_path / "serial")
+    in_child, reports = _SPARSE_CHILD_ENDS.get(case, (None, False))
+    spy = _spy_writer(monkeypatch, in_child)
+    if case == "fork-fails":
+        def fork():
+            raise OSError("fork refused")
+
+        monkeypatch.setattr(os, "fork", fork)
+    events = _spy_layout(monkeypatch)
+    real_summary = runner._summary
+
+    def summary(*args):
+        if in_child is not None:
+            _wait_for_child_exit(spy)
+        return real_summary(*args)
+
+    monkeypatch.setattr(runner, "_summary", summary)
+    out = tmp_path / "out"
+    assert _run_bytes(doc, out) == serial
+    forked = [] if case == "fork-fails" else ["forked"]
+    assert events == ["mapped", "piped", *forked, *([] if reports else ["integrated"])]
+    queue = _queue((201, 751), (201, 8))
+    here, child = _who_formatted(spy, queue)
+    assert not here & child and here | child == set(range(len(queue)))
+    _assert_claims_split(spy, _queue((201, 751)))
+    assert child == set()
+    if case.startswith("child-killed"):
+        assert [os.waitstatus_to_exitcode(s) for s in spy.statuses] == [-signal.SIGKILL]
+        assert len(spy.child_ranges()) == (0 if case == "child-killed" else 2)
+    assert sorted(p.name for p in out.iterdir()) == _ARTIFACTS
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("failing", ["_atomic_write", "_summary", "table-write", "solve_P"])
+def test_sparse_layout_parent_failure_reaps_child_and_removes_parts(tmp_path, monkeypatch,
+                                                                    failing):
+    """The sparse layout's sibling of
+    ``test_parent_failure_reaps_child_and_removes_parts``: when this process
+    raises, the child is reaped, killed first if it still runs, and no
+    temporary file is left.  ``solve_P`` fails while the child is still
+    integrating (it waits, there, for this process to kill it), and leaves
+    no artifact and no output directory."""
+    marker = tmp_path / "integrating"
+
+    def integrate_slowly():
+        marker.write_text("")
+        time.sleep(60.0)
+
+    spy = _spy_writer(monkeypatch, integrate_slowly if failing == "solve_P" else None)
+    real_replace = os.replace
+
+    def fail(*args, **kwargs):
+        if failing == "solve_P":
+            while not marker.exists():
+                time.sleep(0.001)
+        raise OSError(f"{failing} failed")
+
+    def replace(src, dst):
+        if Path(dst).name == "trajectory.csv":
+            fail()
+        return real_replace(src, dst)
+
+    if failing == "table-write":
+        monkeypatch.setattr(os, "replace", replace)
+    else:
+        monkeypatch.setattr(runner, failing, fail)
+    out = tmp_path / "out"
+    with pytest.raises(OSError, match=failing):
+        runner.run(scenario_from_json(_sparse_document("unmatched")), out)
+    assert len(spy.forks) == 1
+    _assert_no_child_left()
+    assert list(out.glob("*.tmp")) == list(out.glob(".*.tmp")) == []
+    if failing == "solve_P":
+        assert [os.waitstatus_to_exitcode(s) for s in spy.statuses] == [-signal.SIGKILL]
+        assert not out.exists()
+
+
+def test_sparse_horizon_too_long_for_memory_exit_2(tmp_path, monkeypatch, capsys):
+    """A sparse document whose horizon cannot fit in memory exits 2 with one
+    ``error: not enough memory ...`` line, as a dense one does
+    (``test_cli_horizon_too_long_for_memory_exit_2``), and forks no child:
+    at dt = 1e-15 its time grid cannot be allocated, and when the shared
+    mapping is what fails, ``mmap``'s ``OSError(ENOMEM)`` is a MemoryError
+    too, not an i/o failure (exit 4)."""
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(_sparse_document("matched")))
+    spy = _spy_writer(monkeypatch)
+    events = _spy_layout(monkeypatch)
+    rc = cli.main(["simulate", str(path), "--dt", "1e-15", "--t-final", "1",
+                   "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_VALIDATION and err.startswith("error: not enough memory")
+    assert err.count("\n") == 1
+
+    def no_memory(*args):
+        raise OSError(errno.ENOMEM, os.strerror(errno.ENOMEM))
+
+    monkeypatch.setattr(runner.mmap, "mmap", no_memory)
+    rc = cli.main(["simulate", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_VALIDATION and err.startswith("error: not enough memory")
+    assert err.count("\n") == 1 and "Cannot allocate memory" in err
+    assert spy.forks == [] and "forked" not in events
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("shape", [(10 ** 14, 751), (2 ** 62, 8)], ids=["enomem", "overflow"])
+def test_shared_array_too_large_is_a_memory_error(shape):
+    """A mapping larger than the address space fails at once, and one whose
+    size no ``ssize_t`` holds is refused before the call: both are
+    MemoryError."""
+    with pytest.raises(MemoryError, match="cannot map"):
+        runner._shared_array(shape)
+
+
+@pytest.mark.parametrize("edit", ["huge-nu", "huge-k-s", "off-grid-switch"])
+def test_sparse_document_input_errors_exit_2_before_any_fork(tmp_path, monkeypatch, capsys,
+                                                             edit):
+    """On a sparse document whose tables would fork, unmatched gains of
+    1e308 and a disturbance switch off the step grid exit 2 with one
+    ``error:`` line from this process: ``integrate``'s checks run before
+    the fork, which then never happens, and no shared mapping is made."""
+    doc = _sparse_document("unmatched")
+    if edit == "off-grid-switch":
+        doc["disturbance"]["segments"][1]["t_start"] = 0.0105
+    else:
+        doc["gains"][{"huge-nu": "nu", "huge-k-s": "k_s"}[edit]] = 1e308
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    spy = _spy_writer(monkeypatch)
+    events = _spy_layout(monkeypatch)
+    rc = cli.main(["simulate", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_VALIDATION and err.startswith("error: ") and err.count("\n") == 1
+    assert spy.forks == [] and events == []
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name, overrides", [("paper-matched", {}),
+                                             ("paper-unmatched", _FORKING_RUN)])
+def test_builtins_fork_after_integrate_without_shared_memory(tmp_path, monkeypatch, name,
+                                                             overrides):
+    """The builtins store L dense, so they keep the layout in which the
+    child forks once ``integrate`` has returned here: no shared mapping, no
+    pipe."""
+    spy = _spy_writer(monkeypatch)
+    events = _spy_layout(monkeypatch)
+    runner.run(builtin_scenario(name).with_overrides(**overrides), tmp_path / "out")
+    assert events == ["integrated", "forked"] and spy.statuses == [0]
+    _assert_no_child_left()
+
+
+def test_sparse_child_takes_the_csr_recurrence(tmp_path, monkeypatch):
+    """The sparse layout's child integrates a 600-agent tree, the size of
+    the large-graph benchmark, on the CSR recurrence: ``A`` and ``M`` are
+    ``scipy.sparse`` arrays, no dense-only function runs, and each BLAS
+    product, a piece of ``_matmul_rows``, stays within ``_GEMM_MAX_MNK``
+    multiply-adds, which OpenBLAS runs on one thread.  All of it runs in the
+    child, none here (``test_structure`` lists what the child can reach)."""
+    from consensus_net import kernels
+
+    log = tempfile.TemporaryFile(buffering=0)
+    parent = os.getpid()
+
+    def record(text):
+        log.write(f"{os.getpid() != parent} {text}\n".encode())
+
+    def spy(name, note):
+        real = getattr(kernels, name)
+
+        def spied(*args, **kwargs):
+            record(note(*args))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, name, spied)
+
+    def pieces(a, b, out=None):
+        rows = max(1, kernels._GEMM_MAX_MNK // (a.shape[1] * b.shape[1]))
+        return f"matmul {min(rows, a.shape[0]) * a.shape[1] * b.shape[1]}"
+
+    spy("_rk4_recurrence", lambda A, M, *args: f"recurrence {scipy.sparse.issparse(A)} "
+                                               f"{scipy.sparse.issparse(M)}")
+    spy("_matmul_rows", pieces)
+    for name in ("_dense_system", "_doubling_powers", "_double_blocks", "_rk4_stage"):
+        spy(name, lambda *args, name=name: f"dense {name}")
+    doc = _tree_document("matched", np.random.default_rng(600), 600, 600)
+    doc["sim"].update(t_final=1.0, sample_every=10)
+    events = _spy_layout(monkeypatch)
+    runner.run(scenario_from_json(doc), tmp_path / "out")
+    assert events == ["mapped", "piped", "forked"]
+    lines = [line.split() for line in os.pread(log.fileno(), 1 << 20, 0).decode().splitlines()]
+    assert lines and all(in_child == "True" for in_child, *_ in lines)
+    assert [line[1:] for line in lines if line[1] == "recurrence"] == [["recurrence", "True", "True"]]
+    assert [line for line in lines if line[1] == "dense"] == []
+    products = [int(line[2]) for line in lines if line[1] == "matmul"]
+    assert products and max(products) <= kernels._GEMM_MAX_MNK
     _assert_no_child_left()
 
 

@@ -179,6 +179,69 @@ def test_switch_steps_use_left_segment():
     assert x[i_mid + 1] < x[i_mid]
 
 
+def _broadcast_step_terms(profile, dt, k0, k1):
+    """``kernels._step_terms`` as it was written before it filled its times
+    by column: the oracle of its bits."""
+    t = np.arange(k0, k1) * dt
+    seg = np.searchsorted(profile.starts[1:] - 0.25 * dt, t, side="right")
+    ts = t[:, None] + np.array([0.0, 0.5, 1.0]) * dt
+    return seg, profile.vanishing(ts, seg[:, None])
+
+
+@st.composite
+def _profiles_and_chunks(draw):
+    """A profile of 1 to 4 segments on the grid of a drawn dt, with drawn
+    coefficients, and a chunk of steps k0 .. k1-1 that may straddle a
+    switch."""
+    dt = draw(st.sampled_from([1e-3, 1e-2, 0.37, 2.0 ** -10, 0.1]))
+    starts = sorted(draw(st.sets(st.integers(1, 3000), max_size=3)))
+    coeffs = st.floats(-3.0, 3.0, allow_nan=False)
+    profile = DisturbanceProfile(tuple(
+        Segment(k * dt, np.zeros(2), hyperbolic_coeff=draw(coeffs), exp_coeff=draw(coeffs),
+                exp_rate=draw(st.floats(0.0, 2.0)))
+        for k in [0, *starts]))
+    k0 = draw(st.integers(0, 3000))
+    return profile, dt, k0, k0 + draw(st.integers(1, 2100))
+
+
+@given(case=_profiles_and_chunks())
+@settings(max_examples=300, deadline=None)
+@example(case=(DisturbanceProfile((Segment(0.0, np.zeros(1), hyperbolic_coeff=1.0),
+                                   Segment(0.5, np.zeros(1), exp_coeff=1.0, exp_rate=0.2))),
+               1e-3, 400, 600))
+def test_step_terms_keep_the_broadcast_bits(case):
+    """The segments and vanishing terms of ``_step_terms``, whose times are
+    filled column by column and whose segment is a scalar on a chunk that
+    crosses no switch, are those of the broadcast over ``t[:, None]`` and
+    ``seg[:, None]`` bit for bit, chunks that straddle a switch included
+    (the example's steps 400 .. 599 cross the switch at step 500)."""
+    profile, dt, k0, k1 = case
+    seg, s = kernels._step_terms(profile, dt, k0, k1)
+    want_seg, want_s = _broadcast_step_terms(profile, dt, k0, k1)
+    assert np.array_equal(seg, want_seg)
+    assert s.shape == want_s.shape and s.tobytes() == want_s.tobytes()
+
+
+def test_integrate_into_a_given_buffer():
+    """With ``out``, ``integrate`` writes the samples into it and returns it
+    as the states; a diverging run's partial trajectory is a copy of its
+    finite rows, as without ``out``."""
+    loop = chain2_loop()
+    z0 = np.array([1.0, -1.0, 0.5, 0.0, 0.0, 0.0])
+    params = SimParams(t_final=0.5, dt=1e-3, sample_every=10)
+    out = np.full((params.n_samples, 6), np.nan)
+    traj = integrate(loop, z0, params, out=out)
+    assert traj.states is out
+    assert np.array_equal(out, integrate(loop, z0, params).states)
+    params = SimParams(t_final=2.0, dt=0.1)
+    out = np.empty((params.n_samples, 1))
+    with pytest.raises(IntegrationDivergedError) as caught, np.errstate(over="ignore"):
+        integrate(lambda t, z: z * z, np.array([3.0]), params, out=out)
+    partial = caught.value.partial
+    assert not np.shares_memory(partial.states, out)
+    assert np.array_equal(partial.states, out[:partial.times.shape[0]])
+
+
 def test_misaligned_switch_rejected():
     profile = DisturbanceProfile((
         Segment(0.0, np.array([1.0])),

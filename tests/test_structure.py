@@ -2,6 +2,7 @@
 
 import ast
 from dataclasses import fields
+from functools import cache
 from pathlib import Path
 
 from consensus_net.dynamics import HYPERBOLIC_OFFSET
@@ -173,17 +174,34 @@ FUNCTIONS = {module: {node.name: node for node in ast.walk(tree) if isinstance(n
              for module, tree in TREES.items()}
 
 
-def _reached(module: str, start: list, siblings=_CSV_MODULES) -> dict:
+@cache
+def _imported_functions(module: str) -> dict:
+    """The functions that ``module`` imports by name from its siblings, by
+    the name it binds: ``from .sim import integrate`` gives
+    ``{"integrate": ("sim.py", "integrate")}``."""
+    found = {}
+    for node in ast.walk(TREES[module]):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            for alias in node.names:
+                if alias.name in FUNCTIONS.get(node.module + ".py", {}):
+                    found[alias.asname or alias.name] = (node.module + ".py", alias.name)
+    return found
+
+
+def _reached(module: str, start: list, siblings=_CSV_MODULES, imports: bool = False) -> dict:
     """The functions that the nodes ``start`` of ``module`` reach by name,
     transitively, keyed by (module, name): a bare name of a function of the
     module the calling code is in, or ``<sibling>.<name>`` for a module of
-    ``siblings``."""
+    ``siblings``, and with ``imports`` a bare name that module imports from
+    a sibling (``_imported_functions``)."""
     reached, pending = {}, [(module, node) for node in start]
     while pending:
         module, node = pending.pop()
         for sub in ast.walk(node):
             if isinstance(sub, ast.Name):
                 key = (module, sub.id)
+                if imports and sub.id not in FUNCTIONS[module]:
+                    key = _imported_functions(module).get(sub.id, key)
             elif (isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
                   and sub.value.id in siblings):
                 key = (sub.value.id + ".py", sub.attr)
@@ -196,17 +214,9 @@ def _reached(module: str, start: list, siblings=_CSV_MODULES) -> dict:
     return reached
 
 
-def test_one_fork_whose_child_only_formats_and_exits():
-    """``os.fork`` is called in one place, ``runner._fork_writer``.  Its
-    child branch (``if pid == 0``) ends in a ``try`` whose ``finally`` ends
-    in ``os._exit``, so the child never returns into the caller.  numpy's
-    BLAS threads do not exist in the child, so nothing the branch reaches
-    may reach BLAS: its claim loop (``_claims``) and writes (``_write_all``),
-    and
-    the CSV writer that a table's ``text`` is (``trajectory_csv_text``,
-    ``metrics_csv_text``), with whatever they call in ``runner``,
-    ``analysis`` and ``csvtext``, the number formatter, and whatever that
-    calls in turn."""
+def _fork_branch() -> list:
+    """The body of ``runner._fork_writer``'s child branch (``if pid == 0``),
+    once ``os.fork`` is seen to be called in that one place."""
     forks = [(module, node) for module, tree in TREES.items() for node in ast.walk(tree)
              if _is_call(node, "os", "fork")]
     assert [module for module, _ in forks] == ["runner.py"]
@@ -214,31 +224,121 @@ def test_one_fork_whose_child_only_formats_and_exits():
     assign = next(node for node in ast.walk(forking)
                   if isinstance(node, ast.Assign) and node.value is forks[0][1])
     pid = assign.targets[0].id
-    branch = next(node.body for node in ast.walk(forking) if isinstance(node, ast.If)
-                  and ast.dump(node.test) == ast.dump(ast.parse(f"{pid} == 0", mode="eval").body))
+    return next(node.body for node in ast.walk(forking) if isinstance(node, ast.If)
+                and ast.dump(node.test) == ast.dump(ast.parse(f"{pid} == 0", mode="eval").body))
+
+
+def _sparse_child_integration():
+    """The function that ``runner.run`` hands ``_fork_writer`` to integrate
+    in the sparse layout's child: a function defined in ``run``, passed as
+    the fifth argument."""
+    run = FUNCTIONS["runner.py"]["run"]
+    call = next(node for node in ast.walk(run) if isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "_fork_writer")
+    return next(node for node in ast.walk(run)
+                if isinstance(node, ast.FunctionDef) and node.name == call.args[4].id)
+
+
+def test_one_fork_whose_child_exits_and_formats_without_blas():
+    """``os.fork`` is called in one place, ``runner._fork_writer``.  Its
+    child branch (``if pid == 0``) ends in a ``try`` whose ``finally`` ends
+    in ``os._exit``, so the child never returns into the caller.  The dense
+    layout's child is forked once the trajectory exists and only formats,
+    and BLAS's threads do not exist in it, so nothing the branch reaches
+    may reach BLAS: its claim loop (``_claims``), its writes
+    (``_write_all``), the sparse layout's ``_report``, and the CSV writer
+    that a table's ``text`` is (``trajectory_csv_text``,
+    ``metrics_csv_text``), with whatever they call in ``runner``,
+    ``analysis`` and ``csvtext``, the number formatter, and whatever that
+    calls in turn.  The branch calls the sparse layout's integration
+    through a parameter, which this does not follow; the next test does."""
+    branch = _fork_branch()
     last = branch[-1]
     assert isinstance(last, ast.Try) and last.finalbody
     assert isinstance(last.finalbody[-1], ast.Expr) and _is_call(last.finalbody[-1].value, "os", "_exit")
     reached = _reached("runner.py", [*branch, *(FUNCTIONS["runner.py"][name] for name in
                                                 ("trajectory_csv_text", "metrics_csv_text"))])
-    assert {("runner.py", "_claims"), ("runner.py", "_write_all"),
+    assert {("runner.py", "_claims"), ("runner.py", "_write_all"), ("runner.py", "_report"),
             ("runner.py", "_csv_chunks"), ("analysis.py", "row_blocks"),
             ("csvtext.py", "rows_text"), ("csvtext.py", "_decimal")} <= set(reached)
     assert [found for node in [*branch, *reached.values()] for found in _blas_calls(node)] == []
 
 
-def test_forked_writer_has_no_report_channel():
-    """The CSV child writes trajectory.csv's temporary file itself and
-    reports by its exit status alone: ``runner`` packs no binary records
-    (no ``struct``), opens no pipe and reads no bytes back by offset."""
+#: the functions that the sparse layout's child reaches and that hold a
+#: product or a ``linalg`` call, with the kinds each holds.  On the CSR
+#: recurrence, which a sparse graph's run takes, ``A``, ``M``, ``M^f`` and
+#: their powers are ``scipy.sparse`` arrays, so every ``@`` on them in
+#: ``_linear_rk4_step``, ``_sparse_fold`` and ``_rk4_recurrence`` is scipy's
+#: own sparse product, and the BLAS products are ``_matmul_rows``' pieces,
+#: each within ``_GEMM_MAX_MNK``, which OpenBLAS runs on one thread.
+#: ``_doubling_powers``, ``_double_blocks`` and ``np.linalg.matrix_power``
+#: serve the dense recurrence alone.  test_scenario_cli's
+#: ``test_sparse_child_takes_the_csr_recurrence`` checks this in a real
+#: child.
+_SPARSE_CHILD_BLAS = {
+    ("kernels.py", "_linear_rk4_step"): {"@"},
+    ("kernels.py", "_sparse_fold"): {"@"},
+    ("kernels.py", "_doubling_powers"): {"@"},
+    ("kernels.py", "_matmul_rows"): {"matmul"},
+    ("kernels.py", "_double_blocks"): {"@"},
+    ("kernels.py", "_rk4_recurrence"): {"@", "linalg"},
+}
+
+
+def test_sparse_child_reaches_blas_only_in_the_recurrence():
+    """The sparse layout's child integrates before it formats.  From its
+    branch and the integration that ``run`` hands it, through
+    ``sim.integrate``, ``kernels`` and ``sparsity``, the functions with a
+    product or a ``linalg`` call that it can reach are those of
+    ``_SPARSE_CHILD_BLAS``, which says why each is there, and only
+    ``_matmul_rows`` calls ``np.matmul``."""
+    start = [*_fork_branch(), _sparse_child_integration()]
+    reached = _reached("runner.py", start, siblings=(*_CSV_MODULES, "kernels", "sparsity"),
+                       imports=True)
+    assert {("sim.py", "integrate"), ("sim.py", "check_inputs"),
+            ("kernels.py", "rk4_closed_loop"), ("kernels.py", "_rk4_recurrence"),
+            ("kernels.py", "_matmul_rows")} <= set(reached)
+    assert [found for node in start for found in _blas_calls(node)] == []
+    found = {}
+    for key, node in reached.items():
+        for _line, what in _blas_calls(node):
+            found.setdefault(key, set()).add(what)
+    assert found == _SPARSE_CHILD_BLAS
+
+
+def test_forked_writer_reports_one_sample_count():
+    """The CSV child writes trajectory.csv's temporary file itself, and in
+    the dense layout reports by its exit status alone.  In the sparse layout
+    one pipe, opened in ``_fork_writer``, carries the child's one report and
+    no table bytes: the child hands its write end to ``_report`` alone,
+    which writes to it once, a sample count of 8 bytes (``int.to_bytes``),
+    and this process reads it in ``_reported``, one read of 8 bytes.
+    ``runner`` packs no binary records (no ``struct``) and reads no bytes
+    back by offset (no ``os.pread``)."""
     tree = TREES["runner.py"]
     imported = {alias.name for node in ast.walk(tree)
                 if isinstance(node, (ast.Import, ast.ImportFrom))
                 for alias in node.names} | {node.module for node in ast.walk(tree)
                                             if isinstance(node, ast.ImportFrom)}
     assert "struct" not in imported
-    assert [node.lineno for node in ast.walk(tree)
-            if _is_call(node, "os", "pipe") or _is_call(node, "os", "pread")] == []
+    assert [node.lineno for node in ast.walk(tree) if _is_call(node, "os", "pread")] == []
+    pipes = [name for name, function in FUNCTIONS["runner.py"].items()
+             for node in ast.walk(function) if _is_call(node, "os", "pipe")]
+    assert pipes == ["_fork_writer"]
+    # the write end, ``sent``, read anywhere in the child's branch
+    handed = [call.func.id for node in _fork_branch() for call in ast.walk(node)
+              if isinstance(call, ast.Call) and "sent" in ast.unparse(call)
+              and isinstance(call.func, ast.Name)]
+    assert handed == ["_report"]
+    writes = [call for call in ast.walk(FUNCTIONS["runner.py"]["_report"])
+              if isinstance(call, ast.Call) and call.args
+              and getattr(call.args[0], "id", None) == "sent"]
+    assert len(writes) == 1 and getattr(writes[0].func, "id", None) == "_write_all"
+    data = writes[0].args[1]
+    assert data.func.attr == "to_bytes" and ast.literal_eval(data.args[0]) == 8
+    reads = [call for call in ast.walk(FUNCTIONS["runner.py"]["_reported"])
+             if _is_call(call, "os", "read")]
+    assert len(reads) == 1 and ast.literal_eval(reads[0].args[1]) == 8
 
 
 TRACING = PACKAGE.parents[1] / "perfbench" / "tracing.py"
