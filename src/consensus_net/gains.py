@@ -306,7 +306,9 @@ def suggest_matched(gamma1: float, gamma3: float, mu: float, b: float,
     because the b bound keeps a factor-2 reserve on the remaining coupling.
     Raises InfeasibleGainError (carrying the minimal admissible b) when b is
     below (gamma3/gamma1)*lambda_P^2, and ValidationError naming the inputs
-    when the gamma2 bound, or gamma2 as it is escalated, is not finite.
+    when the gamma2 bound, or gamma2 as it is escalated, is not finite, or
+    when the eigenvalue solve of the form_posdef check fails on a form
+    whose entries are that large.
     """
     for name, value in (("gamma1", gamma1), ("gamma3", gamma3), ("mu", mu), ("b", b)):
         if not (value > 0 and math.isfinite(value)):
@@ -323,7 +325,12 @@ def suggest_matched(gamma1: float, gamma3: float, mu: float, b: float,
         if not math.isfinite(gamma2):
             raise ValidationError(f"gamma2 overflowed while escalating for {given}")
         gains = MatchedGains.with_substitutions(gamma1, gamma2, gamma3, mu=mu, b=b)
-        if certify_matched(gains, cert).passed:
+        try:
+            report = certify_matched(gains, cert)
+        except np.linalg.LinAlgError as exc:
+            raise ValidationError(f"form_posdef: the quadratic form for {given} has no "
+                                  f"computable eigenvalues ({exc})") from None
+        if report.passed:
             return gains
         gamma2 *= 1.25
     raise InfeasibleGainError(f"could not certify any gamma2 for {given}", minimal_value=b_min)

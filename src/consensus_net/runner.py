@@ -25,35 +25,38 @@ block of rows (``analysis.row_blocks``) at a time: one call per block of
 ``csvtext.rows_text``, the package's one CSV number formatter.  The
 certificate and the simulation are independent consumers of the graph.
 When the two tables hold more than ``FORK_MIN_VALUES`` values and two CPUs
-are free, one child is forked beside this process, and the storage of L
-that ``build_laplacian`` chose picks when:
+are free, one child is forked beside this process, through one protocol
+(``_fork_writer``), and the storage of L that ``build_laplacian`` chose
+picks only when:
 
 * Dense L (the builtins among such graphs): the closed loop is integrated
-  here, and ``_write_csv`` opens trajectory.csv's temporary file and forks
-  the child as soon as the trajectory exists.
+  here, and the child is forked as soon as the trajectory, or the partial
+  one of a divergence, exists.
 * CSR L (the sparse regime; ``large-graph`` among such graphs): ``run``
   checks ``integrate``'s inputs here, maps the trajectory into a shared
-  anonymous ``mmap`` and forks first.  The child integrates into it and
-  sends its sample count, one integer of 8 bytes, through a pipe.  A short
-  count is a divergence: this process copies the finite rows and writes the
-  partial artifacts.  A pipe that ends without a count means the child
-  died: this process integrates itself.  On dense graphs this layout lost
-  (+5 to +17 % run time on the builtins): their 2.5 ms certificate cannot
-  pay for the copy-on-write faults and the first touch of the shared pages,
-  where on ``large-graph`` ``solve_P`` and ``certify`` (19 ms) outlast the
-  12.5 ms integration they overlap.
+  anonymous ``mmap`` and forks first, and the child integrates into it.
+  On dense graphs forking first lost (+5 to +17 % run time on the
+  builtins): their 2.5 ms certificate cannot pay for the copy-on-write
+  faults and the first touch of the shared pages, where on ``large-graph``
+  ``solve_P`` and ``certify`` (19 ms) outlast the 12.5 ms integration they
+  overlap.
 
-Either way the two then share trajectory.csv's blocks through a claim file
-of one byte per block, read from both ends: the child claims blocks from
-the first, this process from the last.  The child writes its blocks
-straight into the temporary file, in order, and otherwise reports by its
-exit status alone.  Meanwhile this process solves the certificate,
-certifies the gains, computes the metrics and the summary, writes both JSON
-files and writes all of metrics.csv (whose rows do not exist when the child
-is forked) itself, then joins in.  Once the child has exited 0 it appends
-its own blocks; if the child failed, it empties the file and formats every
-block.  The bytes do not depend on which process integrated, or formatted
-which rows.
+Either way the child, once it has its trajectory, sizes a claim file of
+one byte per block of trajectory.csv and sends its sample count, one
+integer of 8 bytes, through a pipe (``_report``).  A short count is a
+divergence: this process copies the finite rows and writes the partial
+artifacts.  A pipe that ends without a count means the child died before
+it claimed a block: this process integrates, on CSR L, and formats every
+block itself.  Otherwise the two share trajectory.csv's blocks through the
+claim file, read from both ends: the child claims blocks from the first,
+this process from the last.  The child writes its blocks straight into
+the temporary file, in order.  Meanwhile this process solves the
+certificate, certifies the gains, computes the metrics and the summary,
+writes both JSON files and writes all of metrics.csv (whose rows do not
+exist when the child is forked) itself, then joins in.  Once the child has
+exited 0 it appends its own blocks; if the child failed, it empties the
+file and formats every block.  The bytes do not depend on which process
+integrated, or formatted which rows.
 """
 
 from __future__ import annotations
@@ -179,7 +182,7 @@ def _csv_chunks(header, columns: list, start: int = 0, stop: int | None = None) 
     line when ``start`` is 0, then one chunk per block of rows.  ``columns``
     holds 1-D and 2-D arrays with one row per CSV line; every value is
     written with 17 significant digits by ``csvtext.rows_text``, one call per
-    block.  Runs in ``_write_csv``'s child too, so it calls no BLAS:
+    block.  Runs in ``_fork_writer``'s child too, so it calls no BLAS:
     ``np.column_stack`` and ``csvtext`` only."""
     columns = [c[start:stop] for c in columns]
     chunks = [(",".join(header) + "\n").encode()] if start == 0 else []
@@ -191,7 +194,7 @@ def _csv_chunks(header, columns: list, start: int = 0, stop: int | None = None) 
 @cache
 def _trajectory_header(n: int) -> tuple:
     """trajectory.csv's column names for ``n`` agents, spelled once per ``n``
-    although ``_write_csv`` asks for the text one block of rows at a time."""
+    although the text is asked for one block of rows at a time."""
     return ("t", *(f"{s}_{i + 1}" for s in ("x", "y", "dhat") for i in range(n)))
 
 
@@ -212,9 +215,8 @@ def _cpus() -> int:
 
 def _table_chunks(text, span):
     """The chunks of the table whose rows ``text(start, stop)`` formats, block
-    after block of ``span``, each formatted as it is asked for; a table
-    without rows is its header alone."""
-    for rows in span or [slice(0, 0)]:
+    after block of ``span``, each formatted as it is asked for."""
+    for rows in span:
         yield from text(rows.start, rows.stop)
 
 
@@ -231,47 +233,33 @@ def _trajectory_table(traj: Trajectory) -> tuple:
     return partial(trajectory_csv_text, traj), analysis.row_blocks(rows, columns)
 
 
-def _write_csv(path: Path, text, span: list, values: int, meanwhile) -> None:
-    """Write the table whose rows ``text(start, stop)`` formats, cut into the
-    blocks of ``span`` (``analysis.row_blocks``), atomically to ``path``, and
-    call ``meanwhile()`` before any of its rows are formatted here.
-
-    When ``values`` (the table's values and those ``meanwhile`` writes)
-    passes the fork rule (``_forks``), one forked child (``_fork_writer``)
-    starts on the blocks while this process runs ``meanwhile``, and
-    ``_join`` shares the rest; else this process formats every block as the
-    write asks for it.
-    """
-    span = span or [slice(0, 0)]  # a table without rows is one block: its header
-    with contextlib.ExitStack() as cleanup:
-        child = _fork_writer(text, span, path, cleanup) if _forks(values) else None
-        meanwhile()
-        _join(path, child, text, span)
-
-
-def _join(path: Path, child, text, span: list) -> None:
-    """Write the table of ``text`` and ``span`` to ``path``, with ``child``
+def _join(path: Path, child, count: int | None, traj: Trajectory) -> None:
+    """Write trajectory.csv of ``traj`` to ``path``, with ``child``
     (``_fork_writer``'s) if there is one, else alone and atomically.
+    ``count`` is the sample count the child sent (``_reported``).
 
-    The two claim blocks by reading one byte at a time from a claim file of
-    one byte per block, whose offset they share: the child's i-th read
-    claims block i, this process's j-th block N-1-j.  So whichever process
-    is free formats the next block, no split is guessed beforehand, and the
-    child's blocks are a prefix 0..c-1, which it writes straight into
-    ``path``'s temporary file, in order.  Its exit status says whether they
-    stand: when it exits 0, this process appends its own blocks c..N-1;
-    otherwise it empties the file and formats every block.  Either way
-    ``text`` formats every block, so the bytes do not depend on who ran it,
-    and on every path the child is reaped (killed first if it still runs)
-    when ``_fork_writer``'s ``cleanup`` exits.
+    The two claim blocks by reading one byte at a time from the claim file,
+    whose offset they share: the child's i-th read claims block i, this
+    process's j-th block N-1-j.  So whichever process is free formats the
+    next block, no split is guessed beforehand, and the child's blocks are
+    a prefix 0..c-1, which it writes straight into ``path``'s temporary
+    file, in order.  Its exit status says whether they stand: when it exits
+    0, this process appends its own blocks c..N-1; otherwise it empties the
+    file and formats every block.  A child that sent no count claimed
+    nothing, whatever its exit status, so this process formats every block.
+    Either way ``trajectory_csv_text`` formats every block, so the bytes do
+    not depend on who ran it, and on every path the child is reaped (killed first if it
+    still runs) when ``_fork_writer``'s ``cleanup`` exits.
     """
+    text, span = _trajectory_table(traj)
     if child is None:
         _atomic_write(path, _table_chunks(text, span))
         return
     n = len(span)
     mine = {k: text(span[k].start, span[k].stop) for k in _claims(child.claims, reversed(range(n)))}
     first = n - len(mine)  # the child claimed blocks 0..first-1
-    if os.waitpid(child.pid, 0)[1] != 0:  # it failed, perhaps halfway through a block
+    # no count, or a child that failed, perhaps halfway through a block
+    if count is None or os.waitpid(child.pid, 0)[1] != 0:
         os.ftruncate(child.out, 0)
         os.lseek(child.out, 0, os.SEEK_SET)
         first = 0
@@ -327,78 +315,69 @@ def _make_directory(directory: Path, cleanup: contextlib.ExitStack) -> None:
 
 
 class _Child(NamedTuple):
-    """A forked CSV writer: its pid; the descriptors of the claim file and
-    of the table's temporary file; and, in the sparse layout, of the pipe
-    that carries its one report, else None."""
+    """A forked CSV writer: its pid, and the descriptors of the claim file,
+    of the table's temporary file and of the pipe that carries its one
+    report."""
 
     pid: int
     claims: int
     out: int
-    report: int | None
+    report: int
 
 
-def _fork_writer(text, span: list, path: Path, cleanup: contextlib.ExitStack,
-                 integrated=None) -> _Child | None:
-    """Fork the one child that claims blocks of ``span`` beside this process
-    and writes each, formatted with ``text``, into ``path``'s temporary file,
-    and return it as a ``_Child``.  None when ``path``'s directory, the
+def _fork_writer(trajectory, path: Path, cleanup: contextlib.ExitStack) -> _Child | None:
+    """Fork the one child that calls ``trajectory()``, reports the
+    trajectory it returns (``_report``), then claims blocks of its
+    trajectory.csv beside this process and writes each into ``path``'s
+    temporary file; return it as a ``_Child``.  ``trajectory`` returns the
+    trajectory this process integrated, on dense L, or integrates into a
+    shared mapping, on CSR L (``run``).  None when ``path``'s directory, the
     temporary file, the claim file, the pipe or the fork cannot be made (an
     unwritable output directory, say), and then nothing made here is left.
-    Then this process integrates, if ``integrated`` is given, and formats
-    every block, and the fault, if it lasts, surfaces in its own writes,
-    after whatever the certificate raises first.
-
-    With ``integrated`` (the sparse layout of ``run``), the child first
-    calls it, which integrates the trajectory whose table ``text`` and
-    ``span`` are, and ``_report`` then sends the sample count through a
-    pipe and leaves the child the table of the rows it got: a diverged run
-    has fewer.
+    Then this process integrates, on CSR L, and formats every block, and
+    the fault, if it lasts, surfaces in its own writes, after whatever the
+    certificate raises first.
 
     The temporary file is ``_atomic_file``'s, which ``cleanup`` renames over
-    ``path`` when it exits cleanly; the claim file is an unnamed file of one
-    byte per block.  Both, and the pipe, are made before the fork, and
-    ``cleanup`` reaps the child first, then closes them.  The child ends in
-    ``os._exit``, so it never returns into the caller nor flushes the stdio
-    buffers it inherited."""
+    ``path`` when it exits cleanly; the claim file is an unnamed file, empty
+    until ``_report`` sizes it.  Both, and the pipe, are made before the
+    fork, and ``cleanup`` reaps the child first, then closes them.  The
+    child ends in ``os._exit``, so it never returns into the caller nor
+    flushes the stdio buffers it inherited."""
     try:
         with contextlib.ExitStack() as made:
             _make_directory(path.parent, made)
             out = made.enter_context(_atomic_file(path))
             claims = made.enter_context(
                 tempfile.TemporaryFile(dir=path.parent, buffering=0)).fileno()
-            _write_all(claims, bytes(len(span)))
-            os.lseek(claims, 0, os.SEEK_SET)
-            report = sent = None
-            if integrated is not None:
-                ends = os.pipe()
-                report = made.enter_context(open(ends[0], "rb", buffering=0))
-                sent = made.enter_context(open(ends[1], "wb", buffering=0))
+            ends = os.pipe()
+            report = made.enter_context(open(ends[0], "rb", buffering=0))
+            sent = made.enter_context(open(ends[1], "wb", buffering=0))
             pid = os.fork()
             if pid == 0:
                 code = 1
                 try:
-                    if integrated is not None:
-                        text, span = _report(integrated(), claims, sent.fileno())
+                    text, span = _report(trajectory(), claims, sent.fileno())
                     for k in _claims(claims, range(len(span))):
                         _write_all(out, b"".join(text(span[k].start, span[k].stop)))
                     code = 0
                 finally:
                     os._exit(code)
             made.callback(_reap, pid)
-            if sent is not None:
-                sent.close()  # the child's end: its exit shows as end of file here
+            sent.close()  # the child's end: its exit shows as end of file here
             cleanup.push(made.pop_all())
     except OSError:
         return None
-    return _Child(pid, claims, out, None if report is None else report.fileno())
+    return _Child(pid, claims, out, report.fileno())
 
 
 def _report(traj: Trajectory, claims: int, sent: int) -> tuple:
-    """In the sparse layout's child, once it has integrated ``traj``: cut
-    the claim file to the blocks of ``traj``'s table, send its sample count
-    as 8 bytes on ``sent``, and return that table.  Neither process claims
-    a block before the count is sent, so both claim from the blocks of this
-    table: fewer than the full table's when the run diverged."""
+    """In the child, once it has its trajectory ``traj``: size the claim
+    file to the blocks of ``traj``'s table (``os.ftruncate`` extends it with
+    zero bytes), send its sample count as 8 bytes on ``sent``, and return
+    that table.  This process claims no block before it has read the count,
+    so both claim from the blocks of this table: fewer than the full
+    table's when the run diverged."""
     text, span = _trajectory_table(traj)
     os.ftruncate(claims, len(span))
     _write_all(sent, traj.times.shape[0].to_bytes(8, "little"))
@@ -552,17 +531,18 @@ def run(sc: Scenario, out_dir) -> RunArtifacts:
     a spanning tree is rejected before integrating.  The certificate and the
     simulation are independent consumers of the graph, and a fork lets them
     run side by side.  Its rule (``_forks``) counts the values of both CSV
-    tables, although only trajectory.csv's blocks are queued for the child.
-    When L is stored dense (the builtins among such graphs), the closed loop
-    is integrated here, and ``_write_csv`` forks its child, if it forks one,
-    as soon as the trajectory exists.  When ``build_laplacian`` stored L as
-    CSR and the rule holds, ``integrate``'s checks run here, and the child
-    is forked first: it integrates into a shared mapping and sends its
-    sample count (``_fork_writer``).  Either way, while the child works,
-    this process solves the certificate, certifies the gains (failures do
-    not stop the run: the report records them), computes the metrics and
-    the summary, writes both JSON files and then writes metrics.csv alone,
-    block after block as each is formatted, before it joins the queue.
+    tables over the whole horizon, although only trajectory.csv's blocks
+    are queued for the child.  The storage of L picks only when the child
+    is forked (``_fork_writer``): when L is stored dense (the builtins among
+    such graphs), once the closed loop is integrated here; when
+    ``build_laplacian`` stored L as CSR, first, once ``integrate``'s checks
+    have run here, and the child integrates into a shared mapping.  Either
+    way the child sends its sample count, and while it works this process
+    solves the certificate, certifies the gains (failures do not stop the
+    run: the report records them), reads the count, computes the metrics
+    and the summary, writes both JSON files and then writes metrics.csv
+    alone, block after block as each is formatted, before it joins the
+    queue (``_join``).
 
     The certificate's errors win, as if it came first: when building the
     closed loop, checking its inputs or integrating raises, the certificate
@@ -583,9 +563,9 @@ def run(sc: Scenario, out_dir) -> RunArtifacts:
         certification_json=out / "certification.json",
     )
     z0 = np.concatenate([sc.x0, sc.y0, sc.delta_hat0])
-    rows, columns = params.n_samples, 1 + z0.shape[0]
-    # the sparse layout: the child integrates beside the certificate
-    beside = not isinstance(lap.L, np.ndarray) and _forks(rows * (columns + len(METRIC_COLUMNS)))
+    forks = _forks(params.n_samples * (1 + z0.shape[0] + len(METRIC_COLUMNS)))
+    # the child integrates beside the certificate on CSR L
+    beside = forks and not isinstance(lap.L, np.ndarray)
 
     def certified():
         cert = _solve_P(sc, lap)
@@ -607,29 +587,6 @@ def run(sc: Scenario, out_dir) -> RunArtifacts:
             partial(metrics_csv_text, metrics),
             analysis.row_blocks(metrics["t"].shape[0], len(METRIC_COLUMNS))))
 
-    def write_trajectory(traj, meanwhile, later_columns=0):
-        # the fork rule counts the values of the rows that meanwhile writes
-        text, span = _trajectory_table(traj)
-        _write_csv(arts.trajectory_csv, text, span,
-                   traj.times.shape[0] * (columns + later_columns), meanwhile)
-
-    try:
-        loop = _closed_loop(sc, lap)
-        if beside:
-            check_inputs(loop, z0, params)
-            times, shared = params.sample_times(), _shared_array((rows, z0.shape[0]))
-        else:
-            traj = integrate(loop, z0, params)
-    except Exception as exc:
-        cert, report = certified()
-        if isinstance(exc, IntegrationDivergedError):
-            write_trajectory(exc.partial, partial(write_certification, cert, report))
-        raise
-    if not beside:
-        write_trajectory(traj, lambda: write_the_rest(traj, *certified()),
-                         later_columns=len(METRIC_COLUMNS))
-        return arts
-
     def integrated():
         try:
             return integrate(loop, z0, params, out=shared)
@@ -637,23 +594,36 @@ def run(sc: Scenario, out_dir) -> RunArtifacts:
             return exc.partial
 
     diverged = None
+    try:
+        loop = _closed_loop(sc, lap)
+        if beside:
+            check_inputs(loop, z0, params)
+            times, shared = params.sample_times(), _shared_array((params.n_samples, z0.shape[0]))
+        else:
+            traj = integrate(loop, z0, params)
+    except IntegrationDivergedError as exc:
+        traj, diverged = exc.partial, exc
+    except Exception:
+        certified()
+        raise
     with contextlib.ExitStack() as cleanup:
-        text, span = _trajectory_table(Trajectory(times, shared))
-        child = _fork_writer(text, span, arts.trajectory_csv, cleanup, integrated)
+        child = _fork_writer(integrated if beside else lambda: traj, arts.trajectory_csv,
+                             cleanup) if forks else None
         cert, report = certified()
         count = None if child is None else _reported(child.report)
-        try:
-            # the child's rows, or, if it ended before it sent their count,
-            # this process's own integration
-            traj = integrate(loop, z0, params) if count is None else sampled(times, shared, count)
-        except IntegrationDivergedError as exc:
-            traj, diverged = exc.partial, exc
-            write_certification(cert, report)
-        else:
+        if beside:
+            try:
+                # the child's rows, or, if it ended before it sent their count,
+                # this process's own integration
+                traj = (integrate(loop, z0, params) if count is None
+                        else sampled(times, shared, count))
+            except IntegrationDivergedError as exc:
+                traj, diverged = exc.partial, exc
+        if diverged is None:
             write_the_rest(traj, cert, report)
-        # a child that sent no count claims no block: this process claims
-        # them all, however many bytes the claim file holds past them
-        _join(arts.trajectory_csv, child, *_trajectory_table(traj))
+        else:
+            write_certification(cert, report)
+        _join(arts.trajectory_csv, child, count, traj)
     if diverged is not None:
         raise diverged
     return arts

@@ -774,6 +774,23 @@ def test_cli_gains_suggest_names_the_given_inputs_when_gamma2_overflows(capsys, 
     assert says in err and "gamma2: must be" not in err
 
 
+@pytest.mark.parametrize("given, says", [
+    (["--gamma1", "1e306"], "gamma1 = 1e+306, gamma3 = 4.0, mu = 1.0, b = 10.0"),
+    (["--b", "1e300"], "gamma1 = 6.0, gamma3 = 4.0, mu = 1.0, b = 1e+300"),
+], ids=["gamma1", "b"])
+def test_cli_gains_suggest_names_the_given_inputs_when_the_form_has_no_eigenvalues(
+        capsys, given, says):
+    """A given gamma1 of 1e306, or b of 1e300, leaves the gamma2 bound
+    finite, but the assembled form's entries are so large that its
+    eigenvalue solve does not converge: exit 2 and one ``error:`` line that
+    names the form_posdef check and the inputs given."""
+    rc = cli.main(["gains", "suggest", "paper-matched", *given])
+    assert rc == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: form_posdef: ") and err.count("\n") == 1
+    assert says in err and "linear algebra failed" not in err
+
+
 def _write_uncertifiable_inputs(tmp_path):
     """paper-unmatched with one edge weight at 1e-300: the graph keeps its
     spanning tree, but the zero eigenvalue of L is numerically not simple."""
@@ -1058,12 +1075,14 @@ def test_run_writes_reference_bytes(tmp_path):
 
 class _WriterSpy:
     """What ``_spy_writer`` sees: the pids forked; the (columns, start, stop)
-    of every row range formatted in this process, in order; and the status
-    of the child as this process waited for it.  The child's own ranges, in
-    order, are appended to ``log``, a file this process reads back."""
+    of every row range formatted in this process, in order; the status of
+    the child as this process waited for it; and the sample counts this
+    process read from the child (``runner._reported``), None for none.  The
+    child's own ranges, in order, are appended to ``log``, a file this
+    process reads back."""
 
     def __init__(self):
-        self.forks, self.ranges, self.statuses = [], [], []
+        self.forks, self.ranges, self.statuses, self.counts = [], [], [], []
         self.parent = os.getpid()
         self.log = tempfile.TemporaryFile(buffering=0)
 
@@ -1080,12 +1099,14 @@ class _WriterSpy:
 
 
 def _spy_writer(monkeypatch, in_child=None) -> _WriterSpy:
-    """Spies on ``os.fork``, ``os.waitpid`` and ``runner._csv_chunks`` as
-    ``runner._write_csv`` uses them, in this process and in the child.
+    """Spies on ``os.fork``, ``os.waitpid``, ``runner._reported`` and
+    ``runner._csv_chunks`` as ``runner.run`` uses them, in this process and
+    in the child.
     ``in_child``, if given, runs first in the child, which it must never
     leave by returning into pytest."""
     spy = _WriterSpy()
     real_fork, real_waitpid, real_chunks = os.fork, os.waitpid, runner._csv_chunks
+    real_reported = runner._reported
 
     def fork():
         pid = real_fork()
@@ -1103,6 +1124,10 @@ def _spy_writer(monkeypatch, in_child=None) -> _WriterSpy:
             spy.statuses.append(status)
         return waited, status
 
+    def reported(report):
+        spy.counts.append(real_reported(report))
+        return spy.counts[-1]
+
     def chunks(header, columns, start=0, stop=None):
         if os.getpid() == spy.parent:
             spy.ranges.append((len(header), start, stop))
@@ -1112,13 +1137,14 @@ def _spy_writer(monkeypatch, in_child=None) -> _WriterSpy:
 
     monkeypatch.setattr(os, "fork", fork)
     monkeypatch.setattr(os, "waitpid", waitpid)
+    monkeypatch.setattr(runner, "_reported", reported)
     monkeypatch.setattr(runner, "_csv_chunks", chunks)
     return spy
 
 
 def _queue(*tables) -> list:
     """The (columns, start, stop) of each block of tables of (rows, columns),
-    table after table, each cut as ``runner._write_csv`` cuts its queue."""
+    table after table, each cut by ``analysis.row_blocks``."""
     return [(n_columns, rows.start, rows.stop) for n_rows, n_columns in tables
             for rows in analysis.row_blocks(n_rows, n_columns)]
 
@@ -1126,25 +1152,27 @@ def _queue(*tables) -> list:
 def _who_formatted(spy: _WriterSpy, queue: list) -> tuple:
     """The sets of blocks this process formatted and whose bytes came from
     the child.  Each block was formatted at most once in each process, and
-    the ranges formatted are blocks of the queue (or an empty table's
-    header)."""
+    the ranges formatted are blocks of the queue."""
     position = {block: k for k, block in enumerate(queue)}
-    here = [position[r] for r in spy.ranges if r[1] != r[2]]
-    child = [position[r] for r in spy.from_child() if r[1] != r[2]]
+    here = [position[r] for r in spy.ranges]
+    child = [position[r] for r in spy.from_child()]
     assert len(here) == len(set(here)) and len(child) == len(set(child))
     return set(here), set(child)
 
 
 def _assert_claims_split(spy: _WriterSpy, blocks: list) -> None:
     """The claims of the table whose blocks are ``blocks`` split as
-    ``runner._write_csv`` says.  When the child exits 0, it formatted blocks
-    0..c-1 in order and this process c..N-1, claimed from the end.  Else
-    this process formatted every block: its claims from the end, then the
-    child's, in order."""
+    ``runner._join`` says.  With no child, or one that sent no count and so
+    claimed nothing, this process formatted every block in order.  When
+    the child exits 0, it formatted blocks 0..c-1 in order and this process
+    c..N-1, claimed from the end.  Else this process formatted every block:
+    its claims from the end, then the child's, in order."""
     position = {block: k for k, block in enumerate(blocks)}
     here = [position[r] for r in spy.ranges if r in position]
     n = len(blocks)
-    if spy.statuses == [0]:
+    if spy.counts in ([], [None]):
+        assert here == list(range(n))
+    elif spy.statuses == [0]:
         c = n - len(here)
         assert here == list(range(n - 1, c - 1, -1))
         assert [position[r] for r in spy.child_ranges() if r in position] == list(range(c))
@@ -1162,13 +1190,15 @@ def _wait_for_child_exit(spy: _WriterSpy):
     os.waitid(os.P_PID, spy.forks[0], os.WEXITED | os.WNOWAIT)
 
 
-def _write_trajectory(path, traj, meanwhile=None, values=None):
-    """``runner._write_csv`` of ``traj`` as ``runner.run`` calls it, the fork
-    rule counting ``values`` (by default the table's own)."""
-    rows, columns = traj.times.shape[0], 1 + traj.states.shape[1]
-    runner._write_csv(path, partial(runner.trajectory_csv_text, traj),
-                      analysis.row_blocks(rows, columns),
-                      rows * columns if values is None else values, meanwhile or (lambda: None))
+def _write_trajectory(path, traj, meanwhile=None):
+    """trajectory.csv of ``traj`` written to ``path`` through the protocol of
+    ``runner.run`` on dense L once the fork rule holds: the child forked
+    with ``traj`` as its trajectory, ``meanwhile()`` here, the child's count
+    read, and the blocks shared."""
+    with contextlib.ExitStack() as cleanup:
+        child = runner._fork_writer(lambda: traj, path, cleanup)
+        (meanwhile or (lambda: None))()
+        runner._join(path, child, runner._reported(child.report), traj)
 
 
 def test_forked_csv_writer_matches_per_value_writer(tmp_path):
@@ -1177,35 +1207,31 @@ def test_forked_csv_writer_matches_per_value_writer(tmp_path):
     per-value writer's.  The blocks this process formats and the blocks the
     child writes are disjoint and together cover the queue, split as the
     claims say; a ``meanwhile`` that lasts until the child has exited leaves
-    every block to the child, and a child that formats nothing leaves every
-    block to this process.  An empty table, forked for because of the values
-    ``meanwhile`` writes, is its header alone."""
+    every block to the child, and a child that exits 0 before its report
+    leaves every block to this process."""
     rng = np.random.default_rng(19)
     n_rows = 2 * runner.FORK_MIN_VALUES // 16 + 5
-    full = Trajectory(np.arange(n_rows) * 0.1, _awkward_values(rng, (n_rows, 15)))
-    empty = Trajectory(np.empty(0), np.empty((0, 15)))
+    traj = Trajectory(np.arange(n_rows) * 0.1, _awkward_values(rng, (n_rows, 15)))
     assert 16 * n_rows > 2 * runner.FORK_MIN_VALUES
+    queue = _queue((n_rows, 16))
     for case in ("shared", "meanwhile-outlasts-child", "child-formats-nothing"):
-        for sub, traj in (("rows", full), ("empty", empty)):
-            out = tmp_path / case / sub
-            with pytest.MonkeyPatch.context() as mp:
-                spy = _spy_writer(mp, partial(os._exit, 0) if case == "child-formats-nothing"
-                                  else None)
-                meanwhile = partial(_wait_for_child_exit, spy) \
-                    if case == "meanwhile-outlasts-child" else None
-                _write_trajectory(out / "trajectory.csv", traj, meanwhile, values=16 * n_rows)
-            assert len(spy.forks) == 1 and spy.forks[0] > 0 and spy.statuses == [0]
-            queue = _queue((traj.times.shape[0], 16))
-            here, child = _who_formatted(spy, queue)
-            assert not here & child and here | child == set(range(len(queue)))
-            _assert_claims_split(spy, queue or [(16, 0, 0)])
-            if case != "shared":
-                assert {"meanwhile-outlasts-child": child,
-                        "child-formats-nothing": here}[case] == set(range(len(queue)))
-            _assert_same_text((out / "trajectory.csv").read_text(),
-                              _reference_trajectory_csv(traj))
-            assert [p.name for p in out.iterdir()] == ["trajectory.csv"]
-            _assert_no_child_left()
+        out = tmp_path / case
+        with pytest.MonkeyPatch.context() as mp:
+            spy = _spy_writer(mp, partial(os._exit, 0) if case == "child-formats-nothing" else None)
+            meanwhile = partial(_wait_for_child_exit, spy) \
+                if case == "meanwhile-outlasts-child" else None
+            _write_trajectory(out / "trajectory.csv", traj, meanwhile)
+        assert len(spy.forks) == 1 and spy.forks[0] > 0 and spy.statuses == [0]
+        assert spy.counts == [None if case == "child-formats-nothing" else n_rows]
+        here, child = _who_formatted(spy, queue)
+        assert not here & child and here | child == set(range(len(queue)))
+        _assert_claims_split(spy, queue)
+        if case != "shared":
+            assert {"meanwhile-outlasts-child": child,
+                    "child-formats-nothing": here}[case] == set(range(len(queue)))
+        _assert_same_text((out / "trajectory.csv").read_text(), _reference_trajectory_csv(traj))
+        assert [p.name for p in out.iterdir()] == ["trajectory.csv"]
+        _assert_no_child_left()
 
 
 def test_this_process_claims_from_the_end(tmp_path, monkeypatch):
@@ -1236,7 +1262,7 @@ def test_this_process_claims_from_the_end(tmp_path, monkeypatch):
             assert time.monotonic() < deadline
             time.sleep(0.001)
 
-    _write_trajectory(tmp_path / "trajectory.csv", traj, meanwhile, values=math.inf)
+    _write_trajectory(tmp_path / "trajectory.csv", traj, meanwhile)
     blocks = _queue((n_rows, 16))
     here = [blocks.index(r) for r in spy.ranges]
     c = len(blocks) - len(here)
@@ -1256,7 +1282,7 @@ def test_child_writes_into_the_tables_temporary_file(tmp_path, monkeypatch):
     spy = _spy_writer(monkeypatch)
     seen = []
     _write_trajectory(tmp_path / "trajectory.csv", traj,
-                      lambda: seen.extend(p.name for p in tmp_path.iterdir()), values=math.inf)
+                      lambda: seen.extend(p.name for p in tmp_path.iterdir()))
     assert len(spy.forks) == 1
     assert len(seen) == 1 and fnmatch.fnmatch(seen[0], "trajectory.csv.*.tmp")
     assert [p.name for p in tmp_path.iterdir()] == ["trajectory.csv"]
@@ -1276,7 +1302,7 @@ def test_queue_longer_than_a_pipe(tmp_path, monkeypatch):
     queue = _queue((n_rows, 4))
     assert len(queue) > 64 << 10
     spy = _spy_writer(monkeypatch)
-    _write_trajectory(tmp_path / "trajectory.csv", traj, values=math.inf)
+    _write_trajectory(tmp_path / "trajectory.csv", traj)
     assert len(spy.forks) == 1
     here, child = _who_formatted(spy, queue)
     assert not here & child and here | child == set(range(len(queue)))
@@ -1319,8 +1345,9 @@ def _fail_formatting():
 
 def _kill_self_at_write(n: int, share: float):
     """In the child: die by a signal in its ``n``-th ``os.write``, once
-    ``share`` of its bytes are written.  The child's writes are its blocks'
-    bytes, one block each, into trajectory.csv's temporary file."""
+    ``share`` of its bytes are written.  The child's first write is its
+    sample count (``runner._report``), and each later one is a block's
+    bytes, into trajectory.csv's temporary file."""
     real, calls = os.write, []
 
     def write(fd, data):
@@ -1333,32 +1360,46 @@ def _kill_self_at_write(n: int, share: float):
     os.write = write
 
 
-#: how many blocks of ``_FORKING_QUEUE`` each case takes from the child
-_FROM_CHILD = {"child-exits-1": 0, "child-killed": 0, "child-formats-nothing": 0,
-               "child-killed-after-first-part": 0, "child-killed-mid-block": 0,
-               "fork-fails": 0}
+def _fail_integrating():
+    def fail(*args, **kwargs):
+        raise RuntimeError("integration failed in the child")
+
+    runner.integrate = fail
 
 
-@pytest.mark.parametrize("case", ["forked", *_FROM_CHILD])
+#: how the child is made to end, run in it right after the fork, and
+#: whether it sends its count first.  Its first ``os.write`` is the count,
+#: so the third is its second block.  Only the sparse layout's child
+#: integrates, so only it can fail to.
+_CHILD_ENDS = {
+    "child-exits-1": (_fail_formatting, True),
+    "child-killed": (_kill_self, False),
+    "child-formats-nothing": (partial(os._exit, 0), False),
+    "child-killed-after-first-part": (partial(_kill_self_at_write, 3, 0.0), True),
+    "child-killed-mid-block": (partial(_kill_self_at_write, 3, 0.5), True),
+    "child-fails-integrating": (_fail_integrating, False),
+}
+
+
+@pytest.mark.parametrize("case", ["forked", *(case for case in _CHILD_ENDS
+                                                if case != "child-fails-integrating"),
+                                  "fork-fails"])
 def test_run_bytes_do_not_depend_on_who_formats(tmp_path, monkeypatch, serial_run_bytes, case):
     """A run large enough to fork writes the serial run's bytes, whoever
     formats which block: the child and this process sharing the queue; and,
-    formatting every block itself, when the child exits 1, dies by a signal
-    (before any block, after writing its first whole, or halfway through
-    writing its second, so that the file holds bytes of a block never
-    finished), formats nothing and exits 0, or when the fork fails.  This
-    process and the child never both format a block whose bytes are used,
-    and together they format every one, split as the claims say.  Either way
-    no child is left unreaped, and the output directory holds the four
-    artifacts alone.  The forked trajectory is also the per-value writer's
-    text.  Where the child is made to end early, this process waits for
-    that before its summary, so that the child gets as far as the case says
-    however the two are scheduled."""
+    formatting every block itself, when the child exits 1 after its report,
+    dies by a signal (before its report, after writing its first block
+    whole, or halfway through writing its second, so that the file holds
+    bytes of a block never finished), exits 0 without a report, or when the
+    fork fails.  This process and the child never both format a block whose
+    bytes are used, and together they format every one, split as the claims
+    say.  Either way no child is left unreaped, and the output directory
+    holds the four artifacts alone.  The forked trajectory is also the
+    per-value writer's text.  Where the child is made to end early, this
+    process waits for that before its summary, so that the child gets as
+    far as the case says however the two are scheduled."""
     out = tmp_path / "out"
-    in_child = {"child-exits-1": _fail_formatting, "child-killed": _kill_self,
-                "child-formats-nothing": partial(os._exit, 0),
-                "child-killed-after-first-part": partial(_kill_self_at_write, 2, 0.0),
-                "child-killed-mid-block": partial(_kill_self_at_write, 2, 0.5)}.get(case)
+    in_child, reports = _CHILD_ENDS.get(case, (None, case == "forked"))
     spy = _spy_writer(monkeypatch, in_child)
     if in_child is not None:
         real_summary = runner._summary
@@ -1377,11 +1418,12 @@ def test_run_bytes_do_not_depend_on_who_formats(tmp_path, monkeypatch, serial_ru
     arts = runner.run(sc, out)
     assert [p.read_bytes() for p in arts.paths()] == serial_run_bytes
     assert len(spy.forks) == (0 if case == "fork-fails" else 1)
+    assert spy.counts == ([] if case == "fork-fails" else [5001 if reports else None])
     here, child = _who_formatted(spy, _FORKING_QUEUE)
     assert not here & child and here | child == set(range(len(_FORKING_QUEUE)))
     _assert_claims_split(spy, _queue((5001, 16)))
     if case != "forked":
-        assert len(child) == _FROM_CHILD[case]
+        assert child == set()
     if case.startswith("child-killed"):
         assert [os.waitstatus_to_exitcode(s) for s in spy.statuses] == [-signal.SIGKILL]
         assert len(spy.child_ranges()) == (0 if case == "child-killed" else 2)
@@ -1464,9 +1506,11 @@ def test_child_formats_trajectory_blocks_only(tmp_path, monkeypatch, serial_run_
     queued = []
     real_fork_writer = runner._fork_writer
 
-    def fork_writer(text, span, *args):
+    def fork_writer(trajectory, *args):
+        # the dense child's trajectory is the one integrated here already
+        text, span = runner._trajectory_table(trajectory())
         queued.append((text.func, [(16, rows.start, rows.stop) for rows in span]))
-        return real_fork_writer(text, span, *args)
+        return real_fork_writer(trajectory, *args)
 
     monkeypatch.setattr(runner, "_fork_writer", fork_writer)
     sc = builtin_scenario("paper-unmatched").with_overrides(**_FORKING_RUN)
@@ -1631,27 +1675,7 @@ def test_sparse_layout_divergence_writes_the_serial_partial(tmp_path, monkeypatc
     _assert_no_child_left()
 
 
-def _fail_integrating():
-    def fail(*args, **kwargs):
-        raise RuntimeError("integration failed in the child")
-
-    runner.integrate = fail
-
-
-#: how the sparse layout's child is made to end, run in it right after the
-#: fork, and whether it sends its count first.  Its first ``os.write`` is
-#: the count, so the third is its second block.
-_SPARSE_CHILD_ENDS = {
-    "child-exits-1": (_fail_formatting, True),
-    "child-killed": (_kill_self, False),
-    "child-formats-nothing": (partial(os._exit, 0), False),
-    "child-killed-after-first-part": (partial(_kill_self_at_write, 3, 0.0), True),
-    "child-killed-mid-block": (partial(_kill_self_at_write, 3, 0.5), True),
-    "child-fails-integrating": (_fail_integrating, False),
-}
-
-
-@pytest.mark.parametrize("case", [*_SPARSE_CHILD_ENDS, "fork-fails"])
+@pytest.mark.parametrize("case", [*_CHILD_ENDS, "fork-fails"])
 def test_sparse_layout_bytes_do_not_depend_on_how_the_child_ends(tmp_path, monkeypatch, case):
     """The sparse layout writes the serial run's bytes however its child
     ends: when it fails to format after its report (exit 1), is killed or
@@ -1665,7 +1689,7 @@ def test_sparse_layout_bytes_do_not_depend_on_how_the_child_ends(tmp_path, monke
     artifacts alone."""
     doc = _sparse_document("matched")
     serial = _serial_bytes(doc, tmp_path / "serial")
-    in_child, reports = _SPARSE_CHILD_ENDS.get(case, (None, False))
+    in_child, reports = _CHILD_ENDS.get(case, (None, False))
     spy = _spy_writer(monkeypatch, in_child)
     if case == "fork-fails":
         def fork():
@@ -1806,14 +1830,65 @@ def test_sparse_document_input_errors_exit_2_before_any_fork(tmp_path, monkeypat
                                              ("paper-unmatched", _FORKING_RUN)])
 def test_builtins_fork_after_integrate_without_shared_memory(tmp_path, monkeypatch, name,
                                                              overrides):
-    """The builtins store L dense, so they keep the layout in which the
-    child forks once ``integrate`` has returned here: no shared mapping, no
-    pipe."""
+    """The builtins store L dense, so the child is forked once ``integrate``
+    has returned here, with the pipe of its report: no shared mapping."""
     spy = _spy_writer(monkeypatch)
     events = _spy_layout(monkeypatch)
     runner.run(builtin_scenario(name).with_overrides(**overrides), tmp_path / "out")
-    assert events == ["integrated", "forked"] and spy.statuses == [0]
+    assert events == ["integrated", "piped", "forked"] and spy.statuses == [0]
     _assert_no_child_left()
+
+
+#: paper-matched at dt 0.5 over 50,000 s: 10,001 samples of 16 and of 8
+#: values, above ``runner.FORK_MIN_VALUES``, of which the first 26 are
+#: finite
+_DENSE_DIVERGING = ["simulate", "paper-matched", "--dt", "0.5", "--t-final", "50000"]
+
+
+def test_dense_divergence_forks_and_writes_the_serial_partial(tmp_path, monkeypatch, capsys):
+    """A dense run whose whole horizon passes the fork rule forks although
+    it diverges before the fork: the child gets the partial trajectory of
+    26 samples, and the partial trajectory.csv, certification.json and
+    ``error:`` line are those of the run in this process alone.  The child
+    is reaped."""
+    def simulate(out):
+        rc = cli.main([*_DENSE_DIVERGING, "--out", str(tmp_path / out)])
+        err = capsys.readouterr().err.replace(str(tmp_path / out), "<out>")
+        return rc, err, {p.name: p.read_bytes() for p in (tmp_path / out).iterdir()}
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(runner, "FORK_MIN_VALUES", math.inf)
+        serial = simulate("serial")
+    spy = _spy_writer(monkeypatch)
+    events = _spy_layout(monkeypatch)
+    assert simulate("forked") == serial
+    rc, err, files = serial
+    assert rc == cli.EXIT_DIVERGED and err.startswith("error: integration diverged")
+    assert err.count("\n") == 1 and sorted(files) == ["certification.json", "trajectory.csv"]
+    assert files["trajectory.csv"].count(b"\n") == 1 + 26
+    assert events == ["piped", "forked"] and spy.counts == [26] and spy.statuses == [0]
+    _assert_claims_split(spy, _queue((26, 16)))
+    _assert_no_child_left()
+
+
+def test_dense_divergence_certificate_failure_after_the_fork_leaves_nothing(tmp_path,
+                                                                            monkeypatch):
+    """When ``solve_P`` fails after the dense diverging run has forked, the
+    child is reaped, and no artifact, temporary file, claim file or output
+    directory is left: the certificate's error is what the run raises."""
+    spy = _spy_writer(monkeypatch)
+
+    def fail(*args, **kwargs):
+        raise DegenerateSpectrumError("certificate failed")
+
+    monkeypatch.setattr(runner, "solve_P", fail)
+    out = tmp_path / "new" / "out"
+    sc = builtin_scenario("paper-matched").with_overrides(dt=0.5, t_final=50000.0)
+    with pytest.raises(DegenerateSpectrumError, match="certificate failed"):
+        runner.run(sc, out)
+    assert len(spy.forks) == 1
+    _assert_no_child_left()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sparse_child_takes_the_csr_recurrence(tmp_path, monkeypatch):

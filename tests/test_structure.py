@@ -230,28 +230,31 @@ def _fork_branch() -> list:
 
 def _sparse_child_integration():
     """The function that ``runner.run`` hands ``_fork_writer`` to integrate
-    in the sparse layout's child: a function defined in ``run``, passed as
-    the fifth argument."""
+    in the child on CSR L: the one function defined in ``run`` that the
+    first argument, the child's trajectory, names.  On dense L that
+    argument is a lambda that returns the trajectory integrated already."""
     run = FUNCTIONS["runner.py"]["run"]
     call = next(node for node in ast.walk(run) if isinstance(node, ast.Call)
                 and getattr(node.func, "id", None) == "_fork_writer")
-    return next(node for node in ast.walk(run)
-                if isinstance(node, ast.FunctionDef) and node.name == call.args[4].id)
+    named = {node.id for node in ast.walk(call.args[0]) if isinstance(node, ast.Name)}
+    [function] = [node for node in ast.walk(run)
+                  if isinstance(node, ast.FunctionDef) and node.name in named]
+    return function
 
 
 def test_one_fork_whose_child_exits_and_formats_without_blas():
     """``os.fork`` is called in one place, ``runner._fork_writer``.  Its
     child branch (``if pid == 0``) ends in a ``try`` whose ``finally`` ends
-    in ``os._exit``, so the child never returns into the caller.  The dense
-    layout's child is forked once the trajectory exists and only formats,
-    and BLAS's threads do not exist in it, so nothing the branch reaches
-    may reach BLAS: its claim loop (``_claims``), its writes
-    (``_write_all``), the sparse layout's ``_report``, and the CSV writer
-    that a table's ``text`` is (``trajectory_csv_text``,
-    ``metrics_csv_text``), with whatever they call in ``runner``,
-    ``analysis`` and ``csvtext``, the number formatter, and whatever that
-    calls in turn.  The branch calls the sparse layout's integration
-    through a parameter, which this does not follow; the next test does."""
+    in ``os._exit``, so the child never returns into the caller.  On dense
+    L the child is forked once the trajectory exists and only formats, and
+    BLAS's threads do not exist in it, so nothing the branch reaches may
+    reach BLAS: its report (``_report``), its claim loop (``_claims``), its
+    writes (``_write_all``), and the CSV writer that a table's ``text`` is
+    (``trajectory_csv_text``, ``metrics_csv_text``), with whatever they
+    call in ``runner``, ``analysis`` and ``csvtext``, the number formatter,
+    and whatever that calls in turn.  The branch gets its trajectory
+    through a parameter, which integrates on CSR L; this does not follow
+    it, the next test does."""
     branch = _fork_branch()
     last = branch[-1]
     assert isinstance(last, ast.Try) and last.finalbody
@@ -286,7 +289,7 @@ _SPARSE_CHILD_BLAS = {
 
 
 def test_sparse_child_reaches_blas_only_in_the_recurrence():
-    """The sparse layout's child integrates before it formats.  From its
+    """On CSR L the child integrates before it formats.  From its
     branch and the integration that ``run`` hands it, through
     ``sim.integrate``, ``kernels`` and ``sparsity``, the functions with a
     product or a ``linalg`` call that it can reach are those of
@@ -307,14 +310,13 @@ def test_sparse_child_reaches_blas_only_in_the_recurrence():
 
 
 def test_forked_writer_reports_one_sample_count():
-    """The CSV child writes trajectory.csv's temporary file itself, and in
-    the dense layout reports by its exit status alone.  In the sparse layout
-    one pipe, opened in ``_fork_writer``, carries the child's one report and
-    no table bytes: the child hands its write end to ``_report`` alone,
-    which writes to it once, a sample count of 8 bytes (``int.to_bytes``),
-    and this process reads it in ``_reported``, one read of 8 bytes.
-    ``runner`` packs no binary records (no ``struct``) and reads no bytes
-    back by offset (no ``os.pread``)."""
+    """The CSV child writes trajectory.csv's temporary file itself.  One
+    pipe, opened in ``_fork_writer`` on every fork, carries the child's one
+    report and no table bytes: the child hands its write end to ``_report``
+    alone, which writes to it once, a sample count of 8 bytes
+    (``int.to_bytes``), and this process reads it in ``_reported``, one
+    read of 8 bytes.  ``runner`` packs no binary records (no ``struct``)
+    and reads no bytes back by offset (no ``os.pread``)."""
     tree = TREES["runner.py"]
     imported = {alias.name for node in ast.walk(tree)
                 if isinstance(node, (ast.Import, ast.ImportFrom))
@@ -339,6 +341,22 @@ def test_forked_writer_reports_one_sample_count():
     reads = [call for call in ast.walk(FUNCTIONS["runner.py"]["_reported"])
              if _is_call(call, "os", "read")]
     assert len(reads) == 1 and ast.literal_eval(reads[0].args[1]) == 8
+
+
+def test_run_forks_through_one_protocol():
+    """``runner.run`` forks its CSV child through one protocol, whatever the
+    storage of L, which picks only when the fork happens: ``run`` calls
+    ``_fork_writer`` once and ``_join`` once, ``_fork_writer`` opens the
+    report's pipe outside any branch, and ``runner`` defines no second
+    writer (``_write_csv``)."""
+    run, forking = FUNCTIONS["runner.py"]["run"], FUNCTIONS["runner.py"]["_fork_writer"]
+    assert len(_calls_named(run, "_fork_writer")) == len(_calls_named(run, "_join")) == 1
+    pipes = [node for node in ast.walk(forking) if _is_call(node, "os", "pipe")]
+    branched = [node.lineno for branch in ast.walk(forking)
+                if isinstance(branch, (ast.If, ast.IfExp))
+                for node in ast.walk(branch) if _is_call(node, "os", "pipe")]
+    assert len(pipes) == 1 and branched == []
+    assert "_write_csv" not in FUNCTIONS["runner.py"]
 
 
 TRACING = PACKAGE.parents[1] / "perfbench" / "tracing.py"
