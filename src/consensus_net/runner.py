@@ -24,8 +24,8 @@ The two CSV files are bytes from ``_csv_chunks``, whoever formats them, one
 block of rows (``analysis.row_blocks``) at a time: one call per block of
 ``csvtext.rows_text``, the package's one CSV number formatter.  The
 certificate and the simulation are independent consumers of the graph.
-When the two tables hold more than ``FORK_MIN_VALUES`` values and two CPUs
-are free, one child is forked beside this process, through one protocol
+When the two tables of the whole horizon hold more than
+``FORK_MIN_VALUES`` values and two CPUs are free, one child is forked beside this process, through one protocol
 (``_fork_writer``), and the storage of L that ``build_laplacian`` chose
 picks only when:
 
@@ -43,9 +43,9 @@ picks only when:
 
 Either way the child, once it has its trajectory, sizes a claim file of
 one byte per block of trajectory.csv and sends its sample count, one
-integer of 8 bytes, through a pipe (``_report``).  A short count is a
-divergence: this process copies the finite rows and writes the partial
-artifacts.  A pipe that ends without a count means the child died before
+integer of 8 bytes, through a pipe (``_report``).  On CSR L a short count
+is a divergence: this process copies the finite rows and writes the
+partial artifacts.  A pipe that ends without a count means the child died before
 it claimed a block: this process integrates, on CSR L, and formats every
 block itself.  Otherwise the two share trajectory.csv's blocks through the
 claim file, read from both ends: the child claims blocks from the first,
@@ -248,8 +248,8 @@ def _join(path: Path, child, count: int | None, traj: Trajectory) -> None:
     file and formats every block.  A child that sent no count claimed
     nothing, whatever its exit status, so this process formats every block.
     Either way ``trajectory_csv_text`` formats every block, so the bytes do
-    not depend on who ran it, and on every path the child is reaped (killed first if it
-    still runs) when ``_fork_writer``'s ``cleanup`` exits.
+    not depend on who ran it, and on every path the child is reaped (killed
+    first if it still runs) when ``_fork_writer``'s ``cleanup`` exits.
     """
     text, span = _trajectory_table(traj)
     if child is None:
